@@ -8,8 +8,7 @@ pairings) that the numerics are verified against.
 
 from .errors import (GraphTooLargeError, InvalidImmersionError,
                      InvalidVariationError, NoProfileError,
-                     NonConvergenceError, RejectedParametersError,
-                     SpiralforgeError)
+                     RejectedParametersError, SpiralforgeError)
 from .jets import (Jet, Variation, aspect_ratio, mean_curvature,
                    taylor_remainder, taylor_remainder_integral, unit_normal)
 from .spirals import (SpiralParams, SpiralSpec, frenet_generator,

@@ -284,21 +284,6 @@ class GraphFunction:
         return cls(u, u_t, d1_mat @ u, theta_derivative(u, order=2),
                    d2_mat @ u, d1_mat @ u_t)
 
-    @classmethod
-    def cutoff_times(cls, psi, dpsi, ddpsi, other):
-        """Product with a theta-independent cutoff given analytically.
-
-        psi, dpsi, ddpsi are 1-D arrays over s (the cutoff and its two
-        s-derivatives); `other` is a GraphFunction.
-        """
-        p, p1, p2 = psi[:, None], dpsi[:, None], ddpsi[:, None]
-        return cls(p * other.values,
-                   p * other.d_t,
-                   p1 * other.values + p * other.d_s,
-                   p * other.d_tt,
-                   p2 * other.values + 2.0 * p1 * other.d_s + p * other.d_ss,
-                   p1 * other.d_t + p * other.d_ts)
-
     def __add__(self, other):
         return GraphFunction(self.values + other.values, self.d_t + other.d_t,
                              self.d_s + other.d_s, self.d_tt + other.d_tt,
@@ -344,12 +329,13 @@ class BentSurface:
 
     Everything geometric is cached at construction: the normalized jet, the
     gauged normal bundle, and the straightening profile u0 (solved on the
-    same s-grid so no interpolation enters the Q operator).  Instances are
+    same s-grid so no interpolation enters the Q operator).  A given u0
+    (values on the s-grid) is used as is instead; the mesh export passes
+    zeros because its resampled graph already contains u0.  Instances are
     treated as immutable.
     """
 
-    def __init__(self, spec: SpiralSpec, ell, n_s, n_theta, u0=None,
-                 u0_settings=None):
+    def __init__(self, spec: SpiralSpec, ell, n_s, n_theta, u0=None):
         self.spec = spec
         self.grid = Grid(ell, n_s, n_theta)
         g = self.grid
@@ -365,7 +351,7 @@ class BentSurface:
             self.u0 = np.zeros_like(g.s)
             self.u0_info = U0Profile(g.s, self.u0, 0.0, 0, 0.0)
         else:
-            prof = solve_u0(spec.lam, ell, s=g.s, **(u0_settings or {}))
+            prof = solve_u0(spec.lam, ell, s=g.s)
             self.u0 = prof.values
             self.u0_info = prof
         zero = np.zeros((len(g.s), 1))
@@ -400,14 +386,6 @@ class BentSurface:
         """
         total = self.graph_jet(self.as_graph_function(u) + self.u0_fn)
         return self.ch[:, None] ** 2 * jets.mean_curvature(total)
-
-
-def graph_jet(surface, u):
-    return surface.graph_jet(u)
-
-
-def q_operator(surface, u):
-    return surface.q_operator(u)
 
 
 # ---------------------------------------------------------------------------

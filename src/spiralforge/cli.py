@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 rejected parameters, 3 non-convergence, 4 I/O.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -26,13 +27,17 @@ import numpy as np
 
 from dataclasses import dataclass, asdict, fields
 
-from .errors import NoProfileError, NonConvergenceError, RejectedParametersError
+from .errors import NoProfileError, RejectedParametersError
 from .spirals import SpiralSpec, invariants_to_spiral, matrix_invariants, skew
 
 EXIT_OK = 0
 EXIT_REJECTED = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
+
+# grid points the one-sided second-derivative stencil of numerics.derivative_matrix
+# spans at accuracy 4 (order + acc); shorter grids cannot be differenced
+_STENCIL_POINTS = 6
 
 
 @dataclass
@@ -61,6 +66,10 @@ class RunConfig:
     n_samples: int = 10000
 
     def validate(self):
+        for key in sorted(_FLOAT_KEYS):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         if self.kappa0 <= 0.0:
             raise ValueError("kappa0 must be positive (a straight axis is excluded)")
         if self.delta <= 0.0:
@@ -72,6 +81,16 @@ class RunConfig:
             raise ValueError("n_theta must be a power of two")
         if self.n_s % 2 != 0:
             raise ValueError("n_s must be even")
+        if self.n_s + 1 < _STENCIL_POINTS:
+            raise ValueError(f"n_s = {self.n_s} rejected: the fourth-order stencils "
+                             f"need n_s + 1 >= {_STENCIL_POINTS} points")
+        if self.mesh_resolution < _STENCIL_POINTS:
+            raise ValueError(f"mesh_resolution = {self.mesh_resolution} rejected: the "
+                             f"fourth-order stencils need at least {_STENCIL_POINTS}")
+        if not 0.0 < self.damping <= 1.0:
+            raise ValueError(f"damping = {self.damping:g} must lie in (0, 1]")
+        if self.periods < 1:
+            raise ValueError(f"periods = {self.periods} must be at least 1")
         return self
 
     def generator(self):
@@ -178,33 +197,37 @@ def cmd_spiral(cfg):
 
 
 def _solve(cfg):
+    """Run the solve cfg describes; returns (report, surface, graph u)."""
     from . import solver
 
-    spec = cfg.spec()
-    return solver.solve_minimal(
-        spec, cfg.ell, n_s=cfg.n_s, n_theta=cfg.n_theta, tol=cfg.tol,
+    report, ws, state = solver.solve_minimal(
+        cfg.spec(), cfg.ell, n_s=cfg.n_s, n_theta=cfg.n_theta, tol=cfg.tol,
         max_iter=cfg.max_iter, damping=cfg.damping, eps1=cfg.eps1,
         delta0=cfg.delta0)
+    return report, ws.surface, solver._graph_function(ws, state).values
+
+
+def _export(cfg, surface, u):
+    """Write surface.obj and fields.csv into the output directory."""
+    from . import verify
+
+    out = cfg.output_dir
+    verify.export_mesh(surface, u, os.path.join(out, "surface.obj"),
+                       resolution=(cfg.mesh_resolution, cfg.mesh_resolution),
+                       periods=cfg.periods,
+                       csv_path=os.path.join(out, "fields.csv"))
 
 
 def cmd_solve(cfg):
-    from . import solver, verify
+    from . import verify
 
-    report, ws, state = _solve(cfg)
+    report, surface, u = _solve(cfg)
     report.config = config_dict(cfg)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    try:
-        with open(os.path.join(out, "report.txt"), "w") as fh:
-            fh.write(verify.report_text(report))
-        u = solver._graph_function(ws, state).values
-        verify.export_mesh(ws.surface, u, os.path.join(out, "surface.obj"),
-                           resolution=(cfg.mesh_resolution, cfg.mesh_resolution),
-                           periods=cfg.periods,
-                           csv_path=os.path.join(out, "fields.csv"))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(os.path.join(out, "report.txt"), "w") as fh:
+        fh.write(verify.report_text(report))
+    _export(cfg, surface, u)
     print(f"converged = {report.converged} after {report.iterations} iterations; "
           f"interior residual {report.final_interior_residual:.3e}; "
           f"runtime {report.runtime:.2f} s")
@@ -213,12 +236,11 @@ def cmd_solve(cfg):
 
 
 def cmd_check_embed(cfg):
-    from . import solver, verify
+    from . import verify
 
-    report, ws, state = _solve(cfg)
-    u = solver._graph_function(ws, state).values
+    report, surface, u = _solve(cfg)
     verdict, info = verify.check_embedded(
-        ws.surface, u, n_samples=cfg.n_samples, seed=cfg.seed,
+        surface, u, n_samples=cfg.n_samples, seed=cfg.seed,
         converged=report.converged, force_sample=True)
     print(f"embeddedness verdict: {verdict}")
     print(f"closed-form bound on ell: {info['ell_bound']:.6g} (ell = {cfg.ell:g})")
@@ -229,20 +251,10 @@ def cmd_check_embed(cfg):
 
 
 def cmd_export(cfg):
-    from . import solver, verify
-
-    report, ws, state = _solve(cfg)
-    u = solver._graph_function(ws, state).values
+    _, surface, u = _solve(cfg)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    try:
-        verify.export_mesh(ws.surface, u, os.path.join(out, "surface.obj"),
-                           resolution=(cfg.mesh_resolution, cfg.mesh_resolution),
-                           periods=cfg.periods,
-                           csv_path=os.path.join(out, "fields.csv"))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _export(cfg, surface, u)
     print(f"wrote {out}/surface.obj and {out}/fields.csv "
           f"({cfg.periods} period(s) at resolution {cfg.mesh_resolution})")
     return EXIT_OK
@@ -293,7 +305,7 @@ def main(argv=None):
     except (RejectedParametersError, ValueError) as exc:
         print(f"error: parameters rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    except (NonConvergenceError, NoProfileError) as exc:
+    except NoProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except OSError as exc:

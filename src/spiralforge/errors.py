@@ -23,7 +23,3 @@ class NoProfileError(SpiralforgeError):
 
 class RejectedParametersError(SpiralforgeError):
     """A parameter gate for the nonlinear solve was violated."""
-
-
-class NonConvergenceError(SpiralforgeError):
-    """The fixed-point iteration exhausted its budget without converging."""

@@ -16,7 +16,6 @@ identity.
 """
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cutoffs import Cutoff, even_cutoff
 from .jets import jet_from_arrays
@@ -165,6 +164,10 @@ def kernel_pairing(which, s_max):
     Converges to 1 as s_max grows (the deficit is set by the boundary flux,
     of size 1 - tanh(s_max)).
     """
+    # imported here, not at module level: scipy.integrate is slow to import
+    # and only this quadrature oracle needs it
+    from scipy.integrate import quad
+
     if s_max < 3.0:
         raise ValueError("s_max must cover the cutoff band, s_max >= 3")
     cut = Cutoff(1.0, 2.0)

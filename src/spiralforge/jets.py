@@ -140,10 +140,6 @@ def _resolve_quantity(phi):
                        f"expected one of {sorted(_QUANTITIES)} or a callable")
 
 
-def _first_jet_norm(jet):
-    return float(np.sqrt(np.sum(jet.d1 ** 2)))
-
-
 def _path_step(jet, variation):
     # Step of the path parameter sized so sigma * variation moves the jet by
     # about 1e-3 of its own scale; clamped to keep stencils inside [0, 1]-ish.

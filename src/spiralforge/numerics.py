@@ -90,9 +90,11 @@ def theta_derivative(u, order=1):
 def trig_interpolate(values, t_new):
     """Evaluate the band-limited interpolant of periodic samples at new angles.
 
-    values has shape (..., n) sampled on theta_j = -pi + 2 pi j / n; t_new is
-    a 1-D array of angles (any reals).  Returns shape (..., len(t_new)).
-    Exact on the trigonometric polynomial the samples determine.
+    values has shape (..., n) sampled on theta_j = -pi + 2 pi j / n; t_new
+    has shape (..., p) and broadcasts against the leading axes of values, so
+    a 1-D array of p angles is shared by every row while an (r, 1) array
+    gives each of r rows its own angle.  Returns shape (..., p).  Exact on
+    the trigonometric polynomial the samples determine.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
@@ -105,32 +107,21 @@ def trig_interpolate(values, t_new):
     ang = np.multiply.outer(np.asarray(t_new, dtype=float) + np.pi, modes)
     re = np.cos(ang) * weights
     im = np.sin(ang) * weights
-    return (np.einsum("...m,pm->...p", c.real, re)
-            - np.einsum("...m,pm->...p", c.imag, im))
+    return (np.einsum("...m,...pm->...p", c.real, re)
+            - np.einsum("...m,...pm->...p", c.imag, im))
 
 
-def simpson_weights(n_pts, h):
-    """Composite Simpson weights; n_pts must be odd."""
-    if n_pts % 2 == 0:
-        raise ValueError("Simpson weights need an odd number of points")
-    w = np.ones(n_pts)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
-
-
-def cumulative_from_zero(y, h, i_zero, d1_matrix=None):
+def cumulative_from_zero(y, h, i_zero, d1_matrix):
     """Cumulative integral of grid samples y from the grid point at index i_zero.
 
     Endpoint-corrected trapezoid rule.  The Euler-Maclaurin correction uses a
     fourth-order first derivative so the quadrature error is O(h^4) and, more
     importantly, smooth in the grid index (no parity sawtooth that a second
-    difference would amplify).
+    difference would amplify).  d1_matrix is that derivative on the grid of
+    y, as in Grid.d1.
     """
     y = np.asarray(y, dtype=float)
     t = np.concatenate([[0.0], np.cumsum(0.5 * h * (y[1:] + y[:-1]))])
-    if d1_matrix is None:
-        d1_matrix = derivative_matrix(len(y), h, 1, acc=4)
     yp = d1_matrix @ y
     c = t - (h * h / 12.0) * (yp - yp[0])
     return c - c[i_zero]
@@ -139,29 +130,31 @@ def cumulative_from_zero(y, h, i_zero, d1_matrix=None):
 class Grid:
     """Uniform tensor grid on the cylinder section |s| <= arccosh(ell).
 
-    s has n_s intervals (n_s + 1 points, n_s even so s = 0 is a grid point);
-    theta has n_theta uniform points on [-pi, pi) with periodic wrap.
+    s has n_s intervals (n_s + 1 points; s = 0 is a grid point only when
+    n_s is even); theta has n_theta uniform points on [-pi, pi) with
+    periodic wrap.
     """
 
     def __init__(self, ell, n_s, n_theta):
         if ell <= 1.0:
             raise ValueError("ell must exceed 1 so arccosh(ell) is defined")
-        if n_s % 2 != 0:
-            raise ValueError("n_s must be even so that s = 0 is a grid point")
-        if n_theta % 2 != 0:
-            raise ValueError("n_theta must be even")
         self.ell = float(ell)
         self.n_s = int(n_s)
         self.n_theta = int(n_theta)
         self.s_max = float(np.arccosh(ell))
         self.s = np.linspace(-self.s_max, self.s_max, n_s + 1)
         self.h = self.s[1] - self.s[0]
-        self.i_zero = n_s // 2
         self.theta = -np.pi + 2.0 * np.pi * np.arange(n_theta) / n_theta
         self.w_theta = 2.0 * np.pi / n_theta
-        self.w_s = simpson_weights(n_s + 1, self.h)
         self.d1 = derivative_matrix(n_s + 1, self.h, 1, acc=4)
         self.d2 = derivative_matrix(n_s + 1, self.h, 2, acc=4)
+
+    @property
+    def i_zero(self):
+        """Index of the grid point s = 0; raises ValueError for odd n_s."""
+        if self.n_s % 2 != 0:
+            raise ValueError("n_s must be even so that s = 0 is a grid point")
+        return self.n_s // 2
 
     def ds(self, u, order=1):
         """s-derivative of a grid function u of shape (n_s + 1, ...)."""
@@ -169,13 +162,6 @@ class Grid:
         if u.ndim == 1:
             return mat @ u
         return (mat @ u.reshape(len(self.s), -1)).reshape(u.shape)
-
-    def dtheta(self, u, order=1):
-        return theta_derivative(u, order=order)
-
-    def integrate(self, u):
-        """Quadrature of u(s, theta) against ds dtheta on the whole grid."""
-        return float(self.w_theta * np.sum(self.w_s @ u))
 
     def interior_mask(self):
         """Points with cosh(s) <= ell / 4 where minimality is certified."""

@@ -24,7 +24,7 @@ from scipy.sparse.linalg import splu
 from . import verify
 from .bent import BentSurface, GraphFunction
 from .cutoffs import even_cutoff
-from .errors import NonConvergenceError, RejectedParametersError
+from .errors import RejectedParametersError
 from .helicoid import kernel_fn, substitute_graph_derivatives, substitute_image
 from .numerics import cumulative_from_zero, fd_weights, theta_derivative
 from .tube import max_embed_ell
@@ -78,9 +78,13 @@ def invert_mean(e_bar, grid):
 class Workspace:
     """Grid-bound data for repeated linear solves over one bent surface."""
 
-    def __init__(self, spec, ell, n_s, n_theta, u0_settings=None):
-        self.surface = BentSurface(spec, ell, n_s, n_theta,
-                                   u0_settings=u0_settings)
+    def __init__(self, spec, ell, n_s, n_theta):
+        # checked before any set-up: the mean solve pins v(0) = v'(0) = 0
+        if n_s % 2 != 0:
+            raise ValueError("n_s must be even so that s = 0 is a grid point")
+        if n_theta % 2 != 0:
+            raise ValueError("n_theta must be even")
+        self.surface = BentSurface(spec, ell, n_s, n_theta)
         self.spec = spec
         self.ell = float(ell)
         g = self.grid = self.surface.grid
@@ -301,8 +305,7 @@ def check_gates(spec, ell, eps1=0.2, delta0=0.1):
 
 
 def solve_minimal(spec, ell, n_s=1024, n_theta=64, tol=1e-9, max_iter=50,
-                  damping=1.0, eps1=0.2, delta0=0.1, u0_settings=None,
-                  raise_on_failure=False):
+                  damping=1.0, eps1=0.2, delta0=0.1):
     """Drive the graph over the bent helicoid to minimality.
 
     Iterates the fixed-point map until the update norm drops below tol.  The
@@ -312,7 +315,7 @@ def solve_minimal(spec, ell, n_s=1024, n_theta=64, tol=1e-9, max_iter=50,
     """
     check_gates(spec, ell, eps1=eps1, delta0=delta0)
     t0 = time.perf_counter()
-    ws = Workspace(spec, ell, n_s, n_theta, u0_settings=u0_settings)
+    ws = Workspace(spec, ell, n_s, n_theta)
     state = SolverState(np.zeros((len(ws.grid.s), n_theta)), 0.0, 0.0)
 
     history = []
@@ -359,8 +362,4 @@ def solve_minimal(spec, ell, n_s=1024, n_theta=64, tol=1e-9, max_iter=50,
         iterations=len(history) - 1,
         u0_c_hat=ws.surface.u0_info.c_hat if ws.surface.u0_info else float("nan"),
     )
-    if raise_on_failure and not converged:
-        raise NonConvergenceError(
-            f"no convergence in {max_iter} iterations; "
-            f"final interior residual {history[-1]:.3e}")
     return report, ws, state

@@ -303,15 +303,3 @@ class SpiralSpec:
         g1 = self.gamma(2.0 * np.pi)
         return float(np.linalg.norm(g1 - scale * rot @ g0))
 
-
-# module-level op aliases matching the rest of the package's call style
-def frame_at(spec, z):
-    return spec.frame(z)
-
-
-def rotation_at(spec, theta):
-    return spec.rotation(theta)
-
-
-def gamma_point(spec, z):
-    return spec.gamma(z)

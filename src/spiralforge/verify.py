@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from . import bent, jets
-from .numerics import derivative_matrix, theta_derivative, trig_interpolate
+from . import bent
+from .numerics import theta_derivative, trig_interpolate
 
 
 @dataclass
@@ -65,12 +65,15 @@ def weighted_norm(u, grid, rho=0.75, k=0):
 # graph-surface evaluation in the lab frame
 # ---------------------------------------------------------------------------
 
-def _lab_graph_points(spec, u_plus_u0, s_col, t_row):
-    """Points of the normal graph by e^{lam theta}(u + u0) in the lab frame."""
+def _lab_graph_points(spec, u_plus_u0, s_col, t_row, nu):
+    """Points of the normal graph by e^{lam theta}(u + u0) in the lab frame.
+
+    nu is the gauged unit normal at the same (s, theta) points: the "nu"
+    entry of bent._gauged_normal_bundle, or of a BentSurface's normals.
+    """
     base = bent.bent_point(spec, s_col, t_row)
-    nb = bent._gauged_normal_bundle(spec, s_col, t_row)
     frame = spec.frame(np.broadcast_arrays(s_col, t_row)[1])
-    nu_lab = np.einsum("...ij,...j->...i", frame, nb["nu"])
+    nu_lab = np.einsum("...ij,...j->...i", frame, nu)
     w = np.exp(spec.lam * t_row) * u_plus_u0
     return base + w[..., None] * nu_lab
 
@@ -85,8 +88,10 @@ def check_self_similarity(surface, u):
     spec, g = surface.spec, surface.grid
     s_col, t_row = g.s[:, None], g.theta[None, :]
     utot = u + surface.u0[:, None]
-    x1 = _lab_graph_points(spec, utot, s_col, t_row)
-    x2 = _lab_graph_points(spec, utot, s_col, t_row + 2.0 * np.pi)
+    t_next = t_row + 2.0 * np.pi
+    nu_next = bent._gauged_normal_bundle(spec, s_col, t_next)["nu"]
+    x1 = _lab_graph_points(spec, utot, s_col, t_row, surface.normals["nu"])
+    x2 = _lab_graph_points(spec, utot, s_col, t_next, nu_next)
     scale, rot = spec.similarity()
     image = scale * np.einsum("ij,...j->...i", rot, x1)
     gauge = np.exp(-spec.lam * g.theta)[None, :, None]
@@ -156,17 +161,10 @@ def check_embedded(surface, u, n_samples=10000, seed=0, exclusion_cells=3,
     # evaluate each row's trigonometric interpolant at its own angle.
     utot = u + surface.u0[:, None]
     rows = CubicSpline(g.s, utot, axis=0)(s_samp)
-    coeff = np.fft.rfft(rows, axis=1)
-    n = g.n_theta
-    weights = np.full(coeff.shape[1], 2.0 / n)
-    weights[0] = 1.0 / n
-    if n % 2 == 0:
-        weights[-1] = 1.0 / n
-    ang = np.multiply.outer(t_samp + np.pi, np.arange(coeff.shape[1]))
-    u_vals = ((coeff.real * np.cos(ang) - coeff.imag * np.sin(ang)) * weights).sum(axis=1)
-
-    pts = _lab_graph_points(spec, u_vals[:, None], s_samp[:, None],
-                            t_samp[:, None])[:, 0, :]
+    s_col, t_col = s_samp[:, None], t_samp[:, None]
+    u_vals = trig_interpolate(rows, t_col)
+    nu = bent._gauged_normal_bundle(spec, s_col, t_col)["nu"]
+    pts = _lab_graph_points(spec, u_vals, s_col, t_col, nu)[:, 0, :]
     cell = max(g.h, 2.0 * np.pi / g.n_theta)
     min_d, pair = sampled_min_separation(
         pts, np.column_stack([s_samp, t_samp]), exclusion_cells * cell)
@@ -192,23 +190,21 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
     """
     spec, g = surface.spec, surface.grid
     n_sm, n_tm = resolution
-    s_m = np.linspace(-g.s_max, g.s_max, n_sm)
-    t_m = -np.pi + 2.0 * np.pi * np.arange(n_tm) / n_tm
+    # the mesh grid's surface; u0 = 0 because the resampled graph contains u0
+    mesh_surf = bent.BentSurface(spec, g.ell, n_sm - 1, n_tm, u0=np.zeros(n_sm))
+    s_m, t_m = mesh_surf.grid.s, mesh_surf.grid.theta
 
     # resample u: exact trigonometric interpolation in theta, spline in s
     u_theta = trig_interpolate(u + surface.u0[:, None], t_m)
     u_mesh = CubicSpline(g.s, u_theta, axis=0)(s_m)
 
-    # mean curvature at mesh resolution: assemble the graph jet on the mesh
-    # grid with its own stencils, then undo the gauge factors
-    h_m = s_m[1] - s_m[0]
-    d1_m = derivative_matrix(n_sm, h_m, 1, acc=4)
-    d2_m = derivative_matrix(n_sm, h_m, 2, acc=4)
-    mesh_surf = _MeshGeometry(spec, s_m, t_m, d1_m, d2_m)
-    q_mesh = mesh_surf.q_of(u_mesh)
+    # mean curvature at mesh resolution: the solver's Q (aspect guard
+    # included), then undo the gauge factors
+    q_mesh = mesh_surf.q_operator(u_mesh)
     h_abs = np.abs(q_mesh) / (np.exp(spec.lam * t_m)[None, :] * np.cosh(s_m)[:, None] ** 2)
 
-    x = _lab_graph_points(spec, u_mesh, s_m[:, None], t_m[None, :])
+    x = _lab_graph_points(spec, u_mesh, s_m[:, None], t_m[None, :],
+                          mesh_surf.normals["nu"])
     scale, rot = spec.similarity()
     blocks, scal_s, scal_t, scal_h, scal_u = [], [], [], [], []
     for p in range(periods):
@@ -237,25 +233,6 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
         "u": np.concatenate(scal_u, axis=1).reshape(-1),
     }
     return Mesh(vertices, np.array(faces, dtype=int), scalars)
-
-
-class _MeshGeometry:
-    """Just enough of the bent-surface machinery to evaluate Q on a mesh grid."""
-
-    def __init__(self, spec, s, theta, d1_mat, d2_mat):
-        self.spec = spec
-        self.s, self.theta = s, theta
-        self.d1_mat, self.d2_mat = d1_mat, d2_mat
-        self.jet = bent.normalized_jet(spec, s[:, None], theta[None, :], order=2)
-        self.normals = bent._gauged_normal_bundle(spec, s[:, None], theta[None, :])
-
-    def q_of(self, u):
-        u_t = theta_derivative(u)
-        variation = bent.variation_from_derivatives(
-            self.spec, self.normals, u, u_t, self.d1_mat @ u,
-            theta_derivative(u, order=2), self.d2_mat @ u, self.d1_mat @ u_t)
-        total = self.jet + variation
-        return np.cosh(self.s)[:, None] ** 2 * jets.mean_curvature(total)
 
 
 def write_obj(mesh, path):

@@ -211,8 +211,7 @@ class TestQOperator:
     def test_periodicity_of_output(self, spec):
         # evaluate the same periodic graph on the theta window shifted by a
         # full period: Q must reproduce itself to roundoff
-        from spiralforge.numerics import derivative_matrix
-        from spiralforge.verify import _MeshGeometry
+        from spiralforge.numerics import derivative_matrix, theta_derivative
         s = np.linspace(-2.0, 2.0, 65)
         theta = -np.pi + 2 * np.pi * np.arange(16) / 16
         h = s[1] - s[0]
@@ -220,9 +219,17 @@ class TestQOperator:
         d2 = derivative_matrix(len(s), h, 2, acc=4)
         rng = np.random.default_rng(5)
         u = 1e-3 * rng.standard_normal((65, 16))
-        q1 = _MeshGeometry(spec, s, theta, d1, d2).q_of(u)
-        q2 = _MeshGeometry(spec, s, theta + 2 * np.pi, d1, d2).q_of(u)
-        assert np.abs(q1 - q2).max() < 1e-10
+        u_t = theta_derivative(u)
+        derivs = (u, u_t, d1 @ u, theta_derivative(u, order=2), d2 @ u, d1 @ u_t)
+
+        def q_of(t):
+            s_col, t_row = s[:, None], t[None, :]
+            normals = bent._gauged_normal_bundle(spec, s_col, t_row)
+            total = (normalized_jet(spec, s_col, t_row, order=2)
+                     + bent.variation_from_derivatives(spec, normals, *derivs))
+            return np.cosh(s)[:, None] ** 2 * jets.mean_curvature(total)
+
+        assert np.abs(q_of(theta) - q_of(theta + 2 * np.pi)).max() < 1e-10
 
     def test_scaling_in_delta(self):
         sups = []

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import subprocess
 import sys
 
@@ -112,3 +113,29 @@ class TestCommands:
         assert r.returncode == 0
         assert (out / "surface.obj").exists()
         assert (out / "fields.csv").exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["solve", "--delta", "nan"], "delta"),
+    (["solve", "--xi", "nan"], "xi"),
+    (["solve", "--ell", "nan"], "ell"),
+    (["solve", "--tol", "nan"], "tol"),
+    (["solve", "--damping", "0"], "damping"),
+    (["solve", "--ns", "0"], "n_s"),
+    (["solve", "--ns", "4"], "n_s"),
+    (["export", "--mesh-resolution", "1"], "mesh_resolution"),
+    (["export", "--mesh-resolution", "5"], "mesh_resolution"),
+    (["export", "--periods", "0"], "periods"),
+])
+def test_bad_input_rejected_at_boundary(argv, key, tmp_path, capsys):
+    assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_REJECTED
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate serves only the kernel_pairing test oracle and costs
+    # a noticeable share of every CLI start-up
+    code = "import sys, spiralforge; print('scipy.integrate' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

@@ -22,6 +22,13 @@ def smooth_rhs(grid, seed=3):
                    + 0.1 * np.cos(5 * t_row))
 
 
+@pytest.mark.parametrize("n_s, n_theta, match", [
+    (255, 32, "n_s must be even"), (256, 31, "n_theta must be even")])
+def test_workspace_rejects_odd_grids(demo_spec, n_s, n_theta, match):
+    with pytest.raises(ValueError, match=match):
+        solver.Workspace(demo_spec, 32.0, n_s, n_theta)
+
+
 class TestMeridianSplit:
     def test_pure_ring(self):
         g = Grid(32.0, 64, 16)
@@ -50,6 +57,12 @@ class TestInvertMean:
     def test_zero(self):
         g = Grid(32.0, 128, 16)
         assert np.abs(solver.invert_mean(np.zeros(129), g)).max() == 0.0
+
+    def test_odd_grid_rejected(self):
+        # s = 0 is a grid point only for even n_s
+        g = Grid(32.0, 127, 16)
+        with pytest.raises(ValueError, match="n_s must be even"):
+            solver.invert_mean(np.zeros(128), g)
 
     def test_closed_form_case(self):
         # v'' + 2 sech^2 v = 2 s sech^2 with v(0) = v'(0) = 0 is s - tanh(s)
@@ -249,7 +262,7 @@ class TestSolveMinimal:
         # alone.  Away from the substitute band, where the oracle's own
         # spline differentiation is accurate, the surface must be minimal.
         from scipy.interpolate import CubicSpline
-        from spiralforge import helicoid, jets, verify
+        from spiralforge import bent, helicoid, jets, verify
         from spiralforge.cutoffs import even_cutoff
         from spiralforge.numerics import trig_interpolate
 
@@ -269,8 +282,9 @@ class TestSolveMinimal:
 
         def points(ds, dt):
             ss, th = g.s + ds, g.theta + dt
+            nu = bent._gauged_normal_bundle(spec, ss[:, None], th[None, :])["nu"]
             return verify._lab_graph_points(spec, graph_u(ss, th),
-                                            ss[:, None], th[None, :])
+                                            ss[:, None], th[None, :], nu)
 
         h = 2e-3
         c1 = np.array([-1, 9, -45, 0, 45, -9, 1.0]) / (60 * h)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spiralforge import bent, solver, verify
-from spiralforge.numerics import Grid
+from spiralforge.errors import GraphTooLargeError
+from spiralforge.numerics import Grid, trig_interpolate
 from spiralforge.spirals import SpiralSpec
 
 
@@ -56,8 +57,10 @@ class TestSelfSimilarity:
         spec, g = ws.surface.spec, ws.grid
         s_col, t_row = g.s[:, None], g.theta[None, :]
         u0 = ws.surface.u0[:, None] * np.ones((1, g.n_theta))
-        x1 = verify._lab_graph_points(spec, u0, s_col, t_row)
-        x2 = verify._lab_graph_points(spec, u0, s_col, t_row + 2 * np.pi)
+        nu_next = bent._gauged_normal_bundle(spec, s_col, t_row + 2 * np.pi)["nu"]
+        x1 = verify._lab_graph_points(spec, u0, s_col, t_row,
+                                      ws.surface.normals["nu"])
+        x2 = verify._lab_graph_points(spec, u0, s_col, t_row + 2 * np.pi, nu_next)
         offset = np.array([5.0, 0.0, 0.0])
         scale, rot = spec.similarity()
         gauge = np.exp(-spec.lam * g.theta)[None, :, None]
@@ -65,6 +68,19 @@ class TestSelfSimilarity:
         defect = np.abs((x2 + offset) - image) * gauge
         rel = defect.max() / np.abs((x1 + offset) * gauge).max()
         assert rel > 1e-5
+
+
+class TestTrigInterpolate:
+    def test_per_row_angles_are_grid_diagonal(self):
+        # an (n, 1) array of angles gives each row its own angle: the result
+        # is the diagonal of evaluating every row at every angle
+        rng = np.random.default_rng(6)
+        rows = rng.standard_normal((40, 16))
+        t = rng.uniform(-np.pi, 3 * np.pi, 40)
+        per_row = trig_interpolate(rows, t[:, None])
+        assert per_row.shape == (40, 1)
+        grid_form = trig_interpolate(rows, t)
+        assert np.abs(per_row[:, 0] - np.diag(grid_form)).max() < 1e-15
 
 
 class TestEmbeddedness:
@@ -174,6 +190,16 @@ class TestExport:
                             * np.cosh(g.s)[:, None] ** 2)
         got = mesh.scalars["H_abs"].reshape(len(g.s), g.n_theta)
         assert np.abs(got - want).max() < 1e-12
+
+    def test_too_large_graph_rejected(self):
+        # the flat rig of the solver's aspect guard test: offsetting by the
+        # focal distance cosh^2 of a mesh row degenerates that row of the mesh
+        flat = SpiralSpec(np.zeros((3, 3)), 1e-3, 0.0, allow_trivial=True)
+        surf = bent.BentSurface(flat, 32.0, 128, 16)
+        s_mesh = np.linspace(-surf.grid.s_max, surf.grid.s_max, 33)
+        u = np.full((129, 16), np.cosh(s_mesh[4]) ** 2)
+        with pytest.raises(GraphTooLargeError):
+            verify.build_mesh(surf, u, (33, 16))
 
     def test_two_period_similarity(self, demo_solve):
         _, ws, state = demo_solve
