@@ -29,7 +29,7 @@ import numpy as np
 from . import jets
 from .errors import GraphTooLargeError, NoProfileError, RejectedParametersError
 from .jets import Jet, jet_from_arrays
-from .numerics import Grid, derivative_matrix, theta_derivative
+from .numerics import BandedLU, Grid, theta_derivative
 from .spirals import SpiralSpec
 
 
@@ -50,22 +50,31 @@ def _apply(mat, vec):
 # jets of G
 # ---------------------------------------------------------------------------
 
-def _brackets(spec, s, theta, order):
-    """Periodic bracket vectors of the normalized jet of G.
+def _first_brackets(spec, s, theta):
+    """a1, a2 (the first-order brackets) and the pieces they are built from.
 
-    Shapes broadcast (s, theta) -> (..., 3).  Returns the dict used both for
-    jet assembly and for the closed-form normal bundle.
+    Shapes broadcast (s, theta) -> (..., 3).  Returns (a1, a2, parts) with
+    parts = (sh, ch, c0, c1, e3, q1), which the higher brackets reuse.
     """
     s, theta = np.broadcast_arrays(np.asarray(s, float), np.asarray(theta, float))
     s = s[..., None]
     c0, c1 = _circ(theta)
-    b = spec.b_mat
     e3 = np.broadcast_to(np.array([0.0, 0.0, 1.0]), c0.shape)
     sh, ch = np.sinh(s), np.cosh(s)
-    q1 = _apply(b, c0) + c1
+    q1 = _apply(spec.b_mat, c0) + c1
+    return e3 + sh * q1, ch * c0, (sh, ch, c0, c1, e3, q1)
+
+
+def _brackets(spec, s, theta, order):
+    """Periodic bracket vectors of the normalized jet of G.
+
+    Shapes broadcast (s, theta) -> (..., 3).
+    """
+    a1, a2, (sh, ch, c0, c1, e3, q1) = _first_brackets(spec, s, theta)
+    b = spec.b_mat
     out = {
-        "a1": e3 + sh * q1,
-        "a2": ch * c0,
+        "a1": a1,
+        "a2": a2,
         "a11": _apply(b, e3) + sh * (_apply(b, q1) + _apply(b, c1) - c0),
         "a22": sh * c0,
         "a12": ch * q1,
@@ -169,9 +178,7 @@ def _normal_bundle(a1, a2, da1, da2, dda1, dda2):
     """nu = a1 x a2 / |.| and its first/second grid derivatives.
 
     da* = (d_theta, d_s), dda* = (d_theta_theta, d_theta_s, d_s_s) of the two
-    first-derivative fields.  Works for plain jets (where these are just the
-    higher jet components) and for gauged fields (where they are the literal
-    grid derivatives of the periodic brackets).
+    first-order brackets: their literal derivatives, not normalized jet slots.
     """
     cross = np.cross
     n = cross(a1, a2)
@@ -208,6 +215,13 @@ def _normal_bundle(a1, a2, da1, da2, dda1, dda2):
             "nu_tt": nu_tt, "nu_ts": nu_ts, "nu_ss": nu_ss}
 
 
+def _gauged_normal(spec, s, theta):
+    """The gauged unit normal alone: the "nu" of _gauged_normal_bundle."""
+    a1, a2, _ = _first_brackets(spec, s, theta)
+    n = np.cross(a1, a2)
+    return n / np.sqrt(np.einsum("...i,...i->...", n, n))[..., None]
+
+
 def _gauged_normal_bundle(spec, s, theta):
     """Normal bundle of the normalized jet plus its covariant derivatives.
 
@@ -215,17 +229,8 @@ def _gauged_normal_bundle(spec, s, theta):
     of the gauged normal into the gauged derivatives of the lab normal,
     which is what the graph variation needs.
     """
-    s, theta = np.broadcast_arrays(np.asarray(s, float), np.asarray(theta, float))
-    s_col = s[..., None]
-    c0, c1 = _circ(theta)
-    b = spec.b_mat
-    e3 = np.broadcast_to(np.array([0.0, 0.0, 1.0]), c0.shape)
-    sh, ch = np.sinh(s_col), np.cosh(s_col)
-    q1 = _apply(b, c0) + c1
-    q2 = _apply(b, c1) - c0
-
-    a1 = e3 + sh * q1
-    a2 = ch * c0
+    a1, a2, (sh, ch, c0, c1, _, q1) = _first_brackets(spec, s, theta)
+    q2 = _apply(spec.b_mat, c1) - c0
     da1 = (sh * q2, ch * q1)
     da2 = (ch * c1, sh * c0)
     dda1 = (-sh * q1, ch * q2, sh * q1)
@@ -234,7 +239,7 @@ def _gauged_normal_bundle(spec, s, theta):
 
     rw = spec.delta * spec.r_mat
     nu, nu_t, nu_s = nb["nu"], nb["nu_t"], nb["nu_s"]
-    cov = {
+    return {
         "nu": nu,
         "nu_s": nu_s,
         "nu_ss": nb["nu_ss"],
@@ -242,7 +247,6 @@ def _gauged_normal_bundle(spec, s, theta):
         "nu_ts": nb["nu_ts"] + _apply(rw, nu_s),
         "nu_tt": nb["nu_tt"] + 2.0 * _apply(rw, nu_t) + _apply(rw @ rw, nu),
     }
-    return cov
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +355,7 @@ class BentSurface:
             self.u0 = np.zeros_like(g.s)
             self.u0_info = U0Profile(g.s, self.u0, 0.0, 0, 0.0)
         else:
-            prof = solve_u0(spec.lam, ell, s=g.s)
+            prof = solve_u0(spec.lam, ell, n=n_s)
             self.u0 = prof.values
             self.u0_info = prof
         zero = np.zeros((len(g.s), 1))
@@ -392,36 +396,17 @@ class BentSurface:
 # the straightening profile u0
 # ---------------------------------------------------------------------------
 
-def _reference_q_residual(lam, s, d1_mat, d2_mat, bundle, ref, ch2):
-    """Q of the reference immersion's graph by e^{lam theta} u(s), at theta=0."""
-    def residual(u):
-        u_s = d1_mat @ u
-        u_ss = d2_mat @ u
-        nu, nu_t, nu_s = bundle["nu"], bundle["nu_t"], bundle["nu_s"]
-        nu_tt, nu_ts, nu_ss = bundle["nu_tt"], bundle["nu_ts"], bundle["nu_ss"]
-        uc = u[:, None]
-        x1 = ref.d1[:, 0] + lam * uc * nu + uc * nu_t
-        x2 = ref.d1[:, 1] + u_s[:, None] * nu + uc * nu_s
-        x11 = (ref.d2[:, 0] + lam * lam * uc * nu + 2.0 * lam * uc * nu_t
-               + uc * nu_tt)
-        x22 = (ref.d2[:, 1] + u_ss[:, None] * nu + 2.0 * u_s[:, None] * nu_s
-               + uc * nu_ss)
-        x12 = (ref.d2[:, 2] + lam * u_s[:, None] * nu + lam * uc * nu_s
-               + u_s[:, None] * nu_t + uc * nu_ts)
-        jet = jet_from_arrays(x1, x2, x11, x22, x12)
-        return ch2 * jets.mean_curvature(jet)
-    return residual
-
-
-def solve_u0(delta_xi, ell, s=None, n=None, tol=1e-11, max_iter=40, eps0=1.5):
+def solve_u0(delta_xi, ell, n=512, tol=1e-11, max_iter=40, eps0=1.5):
     """Odd profile u0(s) making the reference immersion's normal graph minimal.
 
-    The graph equation restricted to theta-independent functions is a second
-    order ODE in s; the admissible solution vanishes to second order at
-    s = 0 (u0(0) = u0'(0) = 0) and is extended oddly.  Solved by damped
-    Newton on a collocation grid: unknowns are the values at s > 0,
-    equations are the ODE at interior positive points plus the u0'(0) = 0
-    pin; the outer rim point carries no collocation (free boundary).
+    The reference immersion is G over the trivial generator (a straight
+    axis).  The graph equation restricted to theta-independent functions is
+    a second order ODE in s; the admissible solution vanishes to second
+    order at s = 0 (u0(0) = u0'(0) = 0) and is extended oddly.  Solved by
+    damped Newton on the n-interval grid over |s| <= arccosh(ell): unknowns
+    are the values at s > 0, equations are the u0'(0) = 0 pin followed by
+    the ODE (BentSurface.q_operator) at interior positive points; the outer
+    rim point carries no collocation (free boundary).
 
     Returns a U0Profile; c_hat reports sup |u0| / (s^2 delta_xi), the
     measured constant of the quadratic smallness bound.
@@ -432,72 +417,52 @@ def solve_u0(delta_xi, ell, s=None, n=None, tol=1e-11, max_iter=40, eps0=1.5):
         raise RejectedParametersError(
             f"profile domain arccosh(ell) = {s_max:.3f} exceeds "
             f"{eps0:g} * (delta |xi|)^(-1/4) = {eps0 * abs(lam) ** -0.25:.3f}")
-    if s is None:
-        n = n or 512
-        s = np.linspace(-s_max, s_max, n + 1)
-    s = np.asarray(s, dtype=float)
-    n_pts = len(s)
-    i_zero = n_pts // 2
-    if abs(s[i_zero]) > 1e-14:
-        raise ValueError("the profile grid must contain s = 0")
+    flat = BentSurface(SpiralSpec(np.zeros((3, 3)), 1.0, lam, allow_trivial=True),
+                       ell, n, 1, u0=np.zeros(n + 1))
+    s, h, i_zero = flat.grid.s, flat.grid.h, flat.grid.i_zero
     if lam == 0.0:
         return U0Profile(s, np.zeros_like(s), 0.0, 0, 0.0)
 
-    h = s[1] - s[0]
-    d1 = derivative_matrix(n_pts, h, 1, acc=4)
-    d2 = derivative_matrix(n_pts, h, 2, acc=4)
-    ref = reference_jet(lam, s, np.zeros_like(s), order=3)
-    da1 = (ref.d2[:, 0], ref.d2[:, 2])
-    da2 = (ref.d2[:, 2], ref.d2[:, 1])
-    dda1 = (ref.d3[:, 0], ref.d3[:, 1], ref.d3[:, 2])
-    dda2 = (ref.d3[:, 1], ref.d3[:, 2], ref.d3[:, 3])
-    bundle = _normal_bundle(ref.d1[:, 0], ref.d1[:, 1], da1, da2, dda1, dda2)
-    q_of = _reference_q_residual(lam, s, d1, d2, bundle, ref, np.cosh(s) ** 2)
-
-    n_unknown = n_pts - 1 - i_zero
-    rows = np.arange(i_zero + 1, n_pts - 1)  # collocation rows, rim excluded
-
     def expand(u_pos):
-        u = np.zeros(n_pts)
+        u = np.zeros(n + 1)
         u[i_zero + 1:] = u_pos
         u[:i_zero] = -u_pos[::-1]
         return u
 
     def residual_vec(u_pos):
-        q = q_of(expand(u_pos))
+        q = flat.q_operator(expand(u_pos)[:, None])[:, 0]
         # odd-aware fourth-order derivative at 0: u'(0) = (8 u_1 - u_2) / 6h
         slope = (8.0 * u_pos[0] - u_pos[1]) / (6.0 * h)
-        return np.concatenate([q[rows], [slope]])
+        return np.concatenate([[slope], q[i_zero + 1:-1]])  # rim excluded
 
-    def jacobian(u_pos, n_res):
-        # Colored finite differences: the stencil reach is at most 5 grid
-        # points (one-sided edge rows), so unknowns 11 apart never share a
-        # collocation row and each color resolves cleanly.
+    # Equation k (the pin, then collocation at grid point i_zero + k) sees only
+    # unknowns within `reach` of k, as the stencils span at most 5 grid points
+    # (one-sided edge rows): unknowns `stride` apart never share an equation,
+    # and colored differences fill the band column by column.
+    reach, stride = 5, 11
+
+    def jacobian_band(u_pos):
         m = len(u_pos)
-        jac = np.zeros((n_res, m))
-        stride = 11
+        ab = np.zeros((2 * reach + 1, m))
         eps = 1e-7 * max(1.0, float(np.abs(u_pos).max()))
         for c in range(min(stride, m)):
             pert = np.zeros(m)
             pert[c::stride] = eps
             col = (residual_vec(u_pos + pert) - residual_vec(u_pos - pert)) / (2.0 * eps)
             for j in range(c, m, stride):
-                lo, hi = max(0, j - 5), min(n_res - 2, j + 5)
-                jac[lo:hi + 1, j] = col[lo:hi + 1]
-                if j < 2:  # only the two innermost unknowns touch the slope pin
-                    jac[-1, j] = col[-1]
-        return jac
+                lo, hi = max(0, j - reach), min(m, j + reach + 1)
+                ab[reach + lo - j:reach + hi - j, j] = col[lo:hi]
+        return ab
 
-    u_pos = np.zeros(n_unknown)
+    u_pos = np.zeros(n - i_zero)
     r = residual_vec(u_pos)
     it = 0
     for it in range(1, max_iter + 1):
         rn = np.abs(r).max()
         if rn <= tol:
             break
-        jac = jacobian(u_pos, len(r))
         try:
-            step = np.linalg.solve(jac, -r)
+            step = BandedLU(jacobian_band(u_pos), reach, reach).solve(-r)
         except np.linalg.LinAlgError:
             raise NoProfileError("singular Newton system for the profile")
         lam_step = 1.0

@@ -247,17 +247,17 @@ def cmd_check_embed(cfg):
     if "min_separation" in info:
         print(f"sampled min separation: {info['min_separation']:.6g} "
               f"(collision threshold {info['threshold']:.3g})")
-    return EXIT_OK
+    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_export(cfg):
-    _, surface, u = _solve(cfg)
+    report, surface, u = _solve(cfg)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     _export(cfg, surface, u)
     print(f"wrote {out}/surface.obj and {out}/fields.csv "
           f"({cfg.periods} period(s) at resolution {cfg.mesh_resolution})")
-    return EXIT_OK
+    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
 def build_parser():

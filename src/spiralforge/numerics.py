@@ -8,6 +8,7 @@ mode-wise differentiation through the FFT.
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 
 def fd_weights(nodes, x0, max_order):
@@ -41,7 +42,7 @@ def fd_weights(nodes, x0, max_order):
     return w
 
 
-def derivative_matrix(n_pts, h, order, acc=4):
+def derivative_matrix(n_pts, h, order, acc):
     """Sparse n x n matrix applying the `order`-th s-derivative at accuracy `acc`.
 
     Central stencils in the interior, one-sided stencils of the same order of
@@ -64,6 +65,41 @@ def derivative_matrix(n_pts, h, order, acc=4):
         cols.extend(idx.tolist())
         vals.extend(wts.tolist())
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n_pts, n_pts))
+
+
+def band_storage(mat):
+    """(ab, kl, ku) with ab[ku + i - j, j] = mat[i, j], LAPACK's band layout.
+
+    Only diagonals holding a non-zero count, so explicitly stored zeros (from
+    row masking, say) do not widen the band.
+    """
+    dia = sparse.dia_matrix(mat)
+    keep = np.any(dia.data != 0.0, axis=1)
+    offsets, data = dia.offsets[keep], dia.data[keep]
+    kl, ku = max(0, -int(offsets.min())), max(0, int(offsets.max()))
+    ab = np.zeros((kl + ku + 1, mat.shape[1]))
+    ab[ku - offsets, :data.shape[1]] = data    # dia data stops at the last used column
+    return ab, kl, ku
+
+
+class BandedLU:
+    """LU factors of a band matrix (LAPACK gbtrf), kept for repeated solves.
+
+    Takes the output of band_storage.  solve accepts right-hand sides of
+    shape (n,) or (n, k); trans=1 solves with the transpose.
+    """
+
+    def __init__(self, ab, kl, ku):
+        work = np.zeros((2 * kl + ku + 1, ab.shape[1]))
+        work[kl:] = ab          # gbtrf needs kl extra rows for fill-in
+        self._lu, self._piv, info = dgbtrf(work, kl, ku, overwrite_ab=True)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular banded matrix")
+        self.kl, self.ku = kl, ku
+
+    def solve(self, rhs, trans=0):
+        x, _ = dgbtrs(self._lu, self.kl, self.ku, rhs, self._piv, trans=trans)
+        return x
 
 
 def theta_modes(n_theta):

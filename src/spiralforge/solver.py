@@ -19,14 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from . import verify
 from .bent import BentSurface, GraphFunction
 from .cutoffs import even_cutoff
 from .errors import RejectedParametersError
 from .helicoid import kernel_fn, substitute_graph_derivatives, substitute_image
-from .numerics import cumulative_from_zero, fd_weights, theta_derivative
+from .numerics import (BandedLU, band_storage, cumulative_from_zero, fd_weights,
+                       theta_derivative)
 from .tube import max_embed_ell
 
 
@@ -101,7 +101,7 @@ class Workspace:
 
         self.potential = 2.0 / np.cosh(g.s) ** 2
         self._mode_lu = self._factor_modes()
-        self._mean_lu = self._factor_mean()
+        self._mean_pins = self._pin_mean()
         self._gauge_x = self.kappa_x / np.sqrt(self.inner_flat(self.kappa_x, self.kappa_x))
         self._gauge_y = self.kappa_y / np.sqrt(self.inner_flat(self.kappa_y, self.kappa_y))
         self.kernel_profile = self._near_null_profile()
@@ -116,44 +116,42 @@ class Workspace:
         self.interior = g.interior_mask()
 
     def _factor_modes(self):
+        """Banded LU of d2 + potential - m^2 with Dirichlet rows, m = 0..n_theta/2."""
         g = self.grid
-        n = len(g.s)
-        lus = {}
-        base = g.d2 + sparse.diags(self.potential)
-        for m in range(1, g.n_theta // 2 + 1):
-            a = (base - sparse.diags(np.full(n, float(m * m)))).tolil()
-            a[0, :] = 0.0
-            a[0, 0] = 1.0
-            a[-1, :] = 0.0
-            a[-1, -1] = 1.0
-            lus[m] = splu(a.tocsc())
-        return lus
+        inner = sparse.diags(np.r_[0.0, np.ones(len(g.s) - 2), 0.0])
+        rim = sparse.identity(len(g.s)) - inner
+        ab, kl, ku = band_storage(inner @ (g.d2 + sparse.diags(self.potential)) + rim)
+        shift = np.zeros_like(ab)
+        shift[ku, 1:-1] = 1.0       # the diagonal of the interior rows
+        return [BandedLU(ab - m * m * shift, kl, ku) for m in range(g.n_theta // 2 + 1)]
 
-    def _factor_mean(self):
-        """Discrete mean-mode system with the direct-integration normalization.
-
-        Collocates the ODE at every interior point and pins v(0) = v'(0) = 0
-        in place of the two boundary rows.  This is the same solution the
-        nested-quadrature formula produces, but realized with the identical
-        stencils the rest of the solver uses, so the fixed-point map
-        reproduces its own output exactly; inverting by quadrature instead
-        leaves an O(h^4 * cutoff-band) mismatch that grows slowly but
-        geometrically over the iteration.
-        """
+    def _pin_mean(self):
+        """(boundary solutions of the m = 0 system, pin rows giving v(0) and
+        (d1 v)(0), inverse of the 2x2 pin matrix)."""
         g = self.grid
-        n = len(g.s)
-        a = (g.d2 + sparse.diags(self.potential)).tolil()
-        a[0, :] = 0.0
-        a[0, g.i_zero] = 1.0
-        a[-1, :] = g.d1[g.i_zero, :].toarray()
-        return splu(a.tocsc())
+        unit = np.zeros((len(g.s), 2))
+        unit[[0, -1], [0, 1]] = 1.0
+        rim_sol = self._mode_lu[0].solve(unit)
+        pins = np.vstack([np.eye(1, len(g.s), g.i_zero), g.d1[g.i_zero].toarray()])
+        return rim_sol, pins, np.linalg.inv(pins @ rim_sol)
 
     def solve_mean(self, e_bar):
-        """Matrix-consistent mean-channel inverse (see _factor_mean)."""
+        """Discrete mean-mode inverse with the direct-integration normalization.
+
+        Collocates the ODE at every interior point and pins v(0) = v'(0) = 0
+        in place of the two boundary rows: the m = 0 Dirichlet solution plus
+        the combination of the two boundary solutions that restores the pins.
+        This is the same solution the nested-quadrature formula produces, but
+        realized with the identical stencils the rest of the solver uses, so
+        the fixed-point map reproduces its own output exactly; inverting by
+        quadrature instead leaves an O(h^4 * cutoff-band) mismatch that grows
+        slowly but geometrically over the iteration.
+        """
         rhs = np.asarray(e_bar, dtype=float).copy()
-        rhs[0] = 0.0
-        rhs[-1] = 0.0
-        return self._mean_lu.solve(rhs)
+        rhs[0] = rhs[-1] = 0.0
+        v = self._mode_lu[0].solve(rhs)
+        rim_sol, pins, pin_inv = self._mean_pins
+        return v - rim_sol @ (pin_inv @ (pins @ v))
 
     def _near_null_profile(self):
         """Left near-null vector of the m = 1 mode system, by inverse iteration.
@@ -171,7 +169,7 @@ class Workspace:
         x[0] = x[-1] = 0.0
         lu = self._mode_lu[1]
         for _ in range(12):
-            x = lu.solve(x, trans="T")
+            x = lu.solve(x, trans=1)
             x /= np.linalg.norm(x)
         return x
 

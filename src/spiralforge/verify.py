@@ -8,11 +8,9 @@ ASCII OBJ in full double precision with a CSV sidecar carrying the scalar
 fields a mesh file cannot.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import bent
 from .numerics import theta_derivative, trig_interpolate
@@ -68,8 +66,8 @@ def weighted_norm(u, grid, rho=0.75, k=0):
 def _lab_graph_points(spec, u_plus_u0, s_col, t_row, nu):
     """Points of the normal graph by e^{lam theta}(u + u0) in the lab frame.
 
-    nu is the gauged unit normal at the same (s, theta) points: the "nu"
-    entry of bent._gauged_normal_bundle, or of a BentSurface's normals.
+    nu is the gauged unit normal at the same (s, theta) points:
+    bent._gauged_normal, or the "nu" entry of a BentSurface's normals.
     """
     base = bent.bent_point(spec, s_col, t_row)
     frame = spec.frame(np.broadcast_arrays(s_col, t_row)[1])
@@ -89,7 +87,7 @@ def check_self_similarity(surface, u):
     s_col, t_row = g.s[:, None], g.theta[None, :]
     utot = u + surface.u0[:, None]
     t_next = t_row + 2.0 * np.pi
-    nu_next = bent._gauged_normal_bundle(spec, s_col, t_next)["nu"]
+    nu_next = bent._gauged_normal(spec, s_col, t_next)
     x1 = _lab_graph_points(spec, utot, s_col, t_row, surface.normals["nu"])
     x2 = _lab_graph_points(spec, utot, s_col, t_next, nu_next)
     scale, rot = spec.similarity()
@@ -140,6 +138,8 @@ def check_embedded(surface, u, n_samples=10000, seed=0, exclusion_cells=3,
     Returns (verdict, info) with verdict in {"certified", "sampled-ok",
     "not-certified"}.
     """
+    from scipy.interpolate import CubicSpline
+
     from .tube import max_embed_ell
 
     spec, g = surface.spec, surface.grid
@@ -163,7 +163,7 @@ def check_embedded(surface, u, n_samples=10000, seed=0, exclusion_cells=3,
     rows = CubicSpline(g.s, utot, axis=0)(s_samp)
     s_col, t_col = s_samp[:, None], t_samp[:, None]
     u_vals = trig_interpolate(rows, t_col)
-    nu = bent._gauged_normal_bundle(spec, s_col, t_col)["nu"]
+    nu = bent._gauged_normal(spec, s_col, t_col)
     pts = _lab_graph_points(spec, u_vals, s_col, t_col, nu)[:, 0, :]
     cell = max(g.h, 2.0 * np.pi / g.n_theta)
     min_d, pair = sampled_min_separation(
@@ -188,6 +188,8 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
     (n, m) mesh has exactly n * m vertices.  Additional periods are images
     of the first under the discrete dilation, so the seams are exact.
     """
+    from scipy.interpolate import CubicSpline
+
     spec, g = surface.spec, surface.grid
     n_sm, n_tm = resolution
     # the mesh grid's surface; u0 = 0 because the resampled graph contains u0
@@ -219,29 +221,27 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
     n_cols = pts.shape[1]
     vertices = pts.reshape(-1, 3)
 
-    faces = []
-    for i in range(n_sm - 1):
-        for j in range(n_cols - 1):
-            a = i * n_cols + j
-            b = (i + 1) * n_cols + j
-            faces.append((a, b, b + 1))
-            faces.append((a, b + 1, a + 1))
+    # two triangles per cell, cells row by row: (a, b, b + 1), (a, b + 1, a + 1)
+    # with a the cell's corner and b the vertex below it
+    a = (np.arange(n_sm - 1)[:, None] * n_cols + np.arange(n_cols - 1)).ravel()
+    b = a + n_cols
+    faces = np.column_stack([a, b, b + 1, a, b + 1, a + 1]).reshape(-1, 3)
     scalars = {
         "s": np.concatenate(scal_s, axis=1).reshape(-1),
         "theta": np.concatenate(scal_t, axis=1).reshape(-1),
         "H_abs": np.concatenate(scal_h, axis=1).reshape(-1),
         "u": np.concatenate(scal_u, axis=1).reshape(-1),
     }
-    return Mesh(vertices, np.array(faces, dtype=int), scalars)
+    return Mesh(vertices, faces, scalars)
 
 
 def write_obj(mesh, path):
     """ASCII OBJ, vertices in full double precision, 1-indexed faces."""
+    text = ("v %.17g %.17g %.17g\n" * len(mesh.vertices)
+            + "f %d %d %d\n" * len(mesh.faces)) % tuple(
+        mesh.vertices.ravel().tolist() + (mesh.faces + 1).ravel().tolist())
     with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        fh.write(text)
 
 
 def read_obj(path):
@@ -259,12 +259,12 @@ def read_obj(path):
 
 
 def write_csv(mesh, path):
+    """CSV sidecar: header s,theta,H_abs,u, then one CRLF-ended row per vertex."""
+    cols = np.column_stack([mesh.scalars[k] for k in ("s", "theta", "H_abs", "u")])
+    text = "s,theta,H_abs,u\r\n" + ("%.17g,%.17g,%.17g,%.17g\r\n" * len(cols)) % tuple(
+        cols.ravel().tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "theta", "H_abs", "u"])
-        cols = [mesh.scalars[k] for k in ("s", "theta", "H_abs", "u")]
-        for row in zip(*cols):
-            writer.writerow([f"{x:.17g}" for x in row])
+        fh.write(text)
 
 
 def export_mesh(surface, u, obj_path, resolution=(64, 64), periods=1,

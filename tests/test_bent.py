@@ -136,6 +136,18 @@ class TestReferenceJet:
         fd_tt = fd1(lambda tt: reference_jet(lam, s, tt).d1[0], t)
         assert np.abs(j.d2[0] - fd_tt).max() < 1e-10
 
+    def test_is_gauged_jet_over_trivial_generator(self):
+        # the reference immersion is G over R = 0, where the gauge is the bare
+        # dilation e^{lam theta}; solve_u0 relies on this to use q_operator
+        lam = 0.02
+        flat = SpiralSpec(np.zeros((3, 3)), 1.0, lam, allow_trivial=True)
+        s = np.linspace(-3, 3, 21)[:, None]
+        t = np.linspace(-np.pi, 3 * np.pi, 17)[None, :]
+        grow = np.exp(lam * t)[..., None, None]
+        tilde, ref = normalized_jet(flat, s, t), reference_jet(lam, s, t)
+        assert np.abs(grow * tilde.d1 - ref.d1).max() < 1e-12
+        assert np.abs(grow * tilde.d2 - ref.d2).max() < 1e-12
+
     def test_distance_to_helicoid_linear_in_rate(self):
         s = np.linspace(-3, 3, 31)[:, None]
         t = np.linspace(-np.pi, np.pi, 9)[None, :]
@@ -177,6 +189,12 @@ class TestGraphJet:
         nb2 = bent._gauged_normal_bundle(spec, 0.7, 0.4 + 2 * np.pi)
         for key in nb1:
             assert np.abs(nb1[key] - nb2[key]).max() < 1e-13
+
+    def test_normal_only_matches_bundle(self, spec):
+        s = np.linspace(-3, 3, 31)[:, None]
+        t = np.linspace(-np.pi, 3 * np.pi, 9)[None, :]
+        assert np.array_equal(bent._gauged_normal(spec, s, t),
+                              bent._gauged_normal_bundle(spec, s, t)["nu"])
 
     def test_too_large_graph_rejected(self):
         # on the flat rig a constant offset by the focal distance cosh^2(s_k)

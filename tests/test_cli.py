@@ -132,10 +132,21 @@ def test_bad_input_rejected_at_boundary(argv, key, tmp_path, capsys):
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate serves only the kernel_pairing test oracle and costs
-    # a noticeable share of every CLI start-up
-    code = "import sys, spiralforge; print('scipy.integrate' in sys.modules)"
+@pytest.mark.parametrize("command", ["check-embed", "export"])
+def test_non_converged_solve_exits_3(command, tmp_path, capsys):
+    # one iteration cannot converge; the audit or export still runs
+    argv = [command, "--ns", "256", "--ntheta", "8", "--max-iter", "1",
+            "--mesh-resolution", "16", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.interpolate"])
+def test_import_leaves_module_unloaded(module):
+    # scipy.integrate serves only the kernel_pairing test oracle and
+    # scipy.interpolate only the audits and the mesh export; each costs a
+    # noticeable share of every CLI start-up
+    code = f"import sys, spiralforge; print({module!r} in sys.modules)"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"

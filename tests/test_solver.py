@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from spiralforge import solver
 from spiralforge.errors import RejectedParametersError
-from spiralforge.numerics import Grid
+from spiralforge.numerics import BandedLU, Grid, band_storage
 from spiralforge.spirals import SpiralSpec
 
 
@@ -27,6 +28,24 @@ def smooth_rhs(grid, seed=3):
 def test_workspace_rejects_odd_grids(demo_spec, n_s, n_theta, match):
     with pytest.raises(ValueError, match=match):
         solver.Workspace(demo_spec, 32.0, n_s, n_theta)
+
+
+def test_band_storage_layout():
+    # ab[ku + i - j, j] = a[i, j]; an empty last column must not break it
+    a = np.array([[1.0, 2.0, 0.0], [5.0, 3.0, 0.0], [0.0, 6.0, 0.0]])
+    ab, kl, ku = band_storage(sparse.csr_matrix(a))
+    assert (kl, ku) == (1, 1)
+    assert np.array_equal(ab, [[0.0, 2.0, 0.0], [1.0, 3.0, 0.0], [5.0, 6.0, 0.0]])
+
+
+def test_banded_lu_matches_dense():
+    rng = np.random.default_rng(1)
+    dense = np.triu(np.tril(rng.standard_normal((9, 9)), 2), -1) + 4 * np.eye(9)
+    lu = BandedLU(*band_storage(sparse.csr_matrix(dense)))
+    rhs = rng.standard_normal((9, 2))
+    assert np.abs(lu.solve(rhs) - np.linalg.solve(dense, rhs)).max() < 1e-13
+    assert np.abs(lu.solve(rhs[:, 0], trans=1)
+                  - np.linalg.solve(dense.T, rhs[:, 0])).max() < 1e-13
 
 
 class TestMeridianSplit:
@@ -93,6 +112,11 @@ class TestInvertMean:
         v_quad = solver.invert_mean(e, g)
         v_mat = ws.solve_mean(e)
         assert np.abs(v_quad - v_mat).max() < 1e-6
+        # the discrete system it solves: interior collocation and the two pins
+        i0 = g.i_zero
+        resid = g.d2 @ v_mat + ws.potential * v_mat - e
+        assert np.abs(resid[1:-1]).max() < 1e-10 * np.abs(e).max()
+        assert abs(v_mat[i0]) < 1e-14 and abs((g.d1 @ v_mat)[i0]) < 1e-12
 
     def test_stability_apply_roundtrip(self):
         # the public second-order operator applied to the inverse's output

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 
 import numpy as np
@@ -210,6 +212,30 @@ class TestExport:
         image = scale * np.einsum("ij,...j->...i", rot, pts[:, :24, :])
         rel = np.abs(pts[:, 24:, :] - image).max() / np.abs(pts).max()
         assert rel < 1e-9
+
+    def test_matches_per_row_writers(self, demo_solve, tmp_path):
+        # the vectorized faces and writers against the plain loops they replace
+        _, ws, state = demo_solve
+        u = solver._graph_function(ws, state).values
+        mesh = verify.build_mesh(ws.surface, u, resolution=(12, 12), periods=2)
+        n_cols = 24
+        faces = []
+        for i in range(11):
+            for j in range(n_cols - 1):
+                a, b = i * n_cols + j, (i + 1) * n_cols + j
+                faces += [(a, b, b + 1), (a, b + 1, a + 1)]
+        assert np.array_equal(mesh.faces, np.array(faces))
+        obj = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in mesh.vertices)
+        obj += "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.faces)
+        want_csv = io.StringIO(newline="")
+        writer = csv.writer(want_csv)
+        writer.writerow(["s", "theta", "H_abs", "u"])
+        for row in zip(*(mesh.scalars[k] for k in ("s", "theta", "H_abs", "u"))):
+            writer.writerow([f"{x:.17g}" for x in row])
+        verify.write_obj(mesh, tmp_path / "m.obj")
+        verify.write_csv(mesh, tmp_path / "m.csv")
+        assert (tmp_path / "m.obj").read_bytes() == obj.encode()
+        assert (tmp_path / "m.csv").read_bytes() == want_csv.getvalue().encode()
 
     def test_io_failure_surfaces_path(self, demo_solve):
         _, ws, state = demo_solve
