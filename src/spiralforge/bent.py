@@ -20,6 +20,13 @@ rather than to discretization error.
 The gauge has curvature: grid derivatives of the normalized components are
 not normalized higher components.  Wherever a theta-derivative of a gauged
 field appears it is the covariant one, d_theta + delta * R.
+
+Vector fields are held component-major, shape (3,) + grid shape, and the
+geometry is written as elementwise dot and cross products of their
+components.  The functions returning a `Jet` (normalized_jet, graph_jet,
+graph_variation, variation_from_derivatives) or a (..., 3) array
+(_gauged_normal_bundle, _gauged_normal, bent_point) move the component
+axis last at their boundary; the Q operator never packs a Jet.
 """
 
 from dataclasses import dataclass
@@ -27,23 +34,60 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .errors import GraphTooLargeError, NoProfileError, RejectedParametersError
+from .errors import (GraphTooLargeError, InvalidImmersionError, NoProfileError,
+                     RejectedParametersError)
 from .jets import Jet, jet_from_arrays
 from .numerics import BandedLU, Grid, theta_derivative
 from .spirals import SpiralSpec
 
+# slots of a second-order jet, in jet_from_arrays order
+_SLOTS = ("a1", "a2", "a11", "a22", "a12")
 
-def _circ(theta):
-    """c(theta) and its derivative cycle: c' = c1, c'' = -c, c''' = -c1."""
-    theta = np.asarray(theta, dtype=float)
-    zero = np.zeros_like(theta)
-    c0 = np.stack([np.sin(theta), np.cos(theta), zero], axis=-1)
-    c1 = np.stack([np.cos(theta), -np.sin(theta), zero], axis=-1)
-    return c0, c1
+
+def _dot(a, b):
+    # summed in the order np.einsum uses on C-contiguous (..., 3) slots, so
+    # that the geometry rounds exactly as the Jet route through jets does
+    return a[0] * b[0] + a[2] * b[2] + a[1] * b[1]
+
+
+def _cross(a, b):
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(a[j] * b[k], a[k] * b[j], out=out[i, ...])
+    return out
 
 
 def _apply(mat, vec):
-    return np.einsum("ij,...j->...i", mat, vec)
+    """mat @ vec for a component-major field vec."""
+    return np.stack([_dot(row, vec) for row in mat])
+
+
+def _last(vec):
+    """Component-major (3, ...) to the (..., 3) layout of Jet slots (a view)."""
+    return np.moveaxis(vec, 0, -1)
+
+
+def _pack(*slots, third=None):
+    """C-contiguous Jet from component-major slots (first partials, then
+    11, 22, 12)."""
+    last = lambda a: np.ascontiguousarray(_last(a))
+    return jet_from_arrays(*map(last, slots),
+                           third=None if third is None else [last(a) for a in third])
+
+
+def _same_ndim(s, theta):
+    """s and theta as float arrays padded with leading axes to equal ndim, so
+    that (s-shape) * (3, theta-shape) broadcasts to (3,) + the grid shape."""
+    s, theta = np.asarray(s, dtype=float), np.asarray(theta, dtype=float)
+    nd = max(s.ndim, theta.ndim)
+    return (s.reshape((1,) * (nd - s.ndim) + s.shape),
+            theta.reshape((1,) * (nd - theta.ndim) + theta.shape))
+
+
+def _circ(theta):
+    """c(theta) and c'(theta), component-major; c'' = -c, c''' = -c'."""
+    sin, cos, zero = np.sin(theta), np.cos(theta), np.zeros_like(theta)
+    return np.stack([sin, cos, zero]), np.stack([cos, -sin, zero])
 
 
 # ---------------------------------------------------------------------------
@@ -53,23 +97,21 @@ def _apply(mat, vec):
 def _first_brackets(spec, s, theta):
     """a1, a2 (the first-order brackets) and the pieces they are built from.
 
-    Shapes broadcast (s, theta) -> (..., 3).  Returns (a1, a2, parts) with
-    parts = (sh, ch, c0, c1, e3, q1), which the higher brackets reuse.
+    Component-major, shape (3,) + broadcast(s, theta).  Returns (a1, a2,
+    parts) with parts = (sh, ch, c0, c1, e3, q1), which the higher brackets
+    reuse: sh, ch depend on s only, the vectors on theta only.
     """
-    s, theta = np.broadcast_arrays(np.asarray(s, float), np.asarray(theta, float))
-    s = s[..., None]
+    s, theta = _same_ndim(s, theta)
     c0, c1 = _circ(theta)
-    e3 = np.broadcast_to(np.array([0.0, 0.0, 1.0]), c0.shape)
+    e3 = np.zeros_like(c0)
+    e3[2] = 1.0
     sh, ch = np.sinh(s), np.cosh(s)
     q1 = _apply(spec.b_mat, c0) + c1
     return e3 + sh * q1, ch * c0, (sh, ch, c0, c1, e3, q1)
 
 
 def _brackets(spec, s, theta, order):
-    """Periodic bracket vectors of the normalized jet of G.
-
-    Shapes broadcast (s, theta) -> (..., 3).
-    """
+    """Periodic bracket vectors of the normalized jet of G, component-major."""
     a1, a2, (sh, ch, c0, c1, e3, q1) = _first_brackets(spec, s, theta)
     b = spec.b_mat
     out = {
@@ -99,8 +141,7 @@ def normalized_jet(spec, s, theta, order=2):
     third = None
     if order >= 3:
         third = (br["a111"], br["a112"], br["a122"], br["a222"])
-    return jet_from_arrays(br["a1"], br["a2"], br["a11"], br["a22"], br["a12"],
-                           third=third)
+    return _pack(*(br[k] for k in _SLOTS), third=third)
 
 
 def _gauge(spec, theta):
@@ -119,11 +160,15 @@ def bent_jet(spec, s, theta, order=2):
 
 
 def bent_point(spec, s, theta):
-    s, theta = np.broadcast_arrays(np.asarray(s, float), np.asarray(theta, float))
+    """G(s, theta), shape broadcast(s, theta) + (3,).
+
+    The frame depends on theta alone, so it is evaluated once per theta
+    value and broadcast along s.
+    """
+    s, theta = _same_ndim(s, theta)
     c0, _ = _circ(theta)
-    p = _gauge(spec, theta)
-    return spec.gamma(theta) + np.sinh(s)[..., None] * np.einsum(
-        "...ij,...j->...i", p, c0)
+    p_c0 = np.einsum("...ij,j...->i...", _gauge(spec, theta), c0)
+    return _last(np.moveaxis(spec.gamma(theta), -1, 0) + np.sinh(s) * p_c0)
 
 
 def reference_jet(delta_xi, s, theta, order=2):
@@ -174,79 +219,73 @@ def reference_point(delta_xi, s, theta):
 # unit normal with derivatives
 # ---------------------------------------------------------------------------
 
-def _normal_bundle(a1, a2, da1, da2, dda1, dda2):
-    """nu = a1 x a2 / |.| and its first/second grid derivatives.
-
-    da* = (d_theta, d_s), dda* = (d_theta_theta, d_theta_s, d_s_s) of the two
-    first-order brackets: their literal derivatives, not normalized jet slots.
-    """
-    cross = np.cross
-    n = cross(a1, a2)
-    n_t = cross(da1[0], a2) + cross(a1, da2[0])
-    n_s = cross(da1[1], a2) + cross(a1, da2[1])
-    n_tt = cross(dda1[0], a2) + 2.0 * cross(da1[0], da2[0]) + cross(a1, dda2[0])
-    n_ts = (cross(dda1[1], a2) + cross(da1[0], da2[1])
-            + cross(da1[1], da2[0]) + cross(a1, dda2[1]))
-    n_ss = cross(dda1[2], a2) + 2.0 * cross(da1[1], da2[1]) + cross(a1, dda2[2])
-
-    dot = lambda u, v: np.einsum("...i,...i->...", u, v)
-    r = np.sqrt(dot(n, n))
-    r_t = dot(n, n_t) / r
-    r_s = dot(n, n_s) / r
-    r_tt = (dot(n_t, n_t) + dot(n, n_tt)) / r - r_t * r_t / r
-    r_ts = (dot(n_t, n_s) + dot(n, n_ts)) / r - r_t * r_s / r
-    r_ss = (dot(n_s, n_s) + dot(n, n_ss)) / r - r_s * r_s / r
-
-    r_ = r[..., None]
-    nu = n / r_
-    d_first = lambda n_a, r_a: n_a / r_ - n * (r_a / (r * r))[..., None]
-    nu_t = d_first(n_t, r_t)
-    nu_s = d_first(n_s, r_s)
-
-    def d_second(n_ab, r_a, r_b, n_a, n_b, r_ab):
-        return (n_ab / r_
-                - (n_a * r_b[..., None] + n_b * r_a[..., None] + n * r_ab[..., None]) / (r * r)[..., None]
-                + 2.0 * n * (r_a * r_b / (r * r * r))[..., None])
-
-    nu_tt = d_second(n_tt, r_t, r_t, n_t, n_t, r_tt)
-    nu_ts = d_second(n_ts, r_t, r_s, n_t, n_s, r_ts)
-    nu_ss = d_second(n_ss, r_s, r_s, n_s, n_s, r_ss)
-    return {"nu": nu, "nu_t": nu_t, "nu_s": nu_s,
-            "nu_tt": nu_tt, "nu_ts": nu_ts, "nu_ss": nu_ss}
+def _unnormalized_normal(a1, a2):
+    """n = a1 x a2 and |n|."""
+    n = _cross(a1, a2)
+    return n, np.sqrt(_dot(n, n))
 
 
-def _gauged_normal(spec, s, theta):
-    """The gauged unit normal alone: the "nu" of _gauged_normal_bundle."""
-    a1, a2, _ = _first_brackets(spec, s, theta)
-    n = np.cross(a1, a2)
-    return n / np.sqrt(np.einsum("...i,...i->...", n, n))[..., None]
+def _normal_bundle(spec, s, theta):
+    """Gauged unit normal nu = a1 x a2 / |.| and its covariant derivatives.
 
-
-def _gauged_normal_bundle(spec, s, theta):
-    """Normal bundle of the normalized jet plus its covariant derivatives.
-
-    Covariant theta-derivatives (d_theta + delta R) convert grid derivatives
-    of the gauged normal into the gauged derivatives of the lab normal,
-    which is what the graph variation needs.
+    Component-major, shape (3,) + broadcast(s, theta).  The grid derivatives
+    of nu follow from the literal derivatives of the first brackets; the
+    covariant theta-derivatives (d_theta + delta R) then convert them into
+    the gauged derivatives of the lab normal, which is what the graph
+    variation needs.
     """
     a1, a2, (sh, ch, c0, c1, _, q1) = _first_brackets(spec, s, theta)
     q2 = _apply(spec.b_mat, c1) - c0
-    da1 = (sh * q2, ch * q1)
-    da2 = (ch * c1, sh * c0)
-    dda1 = (-sh * q1, ch * q2, sh * q1)
-    dda2 = (-ch * c0, sh * c1, ch * c0)
-    nb = _normal_bundle(a1, a2, da1, da2, dda1, dda2)
+    a1_t, a1_s = sh * q2, ch * q1
+    a2_t, a2_s = ch * c1, sh * c0
+    a1_tt, a1_ts, a1_ss = -sh * q1, ch * q2, sh * q1
+    a2_tt, a2_ts, a2_ss = -ch * c0, sh * c1, ch * c0
+
+    n, r = _unnormalized_normal(a1, a2)
+    n_t = _cross(a1_t, a2) + _cross(a1, a2_t)
+    n_s = _cross(a1_s, a2) + _cross(a1, a2_s)
+    n_tt = _cross(a1_tt, a2) + 2.0 * _cross(a1_t, a2_t) + _cross(a1, a2_tt)
+    n_ts = (_cross(a1_ts, a2) + _cross(a1_t, a2_s)
+            + _cross(a1_s, a2_t) + _cross(a1, a2_ts))
+    n_ss = _cross(a1_ss, a2) + 2.0 * _cross(a1_s, a2_s) + _cross(a1, a2_ss)
+
+    r_t = _dot(n, n_t) / r
+    r_s = _dot(n, n_s) / r
+    r_tt = (_dot(n_t, n_t) + _dot(n, n_tt)) / r - r_t * r_t / r
+    r_ts = (_dot(n_t, n_s) + _dot(n, n_ts)) / r - r_t * r_s / r
+    r_ss = (_dot(n_s, n_s) + _dot(n, n_ss)) / r - r_s * r_s / r
+
+    r2 = r * r
+    nu = n / r
+    nu_t = n_t / r - n * (r_t / r2)
+    nu_s = n_s / r - n * (r_s / r2)
+
+    def d_second(n_ab, r_a, r_b, n_a, n_b, r_ab):
+        return (n_ab / r - (n_a * r_b + n_b * r_a + n * r_ab) / r2
+                + 2.0 * n * (r_a * r_b / (r2 * r)))
 
     rw = spec.delta * spec.r_mat
-    nu, nu_t, nu_s = nb["nu"], nb["nu_t"], nb["nu_s"]
     return {
         "nu": nu,
         "nu_s": nu_s,
-        "nu_ss": nb["nu_ss"],
+        "nu_ss": d_second(n_ss, r_s, r_s, n_s, n_s, r_ss),
         "nu_t": nu_t + _apply(rw, nu),
-        "nu_ts": nb["nu_ts"] + _apply(rw, nu_s),
-        "nu_tt": nb["nu_tt"] + 2.0 * _apply(rw, nu_t) + _apply(rw @ rw, nu),
+        "nu_ts": d_second(n_ts, r_t, r_s, n_t, n_s, r_ts) + _apply(rw, nu_s),
+        "nu_tt": (d_second(n_tt, r_t, r_t, n_t, n_t, r_tt)
+                  + 2.0 * _apply(rw, nu_t) + _apply(rw @ rw, nu)),
     }
+
+
+def _gauged_normal_bundle(spec, s, theta):
+    """_normal_bundle in the (..., 3) layout of Jet slots."""
+    return {k: _last(v) for k, v in _normal_bundle(spec, s, theta).items()}
+
+
+def _gauged_normal(spec, s, theta):
+    """The gauged unit normal alone, (..., 3): the "nu" of _gauged_normal_bundle."""
+    a1, a2, _ = _first_brackets(spec, s, theta)
+    n, r = _unnormalized_normal(a1, a2)
+    return _last(n / r)
 
 
 # ---------------------------------------------------------------------------
@@ -299,39 +338,58 @@ class GraphFunction:
 
     __rmul__ = __mul__
 
+    def derivatives(self):
+        """(u, u_t, u_s, u_tt, u_ss, u_ts), the argument order of _variation."""
+        return (self.values, self.d_t, self.d_s, self.d_tt, self.d_ss, self.d_ts)
 
-def variation_from_derivatives(spec, normals, u, u_t, u_s, u_tt, u_ss, u_ts):
-    """Gauged jet variation of the graph e^{lam theta} u from u's derivatives.
 
-    The lam-shifts on theta-derivatives come from differentiating the
-    dilation gauge; the covariant normal fields in `normals` already absorb
-    the rotation gauge.
+def _variation(lam, normals, u, u_t, u_s, u_tt, u_ss, u_ts):
+    """Gauged jet variation (e1, e2, e11, e22, e12) of the graph e^{lam theta} u.
+
+    normals is a component-major normal bundle; the slots come out
+    component-major with the grid shape of u and normals broadcast.  The
+    lam-shifts on theta-derivatives come from differentiating the dilation
+    gauge; the covariant normal fields already absorb the rotation gauge.
     """
-    lam = spec.lam
     du_t = u_t + lam * u
     du_tt = u_tt + 2.0 * lam * u_t + lam * lam * u
     du_ts = u_ts + lam * u_s
     nu, nu_t, nu_s = normals["nu"], normals["nu_t"], normals["nu_s"]
     nu_tt, nu_ts, nu_ss = normals["nu_tt"], normals["nu_ts"], normals["nu_ss"]
-    uc = u[..., None]
-    e1 = du_t[..., None] * nu + uc * nu_t
-    e2 = u_s[..., None] * nu + uc * nu_s
-    e11 = du_tt[..., None] * nu + 2.0 * du_t[..., None] * nu_t + uc * nu_tt
-    e22 = u_ss[..., None] * nu + 2.0 * u_s[..., None] * nu_s + uc * nu_ss
-    e12 = (du_ts[..., None] * nu + du_t[..., None] * nu_s
-           + u_s[..., None] * nu_t + uc * nu_ts)
-    return jet_from_arrays(e1, e2, e11, e22, e12)
+    return (du_t * nu + u * nu_t,
+            u_s * nu + u * nu_s,
+            du_tt * nu + 2.0 * du_t * nu_t + u * nu_tt,
+            u_ss * nu + 2.0 * u_s * nu_s + u * nu_ss,
+            du_ts * nu + du_t * nu_s + u_s * nu_t + u * nu_ts)
 
 
-def variation_from_graph(spec, normals, gf):
-    return variation_from_derivatives(spec, normals, gf.values, gf.d_t,
-                                      gf.d_s, gf.d_tt, gf.d_ss, gf.d_ts)
+def variation_from_derivatives(spec, normals, u, u_t, u_s, u_tt, u_ss, u_ts):
+    """Jet of the gauged variation by e^{lam theta} u, from u's derivatives.
+
+    normals is in the (..., 3) layout of _gauged_normal_bundle.
+    """
+    comps = {k: np.moveaxis(v, -1, 0) for k, v in normals.items()}
+    return _pack(*_variation(spec.lam, comps, u, u_t, u_s, u_tt, u_ss, u_ts))
+
+
+def _first_form(x1, x2):
+    """g11, g12, g22, det g and the conformality ratio of jets.aspect_ratio.
+
+    Raises InvalidImmersionError on an identically zero first jet.
+    """
+    g11, g12, g22 = _dot(x1, x1), _dot(x1, x2), _dot(x2, x2)
+    trace = g11 + g22
+    if np.any(trace == 0.0):
+        raise InvalidImmersionError("zero first-order jet")
+    det = g11 * g22 - g12 * g12
+    return g11, g12, g22, det, 2.0 * np.sqrt(np.maximum(det, 0.0)) / trace
 
 
 class BentSurface:
     """Grid-sampled geometry of G over |s| <= arccosh(ell), theta-periodic.
 
-    Everything geometric is cached at construction: the normalized jet, the
+    Everything geometric is cached at construction, component-major with
+    shape (3, n_s + 1, n_theta): the brackets of the normalized jet, the
     gauged normal bundle, and the straightening profile u0 (solved on the
     same s-grid so no interpolation enters the Q operator).  A given u0
     (values on the s-grid) is used as is instead; the mesh export passes
@@ -343,11 +401,13 @@ class BentSurface:
         self.spec = spec
         self.grid = Grid(ell, n_s, n_theta)
         g = self.grid
-        self.ch = np.cosh(g.s)
-        self.jet = normalized_jet(spec, g.s[:, None], g.theta[None, :], order=2)
-        self.normals = _gauged_normal_bundle(spec, g.s[:, None], g.theta[None, :])
+        self.ch2 = np.cosh(g.s)[:, None] ** 2
+        s_col, t_row = g.s[:, None], g.theta[None, :]
+        self.brackets = _brackets(spec, s_col, t_row, order=2)
+        self.normals = _normal_bundle(spec, s_col, t_row)
         # recorded conformality margin: 1 - min aspect ~ delta (|R| + |xi|)
-        self.min_aspect = float(jets.aspect_ratio(self.jet).min())
+        *_, aspect = _first_form(self.brackets["a1"], self.brackets["a2"])
+        self.min_aspect = float(aspect.min())
         if u0 is not None:
             self.u0 = np.asarray(u0, dtype=float)
             self.u0_info = None
@@ -362,34 +422,61 @@ class BentSurface:
         self.u0_fn = GraphFunction(self.u0[:, None], zero, (g.d1 @ self.u0)[:, None],
                                    zero, (g.d2 @ self.u0)[:, None], zero)
 
+    @property
+    def jet(self):
+        """The normalized jet of G on the grid, packed on each access."""
+        return _pack(*(self.brackets[k] for k in _SLOTS))
+
     def as_graph_function(self, u):
         if isinstance(u, GraphFunction):
             return u
         g = self.grid
         return GraphFunction.from_values(np.asarray(u, dtype=float), g.d1, g.d2)
 
+    def _variation_slots(self, u):
+        return _variation(self.spec.lam, self.normals,
+                          *self.as_graph_function(u).derivatives())
+
+    def _graph_slots(self, u):
+        """Component-major slots of the graph by u over G, and its first form.
+
+        Raises GraphTooLargeError where the graph leaves the immersion set.
+        """
+        slots = self._variation_slots(u)
+        for e, key in zip(slots, _SLOTS):
+            e += self.brackets[key]
+        form = _first_form(slots[0], slots[1])
+        *_, aspect = form
+        if np.any(aspect < jets.ASPECT_FLOOR):
+            raise GraphTooLargeError("graph leaves the immersion set")
+        return slots, form
+
     def graph_variation(self, u):
         """The gauged jet variation generated by the graph e^{lam theta} u."""
-        return variation_from_graph(self.spec, self.normals,
-                                    self.as_graph_function(u))
+        return _pack(*self._variation_slots(u))
 
     def graph_jet(self, u):
         """Normalized-gauge jet of the graph of e^{lam theta} u over G."""
-        total = self.jet + self.graph_variation(u)
-        a = jets.aspect_ratio(total)
-        if np.any(a < jets.ASPECT_FLOOR):
-            raise GraphTooLargeError("graph leaves the immersion set")
-        return total
+        return _pack(*self._graph_slots(u)[0])
 
     def q_operator(self, u):
         """cosh^2(s) times the gauged mean curvature of the graph by u + u0.
 
         u may be a plain grid array (derived by stencils; only safe for
         smooth fields) or a GraphFunction carrying its own derivatives.  The
-        output is a 2 pi-periodic grid function.
+        output is a 2 pi-periodic grid function.  H is jets.mean_curvature's
+        (g22 A11 - 2 g12 A12 + g11 A22) / det g, evaluated on components.
         """
-        total = self.graph_jet(self.as_graph_function(u) + self.u0_fn)
-        return self.ch[:, None] ** 2 * jets.mean_curvature(total)
+        (x1, x2, x11, x22, x12), (g11, g12, g22, det, _) = self._graph_slots(
+            self.as_graph_function(u) + self.u0_fn)
+        if np.any(det <= 0.0):
+            raise InvalidImmersionError("degenerate metric in mean curvature")
+        n = _cross(x1, x2)
+        # |n| summed in order, as np.linalg.norm does in jets.unit_normal
+        nu = n / np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+        h = (g22 * _dot(x11, nu) - 2.0 * g12 * _dot(x12, nu)
+             + g11 * _dot(x22, nu)) / det
+        return self.ch2 * h
 
 
 # ---------------------------------------------------------------------------

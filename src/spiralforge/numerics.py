@@ -50,21 +50,20 @@ def derivative_matrix(n_pts, h, order, acc):
     """
     width = order + acc            # nodes per one-sided stencil
     half = (order + acc - 1) // 2  # central half-width
-    rows, cols, vals = [], [], []
     offsets = np.arange(-half, half + 1)
-    w_central = fd_weights(offsets * h, 0.0, order)[:, order]
-    for i in range(n_pts):
-        if half <= i < n_pts - half:
-            idx = i + offsets
-            wts = w_central
-        else:
-            start = 0 if i < half else n_pts - width
-            idx = np.arange(start, start + width)
-            wts = fd_weights((idx - i) * h, 0.0, order)[:, order]
-        rows.extend([i] * len(idx))
-        cols.extend(idx.tolist())
-        vals.extend(wts.tolist())
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n_pts, n_pts))
+    interior = np.arange(half, n_pts - half)
+    rows = [np.repeat(interior, len(offsets))]
+    cols = [(interior[:, None] + offsets).ravel()]
+    vals = [np.tile(fd_weights(offsets * h, 0.0, order)[:, order], len(interior))]
+    for i in np.r_[:min(half, n_pts), max(half, n_pts - half):n_pts]:
+        start = 0 if i < half else n_pts - width
+        idx = np.arange(start, start + width)
+        rows.append(np.full(width, i))
+        cols.append(idx)
+        vals.append(fd_weights((idx - i) * h, 0.0, order)[:, order])
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_pts, n_pts))
 
 
 def band_storage(mat):

@@ -66,14 +66,18 @@ def weighted_norm(u, grid, rho=0.75, k=0):
 def _lab_graph_points(spec, u_plus_u0, s_col, t_row, nu):
     """Points of the normal graph by e^{lam theta}(u + u0) in the lab frame.
 
-    nu is the gauged unit normal at the same (s, theta) points:
-    bent._gauged_normal, or the "nu" entry of a BentSurface's normals.
+    nu is the gauged unit normal at the same (s, theta) points, shape
+    (..., 3): bent._gauged_normal, or a BentSurface's normals["nu"] with its
+    component axis moved last.  The frame depends on theta only, so it is
+    evaluated once per theta value and broadcast along s.
     """
-    base = bent.bent_point(spec, s_col, t_row)
-    frame = spec.frame(np.broadcast_arrays(s_col, t_row)[1])
-    nu_lab = np.einsum("...ij,...j->...i", frame, nu)
+    t_row = np.asarray(t_row, dtype=float)
+    frame = np.moveaxis(spec.frame(t_row), (-2, -1), (0, 1))
+    nu = np.moveaxis(nu, -1, 0)
+    nu_lab = frame[:, 0] * nu[0] + frame[:, 1] * nu[1] + frame[:, 2] * nu[2]
     w = np.exp(spec.lam * t_row) * u_plus_u0
-    return base + w[..., None] * nu_lab
+    base = np.moveaxis(bent.bent_point(spec, s_col, t_row), -1, 0)
+    return np.moveaxis(base + w * nu_lab, 0, -1)
 
 
 def check_self_similarity(surface, u):
@@ -88,11 +92,13 @@ def check_self_similarity(surface, u):
     utot = u + surface.u0[:, None]
     t_next = t_row + 2.0 * np.pi
     nu_next = bent._gauged_normal(spec, s_col, t_next)
-    x1 = _lab_graph_points(spec, utot, s_col, t_row, surface.normals["nu"])
-    x2 = _lab_graph_points(spec, utot, s_col, t_next, nu_next)
+    nu = np.moveaxis(surface.normals["nu"], 0, -1)
+    # component-major views of the (..., 3) points
+    x1 = np.moveaxis(_lab_graph_points(spec, utot, s_col, t_row, nu), -1, 0)
+    x2 = np.moveaxis(_lab_graph_points(spec, utot, s_col, t_next, nu_next), -1, 0)
     scale, rot = spec.similarity()
-    image = scale * np.einsum("ij,...j->...i", rot, x1)
-    gauge = np.exp(-spec.lam * g.theta)[None, :, None]
+    image = scale * np.tensordot(rot, x1, axes=1)
+    gauge = np.exp(-spec.lam * g.theta)
     defect = np.abs(x2 - image) * gauge
     denom = np.abs(x1 * gauge).max()
     return float(defect.max() / denom)
@@ -206,7 +212,7 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
     h_abs = np.abs(q_mesh) / (np.exp(spec.lam * t_m)[None, :] * np.cosh(s_m)[:, None] ** 2)
 
     x = _lab_graph_points(spec, u_mesh, s_m[:, None], t_m[None, :],
-                          mesh_surf.normals["nu"])
+                          np.moveaxis(mesh_surf.normals["nu"], 0, -1))
     scale, rot = spec.similarity()
     blocks, scal_s, scal_t, scal_h, scal_u = [], [], [], [], []
     for p in range(periods):

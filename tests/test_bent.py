@@ -279,6 +279,40 @@ class TestQOperator:
         assert np.abs(dq - want).max() < 1e-8
 
 
+def _q_by_jets(surface, gf):
+    """cosh^2 H by the Jet route: normalized_jet plus the packed variation,
+    through jets.mean_curvature."""
+    spec, g = surface.spec, surface.grid
+    s_col, t_row = g.s[:, None], g.theta[None, :]
+    gf = gf + surface.u0_fn
+    normals = bent._gauged_normal_bundle(spec, s_col, t_row)
+    total = (normalized_jet(spec, s_col, t_row)
+             + bent.variation_from_derivatives(spec, normals, *gf.derivatives()))
+    return np.cosh(g.s)[:, None] ** 2 * jets.mean_curvature(total)
+
+
+class TestQAgainstJetRoute:
+    def test_cutoff_graph_function(self, spec):
+        from spiralforge import solver
+        assert spec.tau0 != 0.0
+        ws = solver.Workspace(spec, 32.0, 128, 16)
+        g = ws.grid
+        rng = np.random.default_rng(7)
+        v = 1e-3 * np.cos(g.theta)[None, :] * np.tanh(g.s)[:, None] \
+            + 1e-4 * rng.standard_normal((129, 16))
+        gf = solver._graph_function(ws, solver.SolverState(v, 0.02, -0.01))
+        q = ws.surface.q_operator(gf)
+        assert np.abs(q - _q_by_jets(ws.surface, gf)).max() <= 1e-13 * np.abs(q).max()
+
+    def test_flat_u0_surface(self):
+        flat = SpiralSpec(np.zeros((3, 3)), 1.0, 1e-3, allow_trivial=True)
+        surf = BentSurface(flat, 32.0, 256, 1, u0=np.zeros(257))
+        u = (1e-3 * np.sinh(surf.grid.s) ** 2 * np.tanh(surf.grid.s))[:, None]
+        gf = surf.as_graph_function(u)
+        q = surf.q_operator(gf)
+        assert np.abs(q - _q_by_jets(surf, gf)).max() <= 1e-13 * np.abs(q).max()
+
+
 class TestProfile:
     def test_zero_rate(self):
         prof = solve_u0(0.0, 32.0, n=64)

@@ -244,6 +244,19 @@ class TestSolveMinimal:
         assert 0.4 < norms[1][0] / norms[0][0] < 0.6
         assert 0.4 < norms[1][1] / norms[0][1] < 0.6
 
+    def test_solve_path_packs_no_jet(self, demo_spec, monkeypatch):
+        # Q and the audits run on component arrays; the Jet API is for the
+        # tests and the jets oracles only
+        from spiralforge import bent, jets
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Jet packing on the solve path")
+
+        monkeypatch.setattr(jets, "mean_curvature", forbidden)
+        monkeypatch.setattr(bent, "jet_from_arrays", forbidden)
+        report, _, _ = solver.solve_minimal(demo_spec, 32.0, n_s=256, n_theta=8)
+        assert report.converged
+
     def test_gate_ell(self, demo_spec):
         with pytest.raises(RejectedParametersError):
             solver.solve_minimal(demo_spec, 8.0)

@@ -61,7 +61,7 @@ class TestSelfSimilarity:
         u0 = ws.surface.u0[:, None] * np.ones((1, g.n_theta))
         nu_next = bent._gauged_normal_bundle(spec, s_col, t_row + 2 * np.pi)["nu"]
         x1 = verify._lab_graph_points(spec, u0, s_col, t_row,
-                                      ws.surface.normals["nu"])
+                                      np.moveaxis(ws.surface.normals["nu"], 0, -1))
         x2 = verify._lab_graph_points(spec, u0, s_col, t_row + 2 * np.pi, nu_next)
         offset = np.array([5.0, 0.0, 0.0])
         scale, rot = spec.similarity()
