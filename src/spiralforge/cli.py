@@ -91,6 +91,13 @@ class RunConfig:
             raise ValueError(f"damping = {self.damping:g} must lie in (0, 1]")
         if self.periods < 1:
             raise ValueError(f"periods = {self.periods} must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed} must be non-negative")
+        if self.n_samples < 2:
+            raise ValueError(f"n_samples = {self.n_samples} rejected: a separation "
+                             f"needs at least 2 samples")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha = {self.alpha:g} must lie in (0, 1)")
         return self
 
     def generator(self):

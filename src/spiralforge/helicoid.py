@@ -13,13 +13,18 @@ The vertical substitute profile is the odd function psi(|s|) * s / (4 pi):
 the even |s|-profile would pair to zero against the odd kernel element
 tanh(s), while the odd one integrates to exactly 1 by the divergence
 identity.
+
+`StabilityModes` holds the banded LU factors of the flattened operator per
+theta mode, the one inverse both the solver's linear steps and the
+straightening profile u0 go through.
 """
 
 import numpy as np
+from scipy import sparse
 
 from .cutoffs import Cutoff, even_cutoff
 from .jets import jet_from_arrays
-from .numerics import derivative_matrix, theta_derivative
+from .numerics import BandedLU, band_storage, derivative_matrix, theta_derivative
 
 _CUT_BREAKPOINTS = (-2.0, -5.0 / 3.0, -4.0 / 3.0, -1.0, 1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0)
 
@@ -156,6 +161,49 @@ def stability_apply(u, s):
     u_ss = d2 @ u
     u_tt = theta_derivative(u, order=2)
     return u_ss + u_tt + 2.0 * u / np.cosh(s)[:, None] ** 2
+
+
+class StabilityModes:
+    """The flattened stability operator d2 + 2 sech^2(s) - m^2 per theta mode.
+
+    lu[m] is the banded LU of its grid realization (the grid's fourth-order
+    d2, Dirichlet rows at s = +-s_max) for m = 0 ... m_max; solve_mean is
+    the m = 0 inverse normalized to vanish to second order at s = 0.
+    """
+
+    def __init__(self, grid, m_max):
+        self.potential = 2.0 / np.cosh(grid.s) ** 2
+        inner = sparse.diags(np.r_[0.0, np.ones(len(grid.s) - 2), 0.0])
+        rim = sparse.identity(len(grid.s)) - inner
+        ab, kl, ku = band_storage(inner @ (grid.d2 + sparse.diags(self.potential)) + rim)
+        shift = np.zeros_like(ab)
+        shift[ku, 1:-1] = 1.0       # the diagonal of the interior rows
+        self.lu = [BandedLU(ab - m * m * shift, kl, ku) for m in range(m_max + 1)]
+        # boundary solutions of the m = 0 system, the pin rows giving v(0)
+        # and (d1 v)(0), and the inverse of the 2x2 pin matrix
+        unit = np.zeros((len(grid.s), 2))
+        unit[[0, -1], [0, 1]] = 1.0
+        self._rim_sol = self.lu[0].solve(unit)
+        self._pins = np.vstack([np.eye(1, len(grid.s), grid.i_zero),
+                                grid.d1[grid.i_zero].toarray()])
+        self._pin_inv = np.linalg.inv(self._pins @ self._rim_sol)
+
+    def solve_mean(self, e_bar):
+        """Discrete mean-mode inverse with the direct-integration normalization.
+
+        Collocates the ODE at every interior point and pins v(0) = v'(0) = 0
+        in place of the two boundary rows: the m = 0 Dirichlet solution plus
+        the combination of the two boundary solutions that restores the pins.
+        This is the same solution the nested-quadrature formula produces, but
+        realized with the identical stencils the rest of the solver uses, so
+        the fixed-point map reproduces its own output exactly; inverting by
+        quadrature instead leaves an O(h^4 * cutoff-band) mismatch that grows
+        slowly but geometrically over the iteration.
+        """
+        rhs = np.asarray(e_bar, dtype=float).copy()
+        rhs[0] = rhs[-1] = 0.0
+        v = self.lu[0].solve(rhs)
+        return v - self._rim_sol @ (self._pin_inv @ (self._pins @ v))
 
 
 def kernel_pairing(which, s_max):

@@ -18,15 +18,14 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import verify
 from .bent import BentSurface, GraphFunction
 from .cutoffs import even_cutoff
 from .errors import RejectedParametersError
-from .helicoid import kernel_fn, substitute_graph_derivatives, substitute_image
-from .numerics import (BandedLU, band_storage, cumulative_from_zero, fd_weights,
-                       theta_derivative)
+from .helicoid import (StabilityModes, kernel_fn, substitute_graph_derivatives,
+                       substitute_image)
+from .numerics import cumulative_from_zero, fd_weights, theta_derivative
 from .tube import max_embed_ell
 
 
@@ -99,9 +98,7 @@ class Workspace:
         self.ux_fn = GraphFunction(*substitute_graph_derivatives("x", s_col, t_row))
         self.uy_fn = GraphFunction(*substitute_graph_derivatives("y", s_col, t_row))
 
-        self.potential = 2.0 / np.cosh(g.s) ** 2
-        self._mode_lu = self._factor_modes()
-        self._mean_pins = self._pin_mean()
+        self.modes = StabilityModes(g, n_theta // 2)
         self._gauge_x = self.kappa_x / np.sqrt(self.inner_flat(self.kappa_x, self.kappa_x))
         self._gauge_y = self.kappa_y / np.sqrt(self.inner_flat(self.kappa_y, self.kappa_y))
         self.kernel_profile = self._near_null_profile()
@@ -114,44 +111,6 @@ class Workspace:
              [self.inner_flat(self.kernel_y, self.w_x),
               self.inner_flat(self.kernel_y, self.w_y)]])
         self.interior = g.interior_mask()
-
-    def _factor_modes(self):
-        """Banded LU of d2 + potential - m^2 with Dirichlet rows, m = 0..n_theta/2."""
-        g = self.grid
-        inner = sparse.diags(np.r_[0.0, np.ones(len(g.s) - 2), 0.0])
-        rim = sparse.identity(len(g.s)) - inner
-        ab, kl, ku = band_storage(inner @ (g.d2 + sparse.diags(self.potential)) + rim)
-        shift = np.zeros_like(ab)
-        shift[ku, 1:-1] = 1.0       # the diagonal of the interior rows
-        return [BandedLU(ab - m * m * shift, kl, ku) for m in range(g.n_theta // 2 + 1)]
-
-    def _pin_mean(self):
-        """(boundary solutions of the m = 0 system, pin rows giving v(0) and
-        (d1 v)(0), inverse of the 2x2 pin matrix)."""
-        g = self.grid
-        unit = np.zeros((len(g.s), 2))
-        unit[[0, -1], [0, 1]] = 1.0
-        rim_sol = self._mode_lu[0].solve(unit)
-        pins = np.vstack([np.eye(1, len(g.s), g.i_zero), g.d1[g.i_zero].toarray()])
-        return rim_sol, pins, np.linalg.inv(pins @ rim_sol)
-
-    def solve_mean(self, e_bar):
-        """Discrete mean-mode inverse with the direct-integration normalization.
-
-        Collocates the ODE at every interior point and pins v(0) = v'(0) = 0
-        in place of the two boundary rows: the m = 0 Dirichlet solution plus
-        the combination of the two boundary solutions that restores the pins.
-        This is the same solution the nested-quadrature formula produces, but
-        realized with the identical stencils the rest of the solver uses, so
-        the fixed-point map reproduces its own output exactly; inverting by
-        quadrature instead leaves an O(h^4 * cutoff-band) mismatch that grows
-        slowly but geometrically over the iteration.
-        """
-        rhs = np.asarray(e_bar, dtype=float).copy()
-        rhs[0] = rhs[-1] = 0.0
-        v = self._mode_lu[0].solve(rhs)
-        rim_sol, pins, pin_inv = self._mean_pins
-        return v - rim_sol @ (pin_inv @ (pins @ v))
 
     def _near_null_profile(self):
         """Left near-null vector of the m = 1 mode system, by inverse iteration.
@@ -167,7 +126,7 @@ class Workspace:
         g = self.grid
         x = 1.0 / np.cosh(g.s)
         x[0] = x[-1] = 0.0
-        lu = self._mode_lu[1]
+        lu = self.modes.lu[1]
         for _ in range(12):
             x = lu.solve(x, trans=1)
             x /= np.linalg.norm(x)
@@ -194,7 +153,7 @@ class Workspace:
         """The discrete flattened stability operator used by the mode solves."""
         g = self.grid
         return (g.d2 @ v + theta_derivative(v, order=2)
-                + self.potential[:, None] * v)
+                + self.modes.potential[:, None] * v)
 
 def orthogonalize(ws, e_ring):
     """Remove the kernel content of a zero-meridian-average term.
@@ -228,7 +187,7 @@ def invert_perp(ws, e_perp):
     for m in range(1, g.n_theta // 2 + 1):
         rhs = eh[:, m].copy()
         rhs[0] = rhs[-1] = 0.0
-        sol = ws._mode_lu[m].solve(np.column_stack([rhs.real, rhs.imag]))
+        sol = ws.modes.lu[m].solve(np.column_stack([rhs.real, rhs.imag]))
         out[:, m] = sol[:, 0] + 1j * sol[:, 1]
     return np.fft.irfft(out, n=g.n_theta, axis=1)
 
@@ -242,7 +201,7 @@ def linear_solve(ws, e):
     interior rows to rounding.
     """
     e_bar, e_ring = meridian_split(e)
-    v_bar = ws.solve_mean(e_bar)
+    v_bar = ws.modes.solve_mean(e_bar)
     e_perp, b_x, b_y = orthogonalize(ws, e_ring)
     v = invert_perp(ws, e_perp) + v_bar[:, None]
     return v, b_x, b_y
@@ -358,6 +317,6 @@ def solve_minimal(spec, ell, n_s=1024, n_theta=64, tol=1e-9, max_iter=50,
         converged=converged,
         zeta=float(zeta),
         iterations=len(history) - 1,
-        u0_c_hat=ws.surface.u0_info.c_hat if ws.surface.u0_info else float("nan"),
+        u0_c_hat=ws.surface.u0_info.c_hat,
     )
     return report, ws, state

@@ -5,7 +5,8 @@ from spiralforge import bent, helicoid, jets, tube
 from spiralforge.bent import (BentSurface, bent_jet, bent_point,
                               normalized_jet, reference_jet, reference_point,
                               solve_u0)
-from spiralforge.errors import GraphTooLargeError, RejectedParametersError
+from spiralforge.errors import (GraphTooLargeError, NoProfileError,
+                               RejectedParametersError)
 from spiralforge.spirals import SpiralSpec
 
 _C1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
@@ -339,3 +340,49 @@ class TestProfile:
     def test_negative_rate(self):
         prof = solve_u0(-1e-3, 32.0, n=128)
         assert prof.residual_sup <= 1e-11
+
+    @pytest.mark.parametrize("lam", [1e-3, -1e-3])
+    def test_against_positive_half_root(self, lam):
+        # independent route: the positive-half system (unknowns u at s > 0,
+        # odd extension, the odd-aware pin u'(0) = (8 u_1 - u_2) / 6h, Q at
+        # the positive interior points) solved by a general root finder
+        from scipy.optimize import root
+
+        n = 128
+        flat = BentSurface(SpiralSpec(np.zeros((3, 3)), 1.0, lam, allow_trivial=True),
+                           32.0, n, 1, u0=np.zeros(n + 1))
+        i0, h = flat.grid.i_zero, flat.grid.h
+
+        def expand(u_pos):
+            return np.r_[-u_pos[::-1], 0.0, u_pos]
+
+        def system(u_pos):
+            q = flat.q_operator(expand(u_pos)[:, None])[:, 0]
+            return np.r_[(8.0 * u_pos[0] - u_pos[1]) / (6.0 * h), q[i0 + 1:-1]]
+
+        # hybr may report failure at this xtol although the residual sits at
+        # rounding level, so the residual is what is checked
+        sol = root(system, np.zeros(n - i0), method="hybr", options={"xtol": 1e-14})
+        assert np.abs(system(sol.x)).max() <= 1e-14
+        prof = solve_u0(lam, 32.0, n=n)
+        assert np.abs(prof.values - expand(sol.x)).max() <= 1e-13
+        assert prof.values[i0] == 0.0
+        assert abs((flat.grid.d1 @ prof.values)[i0]) <= 1e-12
+
+    def test_roundoff_floor_raises(self):
+        # at n = 16384 the residual of Q stalls near 2e-11, above tol = 1e-11
+        with pytest.raises(NoProfileError):
+            solve_u0(1e-3, 32.0, n=16384)
+
+    @pytest.mark.parametrize("n", [512, 1024, 4096])
+    def test_few_q_calls(self, n, monkeypatch):
+        calls = []
+        q_operator = BentSurface.q_operator
+
+        def counted(self, u):
+            calls.append(1)
+            return q_operator(self, u)
+
+        monkeypatch.setattr(BentSurface, "q_operator", counted)
+        solve_u0(1e-3, 32.0, n=n)
+        assert len(calls) <= 5

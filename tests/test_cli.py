@@ -126,8 +126,19 @@ class TestCommands:
     (["export", "--mesh-resolution", "1"], "mesh_resolution"),
     (["export", "--mesh-resolution", "5"], "mesh_resolution"),
     (["export", "--periods", "0"], "periods"),
+    (["check-embed", "--seed", "-1"], "seed"),
+    (["check-embed", "--config", "n_samples = 0"], "n_samples"),
+    (["check-embed", "--config", "n_samples = 1"], "n_samples"),
+    (["spiral", "--alpha", "3"], "alpha"),
+    (["spiral", "--alpha", "0"], "alpha"),
 ])
 def test_bad_input_rejected_at_boundary(argv, key, tmp_path, capsys):
+    if "--config" in argv:
+        # keys without a flag go through a config file; the argument holds its text
+        i = argv.index("--config") + 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(argv[i] + "\n")
+        argv = [*argv[:i], str(cfg), *argv[i + 1:]]
     assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_REJECTED
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
@@ -139,6 +150,13 @@ def test_non_converged_solve_exits_3(command, tmp_path, capsys):
             "--mesh-resolution", "16", "--out", str(tmp_path)]
     assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
     assert capsys.readouterr().out
+
+
+def test_no_profile_exits_3(tmp_path, capsys):
+    # the u0 profile iteration stalls at its roundoff floor on this grid
+    argv = ["solve", "--ns", "16384", "--ntheta", "4", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
+    assert "profile" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.interpolate"])

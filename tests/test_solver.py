@@ -110,11 +110,11 @@ class TestInvertMean:
         g = ws.grid
         e = np.exp(-g.s ** 2) * np.sin(g.s) + 0.4 / np.cosh(g.s)
         v_quad = solver.invert_mean(e, g)
-        v_mat = ws.solve_mean(e)
+        v_mat = ws.modes.solve_mean(e)
         assert np.abs(v_quad - v_mat).max() < 1e-6
         # the discrete system it solves: interior collocation and the two pins
         i0 = g.i_zero
-        resid = g.d2 @ v_mat + ws.potential * v_mat - e
+        resid = g.d2 @ v_mat + ws.modes.potential * v_mat - e
         assert np.abs(resid[1:-1]).max() < 1e-10 * np.abs(e).max()
         assert abs(v_mat[i0]) < 1e-14 and abs((g.d1 @ v_mat)[i0]) < 1e-12
 
