@@ -6,6 +6,8 @@ applications (one-sided near the edges); derivatives in theta are exact
 mode-wise differentiation through the FFT.
 """
 
+from math import factorial
+
 import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -144,6 +146,54 @@ def trig_interpolate(values, t_new):
     im = np.sin(ang) * weights
     return (np.einsum("...m,...pm->...p", c.real, re)
             - np.einsum("...m,...pm->...p", c.imag, im))
+
+
+# nodes of the local Lagrange interpolant in s: degree 5, error O(h^6)
+LAGRANGE_NODES = 6
+
+
+def _products_of_others(d):
+    """p[j] = product of d[i] over i != j along the first axis, without
+    division (d may hold zeros)."""
+    rows = np.arange(len(d))
+    return np.stack([np.prod(d[rows != j], axis=0) for j in rows])
+
+
+def lagrange_weights(s, s_new):
+    """Node indices and weights of local Lagrange interpolation on a uniform grid.
+
+    s is the uniform grid (at least LAGRANGE_NODES points); each point of
+    s_new, shape (m,), gets the LAGRANGE_NODES grid points centred on the
+    cell that holds it, shifted inward near the edges.  Returns (idx, w),
+    both of shape (LAGRANGE_NODES, m): point i interpolates as
+    sum_j w[j, i] * values[idx[j, i]], and w[:, i] equals
+    fd_weights(s[idx[:, i]], s_new[i], 0)[:, 0], for all points at once.
+    """
+    s = np.asarray(s, dtype=float)
+    s_new = np.asarray(s_new, dtype=float)
+    n, k = len(s), LAGRANGE_NODES
+    h = (s[-1] - s[0]) / (n - 1)
+    cell = np.clip(np.floor((s_new - s[0]) / h).astype(int), 0, n - 2)
+    start = np.clip(cell - (k // 2 - 1), 0, n - k)
+    # in the stencil's coordinate t = (s_new - s[start]) / h the nodes are
+    # 0 .. k-1, so w_j = prod over i != j of (t - i) / (j - i), whose
+    # denominator is (-1)^(k-1-j) j! (k-1-j)!
+    j = np.arange(k)
+    denominators = np.array([(-1) ** (k - 1 - i) * factorial(i) * factorial(k - 1 - i)
+                             for i in j], dtype=float)
+    t = (s_new - s[start]) / h
+    return start + j[:, None], _products_of_others(t - j[:, None]) / denominators[:, None]
+
+
+def lagrange_resample(s, values, s_new):
+    """Values on the uniform grid s, shape (n,) or (n, ...), interpolated at
+    the points s_new (m,) along the first axis: shape (m,) or (m, ...).
+
+    Fifth-order local Lagrange interpolation (see lagrange_weights): exact
+    on polynomials of degree 5, and the grid values at the nodes to roundoff.
+    """
+    idx, w = lagrange_weights(s, s_new)
+    return np.einsum("jm,jm...->m...", w, np.take(np.asarray(values, dtype=float), idx, axis=0))
 
 
 def cumulative_from_zero(y, h, i_zero, d1_matrix):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bent
-from .numerics import theta_derivative, trig_interpolate
+from .numerics import lagrange_resample, theta_derivative, trig_interpolate
 
 
 @dataclass
@@ -144,8 +144,6 @@ def check_embedded(surface, u, n_samples=10000, seed=0, exclusion_cells=3,
     Returns (verdict, info) with verdict in {"certified", "sampled-ok",
     "not-certified"}.
     """
-    from scipy.interpolate import CubicSpline
-
     from .tube import max_embed_ell
 
     spec, g = surface.spec, surface.grid
@@ -163,10 +161,10 @@ def check_embedded(surface, u, n_samples=10000, seed=0, exclusion_cells=3,
     s_samp = rng.uniform(-g.s_max, g.s_max, n_samples)
     t_samp = rng.uniform(-np.pi, 3.0 * np.pi, n_samples)
 
-    # u is band-limited in theta and smooth in s: spline in s first, then
-    # evaluate each row's trigonometric interpolant at its own angle.
+    # u is band-limited in theta and smooth in s: local Lagrange in s first,
+    # then evaluate each row's trigonometric interpolant at its own angle.
     utot = u + surface.u0[:, None]
-    rows = CubicSpline(g.s, utot, axis=0)(s_samp)
+    rows = lagrange_resample(g.s, utot, s_samp)
     s_col, t_col = s_samp[:, None], t_samp[:, None]
     u_vals = trig_interpolate(rows, t_col)
     nu = bent._gauged_normal(spec, s_col, t_col)
@@ -194,17 +192,16 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
     (n, m) mesh has exactly n * m vertices.  Additional periods are images
     of the first under the discrete dilation, so the seams are exact.
     """
-    from scipy.interpolate import CubicSpline
-
     spec, g = surface.spec, surface.grid
     n_sm, n_tm = resolution
     # the mesh grid's surface; u0 = 0 because the resampled graph contains u0
     mesh_surf = bent.BentSurface(spec, g.ell, n_sm - 1, n_tm, u0=np.zeros(n_sm))
     s_m, t_m = mesh_surf.grid.s, mesh_surf.grid.theta
 
-    # resample u: exact trigonometric interpolation in theta, spline in s
+    # resample u: exact trigonometric interpolation in theta, fifth-order
+    # local Lagrange in s
     u_theta = trig_interpolate(u + surface.u0[:, None], t_m)
-    u_mesh = CubicSpline(g.s, u_theta, axis=0)(s_m)
+    u_mesh = lagrange_resample(g.s, u_theta, s_m)
 
     # mean curvature at mesh resolution: the solver's Q (aspect guard
     # included), then undo the gauge factors

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import re
 import subprocess
 import sys
@@ -159,12 +160,56 @@ def test_no_profile_exits_3(tmp_path, capsys):
     assert "profile" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.interpolate"])
-def test_import_leaves_module_unloaded(module):
+# every submodule, then an in-process solve, check-embed and export on a
+# small grid, for the probes below
+_PIPELINE = """
+import sys, tempfile
+from spiralforge import *
+from spiralforge import cli
+grid = ["--ns", "128", "--ntheta", "8", "--mesh-resolution", "16"]
+with tempfile.TemporaryDirectory() as out:
+    for command in ("solve", "check-embed", "export"):
+        assert cli.main([command, *grid, "--out", out]) == 0, command
+"""
+
+
+@pytest.mark.parametrize("code, module", [
     # scipy.integrate serves only the kernel_pairing test oracle and
-    # scipy.interpolate only the audits and the mesh export; each costs a
-    # noticeable share of every CLI start-up
-    code = f"import sys, spiralforge; print({module!r} in sys.modules)"
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # scipy.interpolate nothing at all (s-resampling in the audits and the
+    # mesh export is local Lagrange); each costs a noticeable share of every
+    # CLI start-up, so a run that loads the whole pipeline must load neither
+    pytest.param(_PIPELINE, "scipy.integrate", id="scipy.integrate"),
+    pytest.param(_PIPELINE, "scipy.interpolate", id="scipy.interpolate"),
+    # the package namespace is lazy; spiral tables and rejected input need
+    # numpy only
+    pytest.param("import spiralforge", "scipy", id="package-scipy"),
+    pytest.param("import spiralforge.cli", "scipy", id="cli-scipy"),
+    pytest.param("from spiralforge import cli; cli.main(['spiral'])", "scipy",
+                 id="spiral-scipy"),
+    pytest.param("from spiralforge import cli; cli.main(['solve', '--delta', 'nan'])",
+                 "scipy", id="rejected-scipy"),
+])
+def test_import_leaves_module_unloaded(code, module):
+    probe = (f"{code}\nimport sys\n"
+             f"print(any(m == {module!r} or m.startswith({module + '.'!r}) "
+             f"for m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+    assert r.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_thread_cap_precedes_numpy():
+    # SPIRALFORGE_THREADS only caps the BLAS pools if cli sets their variables
+    # before numpy loads, so importing the package must not load numpy
+    code = ("import os, sys, spiralforge\n"
+            "before = 'numpy' in sys.modules\n"
+            "from spiralforge import cli\n"
+            "print(before, 'numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS")}
+    env["SPIRALFORGE_THREADS"] = "1"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False", "True", "1"]

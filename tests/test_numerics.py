@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spiralforge.numerics import derivative_matrix, fd_weights
+from spiralforge.numerics import (LAGRANGE_NODES, derivative_matrix, fd_weights,
+                                  lagrange_resample, lagrange_weights)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -27,3 +28,61 @@ def test_derivative_matrix_rows_are_fd_weights(n_pts, order):
               for i in range(n_pts)]
     assert np.array_equal(np.diff(mat.indptr), counts)
     assert mat.has_sorted_indices
+
+
+def _grid(n_pts):
+    return np.linspace(-3.2, 3.5, n_pts)
+
+
+@pytest.mark.parametrize("n_pts", [6, 7, 33, 1025])
+def test_lagrange_weights_are_fd_weights(n_pts):
+    s = _grid(n_pts)
+    h = s[1] - s[0]
+    rng = np.random.default_rng(n_pts)
+    # random points, the two edge cells on either side, and both ends
+    x = np.concatenate([rng.uniform(s[0], s[-1], 50),
+                        rng.uniform(s[0], s[0] + 2 * h, 5),
+                        rng.uniform(s[-1] - 2 * h, s[-1], 5), [s[0], s[-1]]])
+    idx, w = lagrange_weights(s, x)
+    assert idx.shape == w.shape == (LAGRANGE_NODES, len(x))
+    for i, xi in enumerate(x):
+        nodes = s[idx[:, i]]
+        assert np.array_equal(np.diff(idx[:, i]), np.ones(LAGRANGE_NODES - 1))
+        # the stencil holds the point, centred on its cell away from the edges
+        assert nodes[0] <= xi <= nodes[-1]
+        if s[0] + 2 * h < xi < s[-1] - 3 * h:
+            assert nodes[2] <= xi <= nodes[3]
+        np.testing.assert_allclose(w[:, i], fd_weights(nodes, xi, 0)[:, 0],
+                                   rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_pts", [6, 33, 1025])
+def test_lagrange_resample_exact_on_quintics(n_pts):
+    s = _grid(n_pts)
+    coeffs = np.array([[0.7, -1.3, 0.4, 0.25, -0.08, 0.011],
+                       [-2.0, 0.5, 1.1, -0.3, 0.02, -0.004]])
+    values = np.polynomial.polynomial.polyval(s, coeffs.T).T     # (n, 2)
+    x = np.random.default_rng(0).uniform(s[0], s[-1], 200)
+    want = np.polynomial.polynomial.polyval(x, coeffs.T).T
+    got = lagrange_resample(s, values, x)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_lagrange_resample_reproduces_nodes():
+    s = _grid(65)
+    values = np.exp(np.sin(3.0 * s))
+    np.testing.assert_allclose(lagrange_resample(s, values, s), values, rtol=1e-14, atol=0)
+
+
+def test_lagrange_resample_value_shapes():
+    s = _grid(33)
+    x = np.linspace(s[0], s[-1], 17)
+    table = np.column_stack([np.sin(s), np.cos(s), s ** 2])
+    one = lagrange_resample(s, table[:, 0], x)
+    many = lagrange_resample(s, table, x)
+    assert one.shape == (17,) and many.shape == (17, 3)
+    np.testing.assert_allclose(many[:, 0], one, rtol=0, atol=1e-15)
+    stacked = lagrange_resample(s, table.reshape(33, 3, 1), x)
+    assert stacked.shape == (17, 3, 1)
+    np.testing.assert_allclose(many, np.column_stack([np.sin(x), np.cos(x), x ** 2]),
+                               rtol=0, atol=1e-6)
