@@ -390,6 +390,44 @@ def _first_form(x1, x2):
     return g11, g12, g22, det, 2.0 * np.sqrt(np.maximum(det, 0.0)) / trace
 
 
+def graph_slots(lam, brackets, normals, derivs):
+    """Component-major slots of the graph by e^{lam theta} u over G, and its
+    first form.
+
+    brackets and normals are component-major on a grid (or a block of grid
+    rows), derivs = (u, u_t, u_s, u_tt, u_ss, u_ts) on the same points.
+    Raises GraphTooLargeError where the graph leaves the immersion set.
+    """
+    slots = _variation(lam, normals, *derivs)
+    for e, key in zip(slots, _SLOTS):
+        e += brackets[key]
+    form = _first_form(slots[0], slots[1])
+    *_, aspect = form
+    if np.any(aspect < jets.ASPECT_FLOOR):
+        raise GraphTooLargeError("graph leaves the immersion set")
+    return slots, form
+
+
+def graph_q(lam, brackets, normals, ch2, derivs):
+    """cosh^2(s) times the gauged mean curvature of the graph by derivs.
+
+    The arguments are those of graph_slots plus ch2 = cosh^2(s) broadcasting
+    against the points.  Every step is pointwise, so any block of grid rows
+    gives the rows of the whole-grid result.  H is jets.mean_curvature's
+    (g22 A11 - 2 g12 A12 + g11 A22) / det g, evaluated on components.
+    """
+    (x1, x2, x11, x22, x12), (g11, g12, g22, det, _) = graph_slots(
+        lam, brackets, normals, derivs)
+    if np.any(det <= 0.0):
+        raise InvalidImmersionError("degenerate metric in mean curvature")
+    n = _cross(x1, x2)
+    # |n| summed in order, as np.linalg.norm does in jets.unit_normal
+    nu = n / np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+    h = (g22 * _dot(x11, nu) - 2.0 * g12 * _dot(x12, nu)
+         + g11 * _dot(x22, nu)) / det
+    return ch2 * h
+
+
 class BentSurface:
     """Grid-sampled geometry of G over |s| <= arccosh(ell), theta-periodic.
 
@@ -397,9 +435,9 @@ class BentSurface:
     shape (3, n_s + 1, n_theta): the brackets of the normalized jet, the
     gauged normal bundle, and the straightening profile u0 (solved on the
     same s-grid so no interpolation enters the Q operator).  A given u0
-    (values on the s-grid) is used as is instead; the mesh export passes
-    zeros because its resampled graph already contains u0.  Instances are
-    treated as immutable.
+    (values on the s-grid) is used as is instead; solve_u0's flat surface
+    passes zeros.  Instances are treated as immutable.  Q itself is graph_q,
+    which the mesh export also evaluates, a block of mesh rows at a time.
     """
 
     def __init__(self, spec: SpiralSpec, ell, n_s, n_theta, u0=None):
@@ -433,50 +471,29 @@ class BentSurface:
         g = self.grid
         return GraphFunction.from_values(np.asarray(u, dtype=float), g.d1, g.d2)
 
-    def _variation_slots(self, u):
-        return _variation(self.spec.lam, self.normals,
-                          *self.as_graph_function(u).derivatives())
-
-    def _graph_slots(self, u):
-        """Component-major slots of the graph by u over G, and its first form.
-
-        Raises GraphTooLargeError where the graph leaves the immersion set.
-        """
-        slots = self._variation_slots(u)
-        for e, key in zip(slots, _SLOTS):
-            e += self.brackets[key]
-        form = _first_form(slots[0], slots[1])
-        *_, aspect = form
-        if np.any(aspect < jets.ASPECT_FLOOR):
-            raise GraphTooLargeError("graph leaves the immersion set")
-        return slots, form
-
     def graph_variation(self, u):
         """The gauged jet variation generated by the graph e^{lam theta} u."""
-        return _pack(*self._variation_slots(u))
+        return _pack(*_variation(self.spec.lam, self.normals,
+                                 *self.as_graph_function(u).derivatives()))
 
     def graph_jet(self, u):
         """Normalized-gauge jet of the graph of e^{lam theta} u over G."""
-        return _pack(*self._graph_slots(u)[0])
+        slots, _ = graph_slots(self.spec.lam, self.brackets, self.normals,
+                               self.as_graph_function(u).derivatives())
+        return _pack(*slots)
 
     def q_operator(self, u):
         """cosh^2(s) times the gauged mean curvature of the graph by u + u0.
 
         u may be a plain grid array (derived by stencils; only safe for
         smooth fields) or a GraphFunction carrying its own derivatives.  The
-        output is a 2 pi-periodic grid function.  H is jets.mean_curvature's
-        (g22 A11 - 2 g12 A12 + g11 A22) / det g, evaluated on components.
+        output is a 2 pi-periodic grid function (see graph_q).
         """
-        (x1, x2, x11, x22, x12), (g11, g12, g22, det, _) = self._graph_slots(
-            self.as_graph_function(u) + self.u0_fn)
-        if np.any(det <= 0.0):
-            raise InvalidImmersionError("degenerate metric in mean curvature")
-        n = _cross(x1, x2)
-        # |n| summed in order, as np.linalg.norm does in jets.unit_normal
-        nu = n / np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
-        h = (g22 * _dot(x11, nu) - 2.0 * g12 * _dot(x12, nu)
-             + g11 * _dot(x22, nu)) / det
-        return self.ch2 * h
+        fn, u0 = self.as_graph_function(u), self.u0_fn
+        # u0 depends on s alone, so only its values and s-derivatives add
+        derivs = (fn.values + u0.values, fn.d_t, fn.d_s + u0.d_s,
+                  fn.d_tt, fn.d_ss + u0.d_ss, fn.d_ts)
+        return graph_q(self.spec.lam, self.brackets, self.normals, self.ch2, derivs)
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,8 @@ def solve_minimal(spec, ell, n_s=1024, n_theta=64, tol=1e-9, max_iter=50,
             converged = True
             break
 
-    q_final = ws.surface.q_operator(_graph_function(ws, state))
+    final = _graph_function(ws, state)
+    q_final = ws.surface.q_operator(final)
     history.append(float(np.abs(q_final[ws.interior, :]).max()))
 
     norm_v = verify.weighted_norm(state.v, ws.grid, rho=0.75, k=2)
@@ -303,8 +304,7 @@ def solve_minimal(spec, ell, n_s=1024, n_theta=64, tol=1e-9, max_iter=50,
         embed_ok = False
     verdict = "certified" if (embed_ok and converged) else "not-certified"
 
-    defect = verify.check_self_similarity(ws.surface,
-                                          _graph_function(ws, state).values)
+    defect = verify.check_self_similarity(ws.surface, final.values)
     report = verify.SolveReport(
         residual_history=history,
         final_interior_residual=history[-1],

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bent
-from .numerics import lagrange_resample, theta_derivative, trig_interpolate
+from .numerics import Grid, lagrange_resample, theta_derivative, trig_interpolate
 
 
 @dataclass
@@ -184,6 +184,11 @@ def check_embedded(surface, u, n_samples=10000, seed=0, exclusion_cells=3,
 # mesh export
 # ---------------------------------------------------------------------------
 
+# points per block of the mesh build and of the OBJ/CSV writers, so that
+# the export's working memory does not grow with the mesh
+EXPORT_BLOCK = 8192
+
+
 def build_mesh(surface, u, resolution=(64, 64), periods=1):
     """Triangulated graph surface, optionally extended by the similarity.
 
@@ -194,57 +199,69 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
     """
     spec, g = surface.spec, surface.grid
     n_sm, n_tm = resolution
-    # the mesh grid's surface; u0 = 0 because the resampled graph contains u0
-    mesh_surf = bent.BentSurface(spec, g.ell, n_sm - 1, n_tm, u0=np.zeros(n_sm))
-    s_m, t_m = mesh_surf.grid.s, mesh_surf.grid.theta
+    mesh_grid = Grid(g.ell, n_sm - 1, n_tm)
+    s_m, t_m = mesh_grid.s, mesh_grid.theta
 
     # resample u: exact trigonometric interpolation in theta, fifth-order
     # local Lagrange in s
     u_theta = trig_interpolate(u + surface.u0[:, None], t_m)
     u_mesh = lagrange_resample(g.s, u_theta, s_m)
+    # s-stencils need whole columns; all that follows is pointwise, so it
+    # runs a block of mesh rows at a time into the preallocated mesh arrays
+    derivs = bent.GraphFunction.from_values(u_mesh, mesh_grid.d1,
+                                            mesh_grid.d2).derivatives()
 
-    # mean curvature at mesh resolution: the solver's Q (aspect guard
-    # included), then undo the gauge factors
-    q_mesh = mesh_surf.q_operator(u_mesh)
-    h_abs = np.abs(q_mesh) / (np.exp(spec.lam * t_m)[None, :] * np.cosh(s_m)[:, None] ** 2)
-
-    x = _lab_graph_points(spec, u_mesh, s_m[:, None], t_m[None, :],
-                          np.moveaxis(mesh_surf.normals["nu"], 0, -1))
+    n_cols = periods * n_tm
+    vertices = np.empty((n_sm, n_cols, 3))
+    scalars = {k: np.empty((n_sm, n_cols)) for k in ("s", "theta", "H_abs", "u")}
     scale, rot = spec.similarity()
-    blocks, scal_s, scal_t, scal_h, scal_u = [], [], [], [], []
-    for p in range(periods):
-        xp = x if p == 0 else (scale ** p) * np.einsum(
-            "ij,...j->...i", np.linalg.matrix_power(rot, p), x)
-        blocks.append(xp)
-        scal_s.append(np.broadcast_to(s_m[:, None], xp.shape[:2]))
-        scal_t.append(np.broadcast_to(t_m[None, :] + 2.0 * np.pi * p, xp.shape[:2]))
-        scal_h.append(h_abs / scale ** p)
-        scal_u.append(u_mesh)
-    pts = np.concatenate(blocks, axis=1)
-    n_cols = pts.shape[1]
-    vertices = pts.reshape(-1, 3)
+    t_row = t_m[None, :]
+    rows = max(1, EXPORT_BLOCK // n_tm)
+    for r0 in range(0, n_sm, rows):
+        blk = slice(r0, r0 + rows)
+        s_col = s_m[blk, None]
+        ch2 = np.cosh(s_col) ** 2
+        normals = bent._normal_bundle(spec, s_col, t_row)
+        # mean curvature: the solver's Q (aspect guard included), then undo
+        # the gauge factors
+        q = bent.graph_q(spec.lam, bent._brackets(spec, s_col, t_row, order=2),
+                         normals, ch2, [d[blk] for d in derivs])
+        h_abs = np.abs(q) / (np.exp(spec.lam * t_row) * ch2)
+        x = _lab_graph_points(spec, u_mesh[blk], s_col, t_row,
+                              np.moveaxis(normals["nu"], 0, -1))
+        for p in range(periods):
+            cols = slice(p * n_tm, (p + 1) * n_tm)
+            vertices[blk, cols] = x if p == 0 else (scale ** p) * np.einsum(
+                "ij,...j->...i", np.linalg.matrix_power(rot, p), x)
+            scalars["s"][blk, cols] = s_col
+            scalars["theta"][blk, cols] = t_row + 2.0 * np.pi * p
+            scalars["H_abs"][blk, cols] = h_abs / scale ** p
+            scalars["u"][blk, cols] = u_mesh[blk]
 
     # two triangles per cell, cells row by row: (a, b, b + 1), (a, b + 1, a + 1)
     # with a the cell's corner and b the vertex below it
     a = (np.arange(n_sm - 1)[:, None] * n_cols + np.arange(n_cols - 1)).ravel()
     b = a + n_cols
     faces = np.column_stack([a, b, b + 1, a, b + 1, a + 1]).reshape(-1, 3)
-    scalars = {
-        "s": np.concatenate(scal_s, axis=1).reshape(-1),
-        "theta": np.concatenate(scal_t, axis=1).reshape(-1),
-        "H_abs": np.concatenate(scal_h, axis=1).reshape(-1),
-        "u": np.concatenate(scal_u, axis=1).reshape(-1),
-    }
-    return Mesh(vertices, faces, scalars)
+    return Mesh(vertices.reshape(-1, 3), faces,
+                {k: v.reshape(-1) for k, v in scalars.items()})
+
+
+def _write_blocks(fh, row_format, n_rows, rows_of):
+    """Write n_rows rows of row_format, formatting EXPORT_BLOCK rows per %
+    operation; rows_of(sl) gives the rows of slice sl as a 2-D array."""
+    for i in range(0, n_rows, EXPORT_BLOCK):
+        block = rows_of(slice(i, i + EXPORT_BLOCK))
+        fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_obj(mesh, path):
     """ASCII OBJ, vertices in full double precision, 1-indexed faces."""
-    text = ("v %.17g %.17g %.17g\n" * len(mesh.vertices)
-            + "f %d %d %d\n" * len(mesh.faces)) % tuple(
-        mesh.vertices.ravel().tolist() + (mesh.faces + 1).ravel().tolist())
     with open(path, "w") as fh:
-        fh.write(text)
+        _write_blocks(fh, "v %.17g %.17g %.17g\n", len(mesh.vertices),
+                      lambda sl: mesh.vertices[sl])
+        _write_blocks(fh, "f %d %d %d\n", len(mesh.faces),
+                      lambda sl: mesh.faces[sl] + 1)
 
 
 def read_obj(path):
@@ -263,11 +280,11 @@ def read_obj(path):
 
 def write_csv(mesh, path):
     """CSV sidecar: header s,theta,H_abs,u, then one CRLF-ended row per vertex."""
-    cols = np.column_stack([mesh.scalars[k] for k in ("s", "theta", "H_abs", "u")])
-    text = "s,theta,H_abs,u\r\n" + ("%.17g,%.17g,%.17g,%.17g\r\n" * len(cols)) % tuple(
-        cols.ravel().tolist())
+    cols = [mesh.scalars[k] for k in ("s", "theta", "H_abs", "u")]
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.write("s,theta,H_abs,u\r\n")
+        _write_blocks(fh, "%.17g,%.17g,%.17g,%.17g\r\n", len(cols[0]),
+                      lambda sl: np.column_stack([c[sl] for c in cols]))
 
 
 def export_mesh(surface, u, obj_path, resolution=(64, 64), periods=1,

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,11 +214,22 @@ class TestExport:
         rel = np.abs(pts[:, 24:, :] - image).max() / np.abs(pts).max()
         assert rel < 1e-9
 
-    def test_matches_per_row_writers(self, demo_solve, tmp_path):
-        # the vectorized faces and writers against the plain loops they replace
+    @pytest.mark.parametrize("block", [None, 7, 60], ids=["default", "block7", "block60"])
+    def test_matches_per_row_writers(self, demo_solve, tmp_path, monkeypatch, block):
+        # the vectorized faces and block-wise writers against the plain loops
+        # they replace; a block of 7 points splits the 12x12 two-period mesh
+        # into one mesh row per block and the writers into many blocks with a
+        # partial last one, a block of 60 into mesh rows 5 + 5 + 2
         _, ws, state = demo_solve
         u = solver._graph_function(ws, state).values
+        whole = verify.build_mesh(ws.surface, u, resolution=(12, 12), periods=2)
+        if block is not None:
+            monkeypatch.setattr(verify, "EXPORT_BLOCK", block)
         mesh = verify.build_mesh(ws.surface, u, resolution=(12, 12), periods=2)
+        assert np.array_equal(mesh.vertices, whole.vertices)
+        assert np.array_equal(mesh.faces, whole.faces)
+        for key, values in whole.scalars.items():
+            assert np.array_equal(mesh.scalars[key], values)
         n_cols = 24
         faces = []
         for i in range(11):
@@ -236,6 +248,26 @@ class TestExport:
         verify.write_csv(mesh, tmp_path / "m.csv")
         assert (tmp_path / "m.obj").read_bytes() == obj.encode()
         assert (tmp_path / "m.csv").read_bytes() == want_csv.getvalue().encode()
+
+    def test_memory_bounded(self, demo_solve, tmp_path):
+        # block-wise export: the writers' working memory stays at one block
+        # and the mesh build holds no whole-mesh normal bundle
+        _, ws, state = demo_solve
+        u = solver._graph_function(ws, state).values
+
+        def peak_mb(fn, *args):
+            tracemalloc.start()
+            try:
+                result = fn(*args)
+                return tracemalloc.get_traced_memory()[1] / 2 ** 20, result
+            finally:
+                tracemalloc.stop()
+
+        _, mesh = peak_mb(verify.build_mesh, ws.surface, u, (128, 128), 2)
+        assert peak_mb(verify.write_obj, mesh, tmp_path / "m.obj")[0] < 4.0
+        assert peak_mb(verify.write_csv, mesh, tmp_path / "m.csv")[0] < 4.0
+        del mesh
+        assert peak_mb(verify.build_mesh, ws.surface, u, (256, 256), 2)[0] < 35.0
 
     def test_io_failure_surfaces_path(self, demo_solve):
         _, ws, state = demo_solve
