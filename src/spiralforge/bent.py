@@ -115,9 +115,10 @@ def _first_brackets(spec, s, theta):
     return e3 + sh * q1, ch * c0, (sh, ch, c0, c1, e3, q1)
 
 
-def _brackets(spec, s, theta, order):
-    """Periodic bracket vectors of the normalized jet of G, component-major."""
-    a1, a2, (sh, ch, c0, c1, e3, q1) = _first_brackets(spec, s, theta)
+def _brackets(spec, first, order):
+    """Periodic bracket vectors of the normalized jet of G, component-major,
+    from first = _first_brackets(spec, s, theta)."""
+    a1, a2, (sh, ch, c0, c1, e3, q1) = first
     b = spec.b_mat
     out = {
         "a1": a1,
@@ -142,7 +143,7 @@ def normalized_jet(spec, s, theta, order=2):
     All components are 2 pi-periodic in theta in closed form; slot order is
     (theta, s).
     """
-    br = _brackets(spec, s, theta, order)
+    br = _brackets(spec, _first_brackets(spec, s, theta), order)
     third = None
     if order >= 3:
         third = (br["a111"], br["a112"], br["a122"], br["a222"])
@@ -230,16 +231,17 @@ def _unnormalized_normal(a1, a2):
     return n, np.sqrt(_dot(n, n))
 
 
-def _normal_bundle(spec, s, theta):
+def _normal_bundle(spec, first):
     """Gauged unit normal nu = a1 x a2 / |.| and its covariant derivatives.
 
-    Component-major, shape (3,) + broadcast(s, theta).  The grid derivatives
+    first = _first_brackets(spec, s, theta); the fields come out
+    component-major, shape (3,) + broadcast(s, theta).  The grid derivatives
     of nu follow from the literal derivatives of the first brackets; the
     covariant theta-derivatives (d_theta + delta R) then convert them into
     the gauged derivatives of the lab normal, which is what the graph
     variation needs.
     """
-    a1, a2, (sh, ch, c0, c1, _, q1) = _first_brackets(spec, s, theta)
+    a1, a2, (sh, ch, c0, c1, _, q1) = first
     q2 = _apply(spec.b_mat, c1) - c0
     a1_t, a1_s = sh * q2, ch * q1
     a2_t, a2_s = ch * c1, sh * c0
@@ -283,7 +285,8 @@ def _normal_bundle(spec, s, theta):
 
 def _gauged_normal_bundle(spec, s, theta):
     """_normal_bundle in the (..., 3) layout of Jet slots."""
-    return {k: _last(v) for k, v in _normal_bundle(spec, s, theta).items()}
+    normals = _normal_bundle(spec, _first_brackets(spec, s, theta))
+    return {k: _last(v) for k, v in normals.items()}
 
 
 def _gauged_normal(spec, s, theta):
@@ -446,8 +449,9 @@ class BentSurface:
         g = self.grid
         self.ch2 = np.cosh(g.s)[:, None] ** 2
         s_col, t_row = g.s[:, None], g.theta[None, :]
-        self.brackets = _brackets(spec, s_col, t_row, order=2)
-        self.normals = _normal_bundle(spec, s_col, t_row)
+        first = _first_brackets(spec, s_col, t_row)
+        self.brackets = _brackets(spec, first, order=2)
+        self.normals = _normal_bundle(spec, first)
         # recorded conformality margin: 1 - min aspect ~ delta (|R| + |xi|)
         *_, aspect = _first_form(self.brackets["a1"], self.brackets["a2"])
         self.min_aspect = float(aspect.min())

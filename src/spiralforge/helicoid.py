@@ -20,11 +20,10 @@ straightening profile u0 go through.
 """
 
 import numpy as np
-from scipy import sparse
 
 from .cutoffs import Cutoff, even_cutoff
 from .jets import jet_from_arrays
-from .numerics import BandedLU, band_storage, derivative_matrix, theta_derivative
+from .numerics import BandedLU, derivative_matrix, theta_derivative
 
 _CUT_BREAKPOINTS = (-2.0, -5.0 / 3.0, -4.0 / 3.0, -1.0, 1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0)
 
@@ -166,27 +165,34 @@ def stability_apply(u, s):
 class StabilityModes:
     """The flattened stability operator d2 + 2 sech^2(s) - m^2 per theta mode.
 
-    lu[m] is the banded LU of its grid realization (the grid's fourth-order
-    d2, Dirichlet rows at s = +-s_max) for m = 0 ... m_max; solve_mean is
+    lu[m] is the banded LU of its grid realization band(m) (the grid's
+    fourth-order d2, Dirichlet rows at s = +-s_max) for m = 0 ... m_max,
+    assembled directly in LAPACK's band layout; solve_mean is
     the m = 0 inverse normalized to vanish to second order at s = 0.
     """
 
     def __init__(self, grid, m_max):
         self.potential = 2.0 / np.cosh(grid.s) ** 2
-        inner = sparse.diags(np.r_[0.0, np.ones(len(grid.s) - 2), 0.0])
-        rim = sparse.identity(len(grid.s)) - inner
-        ab, kl, ku = band_storage(inner @ (grid.d2 + sparse.diags(self.potential)) + rim)
-        shift = np.zeros_like(ab)
-        shift[ku, 1:-1] = 1.0       # the diagonal of the interior rows
-        self.lu = [BandedLU(ab - m * m * shift, kl, ku) for m in range(m_max + 1)]
+        # interior rows d2 + potential, identity rows at the rim
+        self._ab, self.kl, self.ku = grid.d2.band()
+        self._ab[self.ku, 1:-1] += self.potential[1:-1]
+        self._ab[self.ku, [0, -1]] = 1.0
+        self.lu = [BandedLU(self.band(m), self.kl, self.ku) for m in range(m_max + 1)]
         # boundary solutions of the m = 0 system, the pin rows giving v(0)
         # and (d1 v)(0), and the inverse of the 2x2 pin matrix
         unit = np.zeros((len(grid.s), 2))
         unit[[0, -1], [0, 1]] = 1.0
         self._rim_sol = self.lu[0].solve(unit)
         self._pins = np.vstack([np.eye(1, len(grid.s), grid.i_zero),
-                                grid.d1[grid.i_zero].toarray()])
+                                grid.d1.row(grid.i_zero)])
         self._pin_inv = np.linalg.inv(self._pins @ self._rim_sol)
+
+    def band(self, m):
+        """The mode-m matrix, identity rows at the rim, in LAPACK's band
+        layout with self.kl, self.ku."""
+        ab = self._ab.copy()
+        ab[self.ku, 1:-1] -= m * m
+        return ab
 
     def solve_mean(self, e_bar):
         """Discrete mean-mode inverse with the direct-integration normalization.

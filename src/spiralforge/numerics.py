@@ -6,11 +6,13 @@ applications (one-sided near the edges); derivatives in theta are exact
 mode-wise differentiation through the FFT.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from math import factorial
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 
 def fd_weights(nodes, x0, max_order):
@@ -44,50 +46,157 @@ def fd_weights(nodes, x0, max_order):
     return w
 
 
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, the module scipy.linalg._flapack.
+
+    Loaded from its file in scipy's install directory, so that neither scipy
+    nor scipy.linalg runs its package __init__: that import would load
+    scipy's array-API shim and with it numpy.f2py and numpy.testing, which
+    cost several times what a small solve does.  The module is registered
+    under its own name, so a later `import scipy.linalg` reuses it and
+    scipy.linalg.lapack.dgbtrf is this module's dgbtrf.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")      # does not import scipy
+    if scipy_spec is None:
+        raise ImportError("spiralforge needs scipy's LAPACK wrappers; scipy is not installed")
+    stem = os.path.join(scipy_spec.submodule_search_locations[0], "linalg", "_flapack")
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK wrappers not found: no file {stem}"
+                          f"{{{', '.join(importlib.machinery.EXTENSION_SUFFIXES)}}}")
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
+
+
+# elements per block of interior rows a stencil product sums at a time: the
+# block, its running sum and the one product buffer stay in cache
+_STENCIL_BLOCK = 16384
+
+
+def _weighted_sum(out, weights, columns, tmp):
+    """out = sum over k of weights[k] * columns[k], added in increasing k
+    starting from the first product: the order of a CSR row product, so the
+    sum rounds as scipy.sparse's does.  tmp holds one product."""
+    np.multiply(weights[0], columns[0], out=out)
+    for w, col in zip(weights[1:], columns[1:]):
+        np.multiply(w, col, out=tmp)
+        out += tmp
+
+
+class BandStencil:
+    """An n x n finite-difference stencil, applied along the first axis.
+
+    Rows half ... n-1-half apply the central weights to the points
+    i-half ... i+half; the `half` rows at either end apply one-sided weights
+    to the first, or the last, `width` points.  `stencil @ u` takes u of
+    shape (n,) or (n, ...) and sums each row's products in increasing
+    column order, starting from the first: the order of a CSR row product,
+    so every value equals that of the same matrix stored as CSR (only an
+    exact zero may differ in sign).
+    """
+
+    def __init__(self, n, central, low, high):
+        self.n = n
+        self.central = central      # (2 half + 1,)
+        self.low = low              # (half, width): rows 0 ... half-1
+        self.high = high            # (half, width): rows n-half ... n-1
+        self.half, self.width = low.shape
+
+    def _edge_rows(self):
+        """(i, j0, weights) of the one-sided rows: A[i, j0 + k] = weights[k]."""
+        n, half, width = self.n, self.half, self.width
+        return ([(i, 0, self.low[i]) for i in range(half)]
+                + [(n - half + r, n - width, self.high[r]) for r in range(half)])
+
+    def __matmul__(self, u):
+        u = np.asarray(u, dtype=float)
+        n, half, width = self.n, self.half, self.width
+        if len(u) != n:
+            raise ValueError(f"stencil of {n} points applied to shape {u.shape}")
+        out = np.empty(u.shape)
+        step = max(1, _STENCIL_BLOCK // max(1, u[0].size))
+        tmp = np.empty((max(half, min(step, n - 2 * half)),) + u.shape[1:])
+        for r in range(half, n - half, step):
+            m = min(step, n - half - r)
+            _weighted_sum(out[r:r + m], self.central,
+                          [u[r - half + k:r - half + k + m] for k in range(2 * half + 1)],
+                          tmp[:m])
+        # the `half` edge rows of one end share their points, so each product
+        # covers all of them at once
+        pad = (1,) * (u.ndim - 1)
+        for rows, weights, j0 in ((slice(0, half), self.low, 0),
+                                  (slice(n - half, n), self.high, n - width)):
+            _weighted_sum(out[rows], [weights[:, k].reshape((half,) + pad) for k in range(width)],
+                          u[j0:j0 + width], tmp[:half])
+        return out
+
+    def row(self, i):
+        """Row i of the matrix, dense."""
+        out = np.zeros(self.n)
+        if self.half <= i < self.n - self.half:
+            out[i - self.half:i + self.half + 1] = self.central
+        else:
+            _, j0, weights = next(r for r in self._edge_rows() if r[0] == i)
+            out[j0:j0 + self.width] = weights
+        return out
+
+    def band(self):
+        """(ab, kl, ku): rows 1 ... n-2 in LAPACK's band layout,
+        ab[ku + i - j, j] = A[i, j], with rows 0 and n-1 left zero.
+
+        Without the two rim rows, whose one-sided stencils would widen it,
+        the band of the fourth-order d2 is kl = ku = 4.
+        """
+        n, half = self.n, self.half
+        edges = [r for r in self._edge_rows() if 0 < r[0] < n - 1]
+        kl = max([half] + [i - j0 for i, j0, _ in edges])
+        ku = max([half] + [j0 + len(w) - 1 - i for i, j0, w in edges])
+        ab = np.zeros((kl + ku + 1, n))
+        # central row i holds weight k in column i - half + k
+        for k, w in enumerate(self.central):
+            ab[ku + half - k, k:n - 2 * half + k] = w
+        for i, j0, weights in edges:
+            j = np.arange(j0, j0 + len(weights))
+            ab[ku + i - j, j] = weights
+        return ab, kl, ku
+
+
 def derivative_matrix(n_pts, h, order, acc):
-    """Sparse n x n matrix applying the `order`-th s-derivative at accuracy `acc`.
+    """n_pts x n_pts BandStencil of the `order`-th s-derivative at accuracy `acc`.
 
     Central stencils in the interior, one-sided stencils of the same order of
     accuracy near the edges.  The grid is uniform with spacing h.
     """
     width = order + acc            # nodes per one-sided stencil
     half = (order + acc - 1) // 2  # central half-width
-    offsets = np.arange(-half, half + 1)
-    interior = np.arange(half, n_pts - half)
-    rows = [np.repeat(interior, len(offsets))]
-    cols = [(interior[:, None] + offsets).ravel()]
-    vals = [np.tile(fd_weights(offsets * h, 0.0, order)[:, order], len(interior))]
-    for i in np.r_[:min(half, n_pts), max(half, n_pts - half):n_pts]:
-        start = 0 if i < half else n_pts - width
-        idx = np.arange(start, start + width)
-        rows.append(np.full(width, i))
-        cols.append(idx)
-        vals.append(fd_weights((idx - i) * h, 0.0, order)[:, order])
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_pts, n_pts))
-
-
-def band_storage(mat):
-    """(ab, kl, ku) with ab[ku + i - j, j] = mat[i, j], LAPACK's band layout.
-
-    Only diagonals holding a non-zero count, so explicitly stored zeros (from
-    row masking, say) do not widen the band.
-    """
-    dia = sparse.dia_matrix(mat)
-    keep = np.any(dia.data != 0.0, axis=1)
-    offsets, data = dia.offsets[keep], dia.data[keep]
-    kl, ku = max(0, -int(offsets.min())), max(0, int(offsets.max()))
-    ab = np.zeros((kl + ku + 1, mat.shape[1]))
-    ab[ku - offsets, :data.shape[1]] = data    # dia data stops at the last used column
-    return ab, kl, ku
+    if n_pts < width:
+        raise ValueError(f"a {width}-point stencil needs at least {width} points, "
+                         f"not {n_pts}")
+    weights = lambda nodes: fd_weights(nodes * h, 0.0, order)[:, order]
+    local = np.arange(width)
+    return BandStencil(n_pts, weights(np.arange(-half, half + 1)),
+                       np.array([weights(local - i) for i in range(half)]),
+                       np.array([weights(local - i) for i in range(width - half, width)]))
 
 
 class BandedLU:
     """LU factors of a band matrix (LAPACK gbtrf), kept for repeated solves.
 
-    Takes the output of band_storage.  solve accepts right-hand sides of
-    shape (n,) or (n, k); trans=1 solves with the transpose.
+    Takes (ab, kl, ku) in LAPACK's band layout, ab[ku + i - j, j] = A[i, j].
+    solve accepts right-hand sides of shape (n,) or (n, k); trans=1 solves
+    with the transpose.
     """
 
     def __init__(self, ab, kl, ku):
@@ -243,10 +352,7 @@ class Grid:
 
     def ds(self, u, order=1):
         """s-derivative of a grid function u of shape (n_s + 1, ...)."""
-        mat = self.d1 if order == 1 else self.d2
-        if u.ndim == 1:
-            return mat @ u
-        return (mat @ u.reshape(len(self.s), -1)).reshape(u.shape)
+        return (self.d1 if order == 1 else self.d2) @ u
 
     def interior_mask(self):
         """Points with cosh(s) <= ell / 4 where minimality is certified."""

@@ -221,10 +221,11 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
         blk = slice(r0, r0 + rows)
         s_col = s_m[blk, None]
         ch2 = np.cosh(s_col) ** 2
-        normals = bent._normal_bundle(spec, s_col, t_row)
+        first = bent._first_brackets(spec, s_col, t_row)
+        normals = bent._normal_bundle(spec, first)
         # mean curvature: the solver's Q (aspect guard included), then undo
         # the gauge factors
-        q = bent.graph_q(spec.lam, bent._brackets(spec, s_col, t_row, order=2),
+        q = bent.graph_q(spec.lam, bent._brackets(spec, first, order=2),
                          normals, ch2, [d[blk] for d in derivs])
         h_abs = np.abs(q) / (np.exp(spec.lam * t_row) * ch2)
         x = _lab_graph_points(spec, u_mesh[blk], s_col, t_row,

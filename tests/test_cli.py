@@ -173,6 +173,17 @@ with tempfile.TemporaryDirectory() as out:
 """
 
 
+# an in-process solve and export alone
+_SOLVE_EXPORT = """
+import tempfile
+from spiralforge import cli
+grid = ["--ns", "128", "--ntheta", "8", "--mesh-resolution", "16"]
+with tempfile.TemporaryDirectory() as out:
+    for command in ("solve", "export"):
+        assert cli.main([command, *grid, "--out", out]) == 0, command
+"""
+
+
 @pytest.mark.parametrize("code, module", [
     # scipy.integrate serves only the kernel_pairing test oracle and
     # scipy.interpolate nothing at all (s-resampling in the audits and the
@@ -180,6 +191,11 @@ with tempfile.TemporaryDirectory() as out:
     # CLI start-up, so a run that loads the whole pipeline must load neither
     pytest.param(_PIPELINE, "scipy.integrate", id="scipy.integrate"),
     pytest.param(_PIPELINE, "scipy.interpolate", id="scipy.interpolate"),
+    # solve and export take LAPACK from scipy's compiled wrappers alone: no
+    # sparse matrices, and not scipy.linalg's package, whose import loads
+    # scipy's array-API shim (scipy._lib) with numpy.f2py and numpy.testing
+    pytest.param(_SOLVE_EXPORT, "scipy.sparse", id="solve-export-scipy.sparse"),
+    pytest.param(_SOLVE_EXPORT, "scipy._lib", id="solve-export-scipy._lib"),
     # the package namespace is lazy; spiral tables and rejected input need
     # numpy only
     pytest.param("import spiralforge", "scipy", id="package-scipy"),

@@ -1,10 +1,13 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from scipy import sparse
 
 from spiralforge import solver
 from spiralforge.errors import RejectedParametersError
-from spiralforge.numerics import BandedLU, Grid, band_storage
+from spiralforge.helicoid import StabilityModes
+from spiralforge.numerics import BandedLU, Grid
 from spiralforge.spirals import SpiralSpec
 
 
@@ -30,22 +33,68 @@ def test_workspace_rejects_odd_grids(demo_spec, n_s, n_theta, match):
         solver.Workspace(demo_spec, 32.0, n_s, n_theta)
 
 
+def _band_of(dense, kl, ku):
+    """dense in LAPACK's band layout, ab[ku + i - j, j] = dense[i, j]."""
+    n = len(dense)
+    ab = np.zeros((kl + ku + 1, n))
+    for i in range(n):
+        for j in range(max(0, i - kl), min(n, i + ku + 1)):
+            ab[ku + i - j, j] = dense[i, j]
+    return ab
+
+
 def test_band_storage_layout():
-    # ab[ku + i - j, j] = a[i, j]; an empty last column must not break it
-    a = np.array([[1.0, 2.0, 0.0], [5.0, 3.0, 0.0], [0.0, 6.0, 0.0]])
-    ab, kl, ku = band_storage(sparse.csr_matrix(a))
-    assert (kl, ku) == (1, 1)
-    assert np.array_equal(ab, [[0.0, 2.0, 0.0], [1.0, 3.0, 0.0], [5.0, 6.0, 0.0]])
+    # each mode's band is d2 + 2 sech^2 s - m^2 with identity rows at the rim
+    for n_s, m in [(8, 0), (8, 2), (64, 0), (64, 2)]:
+        g = Grid(32.0, n_s, 8)
+        modes = StabilityModes(g, 2)
+        assert (modes.kl, modes.ku) == (4, 4)
+        dense = g.d2 @ np.eye(n_s + 1) + np.diag(modes.potential) - m * m * np.eye(n_s + 1)
+        dense[[0, -1]] = np.eye(n_s + 1)[[0, -1]]
+        i, j = np.indices(dense.shape)
+        assert not np.any(dense[(i - j > 4) | (j - i > 4)])
+        assert np.array_equal(modes.band(m), _band_of(dense, 4, 4))
 
 
 def test_banded_lu_matches_dense():
     rng = np.random.default_rng(1)
     dense = np.triu(np.tril(rng.standard_normal((9, 9)), 2), -1) + 4 * np.eye(9)
-    lu = BandedLU(*band_storage(sparse.csr_matrix(dense)))
+    lu = BandedLU(_band_of(dense, 1, 2), 1, 2)
     rhs = rng.standard_normal((9, 2))
     assert np.abs(lu.solve(rhs) - np.linalg.solve(dense, rhs)).max() < 1e-13
     assert np.abs(lu.solve(rhs[:, 0], trans=1)
                   - np.linalg.solve(dense.T, rhs[:, 0])).max() < 1e-13
+
+
+def test_lapack_is_scipys_and_scipy_linalg_still_imports():
+    # numerics loads scipy's compiled LAPACK wrappers without scipy.linalg's
+    # package, so a solve loads no other scipy module; a later import of
+    # scipy.linalg must reuse the wrappers and work
+    code = """
+import sys, tempfile
+import numpy as np
+from spiralforge import cli, numerics
+from spiralforge.helicoid import StabilityModes
+with tempfile.TemporaryDirectory() as out:
+    assert cli.main(["solve", "--ns", "128", "--ntheta", "8", "--mesh-resolution", "16",
+                     "--out", out]) == 0
+modes = StabilityModes(numerics.Grid(32.0, 64, 8), 3)
+rhs = np.random.default_rng(0).standard_normal(65)
+x = modes.lu[3].solve(rhs)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+import scipy.linalg
+from scipy.linalg import lapack
+print(numerics.dgbtrf._cpointer == lapack.dgbtrf._cpointer,
+      numerics.dgbtrs._cpointer == lapack.dgbtrs._cpointer)
+want = scipy.linalg.solve_banded((modes.kl, modes.ku), modes.band(3), rhs)
+print(float(np.abs(x - want).max() / np.abs(want).max()))
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    loaded, same, err = r.stdout.strip().splitlines()[-3:]
+    assert loaded == "['scipy.linalg._flapack']"
+    assert same == "True True"
+    assert float(err) < 1e-13
 
 
 class TestMeridianSplit:
