@@ -28,7 +28,7 @@ import numpy as np
 from dataclasses import dataclass, asdict, fields
 
 from .errors import NoProfileError, RejectedParametersError
-from .spirals import SpiralSpec, invariants_to_spiral, matrix_invariants, skew
+from .spirals import SpiralSpec, frenet_generator, invariants_to_spiral, matrix_invariants
 
 EXIT_OK = 0
 EXIT_REJECTED = 2
@@ -117,7 +117,7 @@ class RunConfig:
                       f"from declared (kappa0, tau0) = ({self.kappa0:g}, {self.tau0:g})",
                       file=sys.stderr)
             return r
-        return skew([0.0, self.kappa0, self.tau0])
+        return frenet_generator(self.kappa0, self.tau0)
 
     def spec(self):
         return SpiralSpec(self.generator(), self.delta, self.xi)

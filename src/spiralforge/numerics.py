@@ -80,76 +80,36 @@ _flapack = _load_flapack()
 dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 
 
-# elements per block of interior rows a stencil product sums at a time: the
-# block, its running sum and the one product buffer stay in cache
-_STENCIL_BLOCK = 16384
-
-
-def _weighted_sum(out, weights, columns, tmp):
-    """out = sum over k of weights[k] * columns[k], added in increasing k
-    starting from the first product: the order of a CSR row product, so the
-    sum rounds as scipy.sparse's does.  tmp holds one product."""
-    np.multiply(weights[0], columns[0], out=out)
-    for w, col in zip(weights[1:], columns[1:]):
-        np.multiply(w, col, out=tmp)
-        out += tmp
-
-
 class BandStencil:
     """An n x n finite-difference stencil, applied along the first axis.
 
-    Rows half ... n-1-half apply the central weights to the points
-    i-half ... i+half; the `half` rows at either end apply one-sided weights
-    to the first, or the last, `width` points.  `stencil @ u` takes u of
-    shape (n,) or (n, ...) and sums each row's products in increasing
-    column order, starting from the first: the order of a CSR row product,
-    so every value equals that of the same matrix stored as CSR (only an
-    exact zero may differ in sign).
+    Held as constant-weight diagonal runs (d, j0, j1, w), A[j - d, j] = w for
+    j0 <= j < j1, sorted by d.  `stencil @ u` takes u of shape (n,) or
+    (n, ...) and adds the runs' products to zero in that order, so each row
+    sums its products in increasing column order: the order of a CSR row
+    product, so every value equals that of the same matrix stored as CSR.
     """
 
-    def __init__(self, n, central, low, high):
+    def __init__(self, n, runs):
         self.n = n
-        self.central = central      # (2 half + 1,)
-        self.low = low              # (half, width): rows 0 ... half-1
-        self.high = high            # (half, width): rows n-half ... n-1
-        self.half, self.width = low.shape
-
-    def _edge_rows(self):
-        """(i, j0, weights) of the one-sided rows: A[i, j0 + k] = weights[k]."""
-        n, half, width = self.n, self.half, self.width
-        return ([(i, 0, self.low[i]) for i in range(half)]
-                + [(n - half + r, n - width, self.high[r]) for r in range(half)])
+        self.runs = sorted(runs, key=lambda run: run[0])
 
     def __matmul__(self, u):
         u = np.asarray(u, dtype=float)
-        n, half, width = self.n, self.half, self.width
-        if len(u) != n:
-            raise ValueError(f"stencil of {n} points applied to shape {u.shape}")
-        out = np.empty(u.shape)
-        step = max(1, _STENCIL_BLOCK // max(1, u[0].size))
-        tmp = np.empty((max(half, min(step, n - 2 * half)),) + u.shape[1:])
-        for r in range(half, n - half, step):
-            m = min(step, n - half - r)
-            _weighted_sum(out[r:r + m], self.central,
-                          [u[r - half + k:r - half + k + m] for k in range(2 * half + 1)],
-                          tmp[:m])
-        # the `half` edge rows of one end share their points, so each product
-        # covers all of them at once
-        pad = (1,) * (u.ndim - 1)
-        for rows, weights, j0 in ((slice(0, half), self.low, 0),
-                                  (slice(n - half, n), self.high, n - width)):
-            _weighted_sum(out[rows], [weights[:, k].reshape((half,) + pad) for k in range(width)],
-                          u[j0:j0 + width], tmp[:half])
+        if len(u) != self.n:
+            raise ValueError(f"stencil of {self.n} points applied to shape {u.shape}")
+        out = np.zeros(u.shape)
+        tmp = np.empty(u.shape)
+        for d, j0, j1, w in self.runs:
+            out[j0 - d:j1 - d] += np.multiply(w, u[j0:j1], out=tmp[:j1 - j0])
         return out
 
     def row(self, i):
         """Row i of the matrix, dense."""
         out = np.zeros(self.n)
-        if self.half <= i < self.n - self.half:
-            out[i - self.half:i + self.half + 1] = self.central
-        else:
-            _, j0, weights = next(r for r in self._edge_rows() if r[0] == i)
-            out[j0:j0 + self.width] = weights
+        for d, j0, j1, w in self.runs:
+            if j0 <= i + d < j1:
+                out[i + d] = w
         return out
 
     def band(self):
@@ -159,17 +119,14 @@ class BandStencil:
         Without the two rim rows, whose one-sided stencils would widen it,
         the band of the fourth-order d2 is kl = ku = 4.
         """
-        n, half = self.n, self.half
-        edges = [r for r in self._edge_rows() if 0 < r[0] < n - 1]
-        kl = max([half] + [i - j0 for i, j0, _ in edges])
-        ku = max([half] + [j0 + len(w) - 1 - i for i, j0, w in edges])
+        n = self.n
+        # each run cut to the columns j whose row j - d lies in 1 ... n-2
+        runs = [(d, max(j0, d + 1), min(j1, d + n - 1), w) for d, j0, j1, w in self.runs]
+        runs = [run for run in runs if run[1] < run[2]]
+        kl, ku = -runs[0][0], runs[-1][0]
         ab = np.zeros((kl + ku + 1, n))
-        # central row i holds weight k in column i - half + k
-        for k, w in enumerate(self.central):
-            ab[ku + half - k, k:n - 2 * half + k] = w
-        for i, j0, weights in edges:
-            j = np.arange(j0, j0 + len(weights))
-            ab[ku + i - j, j] = weights
+        for d, j0, j1, w in runs:
+            ab[ku - d, j0:j1] = w
         return ab, kl, ku
 
 
@@ -185,10 +142,16 @@ def derivative_matrix(n_pts, h, order, acc):
         raise ValueError(f"a {width}-point stencil needs at least {width} points, "
                          f"not {n_pts}")
     weights = lambda nodes: fd_weights(nodes * h, 0.0, order)[:, order]
-    local = np.arange(width)
-    return BandStencil(n_pts, weights(np.arange(-half, half + 1)),
-                       np.array([weights(local - i) for i in range(half)]),
-                       np.array([weights(local - i) for i in range(width - half, width)]))
+    # one run per central weight, over rows half ... n-half-1; then one
+    # single-entry run per weight of the `half` one-sided rows at either end,
+    # where row j0 + i holds the weights at node i of columns j0 ... j0+width-1
+    runs = [(k - half, k, n_pts - 2 * half + k, w)
+            for k, w in enumerate(weights(np.arange(-half, half + 1)))]
+    edges = [(0, i) for i in range(half)] + [(n_pts - width, i) for i in range(width - half, width)]
+    for j0, i in edges:
+        runs += [(k - i, j0 + k, j0 + k + 1, w)
+                 for k, w in enumerate(weights(np.arange(width) - i))]
+    return BandStencil(n_pts, runs)
 
 
 class BandedLU:
@@ -349,10 +312,6 @@ class Grid:
         if self.n_s % 2 != 0:
             raise ValueError("n_s must be even so that s = 0 is a grid point")
         return self.n_s // 2
-
-    def ds(self, u, order=1):
-        """s-derivative of a grid function u of shape (n_s + 1, ...)."""
-        return (self.d1 if order == 1 else self.d2) @ u
 
     def interior_mask(self):
         """Points with cosh(s) <= ell / 4 where minimality is certified."""

@@ -62,12 +62,7 @@ def injectivity_margin(spec):
 
 def max_embed_ell(spec):
     """Upper bound on ell below which the solved surface is certified embedded."""
-    if spec.xi == 0.0:
-        raise ValueError("embeddedness bound requires xi != 0")
-    if spec.trivial:
-        raise ValueError("embeddedness bound requires a non-trivial generator")
-    shape = np.sqrt((spec.tau0 ** 2 + spec.xi ** 2) / (spec.rho0 ** 2 + spec.xi ** 2))
-    return (1.0 / (spec.delta * spec.xi)) * np.tanh(np.pi * spec.xi / (2.0 * spec.rho0)) * shape
+    return tube_radius(spec, abs(injectivity_margin(spec)))
 
 
 def check_injectivity(spec, radius, n_samples=4000, seed=0):

@@ -50,10 +50,11 @@ def weighted_norm(u, grid, rho=0.75, k=0):
     u = np.asarray(u, dtype=float)
     terms = [np.abs(u)]
     if k >= 1:
-        terms += [np.abs(grid.ds(u)), np.abs(theta_derivative(u))]
+        u_theta = theta_derivative(u)
+        terms += [np.abs(grid.d1 @ u), np.abs(u_theta)]
     if k >= 2:
-        terms += [np.abs(grid.ds(u, order=2)), np.abs(theta_derivative(u, order=2)),
-                  np.abs(grid.ds(theta_derivative(u)))]
+        terms += [np.abs(grid.d2 @ u), np.abs(theta_derivative(u, order=2)),
+                  np.abs(grid.d1 @ u_theta)]
     total = sum(terms)
     weight = np.cosh(grid.s) ** (-rho)
     return float(np.max(weight[:, None] * total))

@@ -144,6 +144,22 @@ def test_bad_input_rejected_at_boundary(argv, key, tmp_path, capsys):
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
+def test_smallest_accepted_mesh_exports(tmp_path):
+    # the mesh bound is the width of derivative_matrix's one-sided d2 stencil
+    from spiralforge.numerics import derivative_matrix
+
+    derivative_matrix(cli._STENCIL_POINTS, 0.1, 2, 4)
+    with pytest.raises(ValueError, match="stencil"):
+        derivative_matrix(cli._STENCIL_POINTS - 1, 0.1, 2, 4)
+    argv = ["export", "--ns", "128", "--ntheta", "8", "--mesh-resolution", "6",
+            "--periods", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    obj = (tmp_path / "surface.obj").read_text().splitlines()
+    assert sum(line.startswith("v ") for line in obj) == 36
+    csv = (tmp_path / "fields.csv").read_text().splitlines()
+    assert len(csv) == 1 + 36     # a header, then one row per vertex
+
+
 @pytest.mark.parametrize("command", ["check-embed", "export"])
 def test_non_converged_solve_exits_3(command, tmp_path, capsys):
     # one iteration cannot converge; the audit or export still runs
