@@ -460,9 +460,7 @@ class BentSurface:
             self.u0_info = solve_u0(spec.lam, ell, n=n_s)
             u0 = self.u0_info.values
         self.u0 = np.asarray(u0, dtype=float)
-        zero = np.zeros((len(g.s), 1))
-        self.u0_fn = GraphFunction(self.u0[:, None], zero, (g.d1 @ self.u0)[:, None],
-                                   zero, (g.d2 @ self.u0)[:, None], zero)
+        self.u0_fn = GraphFunction.from_values(self.u0[:, None], g.d1, g.d2)
 
     @property
     def jet(self):

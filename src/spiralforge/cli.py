@@ -66,7 +66,7 @@ class RunConfig:
     n_samples: int = 10000
 
     def validate(self):
-        for key in sorted(_FLOAT_KEYS):
+        for key in sorted(f.name for f in fields(self) if f.type is float):
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
@@ -76,6 +76,10 @@ class RunConfig:
             raise ValueError("delta must be positive")
         if self.ell <= 16.0:
             raise ValueError(f"ell = {self.ell:g} rejected: the solve requires ell > 16")
+        if self.tol <= 0.0:
+            raise ValueError(f"tol = {self.tol:g} must be positive")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter = {self.max_iter} must be at least 1")
         n = self.n_theta
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError("n_theta must be a power of two")
@@ -123,12 +127,6 @@ class RunConfig:
         return SpiralSpec(self.generator(), self.delta, self.xi)
 
 
-_FLOAT_KEYS = {"kappa0", "tau0", "xi", "delta", "ell", "tol", "damping",
-               "r12", "r13", "r23", "alpha", "eps1", "delta0"}
-_INT_KEYS = {"n_s", "n_theta", "max_iter", "seed", "mesh_resolution",
-             "periods", "n_samples"}
-
-
 def parse_config(path=None, overrides=None):
     """RunConfig from an optional file plus flag overrides.
 
@@ -149,18 +147,13 @@ def parse_config(path=None, overrides=None):
                 raise ValueError(f"{path}:{ln}: expected key = value, got {raw!r}")
             key, _, val = line.partition("=")
             values[key.strip().replace("-", "_")] = val.strip()
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(values) - known
+    types = {f.name: f.type for f in fields(RunConfig)}
+    unknown = set(values) - set(types)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     cfg = RunConfig()
     for key, val in values.items():
-        if key in _FLOAT_KEYS:
-            setattr(cfg, key, float(val))
-        elif key in _INT_KEYS:
-            setattr(cfg, key, int(val))
-        else:
-            setattr(cfg, key, val)
+        setattr(cfg, key, types[key](val))
     for key, val in (overrides or {}).items():
         if val is not None:
             setattr(cfg, key, val)

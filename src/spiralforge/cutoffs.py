@@ -5,7 +5,8 @@ shift by -1/2 is odd.  ``Cutoff(a, b)`` rescales it so the transition sits in
 the middle third of [a, b]: the value is exactly 0 near a and exactly 1 near
 b, and Cutoff(a, b) + Cutoff(b, a) == 1 pointwise.  First and second
 derivatives are available in closed form, which the helicoid module needs to
-evaluate substitute-kernel images without differencing across the band.
+evaluate substitute-kernel images without differencing across the band; one
+evaluation of the profile gives the value and both derivatives.
 """
 
 from dataclasses import dataclass
@@ -14,57 +15,34 @@ import numpy as np
 
 
 def _bump(x):
-    """exp(-1/x) extended by 0 for x <= 0; smooth on all of R."""
+    """(b, b', b'') of b = exp(-1/x) extended by 0 for x <= 0; smooth on all of R."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = np.exp(-1.0 / x[pos])
-    return out
-
-
-def _bump_d1(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
+    b, b1, b2 = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
     pos = x > 0
     xp = x[pos]
-    out[pos] = np.exp(-1.0 / xp) / xp ** 2
-    return out
+    e = np.exp(-1.0 / xp)
+    b[pos] = e
+    b1[pos] = e / xp ** 2
+    b2[pos] = e * (1.0 - 2.0 * xp) / xp ** 4
+    return b, b1, b2
 
 
-def _bump_d2(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    xp = x[pos]
-    out[pos] = np.exp(-1.0 / xp) * (1.0 - 2.0 * xp) / xp ** 4
-    return out
+def _profile(t):
+    """The unit transition p / (p + q) and its first two derivatives."""
+    t = np.asarray(t, dtype=float)
+    p, pp, ppp = _bump(1.0 + t)
+    q, q1, qpp = _bump(1.0 - t)
+    qp = -q1
+    d = p + q
+    dp = pp + qp
+    dpp = ppp + qpp
+    return (p / d, (pp * d - p * dp) / d ** 2,
+            ppp / d - (2.0 * pp * dp + p * dpp) / d ** 2 + 2.0 * p * dp ** 2 / d ** 3)
 
 
 def base_profile(t):
     """The unit transition: 0 on (-inf, -1], 1 on [1, inf), odd around (0, 1/2)."""
-    t = np.asarray(t, dtype=float)
-    p = _bump(1.0 + t)
-    q = _bump(1.0 - t)
-    return p / (p + q)
-
-
-def base_profile_d1(t):
-    t = np.asarray(t, dtype=float)
-    p, q = _bump(1.0 + t), _bump(1.0 - t)
-    pp, qp = _bump_d1(1.0 + t), -_bump_d1(1.0 - t)
-    d = p + q
-    return (pp * d - p * (pp + qp)) / d ** 2
-
-
-def base_profile_d2(t):
-    t = np.asarray(t, dtype=float)
-    p, q = _bump(1.0 + t), _bump(1.0 - t)
-    pp, qp = _bump_d1(1.0 + t), -_bump_d1(1.0 - t)
-    ppp, qpp = _bump_d2(1.0 + t), _bump_d2(1.0 - t)
-    d = p + q
-    dp = pp + qp
-    dpp = ppp + qpp
-    return ppp / d - (2.0 * pp * dp + p * dpp) / d ** 2 + 2.0 * p * dp ** 2 / d ** 3
+    return _profile(t)[0]
 
 
 @dataclass(frozen=True)
@@ -78,18 +56,21 @@ class Cutoff:
         if self.a == self.b:
             raise ValueError("cutoff endpoints must differ")
 
-    def _arg(self, t):
+    def jet(self, t):
+        """(value, d/dt, d2/dt2) at t."""
         # Affine map sending a -> -3, b -> 3; |arg| <= 1 is the transition band.
-        return -3.0 + 6.0 * (np.asarray(t, dtype=float) - self.a) / (self.b - self.a)
+        arg = -3.0 + 6.0 * (np.asarray(t, dtype=float) - self.a) / (self.b - self.a)
+        v, v1, v2 = _profile(arg)
+        return v, v1 * 6.0 / (self.b - self.a), v2 * 36.0 / (self.b - self.a) ** 2
 
     def __call__(self, t):
-        return base_profile(self._arg(t))
+        return self.jet(t)[0]
 
     def d1(self, t):
-        return base_profile_d1(self._arg(t)) * 6.0 / (self.b - self.a)
+        return self.jet(t)[1]
 
     def d2(self, t):
-        return base_profile_d2(self._arg(t)) * 36.0 / (self.b - self.a) ** 2
+        return self.jet(t)[2]
 
 
 def even_cutoff(a, b, s):
@@ -99,8 +80,6 @@ def even_cutoff(a, b, s):
     chain rule through |s| is safe because every such cutoff is constant in a
     neighbourhood of s = 0.
     """
-    c = Cutoff(a, b)
     s = np.asarray(s, dtype=float)
-    r = np.abs(s)
-    sign = np.sign(s)
-    return c(r), sign * c.d1(r), c.d2(r)
+    v, v1, v2 = Cutoff(a, b).jet(np.abs(s))
+    return v, np.sign(s) * v1, v2

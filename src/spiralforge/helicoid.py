@@ -21,7 +21,7 @@ straightening profile u0 go through.
 
 import numpy as np
 
-from .cutoffs import Cutoff, even_cutoff
+from .cutoffs import even_cutoff
 from .jets import jet_from_arrays
 from .numerics import BandedLU, derivative_matrix, theta_derivative
 
@@ -81,68 +81,56 @@ def kernel_fn(which, s, theta):
     raise ValueError(f"which must be one of x, y, z, not {which!r}")
 
 
-def substitute_fn(which, s, theta):
-    """Growing substitute functions; psi is the radial cutoff vanishing on |s| <= 1."""
-    s = np.asarray(s, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    psi, _, _ = even_cutoff(1.0, 2.0, s)
-    if which == "x":
-        return psi * np.cos(theta) * np.cosh(s) / (4.0 * np.pi)
-    if which == "y":
-        return psi * np.sin(theta) * np.cosh(s) / (4.0 * np.pi)
-    if which == "z":
-        return psi * s / (4.0 * np.pi) * np.ones_like(theta)
-    raise ValueError(f"which must be one of x, y, z, not {which!r}")
+def substitute(which, s, theta):
+    """Substitute function u, its grid derivatives and its image, closed form.
 
+    Returns ((u, u_t, u_s, u_tt, u_ss, u_ts), w) with w = cosh^2(s) L u; psi
+    is the radial cutoff vanishing on |s| <= 1.  Grid stencils must never
+    touch these: the cutoff's high derivatives alias badly on solver grids.
 
-def substitute_graph_derivatives(which, s, theta):
-    """Substitute function with all first/second grid derivatives, closed form.
-
-    Returns (u, u_t, u_s, u_tt, u_ss, u_ts).  Grid stencils must never touch
-    these: the cutoff's high derivatives alias badly on solver grids.
+    Writing u_x = psi f cos(theta) with f = cosh(s)/(4 pi), the operator gives
+    cos(theta) (psi'' f + 2 psi' f' + psi (f'' - f) + 2 psi f / cosh^2); the
+    cosh profile satisfies f'' = f so only the cutoff band and the 2/cosh^2
+    potential survive.  w is summed in that form, not as u_ss + u_tt +
+    2 u / cosh^2, whose r'' - r cancels to rounding outside the band.
     """
     s = np.asarray(s, dtype=float)
     theta = np.asarray(theta, dtype=float)
     psi, dpsi, ddpsi = even_cutoff(1.0, 2.0, s)
-    if which in ("x", "y"):
-        r = psi * np.cosh(s) / (4.0 * np.pi)
-        r1 = (dpsi * np.cosh(s) + psi * np.sinh(s)) / (4.0 * np.pi)
-        r2 = (ddpsi * np.cosh(s) + 2.0 * dpsi * np.sinh(s)
-              + psi * np.cosh(s)) / (4.0 * np.pi)
-        cs, sn = np.cos(theta), np.sin(theta)
-        if which == "x":
-            return (r * cs, -r * sn, r1 * cs, -r * cs, r2 * cs, -r1 * sn)
-        return (r * sn, r * cs, r1 * sn, -r * sn, r2 * sn, r1 * cs)
     if which == "z":
         one = np.ones_like(theta)
         r = psi * s / (4.0 * np.pi)
         r1 = (dpsi * s + psi) / (4.0 * np.pi)
         r2 = (ddpsi * s + 2.0 * dpsi) / (4.0 * np.pi)
+        w = (ddpsi * s + 2.0 * dpsi + 2.0 * psi * s / np.cosh(s) ** 2) / (4.0 * np.pi)
         zero = np.zeros_like(r * one)
-        return (r * one, zero, r1 * one, zero, r2 * one, zero)
-    raise ValueError(f"which must be one of x, y, z, not {which!r}")
+        return (r * one, zero, r1 * one, zero, r2 * one, zero), w * one
+    if which not in ("x", "y"):
+        raise ValueError(f"which must be one of x, y, z, not {which!r}")
+    ch, sh = np.cosh(s), np.sinh(s)
+    r = psi * ch / (4.0 * np.pi)
+    r1 = (dpsi * ch + psi * sh) / (4.0 * np.pi)
+    r2 = (ddpsi * ch + 2.0 * dpsi * sh + psi * ch) / (4.0 * np.pi)
+    w = (ddpsi * ch + 2.0 * dpsi * sh + 2.0 * psi / ch) / (4.0 * np.pi)
+    cs, sn = np.cos(theta), np.sin(theta)
+    if which == "x":
+        return (r * cs, -r * sn, r1 * cs, -r * cs, r2 * cs, -r1 * sn), w * cs
+    return (r * sn, r * cs, r1 * sn, -r * sn, r2 * sn, r1 * cs), w * sn
+
+
+def substitute_fn(which, s, theta):
+    """Growing substitute functions; psi is the radial cutoff vanishing on |s| <= 1."""
+    return substitute(which, s, theta)[0][0]
+
+
+def substitute_graph_derivatives(which, s, theta):
+    """(u, u_t, u_s, u_tt, u_ss, u_ts) of a substitute function, closed form."""
+    return substitute(which, s, theta)[0]
 
 
 def substitute_image(which, s, theta):
-    """w = cosh^2(s) L u for the substitute functions, in closed form.
-
-    Writing u_x = psi f cos(theta) with f = cosh(s)/(4 pi), the operator gives
-    cos(theta) (psi'' f + 2 psi' f' + psi (f'' - f) + 2 psi f / cosh^2); the
-    cosh profile satisfies f'' = f so only the cutoff band and the 2/cosh^2
-    potential survive.
-    """
-    s = np.asarray(s, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    psi, dpsi, ddpsi = even_cutoff(1.0, 2.0, s)
-    if which in ("x", "y"):
-        radial = (ddpsi * np.cosh(s) + 2.0 * dpsi * np.sinh(s)
-                  + 2.0 * psi / np.cosh(s)) / (4.0 * np.pi)
-        trig = np.cos(theta) if which == "x" else np.sin(theta)
-        return radial * trig
-    if which == "z":
-        radial = (ddpsi * s + 2.0 * dpsi + 2.0 * psi * s / np.cosh(s) ** 2) / (4.0 * np.pi)
-        return radial * np.ones_like(theta)
-    raise ValueError(f"which must be one of x, y, z, not {which!r}")
+    """w = cosh^2(s) L u for the substitute functions, in closed form."""
+    return substitute(which, s, theta)[1]
 
 
 def stability_apply(u, s):
@@ -224,18 +212,14 @@ def kernel_pairing(which, s_max):
 
     if s_max < 3.0:
         raise ValueError("s_max must cover the cutoff band, s_max >= 3")
-    cut = Cutoff(1.0, 2.0)
-
     if which in ("x", "y"):
         def integrand(s):
-            r = abs(s)
-            psi, dpsi, ddpsi = cut(r), np.sign(s) * cut.d1(r), cut.d2(r)
+            psi, dpsi, ddpsi = even_cutoff(1.0, 2.0, s)
             return 0.25 * (ddpsi + 2.0 * dpsi * np.tanh(s)
                            + 2.0 * psi / np.cosh(s) ** 2)
     elif which == "z":
         def integrand(s):
-            r = abs(s)
-            psi, dpsi, ddpsi = cut(r), np.sign(s) * cut.d1(r), cut.d2(r)
+            psi, dpsi, ddpsi = even_cutoff(1.0, 2.0, s)
             return 0.5 * np.tanh(s) * (ddpsi * s + 2.0 * dpsi
                                        + 2.0 * psi * s / np.cosh(s) ** 2)
     else:

@@ -175,15 +175,10 @@ class BandedLU:
         return x
 
 
-def theta_modes(n_theta):
-    """Wavenumbers matching numpy's rfft layout for a 2*pi-periodic grid."""
-    return np.arange(n_theta // 2 + 1)
-
-
 def theta_derivative(u, order=1):
     """Exact mode-wise theta derivative of u with shape (..., n_theta)."""
     n = u.shape[-1]
-    m = theta_modes(n)
+    m = np.arange(n // 2 + 1)  # rfft wavenumbers of a 2 pi-periodic grid
     uh = np.fft.rfft(u, axis=-1)
     if order % 2 == 0:
         uh *= (1j * m) ** order

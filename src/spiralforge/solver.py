@@ -23,10 +23,8 @@ from . import verify
 from .bent import BentSurface, GraphFunction
 from .cutoffs import even_cutoff
 from .errors import RejectedParametersError
-from .helicoid import (StabilityModes, kernel_fn, substitute_graph_derivatives,
-                       substitute_image)
+from .helicoid import StabilityModes, kernel_fn, substitute
 from .numerics import cumulative_from_zero, fd_weights, theta_derivative
-from .tube import max_embed_ell
 
 
 @dataclass(frozen=True)
@@ -93,10 +91,9 @@ class Workspace:
         self.psi_outer = even_cutoff(np.arccosh(ell), np.arccosh(ell / 2.0), g.s)[0]
         self.kappa_x = kernel_fn("x", s_col, t_row)
         self.kappa_y = kernel_fn("y", s_col, t_row)
-        self.w_x = substitute_image("x", s_col, t_row)
-        self.w_y = substitute_image("y", s_col, t_row)
-        self.ux_fn = GraphFunction(*substitute_graph_derivatives("x", s_col, t_row))
-        self.uy_fn = GraphFunction(*substitute_graph_derivatives("y", s_col, t_row))
+        ux, self.w_x = substitute("x", s_col, t_row)
+        uy, self.w_y = substitute("y", s_col, t_row)
+        self.ux_fn, self.uy_fn = GraphFunction(*ux), GraphFunction(*uy)
 
         self.modes = StabilityModes(g, n_theta // 2)
         self._gauge_x = self.kappa_x / np.sqrt(self.inner_flat(self.kappa_x, self.kappa_x))
@@ -298,10 +295,7 @@ def solve_minimal(spec, ell, n_s=1024, n_theta=64, tol=1e-9, max_iter=50,
     denom = spec.delta * ell ** 0.25 * spec.r_norm
     zeta = max(norm_v, abs(state.b_x), abs(state.b_y)) / denom if denom > 0 else np.inf
 
-    try:
-        embed_ok = ell <= max_embed_ell(spec)
-    except ValueError:
-        embed_ok = False
+    embed_ok = ell <= verify.embed_bound(spec)
     verdict = "certified" if (embed_ok and converged) else "not-certified"
 
     defect = verify.check_self_similarity(ws.surface, final.values)

@@ -169,10 +169,8 @@ class SpiralSpec:
         object.__setattr__(self, "r_mat", r)
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
-        scale = np.abs(r).max()
-        if np.abs(r + r.T).max() > 1e-12 * max(scale, 1.0):
-            raise ValueError("generator must be antisymmetric")
-        if scale == 0.0:
+        # matrix_invariants rejects a non-antisymmetric non-zero generator
+        if np.abs(r).max() == 0.0:
             if not self.allow_trivial:
                 raise ValueError("trivial generator: pass allow_trivial=True "
                                  "only for flat test rigs")

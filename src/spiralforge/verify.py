@@ -14,6 +14,7 @@ import numpy as np
 
 from . import bent
 from .numerics import Grid, lagrange_resample, theta_derivative, trig_interpolate
+from .tube import max_embed_ell
 
 
 @dataclass
@@ -132,6 +133,15 @@ def sampled_min_separation(points, params, exclusion, k=16):
     return best, pair
 
 
+def embed_bound(spec):
+    """The closed-form embeddedness bound on ell, nan where it is undefined
+    (xi = 0); ell <= embed_bound(spec) is false there."""
+    try:
+        return max_embed_ell(spec)
+    except ValueError:
+        return float("nan")
+
+
 def check_embedded(surface, u, n_samples=10000, seed=0, exclusion_cells=3,
                    collision_margin=0.1, converged=True, force_sample=False):
     """Two-stage embeddedness audit.
@@ -145,15 +155,9 @@ def check_embedded(surface, u, n_samples=10000, seed=0, exclusion_cells=3,
     Returns (verdict, info) with verdict in {"certified", "sampled-ok",
     "not-certified"}.
     """
-    from .tube import max_embed_ell
-
     spec, g = surface.spec, surface.grid
-    try:
-        bound = max_embed_ell(spec)
-        certified = bool(g.ell <= bound) and converged
-    except ValueError:
-        bound = float("nan")
-        certified = False
+    bound = embed_bound(spec)
+    certified = bool(g.ell <= bound) and converged
     info = {"ell_bound": bound}
     if certified and not force_sample:
         return "certified", info

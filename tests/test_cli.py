@@ -132,6 +132,9 @@ class TestCommands:
     (["check-embed", "--config", "n_samples = 1"], "n_samples"),
     (["spiral", "--alpha", "3"], "alpha"),
     (["spiral", "--alpha", "0"], "alpha"),
+    (["solve", "--tol", "0"], "tol"),
+    (["solve", "--tol", "-1"], "tol"),
+    (["solve", "--max-iter", "0"], "max_iter"),
 ])
 def test_bad_input_rejected_at_boundary(argv, key, tmp_path, capsys):
     if "--config" in argv:

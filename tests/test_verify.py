@@ -115,6 +115,20 @@ class TestEmbeddedness:
                                               seed=2)
         assert verdict == "sampled-ok"
 
+    def test_xi_zero_has_no_bound(self):
+        # the closed-form bound is undefined at xi = 0: the solve is never
+        # certified and the audit falls through to sampling
+        spec = SpiralSpec.from_invariants(1.0, 0.0, 0.0, 1e-3)
+        assert np.isnan(verify.embed_bound(spec))
+        report, ws, state = solver.solve_minimal(spec, 32.0, n_s=128,
+                                                 n_theta=8, tol=1e-9)
+        assert report.embed_verdict == "not-certified"
+        u = solver._graph_function(ws, state).values
+        verdict, info = verify.check_embedded(ws.surface, u, n_samples=4000,
+                                              seed=2)
+        assert np.isnan(info["ell_bound"])
+        assert verdict == "sampled-ok"
+
     def test_figure_eight_flagged(self):
         # lemniscate cylinder: genuine crossings at t = pi/2 and 3 pi/2; the
         # parameter window is trimmed away from the wrap seam
