@@ -244,9 +244,14 @@ def cmd_check_embed(cfg):
         converged=report.converged, force_sample=True)
     print(f"embeddedness verdict: {verdict}")
     print(f"closed-form bound on ell: {info['ell_bound']:.6g} (ell = {cfg.ell:g})")
-    if "min_separation" in info:
-        print(f"sampled min separation: {info['min_separation']:.6g} "
-              f"(collision threshold {info['threshold']:.3g})")
+    # force_sample: the search always runs, exact up to the threshold
+    min_d, threshold = info["min_separation"], info["threshold"]
+    if min_d <= threshold:
+        print(f"sampled min separation: {min_d:.6g} "
+              f"(collision threshold {threshold:.3g})")
+    else:
+        print(f"sampled min separation: > {threshold:.3g} "
+              f"(no far pair within the collision threshold)")
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 

@@ -14,6 +14,8 @@ differences everywhere); the bare exponential identity is therefore an
 on-axis statement.
 """
 
+import math
+
 import numpy as np
 
 
@@ -65,21 +67,119 @@ def max_embed_ell(spec):
     return tube_radius(spec, abs(injectivity_margin(spec)))
 
 
+# candidate pairs formed per block of joined cells in `near_pairs`, so that a
+# search's working memory does not grow with the number of candidates
+PAIR_BLOCK = 1 << 18
+
+# the cell itself and its 13 forward neighbours: every unordered pair of
+# adjacent cells is joined exactly once
+_FORWARD = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+            if (dx, dy, dz) >= (0, 0, 0)]
+
+
+def _axis_cells(x, side):
+    """Cell coordinates along one axis, compressed to fewer than 2 n values:
+    occupied cells that touch stay one apart, all others at least two."""
+    cells, inverse = np.unique(np.floor(x / side), return_inverse=True)
+    step = np.where(np.diff(cells) == 1.0, 1, 2)
+    return np.concatenate([[0], np.cumsum(step)])[inverse]
+
+
+def _ranks(sizes):
+    """0 ... size - 1 for each entry of sizes, concatenated."""
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def near_pairs(points, radius):
+    """Every pair of rows of points (n, 3) at distance <= radius, exactly once.
+
+    A uniform cell-list search: the points are binned into cubes, sorted by
+    cell key, and each occupied cell is joined with itself and its 13
+    forward neighbours.  The cube side is the power of two in [radius,
+    2 radius), so x / side is exact and two coordinates within radius of
+    each other always fall into the same or adjacent cells.  Cell
+    coordinates are compressed per axis, so one int64 key holds the cells of
+    up to 2^20 points however far they spread.  Yields blocks (i, j, d) of
+    index arrays and distances, i != j, each from about `PAIR_BLOCK`
+    candidates (at most `PAIR_BLOCK` + n).
+    """
+    points = np.asarray(points, dtype=float)
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"search radius must be positive and finite, got {radius}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
+    if len(points) < 2:
+        return
+    mantissa, exponent = math.frexp(radius)
+    side = math.ldexp(1.0, exponent - (mantissa == 0.5))
+    axes = [_axis_cells(points[:, a], side) for a in range(3)]
+    # one free slot past each axis' last cell: a neighbour offset off the
+    # end of one row lands on a free slot, never on the next row's cells
+    dims = [int(c.max()) + 2 for c in axes]
+    if dims[0] * dims[1] * dims[2] >= 2 ** 63:
+        raise ValueError(f"{len(points)} points are too many for one cell key")
+    key = (axes[0] * dims[1] + axes[1]) * dims[2] + axes[2]
+    order = np.argsort(key, kind="stable")
+    cell, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    a, b = [], []
+    for dx, dy, dz in _FORWARD:
+        target = cell + (dx * dims[1] + dy) * dims[2] + dz
+        pos = np.minimum(np.searchsorted(cell, target), len(cell) - 1)
+        hit = np.flatnonzero(cell[pos] == target)
+        a.append(hit)
+        b.append(pos[hit])
+    a, b = np.concatenate(a), np.concatenate(b)
+    # one row per point of each joined cell a, holding the sorted positions
+    # lo ... hi - 1 it pairs with: all of cell b, or the later points of a
+    # when b is a itself; a block is a run of whole rows
+    reps = count[a]
+    first = np.repeat(start[a], reps) + _ranks(reps)
+    lo = np.where(np.repeat(a == b, reps), first + 1, np.repeat(start[b], reps))
+    width = np.repeat(start[b] + count[b], reps) - lo
+    bound = np.cumsum(width)
+    cuts = np.searchsorted(bound, np.arange(PAIR_BLOCK, bound[-1], PAIR_BLOCK))
+    for blk in np.split(np.arange(len(width)), cuts):
+        w = width[blk]
+        i = order[np.repeat(first[blk], w)]
+        j = order[np.repeat(lo[blk], w) + _ranks(w)]
+        d = np.sqrt(((points[i] - points[j]) ** 2).sum(axis=1))
+        near = d <= radius
+        yield i[near], j[near], d[near]
+
+
+def sampled_min_separation(points, params, exclusion, radius):
+    """Minimum distance among sample pairs that are far apart in parameters.
+
+    points: (n, 3) samples of a surface or solid; params: (n, d) their
+    parameters; pairs closer than `exclusion` in parameter space are skipped
+    (they are neighbours on the same sheet).  Exact within `radius`: returns
+    (min_distance, (i, j)) of the closest far pair at distance <= radius,
+    and (inf, (-1, -1)) when there is none.
+    """
+    best, pair = np.inf, (-1, -1)
+    for i, j, d in near_pairs(points, radius):
+        far = np.linalg.norm(params[i] - params[j], axis=1) >= exclusion
+        if np.any(far):
+            m = np.argmin(np.where(far, d, np.inf))
+            if d[m] < best:
+                best, pair = float(d[m]), (int(i[m]), int(j[m]))
+    return best, pair
+
+
 def check_injectivity(spec, radius, n_samples=4000, seed=0):
     """Sampled injectivity audit of the tube of the given radius.
 
     Stratified samples (three strata per axis) fill the tube over two full
     periods of the axis rotation; the minimum image distance is taken over
-    pairs whose z-preimages differ by at least half a period.  The verdict is
-    "injective-sample" when that minimum clears a margin set by the sampling
-    resolution itself (a quarter of the median nearest-neighbour spacing), so
-    genuinely overlapping sheets are flagged while honest tubes pass with a
-    wide gap.
+    pairs whose z-preimages lie two or more half-period bins apart.  The
+    verdict is "injective-sample" when that minimum clears a margin set by
+    the sampling resolution itself (a quarter of the median nearest-neighbour
+    spacing), so genuinely overlapping sheets are flagged while honest tubes
+    pass with a wide gap.
 
-    Returns (verdict, min_separation).
+    Returns (verdict, min_separation); min_separation is exact when it is at
+    most the margin and inf when no far pair lies within it.
     """
-    from scipy.spatial import cKDTree
-
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
@@ -106,21 +206,26 @@ def check_injectivity(spec, radius, n_samples=4000, seed=0):
     params = np.concatenate(pts_param, axis=0)
     images = tube_map(spec, params[:, 0], params[:, 1], params[:, 2])
 
+    # median nearest-neighbour spacing, exact: widen the search from the
+    # mean sample spacing until more than half the points have a neighbour
+    # within it (on the axis det DM = e^{3 lam z} gives the image volume)
+    n = len(images)
+    growth = np.mean(np.exp(3.0 * spec.lam * params[:, 2]))
+    volume = np.pi * radius ** 2 * 2.0 * period * growth
+    reach = (volume / n) ** (1.0 / 3.0)
+    while True:
+        nearest = np.full(n, np.inf)
+        for i, j, d in near_pairs(images, reach):
+            np.minimum.at(nearest, i, d)
+            np.minimum.at(nearest, j, d)
+        if np.count_nonzero(nearest <= reach) > n / 2:
+            break
+        reach *= 2.0
+    margin = 0.25 * float(np.median(nearest))
+
     # bins of half-period width: points two or more bins apart are "far" in z
     n_bins = 4
     bin_idx = np.minimum((params[:, 2] / (period / 2.0)).astype(int), n_bins - 1)
-    groups = [images[bin_idx == b] for b in range(n_bins)]
-    min_sep = np.inf
-    for i in range(n_bins):
-        for j in range(i + 2, n_bins):
-            if len(groups[i]) == 0 or len(groups[j]) == 0:
-                continue
-            tree = cKDTree(groups[j])
-            d, _ = tree.query(groups[i], k=1)
-            min_sep = min(min_sep, float(d.min()))
-
-    tree_all = cKDTree(images)
-    nn, _ = tree_all.query(images, k=2)
-    margin = 0.25 * float(np.median(nn[:, 1]))
+    min_sep, _ = sampled_min_separation(images, bin_idx[:, None], 2, margin)
     verdict = "injective-sample" if min_sep > margin else "collision-suspected"
     return verdict, min_sep

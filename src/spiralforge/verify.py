@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bent
 from .numerics import Grid, lagrange_resample, theta_derivative, trig_interpolate
-from .tube import max_embed_ell
+from .tube import max_embed_ell, sampled_min_separation
 
 
 @dataclass
@@ -106,33 +106,6 @@ def check_self_similarity(surface, u):
     return float(defect.max() / denom)
 
 
-def sampled_min_separation(points, params, exclusion, k=16):
-    """Minimum distance among sample pairs that are far apart in parameters.
-
-    points: (n, 3) samples of a surface; params: (n, d) their parameters;
-    pairs closer than `exclusion` in parameter space are skipped (they are
-    neighbours on the same sheet).  Returns (min_distance, (i, j)).
-    """
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(points)
-    k_eff = min(k + 1, len(points))
-    dists, idx = tree.query(points, k=k_eff)
-    best = np.inf
-    pair = (-1, -1)
-    for col in range(1, k_eff):
-        d = dists[:, col]
-        j = idx[:, col]
-        p_dist = np.linalg.norm(params - params[j], axis=1)
-        ok = p_dist >= exclusion
-        if np.any(ok):
-            m = np.argmin(np.where(ok, d, np.inf))
-            if d[m] < best and ok[m]:
-                best = float(d[m])
-                pair = (int(m), int(j[m]))
-    return best, pair
-
-
 def embed_bound(spec):
     """The closed-form embeddedness bound on ell, nan where it is undefined
     (xi = 0); ell <= embed_bound(spec) is false there."""
@@ -151,6 +124,9 @@ def check_embedded(surface, u, n_samples=10000, seed=0, exclusion_cells=3,
     run when the bound fails, or on request) samples the graph surface over
     two theta-periods and searches for image points that are close despite
     being more than `exclusion_cells` grid cells apart in parameter space.
+    The search is exact within the collision threshold: info's
+    min_separation is the closest such pair's distance when it is at most
+    the threshold, and inf when no such pair lies within it.
 
     Returns (verdict, info) with verdict in {"certified", "sampled-ok",
     "not-certified"}.
@@ -162,6 +138,23 @@ def check_embedded(surface, u, n_samples=10000, seed=0, exclusion_cells=3,
     if certified and not force_sample:
         return "certified", info
 
+    threshold = collision_margin * float(np.exp(-abs(spec.lam) * 3.0 * np.pi))
+    min_d, pair = sampled_min_separation(
+        *_embed_samples(surface, u, n_samples, seed, exclusion_cells), radius=threshold)
+    info.update({"min_separation": min_d, "pair": pair, "threshold": threshold})
+    if min_d < threshold:
+        return "not-certified", info
+    return ("certified" if certified else "sampled-ok"), info
+
+
+def _embed_samples(surface, u, n_samples, seed, exclusion_cells):
+    """Random points of the graph surface over two theta-periods.
+
+    Returns (points, params, exclusion): the (n, 3) lab-frame points, their
+    (s, theta) parameters, and the parameter distance below which two
+    samples count as neighbours on the same sheet.
+    """
+    spec, g = surface.spec, surface.grid
     rng = np.random.default_rng(seed)
     s_samp = rng.uniform(-g.s_max, g.s_max, n_samples)
     t_samp = rng.uniform(-np.pi, 3.0 * np.pi, n_samples)
@@ -175,14 +168,7 @@ def check_embedded(surface, u, n_samples=10000, seed=0, exclusion_cells=3,
     nu = bent._gauged_normal(spec, s_col, t_col)
     pts = _lab_graph_points(spec, u_vals, s_col, t_col, nu)[:, 0, :]
     cell = max(g.h, 2.0 * np.pi / g.n_theta)
-    min_d, pair = sampled_min_separation(
-        pts, np.column_stack([s_samp, t_samp]), exclusion_cells * cell)
-    local = float(np.exp(-abs(spec.lam) * 3.0 * np.pi))
-    info.update({"min_separation": min_d, "pair": pair,
-                 "threshold": collision_margin * local})
-    if min_d < collision_margin * local:
-        return "not-certified", info
-    return ("certified" if certified else "sampled-ok"), info
+    return pts, np.column_stack([s_samp, t_samp]), exclusion_cells * cell
 
 
 # ---------------------------------------------------------------------------

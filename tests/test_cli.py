@@ -105,6 +105,10 @@ class TestCommands:
         r = run_cli("check-embed", "--ns", "128", "--ntheta", "16")
         assert r.returncode == 0
         assert "certified" in r.stdout
+        # the search is exact up to the collision threshold, so a clear
+        # sample reports the threshold as a lower bound, not a number
+        assert ("sampled min separation: > 0.0991 (no far pair within the "
+                "collision threshold)") in r.stdout.splitlines()
 
     def test_export(self, tmp_path):
         out = tmp_path / "exp"
@@ -192,14 +196,12 @@ with tempfile.TemporaryDirectory() as out:
 """
 
 
-# an in-process solve and export alone
-_SOLVE_EXPORT = """
-import tempfile
-from spiralforge import cli
-grid = ["--ns", "128", "--ntheta", "8", "--mesh-resolution", "16"]
-with tempfile.TemporaryDirectory() as out:
-    for command in ("solve", "export"):
-        assert cli.main([command, *grid, "--out", out]) == 0, command
+# a sampled tube injectivity audit alone
+_INJECTIVITY = """
+from spiralforge import SpiralSpec, tube
+spec = SpiralSpec.from_invariants(1.0, 0.0, 0.05, 0.01)
+radius = tube.tube_radius(spec, 0.9 * tube.injectivity_margin(spec))
+assert tube.check_injectivity(spec, radius, n_samples=1000)[0] == "injective-sample"
 """
 
 
@@ -210,11 +212,15 @@ with tempfile.TemporaryDirectory() as out:
     # CLI start-up, so a run that loads the whole pipeline must load neither
     pytest.param(_PIPELINE, "scipy.integrate", id="scipy.integrate"),
     pytest.param(_PIPELINE, "scipy.interpolate", id="scipy.interpolate"),
-    # solve and export take LAPACK from scipy's compiled wrappers alone: no
+    # the pipeline takes LAPACK from scipy's compiled wrappers alone: no
     # sparse matrices, and not scipy.linalg's package, whose import loads
-    # scipy's array-API shim (scipy._lib) with numpy.f2py and numpy.testing
-    pytest.param(_SOLVE_EXPORT, "scipy.sparse", id="solve-export-scipy.sparse"),
-    pytest.param(_SOLVE_EXPORT, "scipy._lib", id="solve-export-scipy._lib"),
+    # scipy's array-API shim (scipy._lib) with numpy.f2py and numpy.testing;
+    # the embeddedness audits search pairs in numpy, not with scipy.spatial,
+    # which loads all of these
+    pytest.param(_PIPELINE, "scipy.sparse", id="scipy.sparse"),
+    pytest.param(_PIPELINE, "scipy._lib", id="scipy._lib"),
+    pytest.param(_PIPELINE, "scipy.spatial", id="scipy.spatial"),
+    pytest.param(_INJECTIVITY, "scipy", id="injectivity-scipy"),
     # the package namespace is lazy; spiral tables and rejected input need
     # numpy only
     pytest.param("import spiralforge", "scipy", id="package-scipy"),

@@ -133,3 +133,90 @@ class TestInjectivity:
         spec = SpiralSpec.from_invariants(1.0, 0.0, 1.0, 0.01)
         with pytest.raises(ValueError):
             tube.check_injectivity(spec, -1.0)
+
+
+def brute_pairs(points, radius, block=256):
+    """Blocked brute force: {(i, j): distance} over every pair i < j within
+    radius, distances formed as near_pairs forms them."""
+    found = {}
+    for s in range(0, len(points), block):
+        d = np.sqrt(((points[s:s + block, None] - points[None]) ** 2).sum(axis=-1))
+        for i, j in zip(*np.nonzero(d <= radius)):
+            if s + i < j:
+                found[(s + i, j)] = d[i, j]
+    return found
+
+
+def brute_min_separation(points, params, exclusion, radius, block=256):
+    """Blocked brute force: the closest pair within radius whose parameters
+    are at least exclusion apart, inf when there is none."""
+    best = np.inf
+    for s in range(0, len(points), block):
+        d = np.sqrt(((points[s:s + block, None] - points[None]) ** 2).sum(axis=-1))
+        far = np.linalg.norm(params[s:s + block, None] - params[None], axis=-1) >= exclusion
+        best = min(best, d[far & (d <= radius)].min(initial=np.inf))
+    return best
+
+
+class TestPairSearch:
+    def test_two_sheets_exact_where_sixteen_neighbours_miss(self):
+        # two parallel, densely sampled sheets 0.1 apart: every point has 16
+        # same-sheet neighbours closer than the other sheet, so a 16-nearest-
+        # neighbour search sees no far pair at all
+        rng = np.random.default_rng(12)
+        n, gap = 400, 0.1
+        xy = rng.uniform(0.0, 0.35, (2 * n, 2))
+        sheet = np.repeat([0.0, 1.0], n)
+        pts = np.column_stack([xy, gap * sheet])
+        params = np.column_stack([xy, 10.0 * sheet])
+        for half in (xy[:n], xy[n:]):
+            same = np.sqrt(((half[:, None] - half[None]) ** 2).sum(axis=-1))
+            assert np.sort(same, axis=1)[:, 16].max() < gap
+        # below the gap: no far pair, as the oracle agrees
+        assert brute_min_separation(pts, params, 2.0, 0.05) == np.inf
+        assert tube.sampled_min_separation(pts, params, 2.0, 0.05) == (np.inf, (-1, -1))
+        # above it: the closest cross-sheet pair, exactly
+        md, (i, j) = tube.sampled_min_separation(pts, params, 2.0, 0.11)
+        assert md == brute_min_separation(pts, params, 2.0, 0.11)
+        assert gap <= md <= 0.11 and sheet[i] != sheet[j]
+        assert np.sqrt(((pts[i] - pts[j]) ** 2).sum()) == md
+
+    def test_spread_far_beyond_radius(self):
+        # points spread over 1e12 searched at radius 1e-6: 1e18 cells per
+        # axis would overflow a combined int64 cell key; tight clusters near
+        # the origin and around far centres give the pairs to find
+        rng = np.random.default_rng(5)
+        centres = rng.uniform(-5e11, 5e11, (150, 3))
+        centres[:50] = rng.uniform(-1e-5, 1e-5, (50, 3))
+        pts = np.repeat(centres, 3, axis=0) + rng.uniform(-6e-7, 6e-7, (450, 3))
+        got = {}
+        for i, j, d in tube.near_pairs(pts, 1e-6):
+            for a, b, dist in zip(i, j, d):
+                assert (min(a, b), max(a, b)) not in got
+                got[(min(a, b), max(a, b))] = dist
+        want = brute_pairs(pts, 1e-6)
+        assert len(want) > 50
+        assert got == want
+
+    @pytest.mark.parametrize("block", [7, tube.PAIR_BLOCK])
+    def test_every_pair_once(self, monkeypatch, block):
+        # 4^3 cubes of side 0.25: pairs cross every kind of cube face, edge
+        # and corner; blocks of 7 are far smaller than one cube's candidates
+        monkeypatch.setattr(tube, "PAIR_BLOCK", block)
+        pts = np.random.default_rng(8).uniform(0.0, 1.0, (300, 3))
+        got = [(min(a, b), max(a, b), dist) for i, j, d in tube.near_pairs(pts, 0.2)
+               for a, b, dist in zip(i, j, d)]
+        assert len(got) == len(set(got))
+        assert {(a, b): dist for a, b, dist in got} == brute_pairs(pts, 0.2)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_radius(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            next(tube.near_pairs(np.zeros((4, 3)), radius))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points(self, bad):
+        pts = np.zeros((4, 3))
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tube.sampled_min_separation(pts, np.zeros((4, 1)), 1.0, 0.5)

@@ -102,6 +102,22 @@ class TestEmbeddedness:
         assert verdict == "certified"
         assert info["min_separation"] > 10 * info["threshold"]
 
+    def test_margin_of_the_sample(self, demo_solve):
+        # the audit searches only up to its threshold; the same exact search
+        # on the same samples shows the margin beyond it.  No far pair lies
+        # within 5 thresholds.  Within 10 lie same-sheet pairs just past the
+        # exclusion radius (0.589 in parameters, 0.584 in space), so the
+        # margin shows with the exclusion doubled: no other sheet within 10
+        _, ws, state = demo_solve
+        u = solver._graph_function(ws, state).values
+        threshold = 0.1 * np.exp(-abs(ws.spec.lam) * 3.0 * np.pi)
+        pts, params, exclusion = verify._embed_samples(ws.surface, u, 10000, 1, 3)
+        none = (np.inf, (-1, -1))
+        assert verify.sampled_min_separation(
+            pts, params, exclusion, radius=5 * threshold) == none
+        assert verify.sampled_min_separation(
+            pts, params, 2 * exclusion, radius=10 * threshold) == none
+
     def test_beyond_bound_sampled_ok(self):
         # small growth rate: the certified bound drops below ell = 32, but
         # the surface is still embedded and sampling confirms it
@@ -139,7 +155,7 @@ class TestEmbeddedness:
         pts = np.column_stack([np.cos(t) / denom,
                                np.sin(t) * np.cos(t) / denom, z])
         md, pair = verify.sampled_min_separation(
-            pts, np.column_stack([t, z]), exclusion=0.5)
+            pts, np.column_stack([t, z]), exclusion=0.5, radius=0.1)
         assert md < 0.02
         t1, t2 = t[pair[0]], t[pair[1]]
         assert abs(abs(t1 - t2) - np.pi) < 0.5  # the two crossing branches
@@ -150,7 +166,7 @@ class TestEmbeddedness:
         z = rng.uniform(0.0, 1.0, 3000)
         pts = np.column_stack([np.cos(t), np.sin(t), z])
         md, _ = verify.sampled_min_separation(
-            pts, np.column_stack([t, z]), exclusion=0.5)
+            pts, np.column_stack([t, z]), exclusion=0.5, radius=0.1)
         assert md > 0.1
 
 
