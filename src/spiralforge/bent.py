@@ -23,10 +23,11 @@ field appears it is the covariant one, d_theta + delta * R.
 
 Vector fields are held component-major, shape (3,) + grid shape, and the
 geometry is written as elementwise dot and cross products of their
-components.  The functions returning a `Jet` (normalized_jet, graph_jet,
-graph_variation, variation_from_derivatives) or a (..., 3) array
-(_gauged_normal_bundle, _gauged_normal, bent_point) move the component
-axis last at their boundary; the Q operator never packs a Jet.
+components.  The functions returning a `Jet` (normalized_jet, bent_jet,
+graph_jet, graph_variation, variation_from_derivatives) or a (..., 3)
+array (_gauged_normal_bundle, bent_point, graph_point) move the component
+axis last at their boundary; the Q operator never packs a Jet.  Lab points
+go through tube.frame_point, the one evaluation of the tube map.
 
 The straightening profile u0 solves Q = 0 for theta-independent graphs over
 G with the trivial generator, by a chord iteration on the solver's own m = 0
@@ -44,6 +45,7 @@ from .jets import Jet, jet_from_arrays
 from .helicoid import StabilityModes
 from .numerics import Grid, theta_derivative
 from .spirals import SpiralSpec
+from .tube import frame_point
 
 # slots of a second-order jet, in jet_from_arrays order
 _SLOTS = ("a1", "a2", "a11", "a22", "a12")
@@ -72,12 +74,10 @@ def _last(vec):
     return np.moveaxis(vec, 0, -1)
 
 
-def _pack(*slots, third=None):
+def _pack(*slots):
     """C-contiguous Jet from component-major slots (first partials, then
     11, 22, 12)."""
-    last = lambda a: np.ascontiguousarray(_last(a))
-    return jet_from_arrays(*map(last, slots),
-                           third=None if third is None else [last(a) for a in third])
+    return jet_from_arrays(*(np.ascontiguousarray(_last(a)) for a in slots))
 
 
 def _same_ndim(s, theta):
@@ -90,7 +90,7 @@ def _same_ndim(s, theta):
 
 
 def _circ(theta):
-    """c(theta) and c'(theta), component-major; c'' = -c, c''' = -c'."""
+    """c(theta) and c'(theta), component-major; c'' = -c."""
     sin, cos, zero = np.sin(theta), np.cos(theta), np.zeros_like(theta)
     return np.stack([sin, cos, zero]), np.stack([cos, -sin, zero])
 
@@ -115,110 +115,56 @@ def _first_brackets(spec, s, theta):
     return e3 + sh * q1, ch * c0, (sh, ch, c0, c1, e3, q1)
 
 
-def _brackets(spec, first, order):
+def _brackets(spec, first):
     """Periodic bracket vectors of the normalized jet of G, component-major,
     from first = _first_brackets(spec, s, theta)."""
     a1, a2, (sh, ch, c0, c1, e3, q1) = first
     b = spec.b_mat
-    out = {
+    return {
         "a1": a1,
         "a2": a2,
         "a11": _apply(b, e3) + sh * (_apply(b, q1) + _apply(b, c1) - c0),
         "a22": sh * c0,
         "a12": ch * q1,
     }
-    if order >= 3:
-        b2 = b @ b
-        w3 = _apply(b2 @ b, c0) + 3.0 * _apply(b2, c1) - 3.0 * _apply(b, c0) - c1
-        out["a111"] = _apply(b2, e3) + sh * w3
-        out["a112"] = ch * (_apply(b2, c0) + 2.0 * _apply(b, c1) - c0)
-        out["a122"] = sh * q1
-        out["a222"] = ch * c0
-    return out
 
 
-def normalized_jet(spec, s, theta, order=2):
+def normalized_jet(spec, s, theta):
     """Jet of G with every slot pulled back by e^{-lam theta} R(theta).
 
     All components are 2 pi-periodic in theta in closed form; slot order is
     (theta, s).
     """
-    br = _brackets(spec, _first_brackets(spec, s, theta), order)
-    third = None
-    if order >= 3:
-        third = (br["a111"], br["a112"], br["a122"], br["a222"])
-    return _pack(*(br[k] for k in _SLOTS), third=third)
+    br = _brackets(spec, _first_brackets(spec, s, theta))
+    return _pack(*(br[k] for k in _SLOTS))
 
 
-def _gauge(spec, theta):
-    """P(theta) = e^{lam theta} E(theta); its inverse undoes the gauge."""
+def bent_jet(spec, s, theta):
+    """Lab-frame jet of G = M o F, the normalized jet pushed forward by
+    P(theta) = e^{lam theta} E(theta); slot order (theta, s)."""
+    tilde = normalized_jet(spec, s, theta)
     theta = np.asarray(theta, dtype=float)
-    return np.exp(spec.lam * theta)[..., None, None] * spec.frame(theta)
-
-
-def bent_jet(spec, s, theta, order=2):
-    """Lab-frame jet of G = M o F; slot order (theta, s), order <= 3."""
-    tilde = normalized_jet(spec, s, theta, order)
-    p = _gauge(spec, theta)
+    p = np.exp(spec.lam * theta)[..., None, None] * spec.frame(theta)
     apply_p = lambda a: np.einsum("...ij,...kj->...ki", p, a)
-    d3 = None if tilde.d3 is None else apply_p(tilde.d3)
-    return Jet(apply_p(tilde.d1), apply_p(tilde.d2), d3)
+    return Jet(apply_p(tilde.d1), apply_p(tilde.d2))
 
 
 def bent_point(spec, s, theta):
-    """G(s, theta), shape broadcast(s, theta) + (3,).
+    """G(s, theta), shape broadcast(s, theta) + (3,): the tube map of
+    sinh(s) c(theta) at height theta."""
+    s, theta = _same_ndim(s, theta)
+    return _last(frame_point(spec, theta, np.sinh(s) * _circ(theta)[0]))
 
-    The frame depends on theta alone, so it is evaluated once per theta
-    value and broadcast along s.
+
+def graph_point(spec, s, theta, u, nu):
+    """Lab points of the normal graph by e^{lam theta} u over G, shape
+    broadcast(s, theta, u) + (3,).
+
+    nu is the gauged unit normal at the same points, component-major: a
+    normal bundle's "nu" or _gauged_normal.
     """
     s, theta = _same_ndim(s, theta)
-    c0, _ = _circ(theta)
-    p_c0 = np.einsum("...ij,j...->i...", _gauge(spec, theta), c0)
-    return _last(np.moveaxis(spec.gamma(theta), -1, 0) + np.sinh(s) * p_c0)
-
-
-def reference_jet(delta_xi, s, theta, order=2):
-    """Analytic jet of the straight-axis reference immersion.
-
-    The reference surface is (e^{lam theta} sin theta sinh s,
-    e^{lam theta} cos theta sinh s, (e^{lam theta} - 1) / lam) with
-    lam = delta_xi; the vertical component is translation-adjusted so the
-    lam -> 0 limit is the helicoid itself, exactly.
-    """
-    lam = float(delta_xi)
-    s, theta = np.broadcast_arrays(np.asarray(s, float), np.asarray(theta, float))
-    sh, ch = np.sinh(s), np.cosh(s)
-    grow = np.exp(lam * theta)
-    v = np.stack([grow * np.sin(theta), grow * np.cos(theta)], axis=-1)
-    m2 = np.array([[lam, 1.0], [-1.0, lam]])
-    v1 = v @ m2.T
-    v2 = v1 @ m2.T
-    zero = np.zeros_like(s)
-
-    pack = lambda pair, vert: np.stack([pair[..., 0], pair[..., 1], vert], axis=-1)
-    g_t = pack(v1 * sh[..., None], grow)
-    g_s = pack(v * ch[..., None], zero)
-    g_tt = pack(v2 * sh[..., None], lam * grow)
-    g_ss = pack(v * sh[..., None], zero)
-    g_ts = pack(v1 * ch[..., None], zero)
-    third = None
-    if order >= 3:
-        v3 = v2 @ m2.T
-        g_ttt = pack(v3 * sh[..., None], lam * lam * grow)
-        g_tts = pack(v2 * ch[..., None], zero)
-        g_tss = pack(v1 * sh[..., None], zero)
-        g_sss = pack(v * ch[..., None], zero)
-        third = (g_ttt, g_tts, g_tss, g_sss)
-    return jet_from_arrays(g_t, g_s, g_tt, g_ss, g_ts, third=third)
-
-
-def reference_point(delta_xi, s, theta):
-    lam = float(delta_xi)
-    s, theta = np.broadcast_arrays(np.asarray(s, float), np.asarray(theta, float))
-    grow = np.exp(lam * theta)
-    vert = np.expm1(lam * theta) / lam if lam != 0.0 else theta + 0.0
-    return np.stack([grow * np.sin(theta) * np.sinh(s),
-                     grow * np.cos(theta) * np.sinh(s), vert], axis=-1)
+    return _last(frame_point(spec, theta, np.sinh(s) * _circ(theta)[0] + u * nu))
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +236,10 @@ def _gauged_normal_bundle(spec, s, theta):
 
 
 def _gauged_normal(spec, s, theta):
-    """The gauged unit normal alone, (..., 3): the "nu" of _gauged_normal_bundle."""
+    """The gauged unit normal alone, component-major: the "nu" of _normal_bundle."""
     a1, a2, _ = _first_brackets(spec, s, theta)
     n, r = _unnormalized_normal(a1, a2)
-    return _last(n / r)
+    return n / r
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +396,7 @@ class BentSurface:
         self.ch2 = np.cosh(g.s)[:, None] ** 2
         s_col, t_row = g.s[:, None], g.theta[None, :]
         first = _first_brackets(spec, s_col, t_row)
-        self.brackets = _brackets(spec, first, order=2)
+        self.brackets = _brackets(spec, first)
         self.normals = _normal_bundle(spec, first)
         # recorded conformality margin: 1 - min aspect ~ delta (|R| + |xi|)
         *_, aspect = _first_form(self.brackets["a1"], self.brackets["a2"])

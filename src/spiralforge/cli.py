@@ -307,7 +307,7 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(cfg)
-    except (RejectedParametersError, ValueError) as exc:
+    except (RejectedParametersError, ValueError, OverflowError) as exc:
         print(f"error: parameters rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     except NoProfileError as exc:

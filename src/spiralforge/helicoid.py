@@ -28,44 +28,63 @@ from .numerics import BandedLU, derivative_matrix, theta_derivative
 _CUT_BREAKPOINTS = (-2.0, -5.0 / 3.0, -4.0 / 3.0, -1.0, 1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0)
 
 
-def helicoid_jet(s, theta, order=2):
-    """Analytic jet of the helicoid; slot order (theta, s), order <= 3."""
+def reference_jet(delta_xi, s, theta):
+    """Analytic jet of the straight-axis reference immersion.
+
+    The reference surface is (e^{lam theta} sin theta sinh s,
+    e^{lam theta} cos theta sinh s, (e^{lam theta} - 1) / lam) with
+    lam = delta_xi; the vertical component is translation-adjusted so the
+    lam -> 0 limit is the helicoid itself, exactly.
+    """
+    lam = float(delta_xi)
     s, theta = np.broadcast_arrays(np.asarray(s, float), np.asarray(theta, float))
     sh, ch = np.sinh(s), np.cosh(s)
-    sn, cs = np.sin(theta), np.cos(theta)
-    one, zero = np.ones_like(s), np.zeros_like(s)
+    grow = np.exp(lam * theta)
+    v = np.stack([grow * np.sin(theta), grow * np.cos(theta)], axis=-1)
+    m2 = np.array([[lam, 1.0], [-1.0, lam]])
+    v1 = v @ m2.T
+    v2 = v1 @ m2.T
+    zero = np.zeros_like(s)
 
-    f_t = np.stack([sh * cs, -sh * sn, one], axis=-1)
-    f_s = np.stack([ch * sn, ch * cs, zero], axis=-1)
-    f_tt = np.stack([-sh * sn, -sh * cs, zero], axis=-1)
-    f_ss = np.stack([sh * sn, sh * cs, zero], axis=-1)
-    f_ts = np.stack([ch * cs, -ch * sn, zero], axis=-1)
-    third = None
-    if order >= 3:
-        f_ttt = np.stack([-sh * cs, sh * sn, zero], axis=-1)
-        f_tts = np.stack([-ch * sn, -ch * cs, zero], axis=-1)
-        f_tss = np.stack([sh * cs, -sh * sn, zero], axis=-1)
-        f_sss = np.stack([ch * sn, ch * cs, zero], axis=-1)
-        third = (f_ttt, f_tts, f_tss, f_sss)
-    return jet_from_arrays(f_t, f_s, f_tt, f_ss, f_ts, third=third)
+    pack = lambda pair, vert: np.stack([pair[..., 0], pair[..., 1], vert], axis=-1)
+    g_t = pack(v1 * sh[..., None], grow)
+    g_s = pack(v * ch[..., None], zero)
+    g_tt = pack(v2 * sh[..., None], lam * grow)
+    g_ss = pack(v * sh[..., None], zero)
+    g_ts = pack(v1 * ch[..., None], zero)
+    return jet_from_arrays(g_t, g_s, g_tt, g_ss, g_ts)
+
+
+def reference_point(delta_xi, s, theta):
+    lam = float(delta_xi)
+    s, theta = np.broadcast_arrays(np.asarray(s, float), np.asarray(theta, float))
+    grow = np.exp(lam * theta)
+    vert = np.expm1(lam * theta) / lam if lam != 0.0 else theta + 0.0
+    return np.stack([grow * np.sin(theta) * np.sinh(s),
+                     grow * np.cos(theta) * np.sinh(s), vert], axis=-1)
+
+
+def helicoid_jet(s, theta):
+    """Analytic jet of the helicoid F, the reference immersion at lam = 0;
+    slot order (theta, s)."""
+    return reference_jet(0.0, s, theta)
 
 
 def helicoid_point(s, theta):
-    s, theta = np.broadcast_arrays(np.asarray(s, float), np.asarray(theta, float))
-    return np.stack([np.sinh(s) * np.sin(theta), np.sinh(s) * np.cos(theta),
-                     theta], axis=-1)
+    return reference_point(0.0, s, theta)
 
 
 def gauss_map(s, theta):
     """Unit normal of F and the conformal factor of its Gauss map.
 
     Returns (nu, factor) with factor = 1 / cosh^4(s); the pullback of the
-    round metric under nu equals factor times the metric of F.
+    round metric under nu equals factor times the metric of F.  The bounded
+    kernel elements are the normal's components: nu = (-k_x, k_y, k_z).
     """
     s, theta = np.broadcast_arrays(np.asarray(s, float), np.asarray(theta, float))
-    sech = 1.0 / np.cosh(s)
-    nu = np.stack([-np.cos(theta) * sech, np.sin(theta) * sech, np.tanh(s)], axis=-1)
-    return nu, sech ** 4
+    nu = np.stack([-kernel_fn("x", s, theta), kernel_fn("y", s, theta),
+                   kernel_fn("z", s, theta)], axis=-1)
+    return nu, (1.0 / np.cosh(s)) ** 4
 
 
 def kernel_fn(which, s, theta):

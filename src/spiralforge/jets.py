@@ -1,10 +1,10 @@
 """Jet-level differential geometry of immersed surfaces in R^3.
 
-A jet bundles the first and second (optionally third) partial derivatives of
-a map R^2 -> R^3 at a point.  The quantities computed here -- conformality
-ratio, unit normal, mean curvature -- are homogeneous in the jet, which is
-what makes the Taylor-remainder machinery at the bottom of this module work:
-the k-th directional derivative of a degree-d quantity is degree d - k, so
+A jet bundles the first and second partial derivatives of a map R^2 -> R^3
+at a point.  The quantities computed here -- conformality ratio, unit
+normal, mean curvature -- are homogeneous in the jet, which is what makes
+the Taylor-remainder machinery at the bottom of this module work: the k-th
+directional derivative of a degree-d quantity is degree d - k, so
 remainders along a variation scale like the (k+1)-st power of its size.
 
 Conventions
@@ -14,7 +14,6 @@ Conventions
   order the induced normal of the standard helicoid points along -e_x at the
   origin and has vertical component tanh(s).
 * ``d2`` has shape (..., 4, 3) ordered (11, 22, 12, 21).
-* ``d3``, when present, has shape (..., 4, 3) ordered (111, 112, 122, 222).
 * Mean curvature is the trace of the shape operator (sum of principal
   curvatures) with respect to the normal d1[0] x d1[1] / |.|; the graph of
   the upper unit hemisphere, packed with slots (x, y), gets H = -2.
@@ -36,43 +35,31 @@ ASPECT_FLOOR = 1e-10
 class Jet:
     d1: np.ndarray
     d2: np.ndarray
-    d3: np.ndarray = None
 
     def __add__(self, other):
-        d3 = None
-        if self.d3 is not None and other.d3 is not None:
-            d3 = self.d3 + other.d3
-        return Jet(self.d1 + other.d1, self.d2 + other.d2, d3)
+        return Jet(self.d1 + other.d1, self.d2 + other.d2)
 
     def scaled(self, c):
-        return Jet(c * self.d1, c * self.d2, None if self.d3 is None else c * self.d3)
+        return Jet(c * self.d1, c * self.d2)
 
     def rotated(self, rot):
         """Apply a 3x3 matrix to every slot (broadcasts over batch dims)."""
         apply = lambda a: np.einsum("ij,...kj->...ki", rot, a)
-        return Jet(apply(self.d1), apply(self.d2),
-                   None if self.d3 is None else apply(self.d3))
+        return Jet(apply(self.d1), apply(self.d2))
 
     def norm(self):
         """Euclidean norm of all stored components."""
-        total = np.sum(self.d1 ** 2, axis=(-2, -1)) + np.sum(self.d2 ** 2, axis=(-2, -1))
-        if self.d3 is not None:
-            total = total + np.sum(self.d3 ** 2, axis=(-2, -1))
-        return np.sqrt(total)
+        return np.sqrt(np.sum(self.d1 ** 2, axis=(-2, -1))
+                       + np.sum(self.d2 ** 2, axis=(-2, -1)))
 
 
 # A variation has the same component layout as a jet but need not be immersed.
 Variation = Jet
 
 
-def jet_from_arrays(g1, g2, g11, g22, g12, g21=None, third=None):
+def jet_from_arrays(g1, g2, g11, g22, g12):
     """Pack partials (slot order: 1 then 2) into a Jet, broadcasting batch dims."""
-    if g21 is None:
-        g21 = g12
-    d1 = np.stack([g1, g2], axis=-2)
-    d2 = np.stack([g11, g22, g12, g21], axis=-2)
-    d3 = None if third is None else np.stack(third, axis=-2)
-    return Jet(d1, d2, d3)
+    return Jet(np.stack([g1, g2], axis=-2), np.stack([g11, g22, g12, g12], axis=-2))
 
 
 def metric(jet):

@@ -177,6 +177,12 @@ class SpiralSpec:
             kappa0 = tau0 = 0.0
         else:
             kappa0, tau0 = matrix_invariants(r)
+            # gamma divides by lam^2 + mu^2, the squared growth and rotation
+            # rates; below the smallest normal float the curve is nan or inf
+            lam, mu = self.lam, self.delta * self.r_norm
+            if not lam * lam + mu * mu >= np.finfo(float).tiny:
+                raise ValueError(f"delta = {self.delta:g} is too small: (delta xi)^2 "
+                                 f"+ (delta |R|)^2 underflows")
         object.__setattr__(self, "kappa0", kappa0)
         object.__setattr__(self, "tau0", tau0)
         object.__setattr__(self, "rho0", float(np.hypot(kappa0, tau0)))

@@ -19,15 +19,26 @@ import math
 import numpy as np
 
 
+def frame_point(spec, z, vec):
+    """gamma(z) + e^{lam z} E(z) vec: the one evaluation of the tube map.
+
+    vec is component-major, shape (3,) + a grid shape that z broadcasts
+    against at equal ndim; so is the result.  The frame and gamma are
+    evaluated at z alone, so a row of theta values broadcast along s costs
+    one frame per value.
+    """
+    z = np.asarray(z, dtype=float)
+    frame = np.moveaxis(spec.frame(z), (-2, -1), (0, 1))
+    rotated = frame[:, 0] * vec[0] + frame[:, 1] * vec[1] + frame[:, 2] * vec[2]
+    return np.moveaxis(spec.gamma(z), -1, 0) + np.exp(spec.lam * z) * rotated
+
+
 def tube_map(spec, x, y, z):
-    """Image of (x, y, z); broadcasts over array inputs."""
+    """Image of (x, y, z), shape broadcast(x, y, z) + (3,)."""
     x, y, z = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float),
                                   np.asarray(z, float))
-    frame = spec.frame(z)
-    growth = np.exp(spec.lam * z)
-    return (spec.gamma(z)
-            + growth[..., None] * (x[..., None] * frame[..., :, 0]
-                                   + y[..., None] * frame[..., :, 1]))
+    vec = np.stack([x, y, np.zeros_like(x)])
+    return np.moveaxis(frame_point(spec, z, vec), 0, -1)
 
 
 def tube_jacobian(spec, x, y, z):

@@ -61,27 +61,6 @@ def weighted_norm(u, grid, rho=0.75, k=0):
     return float(np.max(weight[:, None] * total))
 
 
-# ---------------------------------------------------------------------------
-# graph-surface evaluation in the lab frame
-# ---------------------------------------------------------------------------
-
-def _lab_graph_points(spec, u_plus_u0, s_col, t_row, nu):
-    """Points of the normal graph by e^{lam theta}(u + u0) in the lab frame.
-
-    nu is the gauged unit normal at the same (s, theta) points, shape
-    (..., 3): bent._gauged_normal, or a BentSurface's normals["nu"] with its
-    component axis moved last.  The frame depends on theta only, so it is
-    evaluated once per theta value and broadcast along s.
-    """
-    t_row = np.asarray(t_row, dtype=float)
-    frame = np.moveaxis(spec.frame(t_row), (-2, -1), (0, 1))
-    nu = np.moveaxis(nu, -1, 0)
-    nu_lab = frame[:, 0] * nu[0] + frame[:, 1] * nu[1] + frame[:, 2] * nu[2]
-    w = np.exp(spec.lam * t_row) * u_plus_u0
-    base = np.moveaxis(bent.bent_point(spec, s_col, t_row), -1, 0)
-    return np.moveaxis(base + w * nu_lab, 0, -1)
-
-
 def check_self_similarity(surface, u):
     """Relative defect of G_w(s, theta + 2 pi) = scale * rot * G_w(s, theta).
 
@@ -93,14 +72,12 @@ def check_self_similarity(surface, u):
     s_col, t_row = g.s[:, None], g.theta[None, :]
     utot = u + surface.u0[:, None]
     t_next = t_row + 2.0 * np.pi
-    nu_next = bent._gauged_normal(spec, s_col, t_next)
-    nu = np.moveaxis(surface.normals["nu"], 0, -1)
-    # component-major views of the (..., 3) points
-    x1 = np.moveaxis(_lab_graph_points(spec, utot, s_col, t_row, nu), -1, 0)
-    x2 = np.moveaxis(_lab_graph_points(spec, utot, s_col, t_next, nu_next), -1, 0)
+    x1 = bent.graph_point(spec, s_col, t_row, utot, surface.normals["nu"])
+    x2 = bent.graph_point(spec, s_col, t_next, utot,
+                          bent._gauged_normal(spec, s_col, t_next))
     scale, rot = spec.similarity()
-    image = scale * np.tensordot(rot, x1, axes=1)
-    gauge = np.exp(-spec.lam * g.theta)
+    image = scale * np.einsum("ij,...j->...i", rot, x1)
+    gauge = np.exp(-spec.lam * g.theta)[:, None]
     defect = np.abs(x2 - image) * gauge
     denom = np.abs(x1 * gauge).max()
     return float(defect.max() / denom)
@@ -163,10 +140,9 @@ def _embed_samples(surface, u, n_samples, seed, exclusion_cells):
     # then evaluate each row's trigonometric interpolant at its own angle.
     utot = u + surface.u0[:, None]
     rows = lagrange_resample(g.s, utot, s_samp)
-    s_col, t_col = s_samp[:, None], t_samp[:, None]
-    u_vals = trig_interpolate(rows, t_col)
-    nu = bent._gauged_normal(spec, s_col, t_col)
-    pts = _lab_graph_points(spec, u_vals, s_col, t_col, nu)[:, 0, :]
+    u_vals = trig_interpolate(rows, t_samp[:, None])[:, 0]
+    pts = bent.graph_point(spec, s_samp, t_samp, u_vals,
+                           bent._gauged_normal(spec, s_samp, t_samp))
     cell = max(g.h, 2.0 * np.pi / g.n_theta)
     return pts, np.column_stack([s_samp, t_samp]), exclusion_cells * cell
 
@@ -216,11 +192,10 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
         normals = bent._normal_bundle(spec, first)
         # mean curvature: the solver's Q (aspect guard included), then undo
         # the gauge factors
-        q = bent.graph_q(spec.lam, bent._brackets(spec, first, order=2),
+        q = bent.graph_q(spec.lam, bent._brackets(spec, first),
                          normals, ch2, [d[blk] for d in derivs])
         h_abs = np.abs(q) / (np.exp(spec.lam * t_row) * ch2)
-        x = _lab_graph_points(spec, u_mesh[blk], s_col, t_row,
-                              np.moveaxis(normals["nu"], 0, -1))
+        x = bent.graph_point(spec, s_col, t_row, u_mesh[blk], normals["nu"])
         for p in range(periods):
             cols = slice(p * n_tm, (p + 1) * n_tm)
             vertices[blk, cols] = x if p == 0 else (scale ** p) * np.einsum(

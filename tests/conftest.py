@@ -4,6 +4,17 @@ import pytest
 from spiralforge import solver, spirals
 from spiralforge.numerics import fd_weights
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # the same draws on every run, with no per-example deadline and no
+    # example database, so the suite stays deterministic and bounded
+    settings.register_profile("spiralforge", derandomize=True, deadline=None,
+                              database=None, max_examples=100)
+    settings.load_profile("spiralforge")
+
 # nine-point central stencils for curve derivatives up to third order
 _OFF = np.arange(-4, 5)
 _W = fd_weights(_OFF.astype(float), 0.0, 3)

@@ -139,6 +139,15 @@ class TestCommands:
     (["solve", "--tol", "0"], "tol"),
     (["solve", "--tol", "-1"], "tol"),
     (["solve", "--max-iter", "0"], "max_iter"),
+    # finite but overflowing the spiral's closed forms
+    (["spiral", "--xi", "1e200"], "rejected"),
+    (["spiral", "--kappa0", "1e300"], "rejected"),
+    (["spiral", "--delta", "1e300"], "rejected"),
+    # so small that gamma's denominator (delta xi)^2 + (delta |R|)^2 underflows
+    (["spiral", "--delta", "1e-170"], "delta"),
+    (["spiral", "--delta", "1e-160"], "delta"),
+    (["solve", "--delta", "1e-170"], "delta"),
+    (["solve", "--delta", "1e-160"], "delta"),
 ])
 def test_bad_input_rejected_at_boundary(argv, key, tmp_path, capsys):
     if "--config" in argv:
@@ -149,6 +158,13 @@ def test_bad_input_rejected_at_boundary(argv, key, tmp_path, capsys):
         argv = [*argv[:i], str(cfg), *argv[i + 1:]]
     assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_REJECTED
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
+
+def test_smallest_normal_rates_print_finite_gamma(capsys):
+    # (delta xi)^2 + (delta |R|)^2 = 8e-308 is just above the smallest normal float
+    assert cli.main(["spiral", "--delta", "2e-154"]) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[-9:]
+    assert all(np.isfinite(float(row.split()[-1])) for row in rows)
 
 
 def test_smallest_accepted_mesh_exports(tmp_path):

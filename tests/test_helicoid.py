@@ -39,15 +39,6 @@ class TestHelicoidJet:
         t = rng.uniform(-np.pi, np.pi, 100)
         assert np.abs(jets.mean_curvature(helicoid_jet(s, t))).max() < 1e-12
 
-    def test_third_order_vs_fd(self):
-        s0, t0, h = 0.6, 1.1, 1e-2
-        j = helicoid_jet(s0, t0, order=3)
-        fd = (helicoid_jet(s0, t0 + h, order=2).d2
-              - helicoid_jet(s0, t0 - h, order=2).d2) / (2 * h)
-        # theta-derivative of (tt, ss, ts, st) rows = (ttt, tss, tts, tts)
-        assert np.abs(fd[0] - j.d3[0]).max() < 1e-4
-        assert np.abs(fd[1] - j.d3[2]).max() < 1e-4
-
 
 class TestGaussMap:
     def test_base_point(self):

@@ -16,9 +16,9 @@ EXPORTS = {
     "tube": ["check_injectivity", "max_embed_ell", "tube_jacobian", "tube_map",
              "tube_radius"],
     "helicoid": ["gauss_map", "helicoid_jet", "kernel_fn", "kernel_pairing",
-                 "stability_apply", "substitute_fn", "substitute_image"],
-    "bent": ["BentSurface", "GraphFunction", "bent_jet", "normalized_jet",
-             "reference_jet", "solve_u0"],
+                 "reference_jet", "stability_apply", "substitute_fn",
+                 "substitute_image"],
+    "bent": ["BentSurface", "GraphFunction", "bent_jet", "normalized_jet", "solve_u0"],
     "solver": ["SolverState", "Workspace", "linear_solve", "meridian_split",
                "invert_mean", "orthogonalize", "invert_perp", "psi_step",
                "solve_minimal"],

@@ -348,7 +348,7 @@ class TestSolveMinimal:
         # alone.  Away from the substitute band, where the oracle's own
         # spline differentiation is accurate, the surface must be minimal.
         from scipy.interpolate import CubicSpline
-        from spiralforge import bent, helicoid, jets, verify
+        from spiralforge import bent, helicoid, jets
         from spiralforge.cutoffs import even_cutoff
         from spiralforge.numerics import trig_interpolate
 
@@ -368,9 +368,9 @@ class TestSolveMinimal:
 
         def points(ds, dt):
             ss, th = g.s + ds, g.theta + dt
-            nu = bent._gauged_normal_bundle(spec, ss[:, None], th[None, :])["nu"]
-            return verify._lab_graph_points(spec, graph_u(ss, th),
-                                            ss[:, None], th[None, :], nu)
+            nu = bent._gauged_normal(spec, ss[:, None], th[None, :])
+            return bent.graph_point(spec, ss[:, None], th[None, :],
+                                    graph_u(ss, th), nu)
 
         h = 2e-3
         c1 = np.array([-1, 9, -45, 0, 45, -9, 1.0]) / (60 * h)

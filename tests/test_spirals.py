@@ -234,6 +234,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SpiralSpec(frenet_generator(1.0, 0.0), -1.0, 0.0)
 
+    def test_underflowing_rates_rejected(self):
+        # gamma divides by (delta xi)^2 + (delta |R|)^2, which must stay a
+        # normal float; the trivial generator has no such denominator
+        for delta in (1e-170, 1e-160):
+            with pytest.raises(ValueError, match="delta"):
+                SpiralSpec.from_invariants(1.0, 0.0, 1.0, delta)
+        spec = SpiralSpec.from_invariants(1.0, 0.0, 1.0, 2e-154)
+        assert np.all(np.isfinite(spec.gamma(np.linspace(-10.0, 10.0, 9))))
+        assert SpiralSpec(np.zeros((3, 3)), 1e-170, 1.0, allow_trivial=True).trivial
+
     def test_rho_equals_rotation_rate(self):
         # |omega| = rho0 identically: every constant generator drives a frame
         # that is Frenet up to one rigid rotation

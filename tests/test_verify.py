@@ -60,10 +60,9 @@ class TestSelfSimilarity:
         spec, g = ws.surface.spec, ws.grid
         s_col, t_row = g.s[:, None], g.theta[None, :]
         u0 = ws.surface.u0[:, None] * np.ones((1, g.n_theta))
-        nu_next = bent._gauged_normal_bundle(spec, s_col, t_row + 2 * np.pi)["nu"]
-        x1 = verify._lab_graph_points(spec, u0, s_col, t_row,
-                                      np.moveaxis(ws.surface.normals["nu"], 0, -1))
-        x2 = verify._lab_graph_points(spec, u0, s_col, t_row + 2 * np.pi, nu_next)
+        nu_next = bent._gauged_normal(spec, s_col, t_row + 2 * np.pi)
+        x1 = bent.graph_point(spec, s_col, t_row, u0, ws.surface.normals["nu"])
+        x2 = bent.graph_point(spec, s_col, t_row + 2 * np.pi, u0, nu_next)
         offset = np.array([5.0, 0.0, 0.0])
         scale, rot = spec.similarity()
         gauge = np.exp(-spec.lam * g.theta)[None, :, None]
