@@ -95,9 +95,9 @@ def unit_normal(jet):
     return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
-def second_fundamental(jet, normal=None):
+def second_fundamental(jet):
     """Components (A11, A22, A12, A21) of the second fundamental form."""
-    nu = unit_normal(jet) if normal is None else normal
+    nu = unit_normal(jet)
     return tuple(np.einsum("...i,...i->...", jet.d2[..., k, :], nu) for k in range(4))
 
 
@@ -137,7 +137,7 @@ def _path_step(jet, variation):
     return min(max(1e-3 * jn / en, 1e-7), 0.05)
 
 
-def _check_path(phi_fn, jet, variation, lo, hi):
+def _check_path(jet, variation, lo, hi):
     for sigma in np.linspace(lo, hi, 41):
         probe = jet + variation.scaled(sigma)
         try:
@@ -148,16 +148,12 @@ def _check_path(phi_fn, jet, variation, lo, hi):
             raise InvalidVariationError(f"path leaves immersion set at sigma={sigma:.3f}")
 
 
-def directional_derivative(phi, jet, variation, order, step=None):
+def directional_derivative(phi_fn, jet, variation, order, h):
     """FD directional derivative d^k/dsigma^k Phi(jet + sigma * variation) at 0.
 
-    Symmetric nine-point stencil, so the accuracy order is at least 4 for
-    every k <= 3 used here.
+    Symmetric nine-point stencil of step h > 0, so the accuracy order is at
+    least 4 for every k <= 3 used here.
     """
-    phi_fn = _resolve_quantity(phi)
-    h = _path_step(jet, variation) if step is None else step
-    if h == 0.0:
-        return 0.0
     offsets = np.arange(-4, 5)
     wts = fd_weights(offsets * h, 0.0, order)[:, order]
     vals = [phi_fn(jet + variation.scaled(k * h)) for k in offsets]
@@ -175,10 +171,10 @@ def taylor_remainder(phi, jet, variation, k):
     if float(variation.norm()) == 0.0:
         return 0.0
     h = _path_step(jet, variation)
-    _check_path(phi_fn, jet, variation, -4.0 * h, 1.0)
+    _check_path(jet, variation, -4.0 * h, 1.0)
     total = float(phi_fn(jet + variation)) - float(phi_fn(jet))
     for i in range(1, k + 1):
-        total -= directional_derivative(phi_fn, jet, variation, i, step=h) / math.factorial(i)
+        total -= directional_derivative(phi_fn, jet, variation, i, h) / math.factorial(i)
     return total
 
 
@@ -193,7 +189,7 @@ def taylor_remainder_integral(phi, jet, variation, k, n_quad=48):
     if float(variation.norm()) == 0.0:
         return 0.0
     h = _path_step(jet, variation)
-    _check_path(phi_fn, jet, variation, -4.0 * h, 1.0 + 4.0 * h)
+    _check_path(jet, variation, -4.0 * h, 1.0 + 4.0 * h)
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     sig = 0.5 * (nodes + 1.0)
     offsets = np.arange(-4, 5)

@@ -1,11 +1,12 @@
 """Linear inverse of the flattened stability operator and the fixed-point map.
 
-The inhomogeneous term splits into its meridian mean and a remainder with
-zero average on every meridian circle.  The mean is inverted by direct
-integration (an explicit double quadrature whose output vanishes to second
-order at s = 0); the remainder is first orthogonalized against the bounded
-kernel by subtracting multiples of the substitute images w_x, w_y, then
-inverted mode by mode with banded direct solves under zero Dirichlet data.
+The inhomogeneous term is inverted one theta mode at a time.  The mean
+(m = 0) is inverted by direct integration (realized with the grid stencils,
+its output vanishing to second order at s = 0).  The bounded kernel, the
+horizontal translations cos(theta)/cosh(s) and sin(theta)/cosh(s), lives in
+m = 1 alone: there the kernel content is removed by subtracting a multiple of
+the substitute images' mode-1 coefficient.  Every mode m >= 1 is then
+inverted by a banded direct solve under zero Dirichlet data.
 
 One step of the fixed-point map evaluates the bent-surface operator Q at the
 current graph, cuts it off so it vanishes at the domain boundary, and feeds
@@ -32,13 +33,6 @@ class SolverState:
     v: np.ndarray
     b_x: float
     b_y: float
-
-
-def meridian_split(e):
-    """(mean profile, zero-average remainder); the mean uses the 1/(2 pi)
-    normalization so that the two parts sum back to e exactly."""
-    e_bar = e.mean(axis=1)
-    return e_bar, e - e_bar[:, None]
 
 
 def invert_mean(e_bar, grid):
@@ -89,24 +83,18 @@ class Workspace:
 
         self.psi = even_cutoff(np.arccosh(ell / 2.0), np.arccosh(ell / 4.0), g.s)[0]
         self.psi_outer = even_cutoff(np.arccosh(ell), np.arccosh(ell / 2.0), g.s)[0]
-        self.kappa_x = kernel_fn("x", s_col, t_row)
-        self.kappa_y = kernel_fn("y", s_col, t_row)
+        kappa_x = kernel_fn("x", s_col, t_row)
+        kappa_y = kernel_fn("y", s_col, t_row)
         ux, self.w_x = substitute("x", s_col, t_row)
         uy, self.w_y = substitute("y", s_col, t_row)
         self.ux_fn, self.uy_fn = GraphFunction(*ux), GraphFunction(*uy)
 
         self.modes = StabilityModes(g, n_theta // 2)
-        self._gauge_x = self.kappa_x / np.sqrt(self.inner_flat(self.kappa_x, self.kappa_x))
-        self._gauge_y = self.kappa_y / np.sqrt(self.inner_flat(self.kappa_y, self.kappa_y))
+        self._gauge_x = kappa_x / np.sqrt(self.inner_flat(kappa_x, kappa_x))
+        self._gauge_y = kappa_y / np.sqrt(self.inner_flat(kappa_y, kappa_y))
         self.kernel_profile = self._near_null_profile()
-        t = g.theta[None, :]
-        self.kernel_x = self.kernel_profile[:, None] * np.cos(t)
-        self.kernel_y = self.kernel_profile[:, None] * np.sin(t)
-        self.gram_discrete = np.array(
-            [[self.inner_flat(self.kernel_x, self.w_x),
-              self.inner_flat(self.kernel_x, self.w_y)],
-             [self.inner_flat(self.kernel_y, self.w_x),
-              self.inner_flat(self.kernel_y, self.w_y)]])
+        # mode-1 coefficient of w_x; that of w_y is -1j times it
+        self.w_hat1 = np.fft.rfft(self.w_x, axis=1)[:, 1]
         self.interior = g.interior_mask()
 
     def _near_null_profile(self):
@@ -114,11 +102,11 @@ class Workspace:
 
         The m = 1 matrix has one eigenvalue of size O(1/ell^2) whose left
         eigenvector is the grid realization of the bounded kernel profile
-        1/cosh(s); orthogonalizing inhomogeneous terms against *this* vector
-        (rather than the continuum profile under some quadrature) is what
-        keeps the mode solve bounded: the O(h^2) gap between the two,
-        amplified by the inverse of the small eigenvalue, would otherwise
-        dominate the solution.
+        1/cosh(s); projecting the mode-1 coefficient of inhomogeneous terms
+        against *this* vector (rather than the continuum profile under some
+        quadrature) is what keeps the mode solve bounded: the O(h^2) gap
+        between the two, amplified by the inverse of the small eigenvalue,
+        would otherwise dominate the solution.
         """
         g = self.grid
         x = 1.0 / np.cosh(g.s)
@@ -152,56 +140,31 @@ class Workspace:
         return (g.d2 @ v + theta_derivative(v, order=2)
                 + self.modes.potential[:, None] * v)
 
-def orthogonalize(ws, e_ring):
-    """Remove the kernel content of a zero-meridian-average term.
-
-    Returns (e_perp, b_x, b_y) with e_perp = e_ring - b_x w_x - b_y w_y
-    orthogonal to the horizontal kernel of the discrete operator, so that
-    the subsequent near-singular m = 1 solves stay bounded.  The pairing
-    uses the uniform grid product (exact on theta modes) against the
-    discrete kernel vectors; projections onto the continuum kernel functions
-    then vanish to discretization order.  The vertical kernel element is
-    theta-independent, so meridian averaging already annihilated it.
-    """
-    rhs = np.array([ws.inner_flat(e_ring, ws.kernel_x),
-                    ws.inner_flat(e_ring, ws.kernel_y)])
-    b = np.linalg.solve(ws.gram_discrete, rhs)
-    e_perp = e_ring - b[0] * ws.w_x - b[1] * ws.w_y
-    return e_perp, float(b[0]), float(b[1])
-
-
-def invert_perp(ws, e_perp):
-    """Mode-by-mode banded solve with zero Dirichlet data at s = +-s_max.
-
-    The mean mode must already have been removed; kernel content along the
-    horizontal translations must already be orthogonalized away, otherwise
-    the m = 1 systems amplify it by the inverse of their smallest (near
-    zero) eigenvalue.
-    """
-    g = ws.grid
-    eh = np.fft.rfft(e_perp, axis=1)
-    out = np.zeros_like(eh)
-    for m in range(1, g.n_theta // 2 + 1):
-        rhs = eh[:, m].copy()
-        rhs[0] = rhs[-1] = 0.0
-        sol = ws.modes.lu[m].solve(np.column_stack([rhs.real, rhs.imag]))
-        out[:, m] = sol[:, 0] + 1j * sol[:, 1]
-    return np.fft.irfft(out, n=g.n_theta, axis=1)
-
 
 def linear_solve(ws, e):
     """Total inverse: v with cosh^2 L v = e - b_x w_x - b_y w_y on the grid.
 
-    Mean channel by the discrete direct-integration solve (same
-    normalization as invert_mean, but stencil-exact); ring channel by
-    orthogonalization plus per-mode solves.  The defining identity holds on
-    interior rows to rounding.
+    One pass over the theta modes of e.  Mode 0 is the discrete
+    direct-integration solve (same normalization as invert_mean, but
+    stencil-exact).  Mode 1 loses beta times w_x's coefficient, where
+    beta = b_x - 1j b_y makes the remainder orthogonal to the discrete
+    kernel profile; kernel content left in would be amplified by the
+    inverse of the m = 1 system's near-zero eigenvalue.  Every mode m >= 1
+    is solved with zero Dirichlet data at s = +-s_max.  The defining
+    identity holds on interior rows to rounding.
     """
-    e_bar, e_ring = meridian_split(e)
-    v_bar = ws.modes.solve_mean(e_bar)
-    e_perp, b_x, b_y = orthogonalize(ws, e_ring)
-    v = invert_perp(ws, e_perp) + v_bar[:, None]
-    return v, b_x, b_y
+    g = ws.grid
+    eh = np.fft.rfft(e, axis=1)
+    kp = ws.kernel_profile
+    beta = (kp @ eh[:, 1]) / (kp @ ws.w_hat1)
+    eh[:, 1] -= beta * ws.w_hat1
+    eh[:, 0] = g.n_theta * ws.modes.solve_mean(e.mean(axis=1))
+    for m in range(1, g.n_theta // 2 + 1):
+        rhs = eh[:, m]
+        rhs[0] = rhs[-1] = 0.0
+        sol = ws.modes.lu[m].solve(np.column_stack([rhs.real, rhs.imag]))
+        eh[:, m] = sol[:, 0] + 1j * sol[:, 1]
+    return np.fft.irfft(eh, n=g.n_theta, axis=1), float(beta.real), float(-beta.imag)
 
 
 def _graph_function(ws, state):
@@ -211,7 +174,7 @@ def _graph_function(ws, state):
     inverse is built from, so the inverse reproduces it exactly and the
     cutoff-band stencil error cancels through the round trip.  The substitute
     functions carry analytic derivatives, matching the analytic images used
-    in the orthogonalization; differencing them instead would feed the
+    in the kernel projection; differencing them instead would feed the
     cutoff's aliased derivatives into the b-coefficients and destabilize the
     iteration.
     """

@@ -163,6 +163,7 @@ class SpiralSpec:
     kappa0: float = field(init=False)
     tau0: float = field(init=False)
     rho0: float = field(init=False)
+    anchor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         r = np.asarray(self.r_mat, dtype=float)
@@ -186,6 +187,7 @@ class SpiralSpec:
         object.__setattr__(self, "kappa0", kappa0)
         object.__setattr__(self, "tau0", tau0)
         object.__setattr__(self, "rho0", float(np.hypot(kappa0, tau0)))
+        object.__setattr__(self, "anchor", self._anchor())
 
     @classmethod
     def from_invariants(cls, kappa0, tau0, xi, delta):
@@ -258,8 +260,17 @@ class SpiralSpec:
         return (np.multiply.outer(i0, e3) + np.multiply.outer(i_sin, v1)
                 + np.multiply.outer(i0 - i_cos, v2))
 
-    def _normal_form_frames(self):
-        """Frenet columns [T, N, B] at z = 0 for the raw and normal-form curves."""
+    def _anchor(self):
+        """Translation gamma(0) aligning the curve with its normal form.
+
+        Maps the normal-form start point through the Frenet columns [T, N, B]
+        at z = 0 of the normal-form and of the raw curve.  With this anchor
+        |gamma(z)| equals the closed-form axis norm of the normal-form spiral,
+        and the one-period similarity acts about the origin with no
+        translation part, for every antisymmetric generator.
+        """
+        if self.trivial:
+            return np.zeros(3)
         e3 = np.array([0.0, 0.0, 1.0])
         n_raw = self.r_mat @ e3 / self.kappa0
         fr_raw = np.column_stack([e3, n_raw, np.cross(e3, n_raw)])
@@ -268,19 +279,6 @@ class SpiralSpec:
         t_hat = np.array([p.a, p.c, p.b]) / a1
         n_hat = np.array([-p.c, p.a, 0.0]) / np.hypot(p.a, p.c)
         fr_hat = np.column_stack([t_hat, n_hat, np.cross(t_hat, n_hat)])
-        return fr_raw, fr_hat, p, a1
-
-    @property
-    def anchor(self):
-        """Translation gamma(0) aligning the curve with its normal form.
-
-        With this anchor |gamma(z)| equals the closed-form axis norm of the
-        normal-form spiral, and the one-period similarity acts about the
-        origin with no translation part (for Frenet generators).
-        """
-        if self.trivial:
-            return np.zeros(3)
-        fr_raw, fr_hat, p, a1 = self._normal_form_frames()
         if abs(p.a) < _EPS_A:
             start = np.array([1.0, 0.0, 0.0]) / a1
         else:
@@ -292,15 +290,14 @@ class SpiralSpec:
 
     def similarity(self):
         """(scale, rotation) of the one-period action gamma(z + 2 pi) =
-        scale * rotation @ gamma(z); exact for Frenet generators."""
+        scale * rotation @ gamma(z), exact for every antisymmetric generator."""
         return float(np.exp(2.0 * np.pi * self.lam)), self.frame(2.0 * np.pi)
 
     def similarity_defect(self):
         """Norm of the translation left over by the one-period similarity.
 
-        Zero (to roundoff) when the frame is the Frenet frame of the curve;
-        nonzero generators twist relative to Frenet and break the pure
-        dilation-rotation form.
+        Zero to roundoff for every antisymmetric generator: the one-period
+        map of the anchored curve is a pure dilation-rotation about the origin.
         """
         scale, rot = self.similarity()
         g0 = self.gamma(0.0)

@@ -19,9 +19,8 @@ EXPORTS = {
                  "reference_jet", "stability_apply", "substitute_fn",
                  "substitute_image"],
     "bent": ["BentSurface", "GraphFunction", "bent_jet", "normalized_jet", "solve_u0"],
-    "solver": ["SolverState", "Workspace", "linear_solve", "meridian_split",
-               "invert_mean", "orthogonalize", "invert_perp", "psi_step",
-               "solve_minimal"],
+    "solver": ["SolverState", "Workspace", "linear_solve", "invert_mean",
+               "psi_step", "solve_minimal"],
     "verify": ["Mesh", "SolveReport", "check_embedded", "check_self_similarity",
                "export_mesh", "weighted_norm"],
 }

@@ -97,30 +97,6 @@ print(float(np.abs(x - want).max() / np.abs(want).max()))
     assert float(err) < 1e-13
 
 
-class TestMeridianSplit:
-    def test_pure_ring(self):
-        g = Grid(32.0, 64, 16)
-        e = np.cos(g.theta)[None, :] * np.ones((65, 1))
-        bar, ring = solver.meridian_split(e)
-        assert np.abs(bar).max() < 1e-15
-        assert np.abs(ring - e).max() < 1e-15
-
-    def test_pure_mean(self):
-        g = Grid(32.0, 64, 16)
-        e = np.tanh(g.s)[:, None] * np.ones((1, 16))
-        bar, ring = solver.meridian_split(e)
-        assert np.abs(bar - np.tanh(g.s)).max() < 1e-15
-        assert np.abs(ring).max() < 1e-15
-
-    def test_split_is_exact_and_zero_average(self):
-        g = Grid(32.0, 64, 16)
-        rng = np.random.default_rng(0)
-        e = rng.standard_normal((65, 16))
-        bar, ring = solver.meridian_split(e)
-        assert np.abs(bar[:, None] + ring - e).max() < 1e-15
-        assert np.abs(ring.mean(axis=1)).max() < 1e-13
-
-
 class TestInvertMean:
     def test_zero(self):
         g = Grid(32.0, 128, 16)
@@ -179,53 +155,33 @@ class TestInvertMean:
 
 
 class TestOrthogonalize:
-    def test_substitute_image_extracts_unit(self, ws):
-        e_perp, bx, by = solver.orthogonalize(ws, ws.w_x)
-        assert abs(bx - 1.0) < 1e-12
-        assert abs(by) < 1e-12
-        assert np.abs(e_perp).max() < 1e-12
+    """The kernel projection on mode 1 inside linear_solve."""
 
     def test_linear_combination(self, ws):
         e = 3.0 * ws.w_x - 2.0 * ws.w_y
-        _, bx, by = solver.orthogonalize(ws, e)
+        _, bx, by = solver.linear_solve(ws, e)
         assert abs(bx - 3.0) < 1e-10
         assert abs(by + 2.0) < 1e-10
 
     def test_projections_vanish(self, ws):
-        _, ring = solver.meridian_split(smooth_rhs(ws.grid))
-        e_perp, _, _ = solver.orthogonalize(ws, ring)
-        # exact against the kernel the solve actually needs; the pairing
-        # against the continuum profile differs by the quadrature of the
-        # substitute image's cutoff band, which is not a small quantity
-        assert abs(ws.inner_flat(e_perp, ws.kernel_x)) < 1e-10
-        assert abs(ws.inner_flat(e_perp, ws.kernel_y)) < 1e-10
+        # an independent oracle in physical space: what remains after the
+        # substitute images are removed pairs to zero with the discrete
+        # kernel the solve needs; the pairing against the continuum profile
+        # differs by the quadrature of the substitute image's cutoff band,
+        # which is not a small quantity
+        g = ws.grid
+        e = smooth_rhs(g)
+        _, bx, by = solver.linear_solve(ws, e)
+        e_perp = e - bx * ws.w_x - by * ws.w_y
+        for trig in (np.cos, np.sin):
+            kernel = ws.kernel_profile[:, None] * trig(g.theta)[None, :]
+            assert abs(ws.inner_flat(e_perp, kernel)) < 1e-10
 
     def test_already_orthogonal(self, ws):
         g = ws.grid
         e = np.cos(2 * g.theta)[None, :] / np.cosh(g.s)[:, None]
-        e_perp, bx, by = solver.orthogonalize(ws, e)
+        _, bx, by = solver.linear_solve(ws, e)
         assert abs(bx) < 1e-13 and abs(by) < 1e-13
-        assert np.abs(e_perp - e).max() < 1e-12
-
-
-class TestInvertPerp:
-    def test_zero(self, ws):
-        out = solver.invert_perp(ws, np.zeros((257, 32)))
-        assert np.abs(out).max() == 0.0
-
-    def test_manufactured_roundtrip(self, ws):
-        # start from a smooth periodic u with zero boundary values, push it
-        # through the discrete operator, orthogonalize, invert: up to kernel
-        # content the result reproduces u
-        g = ws.grid
-        u = (1 - (g.s[:, None] / g.s_max) ** 2) ** 2 * (
-            np.cos(2 * g.theta)[None, :] * np.exp(-g.s[:, None] ** 2))
-        e = ws.apply_operator(u)
-        e_bar, e_ring = solver.meridian_split(e)
-        e_perp, _, _ = solver.orthogonalize(ws, e_ring)
-        v = solver.invert_perp(ws, e_perp)
-        resid = ws.apply_operator(v) - e_perp
-        assert np.abs(resid[1:-1, :]).max() < 1e-9
 
 
 class TestLinearSolve:
@@ -244,10 +200,29 @@ class TestLinearSolve:
         assert abs(b2y - 2 * b1y) < 1e-12
 
     def test_substitute_rhs_gives_no_v(self, ws):
-        v, bx, by = solver.linear_solve(ws, ws.w_x)
-        assert abs(bx - 1.0) < 1e-12
-        assert np.abs(v - v[:, :1]).max() < 1e-10  # only a mean-mode remnant
-        assert np.abs(v).max() < 1e-10
+        for image, want in ((ws.w_x, (1.0, 0.0)), (ws.w_y, (0.0, 1.0))):
+            v, bx, by = solver.linear_solve(ws, image)
+            assert abs(bx - want[0]) < 1e-12
+            assert abs(by - want[1]) < 1e-12
+            assert np.abs(v - v[:, :1]).max() < 1e-10  # only a mean-mode remnant
+            assert np.abs(v).max() < 1e-10
+
+    def test_zero(self, ws):
+        v, bx, by = solver.linear_solve(ws, np.zeros((257, 32)))
+        assert np.abs(v).max() == 0.0
+        assert bx == 0.0 and by == 0.0
+
+    def test_manufactured_roundtrip(self, ws):
+        # start from a smooth periodic u with zero mean and zero boundary
+        # values, push it through the discrete operator and invert: up to
+        # kernel content the result reproduces u
+        g = ws.grid
+        u = (1 - (g.s[:, None] / g.s_max) ** 2) ** 2 * (
+            np.cos(2 * g.theta)[None, :] * np.exp(-g.s[:, None] ** 2))
+        e = ws.apply_operator(u)
+        v, _, _ = solver.linear_solve(ws, e)
+        resid = ws.apply_operator(v) - e
+        assert np.abs(resid[1:-1, :]).max() < 1e-9
 
 
 class TestPsiStep:

@@ -215,9 +215,13 @@ class TestGamma:
         rhs = np.exp(2 * np.pi * spec.xi / spec.rho0) * spec.gamma(z)
         assert rel_err(lhs, rhs) < 1e-9
 
-    def test_frenet_anchor_has_no_translation_defect(self):
-        for kappa0, tau0, xi in [(1, 0, 1), (1.3, 0.7, 1.1), (0.8, -0.5, 0.6)]:
-            spec = SpiralSpec.from_invariants(kappa0, tau0, xi, 0.01)
+    def test_anchor_has_no_translation_defect(self):
+        # Frenet-aligned and arbitrary antisymmetric generators alike
+        specs = [SpiralSpec.from_invariants(kappa0, tau0, xi, 0.01)
+                 for kappa0, tau0, xi in [(1, 0, 1), (1.3, 0.7, 1.1), (0.8, -0.5, 0.6)]]
+        specs += [SpiralSpec(skew(w), 0.01, xi) for w, xi in [
+            ([0.4, 0.9, 0.3], 1.0), ([-1.2, 0.1, 0.7], 0.6), ([0.05, -0.3, 1.1], -0.9)]]
+        for spec in specs:
             assert spec.similarity_defect() < 1e-10
 
 
