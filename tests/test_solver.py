@@ -157,6 +157,13 @@ class TestInvertMean:
 class TestOrthogonalize:
     """The kernel projection on mode 1 inside linear_solve."""
 
+    def test_substitute_image_extracts_unit(self, ws):
+        _, bx, by = solver.linear_solve(ws, ws.w_x)
+        assert abs(bx - 1.0) < 1e-12
+        assert abs(by) < 1e-12
+        e_perp = ws.w_x - bx * ws.w_x - by * ws.w_y
+        assert np.abs(e_perp).max() < 1e-12
+
     def test_linear_combination(self, ws):
         e = 3.0 * ws.w_x - 2.0 * ws.w_y
         _, bx, by = solver.linear_solve(ws, e)
