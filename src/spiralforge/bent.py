@@ -49,6 +49,8 @@ from .tube import frame_point
 
 # slots of a second-order jet, in jet_from_arrays order
 _SLOTS = ("a1", "a2", "a11", "a22", "a12")
+# u0's domain gate: arccosh(ell) <= PROFILE_GATE * (delta |xi|)^(-1/4)
+PROFILE_GATE = 1.5
 
 
 def _dot(a, b):
@@ -448,7 +450,7 @@ class BentSurface:
 # the straightening profile u0
 # ---------------------------------------------------------------------------
 
-def solve_u0(delta_xi, ell, n=512, tol=1e-11, max_iter=40, eps0=1.5):
+def solve_u0(delta_xi, ell, n=512, tol=1e-11, max_iter=40):
     """Odd profile u0(s) making the reference immersion's normal graph minimal.
 
     The reference immersion is G over the trivial generator (a straight
@@ -476,10 +478,11 @@ def solve_u0(delta_xi, ell, n=512, tol=1e-11, max_iter=40, eps0=1.5):
     s_max = float(np.arccosh(ell))
     if lam == 0.0:
         return U0Profile(np.linspace(-s_max, s_max, n + 1), np.zeros(n + 1), 0.0, 0, 0.0)
-    if s_max > eps0 * abs(lam) ** -0.25:
+    bound = PROFILE_GATE * abs(lam) ** -0.25
+    if s_max > bound:
         raise RejectedParametersError(
             f"profile domain arccosh(ell) = {s_max:.3f} exceeds "
-            f"{eps0:g} * (delta |xi|)^(-1/4) = {eps0 * abs(lam) ** -0.25:.3f}")
+            f"{PROFILE_GATE:g} * (delta |xi|)^(-1/4) = {bound:.3f}")
     flat = BentSurface(SpiralSpec(np.zeros((3, 3)), 1.0, lam, allow_trivial=True),
                        ell, n, 1, u0=np.zeros(n + 1))
     modes = StabilityModes(flat.grid, 0)

@@ -51,7 +51,6 @@ class RunConfig:
     n_theta: int = 64
     tol: float = 1e-9
     max_iter: int = 50
-    damping: float = 1.0
     seed: int = 0
     output_dir: str = "."
     # optional explicit generator (off-diagonal entries); overrides kappa0/tau0
@@ -59,8 +58,6 @@ class RunConfig:
     r13: float = None
     r23: float = None
     alpha: float = 0.5
-    eps1: float = 0.2
-    delta0: float = 0.1
     mesh_resolution: int = 64
     periods: int = 1
     n_samples: int = 10000
@@ -91,8 +88,6 @@ class RunConfig:
         if self.mesh_resolution < _STENCIL_POINTS:
             raise ValueError(f"mesh_resolution = {self.mesh_resolution} rejected: the "
                              f"fourth-order stencils need at least {_STENCIL_POINTS}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping = {self.damping:g} must lie in (0, 1]")
         if self.periods < 1:
             raise ValueError(f"periods = {self.periods} must be at least 1")
         if self.seed < 0:
@@ -175,7 +170,7 @@ def cmd_spiral(cfg):
     from . import tube
 
     spec = cfg.spec()
-    params, scale = invariants_to_spiral(cfg.kappa0, cfg.tau0, cfg.xi)
+    params, scale = invariants_to_spiral(spec.kappa0, spec.tau0, spec.xi)
     print(f"generator invariants: kappa0 = {spec.kappa0:.12g}, "
           f"tau0 = {spec.tau0:.12g}, rho0 = {spec.rho0:.12g}")
     print(f"normal form: a = {params.a:.12g}, b = {params.b:.12g}, "
@@ -202,8 +197,7 @@ def _solve(cfg):
 
     report, ws, state = solver.solve_minimal(
         cfg.spec(), cfg.ell, n_s=cfg.n_s, n_theta=cfg.n_theta, tol=cfg.tol,
-        max_iter=cfg.max_iter, damping=cfg.damping, eps1=cfg.eps1,
-        delta0=cfg.delta0)
+        max_iter=cfg.max_iter)
     return report, ws.surface, solver._graph_function(ws, state).values
 
 
@@ -281,7 +275,6 @@ def build_parser():
         q.add_argument("--ntheta", type=int, dest="n_theta")
         q.add_argument("--tol", type=float)
         q.add_argument("--max-iter", type=int, dest="max_iter")
-        q.add_argument("--damping", type=float)
         q.add_argument("--seed", type=int)
         q.add_argument("--alpha", type=float)
         q.add_argument("--periods", type=int)

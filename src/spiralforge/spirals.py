@@ -121,15 +121,24 @@ def matrix_invariants(r_mat):
     computes B' . N, i.e. minus the standard torsion).
     """
     r_mat = np.asarray(r_mat, dtype=float)
+    bad = r_mat[~np.isfinite(r_mat)]
+    if bad.size:
+        raise ValueError(f"generator entry {bad[0]} must be finite")
     scale = max(np.abs(r_mat).max(), 1.0)
-    if np.abs(r_mat + r_mat.T).max() > 1e-12 * scale:
-        raise ValueError("generator must be antisymmetric")
     e3 = np.array([0.0, 0.0, 1.0])
-    re3 = r_mat @ e3
-    kappa0 = float(np.linalg.norm(re3))
-    if kappa0 <= 1e-14 * scale:
-        raise ValueError("degenerate axis: R e_3 = 0 gives a straight line")
-    tau0 = -float(np.dot(np.cross(e3, r_mat @ re3), re3)) / kappa0 ** 2
+    # tau0 takes a cube of the entries; an overflow is an error here, not a warning
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            if np.abs(r_mat + r_mat.T).max() > 1e-12 * scale:
+                raise ValueError("generator must be antisymmetric")
+            re3 = r_mat @ e3
+            kappa0 = float(np.linalg.norm(re3))
+            if kappa0 <= 1e-14 * scale:
+                raise ValueError("degenerate axis: R e_3 = 0 gives a straight line")
+            tau0 = -float(np.dot(np.cross(e3, r_mat @ re3), re3)) / kappa0 ** 2
+        except (FloatingPointError, OverflowError):
+            raise ValueError(f"generator entries up to {scale:g} overflow its "
+                             f"invariants (kappa0, tau0)") from None
     return kappa0, tau0 + 0.0
 
 
@@ -168,9 +177,13 @@ class SpiralSpec:
     def __post_init__(self):
         r = np.asarray(self.r_mat, dtype=float)
         object.__setattr__(self, "r_mat", r)
+        for name, value in (("delta", self.delta), ("xi", self.xi)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} = {value} must be finite")
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
-        # matrix_invariants rejects a non-antisymmetric non-zero generator
+        # matrix_invariants rejects a non-finite, non-antisymmetric or
+        # overflowing non-zero generator
         if np.abs(r).max() == 0.0:
             if not self.allow_trivial:
                 raise ValueError("trivial generator: pass allow_trivial=True "

@@ -27,10 +27,10 @@ class SolveReport:
     embed_verdict: str
     self_similarity_defect: float
     runtime: float
-    converged: bool = True
-    zeta: float = float("nan")
-    iterations: int = 0
-    u0_c_hat: float = float("nan")
+    converged: bool
+    zeta: float
+    iterations: int
+    u0_c_hat: float
     config: dict = field(default_factory=dict)
 
 

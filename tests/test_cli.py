@@ -125,7 +125,7 @@ class TestCommands:
     (["solve", "--xi", "nan"], "xi"),
     (["solve", "--ell", "nan"], "ell"),
     (["solve", "--tol", "nan"], "tol"),
-    (["solve", "--damping", "0"], "damping"),
+    (["solve", "--config", "damping = 0.5"], "damping"),
     (["solve", "--ns", "0"], "n_s"),
     (["solve", "--ns", "4"], "n_s"),
     (["export", "--mesh-resolution", "1"], "mesh_resolution"),
@@ -148,6 +148,9 @@ class TestCommands:
     (["spiral", "--delta", "1e-160"], "delta"),
     (["solve", "--delta", "1e-170"], "delta"),
     (["solve", "--delta", "1e-160"], "delta"),
+    # the gates are constants of the solve, no longer config keys
+    (["solve", "--config", "eps1 = 0.2"], "eps1"),
+    (["solve", "--config", "delta0 = 0.1"], "delta0"),
 ])
 def test_bad_input_rejected_at_boundary(argv, key, tmp_path, capsys):
     if "--config" in argv:
@@ -161,6 +164,20 @@ def test_bad_input_rejected_at_boundary(argv, key, tmp_path, capsys):
     assert re.search(rf"\b{key}\b", err)
     # rejected before any output, even where the rejection is an overflow
     assert out == ""
+
+
+def test_spiral_normal_form_follows_explicit_generator(tmp_path, capsys):
+    # this generator's invariants are (kappa0, tau0) = (1, 0.5), whatever
+    # tau0 the configuration declares
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r12 = -0.5\nr13 = 1\nr23 = 0\n")
+    lines = []
+    for argv in (["--config", str(cfg)], ["--tau0", "0.5"]):
+        assert cli.main(["spiral", *argv]) == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        lines.append([ln for ln in out if ln.startswith("normal form:")])
+    assert lines[0] == lines[1]
+    assert "b = 0.75," in lines[0][0]
 
 
 def test_smallest_normal_rates_print_finite_gamma(capsys):

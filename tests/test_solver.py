@@ -295,12 +295,36 @@ class TestSolveMinimal:
     def test_gate_budget(self):
         spec = SpiralSpec.from_invariants(1.0, 0.0, 1.0, 5e-3)
         with pytest.raises(RejectedParametersError):
-            solver.solve_minimal(spec, 32.0, eps1=0.2)
+            solver.solve_minimal(spec, 32.0)
 
     def test_gate_delta_xi(self):
         spec = SpiralSpec.from_invariants(1.0, 0.0, 30.0, 5e-3)
         with pytest.raises(RejectedParametersError):
-            solver.solve_minimal(spec, 17.0, eps1=10.0)
+            solver.solve_minimal(spec, 17.0)
+
+    def test_gates_accept_the_stated_set(self):
+        # the stated gates: ell > 16, delta |xi| < 0.1 and the budget
+        # delta (1 + |R| + |xi|) ell <= 0.2; with ell > 16 the budget implies
+        # the delta |xi| gate, so it rejects every such spec by itself
+        for kappa0, tau0 in ((0.2, 0.1), (1.0, 0.0), (1.0, -0.6), (3.0, 2.0)):
+            for delta in (1e-4, 1e-3, 2.5e-3, 5e-3, 0.01, 0.05, 0.1, 0.2):
+                for xi in (-30.0, -1.0, 0.0, 0.5, 1.0, 3.0, 30.0, 100.0):
+                    spec = SpiralSpec.from_invariants(kappa0, tau0, xi, delta)
+                    for ell in (8.0, 16.0, 16.5, 17.0, 32.0, 64.0, 200.0):
+                        budget = delta * (1.0 + spec.r_norm + abs(xi)) * ell
+                        accept = ell > 16.0 and delta * abs(xi) < 0.1 and budget <= 0.2
+                        if accept:
+                            solver.check_gates(spec, ell)
+                            continue
+                        match = "must exceed 16" if ell <= 16.0 else "exceeds the gate 0.2"
+                        with pytest.raises(RejectedParametersError, match=match):
+                            solver.check_gates(spec, ell)
+
+    def test_coarse_grid_takes_the_full_step(self, demo_spec):
+        # the full step reaches the 16x8 fixed point in 4 steps
+        report, _, _ = solver.solve_minimal(demo_spec, 32.0, n_s=16, n_theta=8)
+        assert report.converged
+        assert report.iterations <= 5
 
     def test_final_q_consistency(self, demo_solve):
         # the reported residual is the interior sup of Q at the final state

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,33 @@ class TestSpecValidation:
         spec = SpiralSpec.from_invariants(1.0, 0.0, 1.0, 2e-154)
         assert np.all(np.isfinite(spec.gamma(np.linspace(-10.0, 10.0, 9))))
         assert SpiralSpec(np.zeros((3, 3)), 1e-170, 1.0, allow_trivial=True).trivial
+
+    @pytest.mark.parametrize("kappa0, tau0, xi, delta, match", [
+        (1e300, 0.0, 1.0, 1e-3, r"1e\+300 overflow"),
+        (1e200, 0.0, 1.0, 1e-3, r"1e\+200 overflow"),
+        (1.0, 0.0, np.inf, 1e-3, "xi = inf"),
+        (1.0, 0.0, np.nan, 1e-3, "xi = nan"),
+        (1.0, np.nan, 1.0, 1e-3, "entry nan"),
+        (np.nan, 0.0, 1.0, 1e-3, "entry nan"),
+        (1.0, np.inf, 1.0, 1e-3, "entry -inf"),
+        (1.0, 0.0, 1.0, np.nan, "delta = nan"),
+        (1.0, 0.0, 1.0, np.inf, "delta = inf"),
+    ])
+    def test_non_finite_or_overflowing_input_rejected(self, kappa0, tau0, xi,
+                                                      delta, match):
+        # named in a ValueError before any arithmetic can warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                SpiralSpec.from_invariants(kappa0, tau0, xi, delta)
+
+    def test_largest_rates_build_finite(self):
+        # tau0 takes a cube of the generator's entries: 1e100 still fits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = SpiralSpec.from_invariants(1e100, 0.0, 1.0, 1e-3)
+            assert np.all(np.isfinite(spec.gamma(np.linspace(-1.0, 1.0, 5))))
+        assert spec.kappa0 == 1e100 and spec.tau0 == 0.0
 
     def test_rho_equals_rotation_rate(self):
         # |omega| = rho0 identically: every constant generator drives a frame

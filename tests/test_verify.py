@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import tracemalloc
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -317,3 +318,10 @@ class TestReportText:
         assert a == b
         assert "runtime" not in a
         assert "final_interior_residual" in a
+
+
+def test_solve_report_fields_are_required():
+    # solve_minimal sets every field; no default can certify a report for it
+    optional = [f.name for f in fields(verify.SolveReport)
+                if f.default is not MISSING or f.default_factory is not MISSING]
+    assert optional == ["config"]
