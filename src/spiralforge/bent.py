@@ -23,15 +23,17 @@ field appears it is the covariant one, d_theta + delta * R.
 
 Vector fields are held component-major, shape (3,) + grid shape, and the
 geometry is written as elementwise dot and cross products of their
-components.  The functions returning a `Jet` (normalized_jet, bent_jet,
-graph_jet, graph_variation, variation_from_derivatives) or a (..., 3)
-array (_gauged_normal_bundle, bent_point, graph_point) move the component
-axis last at their boundary; the Q operator never packs a Jet.  Lab points
-go through tube.frame_point, the one evaluation of the tube map.
+components.  geometry is the one assembly of the pointwise geometry Q
+needs (brackets, gauged normal bundle, cosh^2 s).  The functions returning
+a `Jet` (normalized_jet, bent_jet, graph_jet, graph_variation) or a
+(..., 3) array (bent_point, graph_point) move the component axis last at
+their boundary; the Q operator never packs a Jet.  Lab points go through
+tube.frame_point, the one evaluation of the tube map.
 
 The straightening profile u0 solves Q = 0 for theta-independent graphs over
-G with the trivial generator, by a chord iteration on the solver's own m = 0
-inverse (helicoid.StabilityModes.solve_mean).
+G with the trivial generator, by a chord iteration on the solve's own grid
+and m = 0 inverse (the solver's StabilityModes.solve_mean).  BentSurface
+takes u0 as given.
 """
 
 from dataclasses import dataclass
@@ -42,8 +44,7 @@ from . import jets
 from .errors import (GraphTooLargeError, InvalidImmersionError, NoProfileError,
                      RejectedParametersError)
 from .jets import Jet, jet_from_arrays
-from .helicoid import StabilityModes
-from .numerics import Grid, theta_derivative
+from .numerics import theta_derivative
 from .spirals import SpiralSpec
 from .tube import frame_point
 
@@ -231,10 +232,13 @@ def _normal_bundle(spec, first):
     }
 
 
-def _gauged_normal_bundle(spec, s, theta):
-    """_normal_bundle in the (..., 3) layout of Jet slots."""
-    normals = _normal_bundle(spec, _first_brackets(spec, s, theta))
-    return {k: _last(v) for k, v in normals.items()}
+def geometry(spec, s, theta):
+    """(brackets, normals, ch2): the pointwise geometry of G that Q needs, as
+    component-major dicts of shape (3,) + broadcast(s, theta), and cosh^2 s."""
+    first = _first_brackets(spec, s, theta)
+    # the bundle first, so the brackets are not held through its temporaries
+    normals = _normal_bundle(spec, first)
+    return _brackets(spec, first), normals, np.cosh(s) ** 2
 
 
 def _gauged_normal(spec, s, theta):
@@ -250,7 +254,6 @@ def _gauged_normal(spec, s, theta):
 
 @dataclass
 class U0Profile:
-    s: np.ndarray
     values: np.ndarray
     residual_sup: float
     iterations: int
@@ -319,15 +322,6 @@ def _variation(lam, normals, u, u_t, u_s, u_tt, u_ss, u_ts):
             du_ts * nu + du_t * nu_s + u_s * nu_t + u * nu_ts)
 
 
-def variation_from_derivatives(spec, normals, u, u_t, u_s, u_tt, u_ss, u_ts):
-    """Jet of the gauged variation by e^{lam theta} u, from u's derivatives.
-
-    normals is in the (..., 3) layout of _gauged_normal_bundle.
-    """
-    comps = {k: np.moveaxis(v, -1, 0) for k, v in normals.items()}
-    return _pack(*_variation(spec.lam, comps, u, u_t, u_s, u_tt, u_ss, u_ts))
-
-
 def _first_form(x1, x2):
     """g11, g12, g22, det g and the conformality ratio of jets.aspect_ratio.
 
@@ -380,40 +374,24 @@ def graph_q(lam, brackets, normals, ch2, derivs):
 
 
 class BentSurface:
-    """Grid-sampled geometry of G over |s| <= arccosh(ell), theta-periodic.
+    """Geometry of G sampled on a grid over |s| <= arccosh(ell), with u0.
 
-    Everything geometric is cached at construction, component-major with
-    shape (3, n_s + 1, n_theta): the brackets of the normalized jet, the
-    gauged normal bundle, and the straightening profile u0 (solved on the
-    same s-grid so no interpolation enters the Q operator).  A given u0
-    (values on the s-grid) is used as is instead; solve_u0's flat surface
-    passes zeros.  Instances are treated as immutable.  Q itself is graph_q,
-    which the mesh export also evaluates, a block of mesh rows at a time.
+    The output of geometry on the grid is cached at construction,
+    component-major with shape (3, n_s + 1, n_theta); u0 holds the
+    straightening profile's values on the same s-grid, so no interpolation
+    enters the Q operator.  Instances are treated as immutable.  Q itself
+    is graph_q, which the mesh export also evaluates a block at a time.
     """
 
-    def __init__(self, spec: SpiralSpec, ell, n_s, n_theta, u0=None):
-        self.spec = spec
-        self.grid = Grid(ell, n_s, n_theta)
-        g = self.grid
-        self.ch2 = np.cosh(g.s)[:, None] ** 2
-        s_col, t_row = g.s[:, None], g.theta[None, :]
-        first = _first_brackets(spec, s_col, t_row)
-        self.brackets = _brackets(spec, first)
-        self.normals = _normal_bundle(spec, first)
+    def __init__(self, spec: SpiralSpec, grid, u0):
+        self.spec, self.grid = spec, grid
+        self.brackets, self.normals, self.ch2 = geometry(
+            spec, grid.s[:, None], grid.theta[None, :])
         # recorded conformality margin: 1 - min aspect ~ delta (|R| + |xi|)
         *_, aspect = _first_form(self.brackets["a1"], self.brackets["a2"])
         self.min_aspect = float(aspect.min())
-        self.u0_info = None
-        if u0 is None:
-            self.u0_info = solve_u0(spec.lam, ell, n=n_s)
-            u0 = self.u0_info.values
         self.u0 = np.asarray(u0, dtype=float)
-        self.u0_fn = GraphFunction.from_values(self.u0[:, None], g.d1, g.d2)
-
-    @property
-    def jet(self):
-        """The normalized jet of G on the grid, packed on each access."""
-        return _pack(*(self.brackets[k] for k in _SLOTS))
+        self.u0_fn = GraphFunction.from_values(self.u0[:, None], grid.d1, grid.d2)
 
     def as_graph_function(self, u):
         if isinstance(u, GraphFunction):
@@ -450,45 +428,45 @@ class BentSurface:
 # the straightening profile u0
 # ---------------------------------------------------------------------------
 
-def solve_u0(delta_xi, ell, n=512, tol=1e-11, max_iter=40):
+def solve_u0(delta_xi, grid, modes, tol=1e-11, max_iter=40):
     """Odd profile u0(s) making the reference immersion's normal graph minimal.
 
     The reference immersion is G over the trivial generator (a straight
     axis).  The graph equation restricted to theta-independent functions,
-    Q_flat[u] = 0 with Q_flat that surface's own q_operator on n_theta = 1,
-    is a second order ODE in s; the admissible solution vanishes to second
-    order at s = 0 (u0(0) = u0'(0) = 0) and is odd.  Its linearization is
-    a small perturbation of the m = 0 flattened stability operator
-    d2 + 2 sech^2 s, so the chord iteration on that operator's inverse
+    Q_flat[u] = 0 with Q_flat its graph_q on one theta column of grid, is a
+    second order ODE in s; the admissible solution vanishes to second order
+    at s = 0 (u0(0) = u0'(0) = 0) and is odd.  Its linearization is a small
+    perturbation of the m = 0 flattened stability operator d2 + 2 sech^2 s,
+    so the chord iteration on the solve's own inverse of it (modes, a
+    StabilityModes on grid)
 
-        u <- odd(u - solve_mean(Q_flat[u])),   odd(u) = (u - u[::-1]) / 2,
+        u <- odd(u - modes.solve_mean(Q_flat[u])),   odd(u) = (u - u[::-1]) / 2,
 
-    on the n-interval grid over |s| <= arccosh(ell) converges fast: the
-    residual falls by about delta_xi^2 / 2 per step (measured for |delta_xi|
-    from 1e-3 to 0.05).  solve_mean collocates at every interior point
-    and pins u(0) = (d1 u)(0) = 0; the rim points carry no collocation (free
-    boundary).  Stops once max |Q_flat| over the interior rows is at most
-    tol; raises NoProfileError when a step fails to lower it (the roundoff
-    floor of fine grids) or max_iter runs out.
+    converges fast: the residual falls by about delta_xi^2 / 2 per step
+    (measured for |delta_xi| from 1e-3 to 0.05).  solve_mean collocates at
+    every interior point and pins u(0) = (d1 u)(0) = 0; the rim points carry
+    no collocation (free boundary).  Stops once max |Q_flat| over the
+    interior rows is at most tol; raises NoProfileError when a step fails to
+    lower it (the roundoff floor of fine grids) or max_iter runs out.
 
-    Returns a U0Profile; c_hat reports sup |u0| / (s^2 delta_xi), the
-    measured constant of the quadratic smallness bound.
+    Returns a U0Profile on grid.s; c_hat reports sup |u0| / (s^2 delta_xi),
+    the measured constant of the quadratic smallness bound.
     """
     lam = float(delta_xi)
-    s_max = float(np.arccosh(ell))
+    u = np.zeros(grid.n_s + 1)
     if lam == 0.0:
-        return U0Profile(np.linspace(-s_max, s_max, n + 1), np.zeros(n + 1), 0.0, 0, 0.0)
+        return U0Profile(u, 0.0, 0, 0.0)
     bound = PROFILE_GATE * abs(lam) ** -0.25
-    if s_max > bound:
+    if grid.s_max > bound:
         raise RejectedParametersError(
-            f"profile domain arccosh(ell) = {s_max:.3f} exceeds "
+            f"profile domain arccosh(ell) = {grid.s_max:.3f} exceeds "
             f"{PROFILE_GATE:g} * (delta |xi|)^(-1/4) = {bound:.3f}")
-    flat = BentSurface(SpiralSpec(np.zeros((3, 3)), 1.0, lam, allow_trivial=True),
-                       ell, n, 1, u0=np.zeros(n + 1))
-    modes = StabilityModes(flat.grid, 0)
-    u, r_prev = np.zeros(n + 1), np.inf
+    flat = SpiralSpec(np.zeros((3, 3)), 1.0, lam, allow_trivial=True)
+    brackets, normals, ch2 = geometry(flat, grid.s[:, None], grid.theta[None, :1])
+    r_prev = np.inf
     for it in range(1, max_iter + 1):
-        q = flat.q_operator(u[:, None])[:, 0]
+        fn = GraphFunction.from_values(u[:, None], grid.d1, grid.d2)
+        q = graph_q(flat.lam, brackets, normals, ch2, fn.derivatives())[:, 0]
         r = np.abs(q[1:-1]).max()
         if r <= tol:
             break
@@ -502,6 +480,6 @@ def solve_u0(delta_xi, ell, n=512, tol=1e-11, max_iter=40):
         raise NoProfileError(f"profile iteration did not reach tolerance {tol:g}; "
                              f"residual {r:.3e}")
 
-    s, i_zero = flat.grid.s, flat.grid.i_zero
+    s, i_zero = grid.s, grid.i_zero
     c_hat = float(np.max(np.abs(u[i_zero + 1:]) / s[i_zero + 1:] ** 2) / abs(lam))
-    return U0Profile(s, u, float(r), it, c_hat)
+    return U0Profile(u, float(r), it, c_hat)

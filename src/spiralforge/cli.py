@@ -234,11 +234,10 @@ def cmd_check_embed(cfg):
 
     report, surface, u = _solve(cfg)
     verdict, info = verify.check_embedded(
-        surface, u, n_samples=cfg.n_samples, seed=cfg.seed,
-        converged=report.converged, force_sample=True)
+        surface, u, report.converged, n_samples=cfg.n_samples, seed=cfg.seed)
     print(f"embeddedness verdict: {verdict}")
     print(f"closed-form bound on ell: {info['ell_bound']:.6g} (ell = {cfg.ell:g})")
-    # force_sample: the search always runs, exact up to the threshold
+    # the sampled search always runs, exact up to the threshold
     min_d, threshold = info["min_separation"], info["threshold"]
     if min_d <= threshold:
         print(f"sampled min separation: {min_d:.6g} "

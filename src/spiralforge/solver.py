@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import verify
-from .bent import BentSurface, GraphFunction
+from .bent import BentSurface, GraphFunction, solve_u0
 from .cutoffs import even_cutoff
 from .errors import RejectedParametersError
 from .helicoid import StabilityModes, kernel_fn, substitute
-from .numerics import cumulative_from_zero, fd_weights, theta_derivative
+from .numerics import Grid, cumulative_from_zero, fd_weights, theta_derivative
 
 # smallness budget delta (1 + |R| + |xi|) ell of the perturbation argument
 GATE_BUDGET = 0.2
@@ -78,10 +78,13 @@ class Workspace:
             raise ValueError("n_s must be even so that s = 0 is a grid point")
         if n_theta % 2 != 0:
             raise ValueError("n_theta must be even")
-        self.surface = BentSurface(spec, ell, n_s, n_theta)
         self.spec = spec
         self.ell = float(ell)
-        g = self.grid = self.surface.grid
+        # the one set-up sequence: u0 is solved on this grid and m = 0 inverse
+        g = self.grid = Grid(ell, n_s, n_theta)
+        self.modes = StabilityModes(g, n_theta // 2)
+        self.u0 = solve_u0(spec.lam, g, self.modes)
+        self.surface = BentSurface(spec, g, self.u0.values)
         s_col, t_row = g.s[:, None], g.theta[None, :]
 
         self.psi = even_cutoff(np.arccosh(ell / 2.0), np.arccosh(ell / 4.0), g.s)[0]
@@ -92,7 +95,6 @@ class Workspace:
         uy, self.w_y = substitute("y", s_col, t_row)
         self.ux_fn, self.uy_fn = GraphFunction(*ux), GraphFunction(*uy)
 
-        self.modes = StabilityModes(g, n_theta // 2)
         self._gauge_x = kappa_x / np.sqrt(self.inner_flat(kappa_x, kappa_x))
         self._gauge_y = kappa_y / np.sqrt(self.inner_flat(kappa_y, kappa_y))
         self.kernel_profile = self._near_null_profile()
@@ -208,7 +210,8 @@ def psi_step(ws, state):
 
 def check_gates(spec, ell):
     """Parameter gates of the nonlinear solve; raises RejectedParametersError."""
-    if ell <= 16.0:
+    # written so that a nan ell fails it
+    if not ell > 16.0:
         raise RejectedParametersError(f"ell = {ell:g} must exceed 16")
     # with ell > 16 the budget also keeps delta |xi| below GATE_BUDGET / 16
     budget = spec.delta * (1.0 + spec.r_norm + abs(spec.xi)) * ell
@@ -263,6 +266,6 @@ def solve_minimal(spec, ell, n_s=1024, n_theta=64, tol=1e-9, max_iter=50):
         converged=converged,
         zeta=float(zeta),
         iterations=len(history) - 1,
-        u0_c_hat=ws.surface.u0_info.c_hat,
+        u0_c_hat=ws.u0.c_hat,
     )
     return report, ws, state

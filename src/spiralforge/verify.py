@@ -92,18 +92,23 @@ def embed_bound(spec):
         return float("nan")
 
 
-def check_embedded(surface, u, n_samples=10000, seed=0, exclusion_cells=3,
-                   collision_margin=0.1, converged=True, force_sample=False):
+# the audit's collision threshold, as a fraction of the sheet spacing
+# e^{-|lam| 3 pi}, and its exclusion radius in grid cells
+COLLISION_MARGIN = 0.1
+EXCLUSION_CELLS = 3
+
+
+def check_embedded(surface, u, converged, n_samples=10000, seed=0):
     """Two-stage embeddedness audit.
 
-    Stage one checks the closed-form bound ell <= max_embed_ell; with a
-    converged solve that certifies embeddedness outright.  Stage two (always
-    run when the bound fails, or on request) samples the graph surface over
-    two theta-periods and searches for image points that are close despite
-    being more than `exclusion_cells` grid cells apart in parameter space.
-    The search is exact within the collision threshold: info's
-    min_separation is the closest such pair's distance when it is at most
-    the threshold, and inf when no such pair lies within it.
+    Stage one checks the closed-form bound ell <= max_embed_ell, which
+    certifies embeddedness for a converged solve.  Stage two samples the
+    graph surface over two theta-periods and searches for image points that
+    are close despite being more than EXCLUSION_CELLS grid cells apart in
+    parameter space; a pair within the collision threshold overrules stage
+    one.  The search is exact within the threshold: info's min_separation
+    is the closest such pair's distance when it is at most the threshold,
+    and inf when no such pair lies within it.
 
     Returns (verdict, info) with verdict in {"certified", "sampled-ok",
     "not-certified"}.
@@ -111,20 +116,17 @@ def check_embedded(surface, u, n_samples=10000, seed=0, exclusion_cells=3,
     spec, g = surface.spec, surface.grid
     bound = embed_bound(spec)
     certified = bool(g.ell <= bound) and converged
-    info = {"ell_bound": bound}
-    if certified and not force_sample:
-        return "certified", info
-
-    threshold = collision_margin * float(np.exp(-abs(spec.lam) * 3.0 * np.pi))
+    threshold = COLLISION_MARGIN * float(np.exp(-abs(spec.lam) * 3.0 * np.pi))
     min_d, pair = sampled_min_separation(
-        *_embed_samples(surface, u, n_samples, seed, exclusion_cells), radius=threshold)
-    info.update({"min_separation": min_d, "pair": pair, "threshold": threshold})
+        *_embed_samples(surface, u, n_samples, seed), radius=threshold)
+    info = {"ell_bound": bound, "min_separation": min_d, "pair": pair,
+            "threshold": threshold}
     if min_d < threshold:
         return "not-certified", info
     return ("certified" if certified else "sampled-ok"), info
 
 
-def _embed_samples(surface, u, n_samples, seed, exclusion_cells):
+def _embed_samples(surface, u, n_samples, seed):
     """Random points of the graph surface over two theta-periods.
 
     Returns (points, params, exclusion): the (n, 3) lab-frame points, their
@@ -144,7 +146,7 @@ def _embed_samples(surface, u, n_samples, seed, exclusion_cells):
     pts = bent.graph_point(spec, s_samp, t_samp, u_vals,
                            bent._gauged_normal(spec, s_samp, t_samp))
     cell = max(g.h, 2.0 * np.pi / g.n_theta)
-    return pts, np.column_stack([s_samp, t_samp]), exclusion_cells * cell
+    return pts, np.column_stack([s_samp, t_samp]), EXCLUSION_CELLS * cell
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +189,11 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
     for r0 in range(0, n_sm, rows):
         blk = slice(r0, r0 + rows)
         s_col = s_m[blk, None]
-        ch2 = np.cosh(s_col) ** 2
-        first = bent._first_brackets(spec, s_col, t_row)
-        normals = bent._normal_bundle(spec, first)
+        brackets, normals, ch2 = bent.geometry(spec, s_col, t_row)
         # mean curvature: the solver's Q (aspect guard included), then undo
         # the gauge factors
-        q = bent.graph_q(spec.lam, bent._brackets(spec, first),
-                         normals, ch2, [d[blk] for d in derivs])
+        q = bent.graph_q(spec.lam, brackets, normals, ch2, [d[blk] for d in derivs])
+        del brackets  # not held through the next block's geometry
         h_abs = np.abs(q) / (np.exp(spec.lam * t_row) * ch2)
         x = bent.graph_point(spec, s_col, t_row, u_mesh[blk], normals["nu"])
         for p in range(periods):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from spiralforge import solver, spirals
-from spiralforge.numerics import fd_weights
+from spiralforge.bent import BentSurface, solve_u0
+from spiralforge.helicoid import StabilityModes
+from spiralforge.numerics import Grid, fd_weights
 
 try:
     from hypothesis import settings
@@ -46,6 +48,17 @@ def rel_err(got, want):
     want = np.asarray(want, dtype=float)
     scale = np.maximum(np.abs(want), 1e-300)
     return np.max(np.abs(np.asarray(got) - want) / scale)
+
+
+def profile(delta_xi, grid):
+    """solve_u0 on grid with the grid's own m = 0 inverse."""
+    return solve_u0(delta_xi, grid, StabilityModes(grid, 0))
+
+
+def bent_surface(spec, ell, n_s, n_theta):
+    """BentSurface on a new grid with u0 solved on it, as Workspace sets it up."""
+    grid = Grid(ell, n_s, n_theta)
+    return BentSurface(spec, grid, profile(spec.lam, grid).values)
 
 
 @pytest.fixture(scope="session")

@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from spiralforge import helicoid, jets, solver, spirals, tube, verify
-from spiralforge.bent import BentSurface
 from spiralforge.numerics import Grid
 from spiralforge.spirals import SpiralParams, SpiralSpec
 
-from conftest import frenet_oracle, rel_err
+from conftest import bent_surface, frenet_oracle, rel_err
 
 
 def announce(num, ok, text):
@@ -176,7 +175,7 @@ def test_09_q_scaling_in_delta():
     sups = []
     for delta in (1e-2, 5e-3, 2.5e-3):
         spec = SpiralSpec.from_invariants(1.0, 0.0, 1.0, delta)
-        surf = BentSurface(spec, 32.0, 512, 32)
+        surf = bent_surface(spec, 32.0, 512, 32)
         sups.append(float(np.abs(surf.q_operator(np.zeros((513, 32)))).max()))
     ratios = [lo / hi for hi, lo in zip(sups, sups[1:])]
     ok = all(0.35 <= r <= 0.65 for r in ratios)
@@ -224,8 +223,8 @@ def test_12_embeddedness(full_solve):
     report, ws, state, _ = full_solve
     assert ws.grid.ell <= tube.max_embed_ell(ws.spec)
     u = solver._graph_function(ws, state).values
-    verdict, info = verify.check_embedded(ws.surface, u, n_samples=10000,
-                                          seed=5, force_sample=True)
+    verdict, info = verify.check_embedded(ws.surface, u, report.converged,
+                                          n_samples=10000, seed=5)
     ok_pos = verdict == "certified" and \
         info["min_separation"] > info["threshold"]
     # synthetic self-intersecting control: lemniscate cylinder

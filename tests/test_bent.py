@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from spiralforge import bent, helicoid, jets, tube
-from spiralforge.bent import (BentSurface, bent_jet, bent_point,
-                              normalized_jet, solve_u0)
+from spiralforge.bent import BentSurface, bent_jet, bent_point, normalized_jet
 from spiralforge.errors import (GraphTooLargeError, NoProfileError,
                                RejectedParametersError)
 from spiralforge.helicoid import reference_jet, reference_point
+from spiralforge.numerics import Grid
 from spiralforge.spirals import SpiralSpec
+
+from conftest import bent_surface, profile
 
 _C1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 
@@ -126,7 +128,7 @@ class TestReferenceJet:
 
     def test_is_gauged_jet_over_trivial_generator(self):
         # the reference immersion is G over R = 0, where the gauge is the bare
-        # dilation e^{lam theta}; solve_u0 relies on this to use q_operator
+        # dilation e^{lam theta}; solve_u0 relies on this to use graph_q
         lam = 0.02
         flat = SpiralSpec(np.zeros((3, 3)), 1.0, lam, allow_trivial=True)
         s = np.linspace(-3, 3, 21)[:, None]
@@ -151,14 +153,16 @@ class TestReferenceJet:
 
 @pytest.fixture(scope="module")
 def surface(spec):
-    return BentSurface(spec, 32.0, 128, 16)
+    return bent_surface(spec, 32.0, 128, 16)
 
 
 class TestGraphJet:
 
     def test_zero_graph(self, surface):
+        g = surface.grid
         total = surface.graph_jet(np.zeros((129, 16)))
-        assert np.abs(total.d1 - surface.jet.d1).max() == 0.0
+        jet = normalized_jet(surface.spec, g.s[:, None], g.theta[None, :])
+        assert np.abs(total.d1 - jet.d1).max() == 0.0
 
     def test_linearity(self, surface):
         rng = np.random.default_rng(0)
@@ -173,8 +177,8 @@ class TestGraphJet:
     def test_variation_periodic(self, spec):
         # the gauged variation of a periodic u built at theta and theta + 2 pi
         # agrees: evaluate via two surfaces on shifted windows
-        nb1 = bent._gauged_normal_bundle(spec, 0.7, 0.4)
-        nb2 = bent._gauged_normal_bundle(spec, 0.7, 0.4 + 2 * np.pi)
+        nb1 = bent.geometry(spec, 0.7, 0.4)[1]
+        nb2 = bent.geometry(spec, 0.7, 0.4 + 2 * np.pi)[1]
         for key in nb1:
             assert np.abs(nb1[key] - nb2[key]).max() < 1e-13
 
@@ -182,13 +186,13 @@ class TestGraphJet:
         s = np.linspace(-3, 3, 31)[:, None]
         t = np.linspace(-np.pi, 3 * np.pi, 9)[None, :]
         assert np.array_equal(bent._gauged_normal(spec, s, t),
-                              np.moveaxis(bent._gauged_normal_bundle(spec, s, t)["nu"], -1, 0))
+                              bent.geometry(spec, s, t)[1]["nu"])
 
     def test_too_large_graph_rejected(self):
         # on the flat rig a constant offset by the focal distance cosh^2(s_k)
         # makes det(I + u S) vanish exactly at the grid row s_k
         flat = SpiralSpec(np.zeros((3, 3)), 1e-3, 0.0, allow_trivial=True)
-        surf = BentSurface(flat, 32.0, 128, 16)
+        surf = bent_surface(flat, 32.0, 128, 16)
         u = np.full((129, 16), np.cosh(surf.grid.s[10]) ** 2)
         with pytest.raises(GraphTooLargeError):
             surf.graph_jet(u)
@@ -200,9 +204,9 @@ class TestGraphJet:
         consts = []
         for delta in (1e-2, 5e-3):
             sp = SpiralSpec.from_invariants(1.0, 0.3, 1.0, delta)
-            nb = bent._gauged_normal_bundle(sp, s, t)
+            nu = np.moveaxis(bent.geometry(sp, s, t)[1]["nu"], 0, -1)
             nu_ref = jets.unit_normal(reference_jet(sp.lam, s, t))
-            consts.append(np.abs(nb["nu"] - nu_ref).max() / (delta * sp.r_norm))
+            consts.append(np.abs(nu - nu_ref).max() / (delta * sp.r_norm))
         assert consts[0] < 10.0
         assert 0.3 < consts[0] / consts[1] < 3.0
 
@@ -210,7 +214,7 @@ class TestGraphJet:
 class TestQOperator:
     def test_flat_rig_zero(self):
         flat = SpiralSpec(np.zeros((3, 3)), 1e-3, 0.0, allow_trivial=True)
-        surf = BentSurface(flat, 32.0, 128, 16)
+        surf = bent_surface(flat, 32.0, 128, 16)
         q = surf.q_operator(np.zeros((129, 16)))
         assert np.abs(q).max() < 1e-11
 
@@ -229,11 +233,8 @@ class TestQOperator:
         derivs = (u, u_t, d1 @ u, theta_derivative(u, order=2), d2 @ u, d1 @ u_t)
 
         def q_of(t):
-            s_col, t_row = s[:, None], t[None, :]
-            normals = bent._gauged_normal_bundle(spec, s_col, t_row)
-            total = (normalized_jet(spec, s_col, t_row)
-                     + bent.variation_from_derivatives(spec, normals, *derivs))
-            return np.cosh(s)[:, None] ** 2 * jets.mean_curvature(total)
+            brackets, normals, ch2 = bent.geometry(spec, s[:, None], t[None, :])
+            return bent.graph_q(spec.lam, brackets, normals, ch2, derivs)
 
         assert np.abs(q_of(theta) - q_of(theta + 2 * np.pi)).max() < 1e-10
 
@@ -242,7 +243,7 @@ class TestQOperator:
         weighted = []
         for delta in (1e-2, 5e-3, 2.5e-3):
             sp = SpiralSpec.from_invariants(1.0, 0.0, 1.0, delta)
-            surf = BentSurface(sp, 32.0, 256, 32)
+            surf = bent_surface(sp, 32.0, 256, 32)
             q = surf.q_operator(np.zeros((257, 32)))
             sups.append(np.abs(q).max())
             w = np.abs(q).max(axis=1) / np.cosh(surf.grid.s) ** 0.75
@@ -256,7 +257,7 @@ class TestQOperator:
     def test_linearization_is_stability_operator(self):
         # flat rig: dQ/du at 0 equals the discrete flattened stability operator
         flat = SpiralSpec(np.zeros((3, 3)), 1e-3, 0.0, allow_trivial=True)
-        surf = BentSurface(flat, 32.0, 256, 16)
+        surf = bent_surface(flat, 32.0, 256, 16)
         g = surf.grid
         u = (1 - (g.s[:, None] / g.s_max) ** 2) ** 2 * (
             np.cos(g.theta)[None, :] / np.cosh(g.s)[:, None])
@@ -270,12 +271,9 @@ class TestQOperator:
 def _q_by_jets(surface, gf):
     """cosh^2 H by the Jet route: normalized_jet plus the packed variation,
     through jets.mean_curvature."""
-    spec, g = surface.spec, surface.grid
-    s_col, t_row = g.s[:, None], g.theta[None, :]
-    gf = gf + surface.u0_fn
-    normals = bent._gauged_normal_bundle(spec, s_col, t_row)
-    total = (normalized_jet(spec, s_col, t_row)
-             + bent.variation_from_derivatives(spec, normals, *gf.derivatives()))
+    g = surface.grid
+    total = (normalized_jet(surface.spec, g.s[:, None], g.theta[None, :])
+             + surface.graph_variation(gf + surface.u0_fn))
     return np.cosh(g.s)[:, None] ** 2 * jets.mean_curvature(total)
 
 
@@ -294,7 +292,7 @@ class TestQAgainstJetRoute:
 
     def test_flat_u0_surface(self):
         flat = SpiralSpec(np.zeros((3, 3)), 1.0, 1e-3, allow_trivial=True)
-        surf = BentSurface(flat, 32.0, 256, 1, u0=np.zeros(257))
+        surf = BentSurface(flat, Grid(32.0, 256, 1), np.zeros(257))
         u = (1e-3 * np.sinh(surf.grid.s) ** 2 * np.tanh(surf.grid.s))[:, None]
         gf = surf.as_graph_function(u)
         q = surf.q_operator(gf)
@@ -303,29 +301,30 @@ class TestQAgainstJetRoute:
 
 class TestProfile:
     def test_zero_rate(self):
-        prof = solve_u0(0.0, 32.0, n=64)
+        prof = profile(0.0, Grid(32.0, 64, 1))
         assert np.all(prof.values == 0.0)
 
     def test_oddness_exact(self):
-        prof = solve_u0(1e-3, 32.0, n=128)
+        prof = profile(1e-3, Grid(32.0, 128, 1))
         assert np.abs(prof.values + prof.values[::-1]).max() == 0.0
 
     def test_residual_and_iterations(self):
-        prof = solve_u0(1e-3, 32.0, n=256)
+        prof = profile(1e-3, Grid(32.0, 256, 1))
         assert prof.residual_sup <= 1e-11
         assert prof.iterations <= 10
 
     def test_quadratic_bound_constant_stable(self):
-        c1 = solve_u0(1e-3, 32.0, n=256).c_hat
-        c2 = solve_u0(5e-4, 32.0, n=256).c_hat
+        grid = Grid(32.0, 256, 1)
+        c1 = profile(1e-3, grid).c_hat
+        c2 = profile(5e-4, grid).c_hat
         assert 0.5 < c1 / c2 < 2.0
 
     def test_domain_gate(self):
         with pytest.raises(RejectedParametersError):
-            solve_u0(0.05, 2000.0)
+            profile(0.05, Grid(2000.0, 512, 1))
 
     def test_negative_rate(self):
-        prof = solve_u0(-1e-3, 32.0, n=128)
+        prof = profile(-1e-3, Grid(32.0, 128, 1))
         assert prof.residual_sup <= 1e-11
 
     @pytest.mark.parametrize("lam", [1e-3, -1e-3])
@@ -337,7 +336,7 @@ class TestProfile:
 
         n = 128
         flat = BentSurface(SpiralSpec(np.zeros((3, 3)), 1.0, lam, allow_trivial=True),
-                           32.0, n, 1, u0=np.zeros(n + 1))
+                           Grid(32.0, n, 1), np.zeros(n + 1))
         i0, h = flat.grid.i_zero, flat.grid.h
 
         def expand(u_pos):
@@ -351,7 +350,7 @@ class TestProfile:
         # rounding level, so the residual is what is checked
         sol = root(system, np.zeros(n - i0), method="hybr", options={"xtol": 1e-14})
         assert np.abs(system(sol.x)).max() <= 1e-14
-        prof = solve_u0(lam, 32.0, n=n)
+        prof = profile(lam, flat.grid)
         assert np.abs(prof.values - expand(sol.x)).max() <= 1e-13
         assert prof.values[i0] == 0.0
         assert abs((flat.grid.d1 @ prof.values)[i0]) <= 1e-12
@@ -359,17 +358,26 @@ class TestProfile:
     def test_roundoff_floor_raises(self):
         # at n = 16384 the residual of Q stalls near 2e-11, above tol = 1e-11
         with pytest.raises(NoProfileError):
-            solve_u0(1e-3, 32.0, n=16384)
+            profile(1e-3, Grid(32.0, 16384, 1))
 
     @pytest.mark.parametrize("n", [512, 1024, 4096])
     def test_few_q_calls(self, n, monkeypatch):
         calls = []
-        q_operator = BentSurface.q_operator
+        graph_q = bent.graph_q
 
-        def counted(self, u):
+        def counted(*args):
             calls.append(1)
-            return q_operator(self, u)
+            return graph_q(*args)
 
-        monkeypatch.setattr(BentSurface, "q_operator", counted)
-        solve_u0(1e-3, 32.0, n=n)
-        assert len(calls) <= 5
+        monkeypatch.setattr(bent, "graph_q", counted)
+        profile(1e-3, Grid(32.0, n, 1))
+        assert 0 < len(calls) <= 5
+
+    def test_surface_runs_no_profile_solve(self, spec, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("BentSurface solved a profile")
+
+        monkeypatch.setattr(bent, "solve_u0", refuse)
+        grid = Grid(32.0, 64, 8)
+        surf = BentSurface(spec, grid, np.zeros(65))
+        assert surf.grid is grid and np.all(surf.u0 == 0.0)

@@ -265,6 +265,9 @@ assert tube.check_injectivity(spec, radius, n_samples=1000)[0] == "injective-sam
                  id="spiral-scipy"),
     pytest.param("from spiralforge import cli; cli.main(['solve', '--delta', 'nan'])",
                  "scipy", id="rejected-scipy"),
+    # the surface geometry takes the m = 0 inverse as an argument and does
+    # not depend on the linear theory
+    pytest.param("import spiralforge.bent", "spiralforge.helicoid", id="bent-helicoid"),
 ])
 def test_import_leaves_module_unloaded(code, module):
     probe = (f"{code}\nimport sys\n"

@@ -292,6 +292,25 @@ class TestSolveMinimal:
         with pytest.raises(RejectedParametersError):
             solver.solve_minimal(demo_spec, 8.0)
 
+    def test_gate_nan_ell(self, demo_spec):
+        with pytest.raises(RejectedParametersError, match="must exceed 16"):
+            solver.check_gates(demo_spec, float("nan"))
+        with pytest.raises(RejectedParametersError, match="must exceed 16"):
+            solver.solve_minimal(demo_spec, float("nan"), n_s=16, n_theta=8)
+
+    def test_one_grid_and_one_factorization_per_mode(self, demo_spec, monkeypatch):
+        # u0 is solved on the solve's own grid and m = 0 factorization
+        built = []
+        for cls in (Grid, BandedLU):
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        solver.solve_minimal(demo_spec, 32.0, n_s=64, n_theta=8)
+        assert built.count(Grid) == 1
+        assert built.count(BandedLU) == 8 // 2 + 1
+
     def test_gate_budget(self):
         spec = SpiralSpec.from_invariants(1.0, 0.0, 1.0, 5e-3)
         with pytest.raises(RejectedParametersError):

@@ -12,6 +12,8 @@ from spiralforge.errors import GraphTooLargeError
 from spiralforge.numerics import Grid, trig_interpolate
 from spiralforge.spirals import SpiralSpec
 
+from conftest import bent_surface
+
 
 class TestWeightedNorm:
     def test_weight_cancels(self):
@@ -49,7 +51,7 @@ class TestSelfSimilarity:
 
     def test_torsion_case(self):
         spec = SpiralSpec.from_invariants(1.0, 0.6, 0.9, 1e-3)
-        surf = bent.BentSurface(spec, 32.0, 128, 16)
+        surf = bent_surface(spec, 32.0, 128, 16)
         assert verify.check_self_similarity(surf, np.zeros((129, 16))) < 1e-12
 
     def test_mis_anchored_control(self, demo_solve):
@@ -88,17 +90,17 @@ class TestTrigInterpolate:
 
 class TestEmbeddedness:
     def test_certified(self, demo_solve):
-        _, ws, state = demo_solve
+        report, ws, state = demo_solve
         u = solver._graph_function(ws, state).values
-        verdict, info = verify.check_embedded(ws.surface, u, n_samples=2000,
-                                              seed=0)
+        verdict, info = verify.check_embedded(ws.surface, u, report.converged,
+                                              n_samples=2000, seed=0)
         assert verdict == "certified"
 
     def test_sampling_clears_margin(self, demo_solve):
-        _, ws, state = demo_solve
+        report, ws, state = demo_solve
         u = solver._graph_function(ws, state).values
-        verdict, info = verify.check_embedded(ws.surface, u, n_samples=10000,
-                                              seed=1, force_sample=True)
+        verdict, info = verify.check_embedded(ws.surface, u, report.converged,
+                                              n_samples=10000, seed=1)
         assert verdict == "certified"
         assert info["min_separation"] > 10 * info["threshold"]
 
@@ -111,7 +113,7 @@ class TestEmbeddedness:
         _, ws, state = demo_solve
         u = solver._graph_function(ws, state).values
         threshold = 0.1 * np.exp(-abs(ws.spec.lam) * 3.0 * np.pi)
-        pts, params, exclusion = verify._embed_samples(ws.surface, u, 10000, 1, 3)
+        pts, params, exclusion = verify._embed_samples(ws.surface, u, 10000, 1)
         none = (np.inf, (-1, -1))
         assert verify.sampled_min_separation(
             pts, params, exclusion, radius=5 * threshold) == none
@@ -127,8 +129,8 @@ class TestEmbeddedness:
         report, ws, state = solver.solve_minimal(spec, 32.0, n_s=128,
                                                  n_theta=16, tol=1e-9)
         u = solver._graph_function(ws, state).values
-        verdict, info = verify.check_embedded(ws.surface, u, n_samples=4000,
-                                              seed=2)
+        verdict, info = verify.check_embedded(ws.surface, u, report.converged,
+                                              n_samples=4000, seed=2)
         assert verdict == "sampled-ok"
 
     def test_xi_zero_has_no_bound(self):
@@ -140,8 +142,8 @@ class TestEmbeddedness:
                                                  n_theta=8, tol=1e-9)
         assert report.embed_verdict == "not-certified"
         u = solver._graph_function(ws, state).values
-        verdict, info = verify.check_embedded(ws.surface, u, n_samples=4000,
-                                              seed=2)
+        verdict, info = verify.check_embedded(ws.surface, u, report.converged,
+                                              n_samples=4000, seed=2)
         assert np.isnan(info["ell_bound"])
         assert verdict == "sampled-ok"
 
@@ -228,7 +230,7 @@ class TestExport:
         # the flat rig of the solver's aspect guard test: offsetting by the
         # focal distance cosh^2 of a mesh row degenerates that row of the mesh
         flat = SpiralSpec(np.zeros((3, 3)), 1e-3, 0.0, allow_trivial=True)
-        surf = bent.BentSurface(flat, 32.0, 128, 16)
+        surf = bent_surface(flat, 32.0, 128, 16)
         s_mesh = np.linspace(-surf.grid.s_max, surf.grid.s_max, 33)
         u = np.full((129, 16), np.cosh(s_mesh[4]) ** 2)
         with pytest.raises(GraphTooLargeError):
