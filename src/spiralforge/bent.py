@@ -44,7 +44,7 @@ from . import jets
 from .errors import (GraphTooLargeError, InvalidImmersionError, NoProfileError,
                      RejectedParametersError)
 from .jets import Jet, jet_from_arrays
-from .numerics import theta_derivative
+from .numerics import iterate, theta_derivative, weighted_norm
 from .spirals import SpiralSpec
 from .tube import frame_point
 
@@ -52,6 +52,7 @@ from .tube import frame_point
 _SLOTS = ("a1", "a2", "a11", "a22", "a12")
 # u0's domain gate: arccosh(ell) <= PROFILE_GATE * (delta |xi|)^(-1/4)
 PROFILE_GATE = 1.5
+PROFILE_STEPS = 40  # the cap on u0's chord steps
 
 
 def _dot(a, b):
@@ -428,7 +429,7 @@ class BentSurface:
 # the straightening profile u0
 # ---------------------------------------------------------------------------
 
-def solve_u0(delta_xi, grid, modes, tol=1e-11, max_iter=40):
+def solve_u0(delta_xi, grid, modes, tol=1e-9):
     """Odd profile u0(s) making the reference immersion's normal graph minimal.
 
     The reference immersion is G over the trivial generator (a straight
@@ -445,12 +446,13 @@ def solve_u0(delta_xi, grid, modes, tol=1e-11, max_iter=40):
     converges fast: the residual falls by about delta_xi^2 / 2 per step
     (measured for |delta_xi| from 1e-3 to 0.05).  solve_mean collocates at
     every interior point and pins u(0) = (d1 u)(0) = 0; the rim points carry
-    no collocation (free boundary).  Stops once max |Q_flat| over the
-    interior rows is at most tol; raises NoProfileError when a step fails to
-    lower it (the roundoff floor of fine grids) or max_iter runs out.
+    no collocation (free boundary).  numerics.iterate stops it as it stops
+    the solve, on max |Q_flat| over the interior rows and the weighted C^2
+    update (2.3e-10 at the second step for delta_xi = 1e-3); NoProfileError
+    unless it converged within PROFILE_STEPS steps.
 
-    Returns a U0Profile on grid.s; c_hat reports sup |u0| / (s^2 delta_xi),
-    the measured constant of the quadratic smallness bound.
+    Returns a U0Profile on grid.s (iterations: chord steps); c_hat reports
+    sup |u0| / (s^2 delta_xi), the measured constant of the quadratic bound.
     """
     lam = float(delta_xi)
     u = np.zeros(grid.n_s + 1)
@@ -463,23 +465,22 @@ def solve_u0(delta_xi, grid, modes, tol=1e-11, max_iter=40):
             f"{PROFILE_GATE:g} * (delta |xi|)^(-1/4) = {bound:.3f}")
     flat = SpiralSpec(np.zeros((3, 3)), 1.0, lam, allow_trivial=True)
     brackets, normals, ch2 = geometry(flat, grid.s[:, None], grid.theta[None, :1])
-    r_prev = np.inf
-    for it in range(1, max_iter + 1):
+
+    def q_flat(u):
         fn = GraphFunction.from_values(u[:, None], grid.d1, grid.d2)
         q = graph_q(flat.lam, brackets, normals, ch2, fn.derivatives())[:, 0]
-        r = np.abs(q[1:-1]).max()
-        if r <= tol:
-            break
-        if not r < r_prev:
-            raise NoProfileError(f"profile iteration stalled at residual {r_prev:.3e} "
-                                 f"above tolerance {tol:g}")
-        u = u - modes.solve_mean(q)
-        u = 0.5 * (u - u[::-1])
-        r_prev = r
-    else:
-        raise NoProfileError(f"profile iteration did not reach tolerance {tol:g}; "
-                             f"residual {r:.3e}")
+        return q, float(np.abs(q[1:-1]).max())
 
+    def chord(u):
+        q, r = q_flat(u)
+        new = u - modes.solve_mean(q)
+        new = 0.5 * (new - new[::-1])
+        return new, r, weighted_norm((new - u)[:, None], grid, rho=0.75, k=2)
+
+    u, residuals, converged = iterate(chord, u, lambda u: q_flat(u)[1], tol, PROFILE_STEPS)
+    if not converged:
+        raise NoProfileError(f"profile iteration did not converge: residual "
+                             f"{residuals[0]:.3e} -> {residuals[-1]:.3e}")
     s, i_zero = grid.s, grid.i_zero
     c_hat = float(np.max(np.abs(u[i_zero + 1:]) / s[i_zero + 1:] ** 2) / abs(lam))
-    return U0Profile(u, float(r), it, c_hat)
+    return U0Profile(u, residuals[-1], len(residuals) - 1, c_hat)

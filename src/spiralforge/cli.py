@@ -265,19 +265,12 @@ def build_parser():
     for name in ("spiral", "solve", "check-embed", "export"):
         q = sub.add_parser(name)
         q.add_argument("--config", default=None)
-        q.add_argument("--kappa0", type=float)
-        q.add_argument("--tau0", type=float)
-        q.add_argument("--xi", type=float)
-        q.add_argument("--delta", type=float)
-        q.add_argument("--ell", type=float)
-        q.add_argument("--ns", type=int, dest="n_s")
-        q.add_argument("--ntheta", type=int, dest="n_theta")
-        q.add_argument("--tol", type=float)
-        q.add_argument("--max-iter", type=int, dest="max_iter")
-        q.add_argument("--seed", type=int)
-        q.add_argument("--alpha", type=float)
-        q.add_argument("--periods", type=int)
-        q.add_argument("--mesh-resolution", type=int, dest="mesh_resolution")
+        for flag in ("kappa0", "tau0", "xi", "delta", "ell", "tol", "alpha"):
+            q.add_argument(f"--{flag}", type=float)
+        for flag, dest in (("ns", "n_s"), ("ntheta", "n_theta"), ("max-iter", "max_iter"),
+                           ("seed", "seed"), ("periods", "periods"),
+                           ("mesh-resolution", "mesh_resolution")):
+            q.add_argument(f"--{flag}", type=int, dest=dest)
         q.add_argument("--out", dest="output_dir")
     return p
 

@@ -25,7 +25,7 @@ from .bent import BentSurface, GraphFunction, solve_u0
 from .cutoffs import even_cutoff
 from .errors import RejectedParametersError
 from .helicoid import StabilityModes, kernel_fn, substitute
-from .numerics import Grid, cumulative_from_zero, fd_weights, theta_derivative
+from .numerics import Grid, cumulative_from_zero, fd_weights, iterate, theta_derivative
 
 # smallness budget delta (1 + |R| + |xi|) ell of the perturbation argument
 GATE_BUDGET = 0.2
@@ -72,7 +72,7 @@ def invert_mean(e_bar, grid):
 class Workspace:
     """Grid-bound data for repeated linear solves over one bent surface."""
 
-    def __init__(self, spec, ell, n_s, n_theta):
+    def __init__(self, spec, ell, n_s, n_theta, tol=1e-9):
         # checked before any set-up: the mean solve pins v(0) = v'(0) = 0
         if n_s % 2 != 0:
             raise ValueError("n_s must be even so that s = 0 is a grid point")
@@ -83,7 +83,7 @@ class Workspace:
         # the one set-up sequence: u0 is solved on this grid and m = 0 inverse
         g = self.grid = Grid(ell, n_s, n_theta)
         self.modes = StabilityModes(g, n_theta // 2)
-        self.u0 = solve_u0(spec.lam, g, self.modes)
+        self.u0 = solve_u0(spec.lam, g, self.modes, tol)
         self.surface = BentSurface(spec, g, self.u0.values)
         s_col, t_row = g.s[:, None], g.theta[None, :]
 
@@ -223,28 +223,26 @@ def check_gates(spec, ell):
 def solve_minimal(spec, ell, n_s=1024, n_theta=64, tol=1e-9, max_iter=50):
     """Drive the graph over the bent helicoid to minimality.
 
-    Iterates the fixed-point map until the update norm drops below tol.  The
-    report records the interior residual history of Q, the final graph
-    coefficients, weighted norms, the embeddedness verdict from the
-    closed-form bound, and the self-similarity defect of the solved surface.
+    Iterates the fixed-point map under numerics.iterate, u0's stop rule too,
+    on the interior residual of Q.  The report records its history, the
+    final graph coefficients, weighted norms, the embeddedness verdict from
+    the closed-form bound, and the self-similarity defect of the solved
+    surface.
     """
     check_gates(spec, ell)
     t0 = time.perf_counter()
-    ws = Workspace(spec, ell, n_s, n_theta)
+    ws = Workspace(spec, ell, n_s, n_theta, tol)
+
+    def step(state):
+        new, info = psi_step(ws, state)
+        return new, info["q_interior"], info["update_norm"]
+
+    def residual(state):
+        q = ws.surface.q_operator(_graph_function(ws, state))
+        return float(np.abs(q[ws.interior, :]).max())
+
     state = SolverState(np.zeros((len(ws.grid.s), n_theta)), 0.0, 0.0)
-
-    history = []
-    converged = False
-    for _ in range(max_iter):
-        state, info = psi_step(ws, state)
-        history.append(info["q_interior"])
-        if info["update_norm"] < tol:
-            converged = True
-            break
-
-    final = _graph_function(ws, state)
-    q_final = ws.surface.q_operator(final)
-    history.append(float(np.abs(q_final[ws.interior, :]).max()))
+    state, history, converged = iterate(step, state, residual, tol, max_iter)
 
     norm_v = verify.weighted_norm(state.v, ws.grid, rho=0.75, k=2)
     denom = spec.delta * ell ** 0.25 * spec.r_norm
@@ -253,7 +251,7 @@ def solve_minimal(spec, ell, n_s=1024, n_theta=64, tol=1e-9, max_iter=50):
     embed_ok = ell <= verify.embed_bound(spec)
     verdict = "certified" if (embed_ok and converged) else "not-certified"
 
-    defect = verify.check_self_similarity(ws.surface, final.values)
+    defect = verify.check_self_similarity(ws.surface, _graph_function(ws, state).values)
     report = verify.SolveReport(
         residual_history=history,
         final_interior_residual=history[-1],

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bent
-from .numerics import Grid, lagrange_resample, theta_derivative, trig_interpolate
+from .numerics import Grid, lagrange_resample, trig_interpolate, weighted_norm
 from .tube import max_embed_ell, sampled_min_separation
 
 
@@ -39,26 +39,6 @@ class Mesh:
     vertices: np.ndarray
     faces: np.ndarray
     scalars: dict
-
-
-def weighted_norm(u, grid, rho=0.75, k=0):
-    """Weighted grid sup norm: sup cosh(s)^-rho (|u| + |first derivs| + ...).
-
-    Derivatives in s are fourth-order stencils, in theta exact mode-wise
-    differentiation; the Hoelder seminorm of the continuous counterpart is
-    deliberately omitted.
-    """
-    u = np.asarray(u, dtype=float)
-    terms = [np.abs(u)]
-    if k >= 1:
-        u_theta = theta_derivative(u)
-        terms += [np.abs(grid.d1 @ u), np.abs(u_theta)]
-    if k >= 2:
-        terms += [np.abs(grid.d2 @ u), np.abs(theta_derivative(u, order=2)),
-                  np.abs(grid.d1 @ u_theta)]
-    total = sum(terms)
-    weight = np.cosh(grid.s) ** (-rho)
-    return float(np.max(weight[:, None] * total))
 
 
 def check_self_similarity(surface, u):
@@ -232,16 +212,11 @@ def write_obj(mesh, path):
 
 
 def read_obj(path):
-    vertices, faces = [], []
+    """Vertices and 0-based faces of an OBJ file."""
     with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                vertices.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                faces.append([int(x.split("/")[0]) - 1 for x in parts[1:4]])
+        rows = [line.split() for line in fh]
+    vertices = [[float(x) for x in r[1:4]] for r in rows if r[:1] == ["v"]]
+    faces = [[int(x.split("/")[0]) - 1 for x in r[1:4]] for r in rows if r[:1] == ["f"]]
     return np.array(vertices), np.array(faces, dtype=int)
 
 
@@ -273,21 +248,14 @@ def report_text(report):
     Volatile fields (wall-clock runtime) are excluded on purpose so that
     identical configurations produce byte-identical files.
     """
-    lines = ["[report]"]
-    lines.append(f"converged = {str(report.converged).lower()}")
-    lines.append(f"iterations = {report.iterations}")
-    lines.append(f"final_interior_residual = {report.final_interior_residual:.17g}")
-    lines.append(f"b_x = {report.b_x:.17g}")
-    lines.append(f"b_y = {report.b_y:.17g}")
-    lines.append(f"norm_v = {report.norm_v:.17g}")
-    lines.append(f"zeta = {report.zeta:.17g}")
-    lines.append(f"u0_c_hat = {report.u0_c_hat:.17g}")
-    lines.append(f"embed_verdict = {report.embed_verdict}")
-    lines.append(f"self_similarity_defect = {report.self_similarity_defect:.17g}")
-    lines.append("residual_history = " + ",".join(f"{x:.17g}" for x in report.residual_history))
+    keys = ("final_interior_residual", "b_x", "b_y", "norm_v", "zeta", "u0_c_hat")
+    lines = ["[report]", f"converged = {str(report.converged).lower()}",
+             f"iterations = {report.iterations}",
+             *(f"{key} = {getattr(report, key):.17g}" for key in keys),
+             f"embed_verdict = {report.embed_verdict}",
+             f"self_similarity_defect = {report.self_similarity_defect:.17g}",
+             "residual_history = " + ",".join(f"{x:.17g}" for x in report.residual_history)]
     if report.config:
-        lines.append("")
-        lines.append("[config]")
-        for key in sorted(report.config):
-            lines.append(f"{key} = {report.config[key]}")
+        lines += ["", "[config]", *(f"{key} = {report.config[key]}"
+                                    for key in sorted(report.config))]
     return "\n".join(lines) + "\n"

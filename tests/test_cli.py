@@ -212,11 +212,39 @@ def test_non_converged_solve_exits_3(command, tmp_path, capsys):
     assert capsys.readouterr().out
 
 
-def test_no_profile_exits_3(tmp_path, capsys):
-    # the u0 profile iteration stalls at its roundoff floor on this grid
-    argv = ["solve", "--ns", "16384", "--ntheta", "4", "--out", str(tmp_path)]
+def test_no_profile_exits_3(tmp_path, capsys, monkeypatch):
+    # a profile solve that fails, as a diverging chord iteration does
+    from spiralforge import solver
+    from spiralforge.errors import NoProfileError
+
+    def no_profile(*args, **kwargs):
+        raise NoProfileError("profile iteration did not converge")
+
+    monkeypatch.setattr(solver, "solve_u0", no_profile)
+    argv = ["solve", "--ns", "64", "--ntheta", "4", "--out", str(tmp_path)]
     assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
     assert "profile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--ns", "16384", "--ntheta", "4"],
+                                  ["--xi", "3", "--ns", "8192", "--ntheta", "4"]])
+def test_profile_roundoff_floor_exits_0(argv, tmp_path):
+    # u0's residual stalls at its roundoff floor on these grids, far below
+    # its first value: the solve converges
+    argv = ["solve", *argv, "--mesh-resolution", "16", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("n_s", [8, 16, 24, 32])
+def test_coarse_grid_is_not_converged(n_s, tmp_path):
+    # on these grids the iteration stops while the residual of Q stays above
+    # a quarter of its first value
+    argv = ["solve", "--ns", str(n_s), "--ntheta", "8", "--mesh-resolution", "16",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
+    report = (tmp_path / "report.txt").read_text()
+    assert "converged = false" in report
+    assert "embed_verdict = not-certified" in report
 
 
 # every submodule, then an in-process solve, check-embed and export on a

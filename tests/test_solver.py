@@ -340,10 +340,24 @@ class TestSolveMinimal:
                             solver.check_gates(spec, ell)
 
     def test_coarse_grid_takes_the_full_step(self, demo_spec):
-        # the full step reaches the 16x8 fixed point in 4 steps
+        # the full step stops on 16x8 within 5 steps, but the residual rises
+        # from 1.3e-2 to 2.3e-2: that is no convergence
         report, _, _ = solver.solve_minimal(demo_spec, 32.0, n_s=16, n_theta=8)
-        assert report.converged
+        assert not report.converged
         assert report.iterations <= 5
+
+    @pytest.mark.parametrize("n_s", [48, 64])
+    def test_coarsest_converging_grids(self, demo_spec, n_s):
+        report, _, _ = solver.solve_minimal(demo_spec, 32.0, n_s=n_s, n_theta=8)
+        assert report.converged
+        assert report.final_interior_residual <= 1e-4 * report.residual_history[0]
+
+    def test_tolerance_below_the_roundoff_floor(self, demo_spec):
+        # the update cannot fall below 1e-12 at 8192x8; the stall stops it
+        report, _, _ = solver.solve_minimal(demo_spec, 32.0, n_s=8192, n_theta=8,
+                                            tol=1e-12)
+        assert report.converged
+        assert report.iterations <= 10
 
     def test_final_q_consistency(self, demo_solve):
         # the reported residual is the interior sup of Q at the final state

@@ -184,7 +184,7 @@ class TestExport:
         v2, f2 = verify.read_obj(tmp_path / "m.obj")
         assert np.array_equal(v2, mesh.vertices)
         assert np.array_equal(f2, mesh.faces)
-        header = open(tmp_path / "m.csv").readline().strip()
+        header = (tmp_path / "m.csv").read_text().splitlines()[0]
         assert header == "s,theta,H_abs,u"
 
     def test_faces_in_range(self, demo_solve):
