@@ -44,7 +44,7 @@ from . import jets
 from .errors import (GraphTooLargeError, InvalidImmersionError, NoProfileError,
                      RejectedParametersError)
 from .jets import Jet, jet_from_arrays
-from .numerics import iterate, theta_derivative, weighted_norm
+from .numerics import iterate, weighted_norm
 from .spirals import SpiralSpec
 from .tube import frame_point
 
@@ -261,48 +261,6 @@ class U0Profile:
     c_hat: float
 
 
-@dataclass
-class GraphFunction:
-    """A graph function together with its first and second grid derivatives.
-
-    The solver's graph candidates contain cutoff factors whose high
-    derivatives are far too spiky for grid stencils (the error feeds back
-    through the iteration and destabilizes it), so the derivative data
-    travels with the values: products with cutoffs and the substitute
-    functions fill these fields in closed form, and only genuinely smooth
-    fields are ever differenced.
-    """
-
-    values: np.ndarray
-    d_t: np.ndarray
-    d_s: np.ndarray
-    d_tt: np.ndarray
-    d_ss: np.ndarray
-    d_ts: np.ndarray
-
-    @classmethod
-    def from_values(cls, u, d1_mat, d2_mat):
-        """Derive a smooth grid function: stencils in s, modes in theta."""
-        u_t = theta_derivative(u)
-        return cls(u, u_t, d1_mat @ u, theta_derivative(u, order=2),
-                   d2_mat @ u, d1_mat @ u_t)
-
-    def __add__(self, other):
-        return GraphFunction(self.values + other.values, self.d_t + other.d_t,
-                             self.d_s + other.d_s, self.d_tt + other.d_tt,
-                             self.d_ss + other.d_ss, self.d_ts + other.d_ts)
-
-    def __mul__(self, c):
-        return GraphFunction(c * self.values, c * self.d_t, c * self.d_s,
-                             c * self.d_tt, c * self.d_ss, c * self.d_ts)
-
-    __rmul__ = __mul__
-
-    def derivatives(self):
-        """(u, u_t, u_s, u_tt, u_ss, u_ts), the argument order of _variation."""
-        return (self.values, self.d_t, self.d_s, self.d_tt, self.d_ss, self.d_ts)
-
-
 def _variation(lam, normals, u, u_t, u_s, u_tt, u_ss, u_ts):
     """Gauged jet variation (e1, e2, e11, e22, e12) of the graph e^{lam theta} u.
 
@@ -341,7 +299,8 @@ def graph_slots(lam, brackets, normals, derivs):
     first form.
 
     brackets and normals are component-major on a grid (or a block of grid
-    rows), derivs = (u, u_t, u_s, u_tt, u_ss, u_ts) on the same points.
+    rows), derivs = (u, u_t, u_s, u_tt, u_ss, u_ts), u's derivative bundle on
+    the same points (numerics.Grid.derivatives or helicoid.substitute).
     Raises GraphTooLargeError where the graph leaves the immersion set.
     """
     slots = _variation(lam, normals, *derivs)
@@ -380,8 +339,9 @@ class BentSurface:
     The output of geometry on the grid is cached at construction,
     component-major with shape (3, n_s + 1, n_theta); u0 holds the
     straightening profile's values on the same s-grid, so no interpolation
-    enters the Q operator.  Instances are treated as immutable.  Q itself
-    is graph_q, which the mesh export also evaluates a block at a time.
+    enters the Q operator, and u0_fn its derivative bundle; graphs u enter
+    as theirs.  Instances are treated as immutable.  Q itself is graph_q,
+    which the mesh export also evaluates a block at a time.
     """
 
     def __init__(self, spec: SpiralSpec, grid, u0):
@@ -392,37 +352,30 @@ class BentSurface:
         *_, aspect = _first_form(self.brackets["a1"], self.brackets["a2"])
         self.min_aspect = float(aspect.min())
         self.u0 = np.asarray(u0, dtype=float)
-        self.u0_fn = GraphFunction.from_values(self.u0[:, None], grid.d1, grid.d2)
+        self.u0_fn = grid.derivatives(self.u0[:, None])
 
-    def as_graph_function(self, u):
-        if isinstance(u, GraphFunction):
-            return u
-        g = self.grid
-        return GraphFunction.from_values(np.asarray(u, dtype=float), g.d1, g.d2)
+    def graph_variation(self, derivs):
+        """The gauged jet variation generated by the graph e^{lam theta} u,
+        from u's derivative bundle."""
+        return _pack(*_variation(self.spec.lam, self.normals, *derivs))
 
-    def graph_variation(self, u):
-        """The gauged jet variation generated by the graph e^{lam theta} u."""
-        return _pack(*_variation(self.spec.lam, self.normals,
-                                 *self.as_graph_function(u).derivatives()))
-
-    def graph_jet(self, u):
-        """Normalized-gauge jet of the graph of e^{lam theta} u over G."""
-        slots, _ = graph_slots(self.spec.lam, self.brackets, self.normals,
-                               self.as_graph_function(u).derivatives())
+    def graph_jet(self, derivs):
+        """Normalized-gauge jet of the graph of e^{lam theta} u over G, from
+        u's derivative bundle."""
+        slots, _ = graph_slots(self.spec.lam, self.brackets, self.normals, derivs)
         return _pack(*slots)
 
-    def q_operator(self, u):
-        """cosh^2(s) times the gauged mean curvature of the graph by u + u0.
+    def q_operator(self, derivs):
+        """cosh^2(s) times the gauged mean curvature of the graph by u + u0,
+        from u's derivative bundle.
 
-        u may be a plain grid array (derived by stencils; only safe for
-        smooth fields) or a GraphFunction carrying its own derivatives.  The
-        output is a 2 pi-periodic grid function (see graph_q).
+        The output is a 2 pi-periodic grid function (see graph_q).
         """
-        fn, u0 = self.as_graph_function(u), self.u0_fn
+        u, u_t, u_s, u_tt, u_ss, u_ts = derivs
+        u0, _, u0_s, _, u0_ss, _ = self.u0_fn
         # u0 depends on s alone, so only its values and s-derivatives add
-        derivs = (fn.values + u0.values, fn.d_t, fn.d_s + u0.d_s,
-                  fn.d_tt, fn.d_ss + u0.d_ss, fn.d_ts)
-        return graph_q(self.spec.lam, self.brackets, self.normals, self.ch2, derivs)
+        return graph_q(self.spec.lam, self.brackets, self.normals, self.ch2,
+                       (u + u0, u_t, u_s + u0_s, u_tt, u_ss + u0_ss, u_ts))
 
 
 # ---------------------------------------------------------------------------
@@ -467,15 +420,14 @@ def solve_u0(delta_xi, grid, modes, tol=1e-9):
     brackets, normals, ch2 = geometry(flat, grid.s[:, None], grid.theta[None, :1])
 
     def q_flat(u):
-        fn = GraphFunction.from_values(u[:, None], grid.d1, grid.d2)
-        q = graph_q(flat.lam, brackets, normals, ch2, fn.derivatives())[:, 0]
+        q = graph_q(flat.lam, brackets, normals, ch2, grid.derivatives(u[:, None]))[:, 0]
         return q, float(np.abs(q[1:-1]).max())
 
     def chord(u):
         q, r = q_flat(u)
         new = u - modes.solve_mean(q)
         new = 0.5 * (new - new[::-1])
-        return new, r, weighted_norm((new - u)[:, None], grid, rho=0.75, k=2)
+        return new, r, weighted_norm((new - u)[:, None], grid)
 
     u, residuals, converged = iterate(chord, u, lambda u: q_flat(u)[1], tol, PROFILE_STEPS)
     if not converged:

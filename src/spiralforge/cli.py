@@ -198,7 +198,7 @@ def _solve(cfg):
     report, ws, state = solver.solve_minimal(
         cfg.spec(), cfg.ell, n_s=cfg.n_s, n_theta=cfg.n_theta, tol=cfg.tol,
         max_iter=cfg.max_iter)
-    return report, ws.surface, solver._graph_function(ws, state).values
+    return report, ws.surface, solver.graph_values(ws, state)
 
 
 def _export(cfg, surface, u):

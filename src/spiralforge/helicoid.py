@@ -103,7 +103,8 @@ def kernel_fn(which, s, theta):
 def substitute(which, s, theta):
     """Substitute function u, its grid derivatives and its image, closed form.
 
-    Returns ((u, u_t, u_s, u_tt, u_ss, u_ts), w) with w = cosh^2(s) L u; psi
+    Returns ((u, u_t, u_s, u_tt, u_ss, u_ts), w): u's derivative bundle in
+    bent.graph_slots order and its image w = cosh^2(s) L u; psi
     is the radial cutoff vanishing on |s| <= 1.  Grid stencils must never
     touch these: the cutoff's high derivatives alias badly on solver grids.
 
@@ -140,11 +141,6 @@ def substitute(which, s, theta):
 def substitute_fn(which, s, theta):
     """Growing substitute functions; psi is the radial cutoff vanishing on |s| <= 1."""
     return substitute(which, s, theta)[0][0]
-
-
-def substitute_graph_derivatives(which, s, theta):
-    """(u, u_t, u_s, u_tt, u_ss, u_ts) of a substitute function, closed form."""
-    return substitute(which, s, theta)[0]
 
 
 def substitute_image(which, s, theta):

@@ -284,8 +284,9 @@ class Grid:
     """
 
     def __init__(self, ell, n_s, n_theta):
-        if ell <= 1.0:
-            raise ValueError("ell must exceed 1 so arccosh(ell) is defined")
+        # written so that a nan ell fails it
+        if not 1.0 < ell < np.inf:
+            raise ValueError(f"ell = {ell} must be finite and exceed 1")
         self.ell = float(ell)
         self.n_s = int(n_s)
         self.n_theta = int(n_theta)
@@ -308,24 +309,28 @@ class Grid:
         """Points with cosh(s) <= ell / 4 where minimality is certified."""
         return np.cosh(self.s) <= self.ell / 4.0
 
+    def derivatives(self, u):
+        """The derivative bundle (u, u_t, u_s, u_tt, u_ss, u_ts) of u, shape
+        (n_s + 1, n_theta) or (n_s + 1, 1): stencils in s, modes in theta.
 
-def weighted_norm(u, grid, rho=0.75, k=0):
-    """Weighted grid sup norm: sup cosh(s)^-rho (|u| + |first derivs| + ...).
+        Only for smooth fields: a cutoff's high derivatives alias on the grid,
+        so the substitute functions carry closed-form bundles instead.
+        """
+        u_t = theta_derivative(u)
+        return (u, u_t, self.d1 @ u, theta_derivative(u, order=2),
+                self.d2 @ u, self.d1 @ u_t)
 
-    Derivatives in s are fourth-order stencils, in theta exact mode-wise
-    differentiation; the Hoelder seminorm of the continuous counterpart is
-    deliberately omitted.
+
+def weighted_norm(u, grid):
+    """Weighted C^2 grid sup norm: sup cosh(s)^-0.75 (|u| + |u_s| + |u_t| +
+    |u_ss| + |u_tt| + |u_ts|), the derivatives those of grid.derivatives.
+
+    The Hoelder seminorm of the continuous counterpart is deliberately
+    omitted.
     """
-    u = np.asarray(u, dtype=float)
-    terms = [np.abs(u)]
-    if k >= 1:
-        u_theta = theta_derivative(u)
-        terms += [np.abs(grid.d1 @ u), np.abs(u_theta)]
-    if k >= 2:
-        terms += [np.abs(grid.d2 @ u), np.abs(theta_derivative(u, order=2)),
-                  np.abs(grid.d1 @ u_theta)]
-    total = sum(terms)
-    weight = np.cosh(grid.s) ** (-rho)
+    u, u_t, u_s, u_tt, u_ss, u_ts = grid.derivatives(u)
+    total = sum(np.abs(f) for f in (u, u_s, u_t, u_ss, u_tt, u_ts))
+    weight = np.cosh(grid.s) ** -0.75
     return float(np.max(weight[:, None] * total))
 
 

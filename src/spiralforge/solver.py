@@ -12,7 +12,8 @@ One step of the fixed-point map evaluates the bent-surface operator Q at the
 current graph, cuts it off so it vanishes at the domain boundary, and feeds
 it to the linear inverse.  At a fixed point the operator vanishes identically
 on the inner region where the cutoff is 1, which is the minimality being
-sought.
+sought.  The graph psi v + b_x u_x + b_y u_y enters Q as its derivative
+bundle; the audits and the export read its values alone (graph_values).
 """
 
 import time
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import verify
-from .bent import BentSurface, GraphFunction, solve_u0
+from .bent import BentSurface, solve_u0
 from .cutoffs import even_cutoff
 from .errors import RejectedParametersError
 from .helicoid import StabilityModes, kernel_fn, substitute
@@ -91,9 +92,8 @@ class Workspace:
         self.psi_outer = even_cutoff(np.arccosh(ell), np.arccosh(ell / 2.0), g.s)[0]
         kappa_x = kernel_fn("x", s_col, t_row)
         kappa_y = kernel_fn("y", s_col, t_row)
-        ux, self.w_x = substitute("x", s_col, t_row)
-        uy, self.w_y = substitute("y", s_col, t_row)
-        self.ux_fn, self.uy_fn = GraphFunction(*ux), GraphFunction(*uy)
+        self.ux_fn, self.w_x = substitute("x", s_col, t_row)
+        self.uy_fn, self.w_y = substitute("y", s_col, t_row)
 
         self._gauge_x = kappa_x / np.sqrt(self.inner_flat(kappa_x, kappa_x))
         self._gauge_y = kappa_y / np.sqrt(self.inner_flat(kappa_y, kappa_y))
@@ -172,7 +172,13 @@ def linear_solve(ws, e):
     return np.fft.irfft(eh, n=g.n_theta, axis=1), float(beta.real), float(-beta.imag)
 
 
-def _graph_function(ws, state):
+def graph_values(ws, state):
+    """The graph psi v + b_x u_x + b_y u_y of state on the grid, values only:
+    the first field of its derivative bundle, bit for bit."""
+    return ws.psi[:, None] * state.v + state.b_x * ws.ux_fn[0] + state.b_y * ws.uy_fn[0]
+
+
+def _graph_bundle(ws, state):
     """psi v + b_x u_x + b_y u_y as a derivative bundle.
 
     The product psi * v is differenced by the same grid stencils the linear
@@ -183,29 +189,31 @@ def _graph_function(ws, state):
     cutoff's aliased derivatives into the b-coefficients and destabilize the
     iteration.
     """
-    g = ws.grid
-    psi_v = GraphFunction.from_values(ws.psi[:, None] * state.v, g.d1, g.d2)
-    return psi_v + state.b_x * ws.ux_fn + state.b_y * ws.uy_fn
+    psi_v = ws.grid.derivatives(ws.psi[:, None] * state.v)
+    return tuple(p + state.b_x * x + state.b_y * y
+                 for p, x, y in zip(psi_v, ws.ux_fn, ws.uy_fn))
+
+
+def _residual(ws, state):
+    """Q at the graph of state, and its sup over the interior rows."""
+    q = ws.surface.q_operator(_graph_bundle(ws, state))
+    return q, float(np.abs(q[ws.interior, :]).max())
 
 
 def psi_step(ws, state):
-    """One full application of the fixed-point map.
+    """One full application of the fixed-point map, a step of numerics.iterate.
 
-    Returns (new_state, info); info carries the interior residual of Q at
-    the *incoming* state and the norm of the update.
+    Returns (new_state, the interior residual of Q at the *incoming* state,
+    the weighted C^2 norm of the update).
     """
-    q = ws.surface.q_operator(_graph_function(ws, state))
+    q, q_interior = _residual(ws, state)
     rhs = ws.psi_outer[:, None] * q
     v_hat, beta_x, beta_y = linear_solve(ws, rhs)
     new = SolverState(ws.fix_gauge(ws.psi[:, None] * state.v - v_hat),
                       state.b_x - beta_x, state.b_y - beta_y)
-    update = (verify.weighted_norm(new.v - state.v, ws.grid, rho=0.75, k=2)
+    update = (verify.weighted_norm(new.v - state.v, ws.grid)
               + abs(new.b_x - state.b_x) + abs(new.b_y - state.b_y))
-    info = {
-        "q_interior": float(np.abs(q[ws.interior, :]).max()),
-        "update_norm": float(update),
-    }
-    return new, info
+    return new, q_interior, update
 
 
 def check_gates(spec, ell):
@@ -227,34 +235,27 @@ def solve_minimal(spec, ell, n_s=1024, n_theta=64, tol=1e-9, max_iter=50):
     on the interior residual of Q.  The report records its history, the
     final graph coefficients, weighted norms, the embeddedness verdict from
     the closed-form bound, and the self-similarity defect of the solved
-    surface.
+    surface.  A solve that stops after n steps builds the graph's derivative
+    bundle n + 1 times: once per step and once for the final residual.
     """
     check_gates(spec, ell)
     t0 = time.perf_counter()
     ws = Workspace(spec, ell, n_s, n_theta, tol)
 
-    def step(state):
-        new, info = psi_step(ws, state)
-        return new, info["q_interior"], info["update_norm"]
-
-    def residual(state):
-        q = ws.surface.q_operator(_graph_function(ws, state))
-        return float(np.abs(q[ws.interior, :]).max())
-
     state = SolverState(np.zeros((len(ws.grid.s), n_theta)), 0.0, 0.0)
-    state, history, converged = iterate(step, state, residual, tol, max_iter)
+    state, history, converged = iterate(lambda x: psi_step(ws, x), state,
+                                        lambda x: _residual(ws, x)[1], tol, max_iter)
 
-    norm_v = verify.weighted_norm(state.v, ws.grid, rho=0.75, k=2)
+    norm_v = verify.weighted_norm(state.v, ws.grid)
     denom = spec.delta * ell ** 0.25 * spec.r_norm
     zeta = max(norm_v, abs(state.b_x), abs(state.b_y)) / denom if denom > 0 else np.inf
 
     embed_ok = ell <= verify.embed_bound(spec)
     verdict = "certified" if (embed_ok and converged) else "not-certified"
 
-    defect = verify.check_self_similarity(ws.surface, _graph_function(ws, state).values)
+    defect = verify.check_self_similarity(ws.surface, graph_values(ws, state))
     report = verify.SolveReport(
         residual_history=history,
-        final_interior_residual=history[-1],
         b_x=state.b_x,
         b_y=state.b_y,
         norm_v=norm_v,
@@ -263,7 +264,6 @@ def solve_minimal(spec, ell, n_s=1024, n_theta=64, tol=1e-9, max_iter=50):
         runtime=time.perf_counter() - t0,
         converged=converged,
         zeta=float(zeta),
-        iterations=len(history) - 1,
         u0_c_hat=ws.u0.c_hat,
     )
     return report, ws, state

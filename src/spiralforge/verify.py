@@ -20,7 +20,6 @@ from .tube import max_embed_ell, sampled_min_separation
 @dataclass
 class SolveReport:
     residual_history: list
-    final_interior_residual: float
     b_x: float
     b_y: float
     norm_v: float
@@ -29,9 +28,18 @@ class SolveReport:
     runtime: float
     converged: bool
     zeta: float
-    iterations: int
     u0_c_hat: float
     config: dict = field(default_factory=dict)
+
+    @property
+    def final_interior_residual(self):
+        """The interior residual of Q at the final state."""
+        return self.residual_history[-1]
+
+    @property
+    def iterations(self):
+        """Fixed-point steps taken: the history holds one residual more."""
+        return len(self.residual_history) - 1
 
 
 @dataclass
@@ -157,8 +165,7 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
     u_mesh = lagrange_resample(g.s, u_theta, s_m)
     # s-stencils need whole columns; all that follows is pointwise, so it
     # runs a block of mesh rows at a time into the preallocated mesh arrays
-    derivs = bent.GraphFunction.from_values(u_mesh, mesh_grid.d1,
-                                            mesh_grid.d2).derivatives()
+    derivs = mesh_grid.derivatives(u_mesh)
 
     n_cols = periods * n_tm
     vertices = np.empty((n_sm, n_cols, 3))

@@ -6,7 +6,7 @@ from spiralforge.bent import BentSurface, bent_jet, bent_point, normalized_jet
 from spiralforge.errors import (GraphTooLargeError, NoProfileError,
                                RejectedParametersError)
 from spiralforge.helicoid import reference_jet, reference_point
-from spiralforge.numerics import Grid
+from spiralforge.numerics import Grid, theta_derivative
 from spiralforge.spirals import SpiralSpec
 
 from conftest import bent_surface, profile
@@ -160,7 +160,7 @@ class TestGraphJet:
 
     def test_zero_graph(self, surface):
         g = surface.grid
-        total = surface.graph_jet(np.zeros((129, 16)))
+        total = surface.graph_jet(g.derivatives(np.zeros((129, 16))))
         jet = normalized_jet(surface.spec, g.s[:, None], g.theta[None, :])
         assert np.abs(total.d1 - jet.d1).max() == 0.0
 
@@ -168,9 +168,10 @@ class TestGraphJet:
         rng = np.random.default_rng(0)
         u = 0.01 * rng.standard_normal((129, 16))
         v = 0.01 * rng.standard_normal((129, 16))
-        e_u = surface.graph_variation(u)
-        e_v = surface.graph_variation(v)
-        e_c = surface.graph_variation(2 * u + 3 * v)
+        g = surface.grid
+        e_u = surface.graph_variation(g.derivatives(u))
+        e_v = surface.graph_variation(g.derivatives(v))
+        e_c = surface.graph_variation(g.derivatives(2 * u + 3 * v))
         assert np.abs(e_c.d1 - 2 * e_u.d1 - 3 * e_v.d1).max() < 1e-12
         assert np.abs(e_c.d2 - 2 * e_u.d2 - 3 * e_v.d2).max() < 1e-12
 
@@ -195,7 +196,7 @@ class TestGraphJet:
         surf = bent_surface(flat, 32.0, 128, 16)
         u = np.full((129, 16), np.cosh(surf.grid.s[10]) ** 2)
         with pytest.raises(GraphTooLargeError):
-            surf.graph_jet(u)
+            surf.graph_jet(surf.grid.derivatives(u))
 
     def test_normal_difference_to_reference(self):
         # sup |nu_tilde - nu_ref| / (delta |R|) bounded, stable under halving
@@ -215,7 +216,7 @@ class TestQOperator:
     def test_flat_rig_zero(self):
         flat = SpiralSpec(np.zeros((3, 3)), 1e-3, 0.0, allow_trivial=True)
         surf = bent_surface(flat, 32.0, 128, 16)
-        q = surf.q_operator(np.zeros((129, 16)))
+        q = surf.q_operator(surf.grid.derivatives(np.zeros((129, 16))))
         assert np.abs(q).max() < 1e-11
 
     def test_periodicity_of_output(self, spec):
@@ -244,7 +245,7 @@ class TestQOperator:
         for delta in (1e-2, 5e-3, 2.5e-3):
             sp = SpiralSpec.from_invariants(1.0, 0.0, 1.0, delta)
             surf = bent_surface(sp, 32.0, 256, 32)
-            q = surf.q_operator(np.zeros((257, 32)))
+            q = surf.q_operator(surf.grid.derivatives(np.zeros((257, 32))))
             sups.append(np.abs(q).max())
             w = np.abs(q).max(axis=1) / np.cosh(surf.grid.s) ** 0.75
             weighted.append(w.max() / (delta * 32.0 ** 0.25 * sp.r_norm))
@@ -262,8 +263,9 @@ class TestQOperator:
         u = (1 - (g.s[:, None] / g.s_max) ** 2) ** 2 * (
             np.cos(g.theta)[None, :] / np.cosh(g.s)[:, None])
         eps = 1e-6
-        dq = (surf.q_operator(eps * u) - surf.q_operator(-eps * u)) / (2 * eps)
-        want = (g.d2 @ u + bent.theta_derivative(u, order=2)
+        dq = (surf.q_operator(g.derivatives(eps * u))
+              - surf.q_operator(g.derivatives(-eps * u))) / (2 * eps)
+        want = (g.d2 @ u + theta_derivative(u, order=2)
                 + 2 * u / np.cosh(g.s)[:, None] ** 2)
         assert np.abs(dq - want).max() < 1e-8
 
@@ -273,7 +275,7 @@ def _q_by_jets(surface, gf):
     through jets.mean_curvature."""
     g = surface.grid
     total = (normalized_jet(surface.spec, g.s[:, None], g.theta[None, :])
-             + surface.graph_variation(gf + surface.u0_fn))
+             + surface.graph_variation([a + b for a, b in zip(gf, surface.u0_fn)]))
     return np.cosh(g.s)[:, None] ** 2 * jets.mean_curvature(total)
 
 
@@ -286,7 +288,7 @@ class TestQAgainstJetRoute:
         rng = np.random.default_rng(7)
         v = 1e-3 * np.cos(g.theta)[None, :] * np.tanh(g.s)[:, None] \
             + 1e-4 * rng.standard_normal((129, 16))
-        gf = solver._graph_function(ws, solver.SolverState(v, 0.02, -0.01))
+        gf = solver._graph_bundle(ws, solver.SolverState(v, 0.02, -0.01))
         q = ws.surface.q_operator(gf)
         assert np.abs(q - _q_by_jets(ws.surface, gf)).max() <= 1e-13 * np.abs(q).max()
 
@@ -294,7 +296,7 @@ class TestQAgainstJetRoute:
         flat = SpiralSpec(np.zeros((3, 3)), 1.0, 1e-3, allow_trivial=True)
         surf = BentSurface(flat, Grid(32.0, 256, 1), np.zeros(257))
         u = (1e-3 * np.sinh(surf.grid.s) ** 2 * np.tanh(surf.grid.s))[:, None]
-        gf = surf.as_graph_function(u)
+        gf = surf.grid.derivatives(u)
         q = surf.q_operator(gf)
         assert np.abs(q - _q_by_jets(surf, gf)).max() <= 1e-13 * np.abs(q).max()
 
@@ -343,7 +345,7 @@ class TestProfile:
             return np.r_[-u_pos[::-1], 0.0, u_pos]
 
         def system(u_pos):
-            q = flat.q_operator(expand(u_pos)[:, None])[:, 0]
+            q = flat.q_operator(flat.grid.derivatives(expand(u_pos)[:, None]))[:, 0]
             return np.r_[(8.0 * u_pos[0] - u_pos[1]) / (6.0 * h), q[i0 + 1:-1]]
 
         # hybr may report failure at this xtol although the residual sits at

@@ -226,6 +226,27 @@ def test_no_profile_exits_3(tmp_path, capsys, monkeypatch):
     assert "profile" in capsys.readouterr().err
 
 
+def test_solve_builds_the_graph_bundle_once_per_residual(tmp_path, monkeypatch):
+    # one bundle per step and one for the final residual; the audit and the
+    # export read the graph's values alone
+    from spiralforge import solver
+
+    calls = []
+    bundle = solver._graph_bundle
+
+    def counted(*args):
+        calls.append(1)
+        return bundle(*args)
+
+    monkeypatch.setattr(solver, "_graph_bundle", counted)
+    argv = ["solve", "--ns", "512", "--ntheta", "8", "--mesh-resolution", "16",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    report = (tmp_path / "report.txt").read_text()
+    iterations = int(re.search(r"^iterations = (\d+)$", report, re.M).group(1))
+    assert len(calls) == iterations + 1
+
+
 @pytest.mark.parametrize("argv", [["--ns", "16384", "--ntheta", "4"],
                                   ["--xi", "3", "--ns", "8192", "--ntheta", "4"]])
 def test_profile_roundoff_floor_exits_0(argv, tmp_path):

@@ -5,7 +5,7 @@ from spiralforge import jets
 from spiralforge.helicoid import (gauss_map, helicoid_jet, helicoid_point,
                                   kernel_fn, kernel_pairing, pairing_matrix,
                                   stability_apply, substitute_fn,
-                                  substitute_graph_derivatives, substitute_image)
+                                  substitute, substitute_image)
 
 from conftest import rel_err
 
@@ -142,7 +142,7 @@ class TestSubstitute:
     def test_derivative_bundle_consistency(self):
         s = np.linspace(-4, 4, 201)[:, None]
         t = (np.linspace(-np.pi, np.pi, 9)[:-1])[None, :]
-        u, u_t, u_s, u_tt, u_ss, u_ts = substitute_graph_derivatives("x", s, t)
+        (u, u_t, u_s, u_tt, u_ss, u_ts), _ = substitute("x", s, t)
         h = 1e-5
         up = substitute_fn("x", s + h, t)
         um = substitute_fn("x", s - h, t)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spiralforge import numerics
-from spiralforge.numerics import (LAGRANGE_NODES, derivative_matrix, fd_weights,
+from spiralforge.numerics import (LAGRANGE_NODES, Grid, derivative_matrix, fd_weights,
                                   lagrange_resample, lagrange_weights)
 
 
@@ -77,6 +77,13 @@ def test_derivative_matrix_rejects_short_grids():
         derivative_matrix(5, 0.1, 2, 4)
     with pytest.raises(ValueError, match="7 points"):
         derivative_matrix(7, 0.1, 2, 4) @ np.zeros(6)
+
+
+@pytest.mark.parametrize("ell", [np.nan, np.inf, 1.0, -2.0])
+def test_grid_rejects_ell_outside_one_to_inf(ell):
+    # arccosh(ell) must be a finite positive half-width
+    with pytest.raises(ValueError, match="must be finite and exceed 1"):
+        Grid(ell, 16, 8)
 
 
 def test_missing_lapack_wrappers_name_the_file(monkeypatch, tmp_path):

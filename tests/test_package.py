@@ -18,7 +18,7 @@ EXPORTS = {
     "helicoid": ["gauss_map", "helicoid_jet", "kernel_fn", "kernel_pairing",
                  "reference_jet", "stability_apply", "substitute_fn",
                  "substitute_image"],
-    "bent": ["BentSurface", "GraphFunction", "bent_jet", "normalized_jet", "solve_u0"],
+    "bent": ["BentSurface", "bent_jet", "normalized_jet", "solve_u0"],
     "solver": ["SolverState", "Workspace", "linear_solve", "invert_mean",
                "psi_step", "solve_minimal"],
     "verify": ["Mesh", "SolveReport", "check_embedded", "check_self_similarity",

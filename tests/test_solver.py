@@ -238,8 +238,8 @@ class TestPsiStep:
         hist = report.residual_history
         # monotone decrease of the residual after the first correction
         assert hist[2] < hist[1] < hist[0]
-        new, info = solver.psi_step(ws, state)
-        assert info["update_norm"] < 1e-9
+        new, _, update = solver.psi_step(ws, state)
+        assert update < 1e-9
 
     def test_gauge_projection_removes_kernel(self, ws):
         rng = np.random.default_rng(1)
@@ -359,10 +359,15 @@ class TestSolveMinimal:
         assert report.converged
         assert report.iterations <= 10
 
+    def test_graph_values_are_the_bundle_values(self, demo_solve):
+        _, ws, state = demo_solve
+        assert np.array_equal(solver.graph_values(ws, state),
+                              solver._graph_bundle(ws, state)[0])
+
     def test_final_q_consistency(self, demo_solve):
         # the reported residual is the interior sup of Q at the final state
         report, ws, state = demo_solve
-        q = ws.surface.q_operator(solver._graph_function(ws, state))
+        q = ws.surface.q_operator(solver._graph_bundle(ws, state))
         assert abs(np.abs(q[ws.interior, :]).max()
                    - report.final_interior_residual) < 1e-15
 

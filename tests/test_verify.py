@@ -16,25 +16,16 @@ from conftest import bent_surface
 
 
 class TestWeightedNorm:
-    def test_weight_cancels(self):
+    def test_closed_form_c2(self):
+        # u = s^2 + s cos(theta): the s-stencils are exact on quadratics and
+        # the theta derivatives on one mode, so the norm is the grid sup of
+        # cosh^-0.75 times the sum of the six exact derivative magnitudes
         g = Grid(32.0, 128, 16)
-        u = np.cosh(g.s)[:, None] ** 0.75 * np.ones((1, 16))
-        assert abs(verify.weighted_norm(u, g, rho=0.75, k=0) - 1.0) < 1e-12
-
-    def test_kernel_profile(self):
-        g = Grid(1e5, 512, 16)  # wide window so the sup is interior
-        u = np.cos(g.theta)[None, :] / np.cosh(g.s)[:, None]
-        # sup sech^(7/4) = 1, attained at s = 0
-        assert abs(verify.weighted_norm(u, g, rho=0.75, k=0) - 1.0) < 1e-12
-
-    def test_monotone_in_order(self):
-        g = Grid(32.0, 128, 16)
-        rng = np.random.default_rng(0)
-        u = rng.standard_normal((129, 16))
-        n0 = verify.weighted_norm(u, g, rho=0.75, k=0)
-        n1 = verify.weighted_norm(u, g, rho=0.75, k=1)
-        n2 = verify.weighted_norm(u, g, rho=0.75, k=2)
-        assert n0 <= n1 <= n2
+        s, cos, sin = g.s[:, None], np.cos(g.theta)[None, :], np.sin(g.theta)[None, :]
+        u = s ** 2 + s * cos
+        fields = (u, 2 * s + cos, s * sin, 2.0, s * cos, sin)
+        want = np.max(np.cosh(s) ** -0.75 * sum(np.abs(f) for f in fields))
+        assert abs(verify.weighted_norm(u, g) - want) <= 1e-12 * want
 
 
 class TestSelfSimilarity:
@@ -46,7 +37,7 @@ class TestSelfSimilarity:
 
     def test_solved_surface(self, demo_solve):
         _, ws, state = demo_solve
-        u = solver._graph_function(ws, state).values
+        u = solver.graph_values(ws, state)
         assert verify.check_self_similarity(ws.surface, u) < 1e-10
 
     def test_torsion_case(self):
@@ -91,14 +82,14 @@ class TestTrigInterpolate:
 class TestEmbeddedness:
     def test_certified(self, demo_solve):
         report, ws, state = demo_solve
-        u = solver._graph_function(ws, state).values
+        u = solver.graph_values(ws, state)
         verdict, info = verify.check_embedded(ws.surface, u, report.converged,
                                               n_samples=2000, seed=0)
         assert verdict == "certified"
 
     def test_sampling_clears_margin(self, demo_solve):
         report, ws, state = demo_solve
-        u = solver._graph_function(ws, state).values
+        u = solver.graph_values(ws, state)
         verdict, info = verify.check_embedded(ws.surface, u, report.converged,
                                               n_samples=10000, seed=1)
         assert verdict == "certified"
@@ -111,7 +102,7 @@ class TestEmbeddedness:
         # exclusion radius (0.589 in parameters, 0.584 in space), so the
         # margin shows with the exclusion doubled: no other sheet within 10
         _, ws, state = demo_solve
-        u = solver._graph_function(ws, state).values
+        u = solver.graph_values(ws, state)
         threshold = 0.1 * np.exp(-abs(ws.spec.lam) * 3.0 * np.pi)
         pts, params, exclusion = verify._embed_samples(ws.surface, u, 10000, 1)
         none = (np.inf, (-1, -1))
@@ -128,7 +119,7 @@ class TestEmbeddedness:
         assert max_embed_ell(spec) < 32.0
         report, ws, state = solver.solve_minimal(spec, 32.0, n_s=128,
                                                  n_theta=16, tol=1e-9)
-        u = solver._graph_function(ws, state).values
+        u = solver.graph_values(ws, state)
         verdict, info = verify.check_embedded(ws.surface, u, report.converged,
                                               n_samples=4000, seed=2)
         assert verdict == "sampled-ok"
@@ -141,7 +132,7 @@ class TestEmbeddedness:
         report, ws, state = solver.solve_minimal(spec, 32.0, n_s=128,
                                                  n_theta=8, tol=1e-9)
         assert report.embed_verdict == "not-certified"
-        u = solver._graph_function(ws, state).values
+        u = solver.graph_values(ws, state)
         verdict, info = verify.check_embedded(ws.surface, u, report.converged,
                                               n_samples=4000, seed=2)
         assert np.isnan(info["ell_bound"])
@@ -175,7 +166,7 @@ class TestEmbeddedness:
 class TestExport:
     def test_vertex_count_and_roundtrip(self, demo_solve, tmp_path):
         _, ws, state = demo_solve
-        u = solver._graph_function(ws, state).values
+        u = solver.graph_values(ws, state)
         mesh = verify.export_mesh(ws.surface, u, tmp_path / "m.obj",
                                   resolution=(64, 64),
                                   csv_path=tmp_path / "m.csv")
@@ -189,7 +180,7 @@ class TestExport:
 
     def test_faces_in_range(self, demo_solve):
         _, ws, state = demo_solve
-        u = solver._graph_function(ws, state).values
+        u = solver.graph_values(ws, state)
         mesh = verify.build_mesh(ws.surface, u, resolution=(16, 16))
         assert mesh.faces.min() == 0
         assert mesh.faces.max() == len(mesh.vertices) - 1
@@ -198,7 +189,7 @@ class TestExport:
         # every interior edge is shared by exactly two consistently oriented
         # triangles; boundary edges by exactly one
         _, ws, state = demo_solve
-        u = solver._graph_function(ws, state).values
+        u = solver.graph_values(ws, state)
         mesh = verify.build_mesh(ws.surface, u, resolution=(12, 12))
         from collections import Counter
         directed = Counter()
@@ -217,10 +208,9 @@ class TestExport:
         # bent-surface machinery
         _, ws, state = demo_solve
         g = ws.grid
-        fn = solver._graph_function(ws, state)
-        mesh = verify.build_mesh(ws.surface, fn.values,
-                                 resolution=(len(g.s), g.n_theta))
-        q = ws.surface.q_operator(fn.values)
+        u = solver.graph_values(ws, state)
+        mesh = verify.build_mesh(ws.surface, u, resolution=(len(g.s), g.n_theta))
+        q = ws.surface.q_operator(g.derivatives(u))
         want = np.abs(q) / (np.exp(ws.spec.lam * g.theta)[None, :]
                             * np.cosh(g.s)[:, None] ** 2)
         got = mesh.scalars["H_abs"].reshape(len(g.s), g.n_theta)
@@ -238,7 +228,7 @@ class TestExport:
 
     def test_two_period_similarity(self, demo_solve):
         _, ws, state = demo_solve
-        u = solver._graph_function(ws, state).values
+        u = solver.graph_values(ws, state)
         mesh = verify.build_mesh(ws.surface, u, resolution=(24, 24), periods=2)
         pts = mesh.vertices.reshape(24, 48, 3)
         scale, rot = ws.spec.similarity()
@@ -253,7 +243,7 @@ class TestExport:
         # into one mesh row per block and the writers into many blocks with a
         # partial last one, a block of 60 into mesh rows 5 + 5 + 2
         _, ws, state = demo_solve
-        u = solver._graph_function(ws, state).values
+        u = solver.graph_values(ws, state)
         whole = verify.build_mesh(ws.surface, u, resolution=(12, 12), periods=2)
         if block is not None:
             monkeypatch.setattr(verify, "EXPORT_BLOCK", block)
@@ -285,7 +275,7 @@ class TestExport:
         # block-wise export: the writers' working memory stays at one block
         # and the mesh build holds no whole-mesh normal bundle
         _, ws, state = demo_solve
-        u = solver._graph_function(ws, state).values
+        u = solver.graph_values(ws, state)
 
         def peak_mb(fn, *args):
             tracemalloc.start()
@@ -303,7 +293,7 @@ class TestExport:
 
     def test_io_failure_surfaces_path(self, demo_solve):
         _, ws, state = demo_solve
-        u = solver._graph_function(ws, state).values
+        u = solver.graph_values(ws, state)
         bad = os.path.join("definitely", "missing", "dir", "m.obj")
         with pytest.raises(OSError) as err:
             verify.export_mesh(ws.surface, u, bad, resolution=(8, 8))
@@ -320,6 +310,16 @@ class TestReportText:
         assert a == b
         assert "runtime" not in a
         assert "final_interior_residual" in a
+
+
+def test_solve_report_counts_follow_the_history(demo_solve):
+    report, _, _ = demo_solve
+    assert report.final_interior_residual == report.residual_history[-1]
+    assert report.iterations == len(report.residual_history) - 1
+    with pytest.raises(AttributeError):
+        report.iterations = 0
+    with pytest.raises(AttributeError):
+        report.final_interior_residual = 0.0
 
 
 def test_solve_report_fields_are_required():
