@@ -404,6 +404,11 @@ def solve_u0(delta_xi, grid, modes, tol=1e-9):
     update (2.3e-10 at the second step for delta_xi = 1e-3); NoProfileError
     unless it converged within PROFILE_STEPS steps.
 
+    The domain gate arccosh(ell) <= PROFILE_GATE |delta_xi|^(-1/4) guards
+    direct library calls.  A solve never reaches it: solver.check_gates
+    keeps |delta_xi| within GATE_BUDGET / ell, where the gate holds with a
+    margin of at least 1 for every ell > 16.
+
     Returns a U0Profile on grid.s (iterations: chord steps); c_hat reports
     sup |u0| / (s^2 delta_xi), the measured constant of the quadratic bound.
     """

@@ -8,6 +8,7 @@ ASCII OBJ in full double precision with a CSV sidecar carrying the scalar
 fields a mesh file cannot.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,21 +202,231 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
                 {k: v.reshape(-1) for k, v in scalars.items()})
 
 
-def _write_blocks(fh, row_format, n_rows, rows_of):
-    """Write n_rows rows of row_format, formatting EXPORT_BLOCK rows per %
-    operation; rows_of(sl) gives the rows of slice sl as a 2-D array."""
+# ---------------------------------------------------------------------------
+# OBJ/CSV text: "%.17g" and "%d", byte for byte, a block of rows at a time
+# ---------------------------------------------------------------------------
+#
+# A block's text is laid out in planes: plane j of a field holds byte j of
+# that field for every row, and a mask keeps the bytes of each row's text,
+# so reading the kept bytes row by row gives the rows.  A float's 17 digits
+# come from |x| 10^(16 - k) in double-double arithmetic, correctly rounded
+# as CPython's dtoa rounds them, unless the rounding fraction lies within
+# the product's error bound of 1/2 (ties and near-ties) or k lies outside
+# the power table (subnormals, |x| beyond 1e280): such values take Python's
+# own "%.17g", one at a time.
+
+_K_MAX = 280               # |k| covered by the power table, with one to spare
+_N_MIN = 15 - _K_MAX       # its smallest power of ten, 16 - (_K_MAX + 1)
+# the product y = |x| 10^(16 - k) < 2^57 is within 2^-104 y < 2^-47 of exact
+# (Dekker's exact two-product, a table tail good to 2^-106 and one rounding),
+# so a rounding fraction within 2^-40 of 1/2 is left undecided
+_TIE = 2.0 ** -40
+# constant planes after the 17 digits; the layouts index into all 23
+_CONST = np.frombuffer(b".0naif", np.uint8)[:, None]
+_DOT, _ZERO, _N, _A, _I, _F = range(17, 23)
+# digit position weights for the last significant digit
+_POS = np.arange(1, 17, dtype=np.uint8)[:, None]
+# widest field: sign, "0.000" and 17 digits, "e-308"
+_FIELD_MAX = 28
+
+
+def _layout(code):
+    """Source planes of a float's text by layout code: 1-17 put the point
+    after that many digits, 18-21 lead with "0." and 0-3 zeros (exponents
+    -1 to -4), 22-24 spell 0, nan and inf."""
+    if code <= 17:
+        return [*range(code), _DOT, *range(code, 17)]
+    if code <= 21:
+        return [_ZERO, _DOT, *[_ZERO] * (code - 18), *range(17)]
+    return ([_ZERO], [_N, _A, _N], [_I, _N, _F])[code - 22]
+
+
+@functools.cache
+def _pow10():
+    """10^n for n = _N_MIN .. 17 + _K_MAX as double-doubles (hi, lo): hi
+    correctly rounded, lo the rounded rest, both from exact integers."""
+    hi, lo = [], []
+    for n in range(_N_MIN, 18 + _K_MAX):
+        num, den = (10 ** n, 1) if n >= 0 else (1, 10 ** -n)
+        h = num / den
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    return np.array(hi), np.array(lo)
+
+
+@functools.cache
+def _exponents():
+    """"e%+03d" % X for X = -_K_MAX - 1 .. _K_MAX + 1: five planes, and the
+    lengths."""
+    text = [b"e%+03d" % x for x in range(-_K_MAX - 1, _K_MAX + 2)]
+    planes = np.frombuffer(b"".join(t.ljust(5) for t in text), np.uint8)
+    return planes.reshape(-1, 5).T.copy(), np.array(list(map(len, text)), np.uint8)
+
+
+def _split(a):
+    """Veltkamp's split of a into two halves of at most 26 bits each."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(ax, k):
+    """ax 10^(16 - k) as a double-double (hi, lo)."""
+    tab_hi, tab_lo = _pow10()
+    i = 16 - k - _N_MIN
+    ph = tab_hi[i]
+    p = ax * ph
+    (ah, al), (bh, bl) = _split(ax), _split(ph)
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl + ax * tab_lo[i]
+    hi = p + err
+    return hi, err - (hi - p)
+
+
+def _decimal17(ax):
+    """(D, X, undecided) for positive ax in the table's range: ax rounded to
+    17 significant digits is D 10^(X - 16), 10^16 <= D < 10^17, wherever
+    undecided is false."""
+    k = np.floor(np.log10(ax)).astype(np.int64)
+    hi, lo = _scaled(ax, k)
+    # log10 can miss by one next to a power of ten: rescale where the
+    # product fell outside [10^16, 10^17)
+    adj = (((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.int64)
+           - ((hi < 1e16) | ((hi == 1e16) & (lo < 0))))
+    redo = np.flatnonzero(adj)
+    if len(redo):
+        k[redo] += adj[redo]
+        hi[redo], lo[redo] = _scaled(ax[redo], k[redo])
+    # hi >= 10^16 > 2^53 is an integer, so the fraction is lo's
+    whole = np.floor(lo)
+    frac = lo - whole
+    D = hi.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = D == 10 ** 17  # 99...95 and up round into the next decade
+    D[carry] = 10 ** 16
+    return D, (k + carry).astype(np.int16), np.abs(frac - 0.5) < _TIE
+
+
+def _digits(v, out):
+    """ASCII digits of the non-negative integers v (< 10^len(out)) into the
+    planes out, most significant first, zero-padded."""
+    v = v.astype(np.uint32 if len(out) <= 9 else np.int64)
+    for j in range(len(out) - 1, 0, -1):
+        q = v // 10
+        np.subtract(v, 10 * q, out=out[j], casting="unsafe")
+        v = q
+    out[0] = v
+    out += ord("0")
+
+
+def _float_field(x, chars, keep):
+    """Lay out "%.17g" % v for each v of x in the planes chars and mark its
+    bytes in keep; returns the number of planes used."""
+    ax = np.abs(x)
+    nonzero = np.isfinite(x) & (ax > 0)
+    in_table = (ax >= 10.0 ** -_K_MAX) & (ax <= 10.0 ** _K_MAX)
+    D, X, undecided = _decimal17(np.where(in_table, ax, 1.0))
+    src = np.empty((17 + len(_CONST), len(x)), np.uint8)
+    _digits(D // 10 ** 8, src[:9])
+    _digits(D % 10 ** 8, src[9:17])
+    src[17:] = _CONST
+    n_sig = 1 + ((src[1:17] != ord("0")) * _POS).max(axis=0)
+    # %g at precision 17: fixed for -4 <= X < 17, trailing zeros trimmed,
+    # and the point dropped when no digit follows it
+    fixed = (X >= -4) & (X <= 16)
+    lead = np.where(fixed & (X < 0), -X, 0)
+    dot = np.where(fixed & (X > 0), X + 1, 1)
+    code = np.where(lead > 0, 17 + lead, dot)
+    nan, inf = np.isnan(x), np.isinf(x)
+    code[x == 0] = 22
+    code[nan] = 23
+    code[inf] = 24
+    used = n_sig + lead
+    body_len = np.where(used <= dot, dot, used + 1).astype(np.uint8)
+    body_len[nan | inf] = 3  # a zero's one digit already gives "0"
+
+    w = 0
+    neg = np.signbit(x) & ~nan
+    if neg.any():
+        chars[0] = ord("-")
+        keep[0] = neg
+        w = 1
+    # the most common layout fills all rows, the others overwrite theirs
+    counts = np.bincount(code, minlength=25)
+    codes = np.flatnonzero(counts)
+    base = codes[counts[codes].argmax()]
+    width = max(len(_layout(c)) for c in codes)
+    body = chars[w:w + width]
+    body[:len(_layout(base))] = src[_layout(base)]
+    for c in codes[codes != base]:
+        rows = np.flatnonzero(code == c)
+        planes = _layout(c)
+        body[:len(planes), rows] = src[np.ix_(planes, rows)]
+    for j in range(width):
+        np.greater(body_len, j, out=keep[w + j])
+    w += width
+
+    expo = nonzero & ~fixed
+    if expo.any():
+        text, lengths = _exponents()
+        i = X + _K_MAX + 1
+        np.take(text, i, axis=1, out=chars[w:w + 5])
+        exp_len = np.where(expo, lengths[i], 0).astype(np.uint8)
+        for j in range(5):
+            np.greater(exp_len, j, out=keep[w + j])
+        w += 5
+
+    fallback = np.flatnonzero(nonzero & (~in_table | undecided))
+    if len(fallback):
+        text = [b"%.17g" % v for v in x[fallback].tolist()]
+        lengths = np.array(list(map(len, text)))
+        if lengths.max() > w:
+            keep[w:lengths.max()] = False
+            w = int(lengths.max())
+        padded = np.frombuffer(b"".join(t.ljust(w) for t in text), np.uint8)
+        chars[:w, fallback] = padded.reshape(-1, w).T
+        keep[:w, fallback] = np.arange(w)[:, None] < lengths
+    return w
+
+
+def _int_field(v, chars, keep):
+    """Lay out "%d" % i for each non-negative integer i of v in the planes
+    chars and mark its bytes in keep; returns the number of planes used."""
+    width = len(str(int(v.max(initial=0))))
+    _digits(v, chars[:width])
+    for j in range(width - 1):
+        np.greater_equal(v, 10 ** (width - 1 - j), out=keep[j])
+    keep[width - 1] = True
+    return width
+
+
+def _write_rows(fh, n_rows, rows_of, prefix, sep, end):
+    """Write n_rows rows of prefix, the row's values joined by sep, and end,
+    EXPORT_BLOCK rows per write; rows_of(sl) gives the rows of slice sl as
+    a 2-D float ("%.17g") or non-negative integer ("%d") array."""
     for i in range(0, n_rows, EXPORT_BLOCK):
         block = rows_of(slice(i, i + EXPORT_BLOCK))
-        fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
+        field = _float_field if block.dtype.kind == "f" else _int_field
+        literals = [prefix, *[sep] * (block.shape[1] - 1), end]
+        size = sum(map(len, literals)) + block.shape[1] * _FIELD_MAX
+        chars = np.empty((size, len(block)), np.uint8)
+        keep = np.empty((size, len(block)), bool)
+        w = 0
+        for j, lit in enumerate(literals):
+            chars[w:w + len(lit)] = np.frombuffer(lit, np.uint8)[:, None]
+            keep[w:w + len(lit)] = True
+            w += len(lit)
+            if j < block.shape[1]:
+                w += field(block[:, j], chars[w:], keep[w:])
+        fh.write(chars[:w].T[keep[:w].T])
 
 
 def write_obj(mesh, path):
     """ASCII OBJ, vertices in full double precision, 1-indexed faces."""
-    with open(path, "w") as fh:
-        _write_blocks(fh, "v %.17g %.17g %.17g\n", len(mesh.vertices),
-                      lambda sl: mesh.vertices[sl])
-        _write_blocks(fh, "f %d %d %d\n", len(mesh.faces),
-                      lambda sl: mesh.faces[sl] + 1)
+    with open(path, "wb") as fh:
+        _write_rows(fh, len(mesh.vertices), lambda sl: mesh.vertices[sl],
+                    b"v ", b" ", b"\n")
+        _write_rows(fh, len(mesh.faces), lambda sl: mesh.faces[sl] + 1,
+                    b"f ", b" ", b"\n")
 
 
 def read_obj(path):
@@ -230,22 +441,23 @@ def read_obj(path):
 def write_csv(mesh, path):
     """CSV sidecar: header s,theta,H_abs,u, then one CRLF-ended row per vertex."""
     cols = [mesh.scalars[k] for k in ("s", "theta", "H_abs", "u")]
-    with open(path, "w", newline="") as fh:
-        fh.write("s,theta,H_abs,u\r\n")
-        _write_blocks(fh, "%.17g,%.17g,%.17g,%.17g\r\n", len(cols[0]),
-                      lambda sl: np.column_stack([c[sl] for c in cols]))
+    with open(path, "wb") as fh:
+        fh.write(b"s,theta,H_abs,u\r\n")
+        _write_rows(fh, len(cols[0]), lambda sl: np.column_stack([c[sl] for c in cols]),
+                    b"", b",", b"\r\n")
 
 
 def export_mesh(surface, u, obj_path, resolution=(64, 64), periods=1,
                 csv_path=None):
     """Write the OBJ (and CSV sidecar) for the solved graph surface."""
     mesh = build_mesh(surface, u, resolution=resolution, periods=periods)
-    try:
-        write_obj(mesh, obj_path)
-        if csv_path is not None:
-            write_csv(mesh, csv_path)
-    except OSError as exc:
-        raise OSError(f"mesh export to {obj_path} failed: {exc}") from exc
+    for write, path in ((write_obj, obj_path), (write_csv, csv_path)):
+        if path is None:
+            continue
+        try:
+            write(mesh, path)
+        except OSError as exc:
+            raise OSError(f"mesh export to {path} failed: {exc}") from exc
     return mesh
 
 

@@ -305,6 +305,10 @@ assert tube.check_injectivity(spec, radius, n_samples=1000)[0] == "injective-sam
     pytest.param(_PIPELINE, "scipy.sparse", id="scipy.sparse"),
     pytest.param(_PIPELINE, "scipy._lib", id="scipy._lib"),
     pytest.param(_PIPELINE, "scipy.spatial", id="scipy.spatial"),
+    # the OBJ/CSV writers' power-of-ten table is built from Python ints: a
+    # Fraction- or Decimal-built one costs every solve the module's import
+    pytest.param(_PIPELINE, "fractions", id="fractions"),
+    pytest.param(_PIPELINE, "decimal", id="decimal"),
     pytest.param(_INJECTIVITY, "scipy", id="injectivity-scipy"),
     # the package namespace is lazy; spiral tables and rejected input need
     # numpy only

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from spiralforge import solver
+from spiralforge import bent, solver
 from spiralforge.errors import RejectedParametersError
 from spiralforge.helicoid import StabilityModes
 from spiralforge.numerics import BandedLU, Grid
@@ -338,6 +338,23 @@ class TestSolveMinimal:
                         match = "must exceed 16" if ell <= 16.0 else "exceeds the gate 0.2"
                         with pytest.raises(RejectedParametersError, match=match):
                             solver.check_gates(spec, ell)
+
+    def test_gates_imply_the_profile_gate(self):
+        # u0's domain gate arccosh(ell) <= PROFILE_GATE (delta |xi|)^(-1/4)
+        # cannot fire on the solve path: check_gates keeps delta |xi| within
+        # GATE_BUDGET / ell, and there the profile gate holds for every ell
+        # in (16, 1e12], with its least margin (1.02) next to ell = 16
+        ell = np.concatenate([16.0 + np.logspace(-9, 0, 1000),
+                              np.logspace(np.log10(17.0), 12.0, 200000)])
+        widest = solver.GATE_BUDGET / ell
+        margin = bent.PROFILE_GATE * widest ** -0.25 - np.arccosh(ell)
+        assert margin.min() > 1.0
+        # a spec just inside the budget passes check_gates with delta |xi|
+        # within that bound
+        for e in (16.5, 1e3, 1e12):
+            spec = SpiralSpec.from_invariants(1.0, 0.0, 1.0, solver.GATE_BUDGET / (3.001 * e))
+            solver.check_gates(spec, e)
+            assert abs(spec.lam) <= solver.GATE_BUDGET / e
 
     def test_coarse_grid_takes_the_full_step(self, demo_spec):
         # the full step stops on 16x8 within 5 steps, but the residual rises

@@ -14,6 +14,11 @@ from spiralforge.spirals import SpiralSpec
 
 from conftest import bent_surface
 
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # the property test skips itself without hypothesis
+    given = None
+
 
 class TestWeightedNorm:
     def test_closed_form_c2(self):
@@ -298,6 +303,109 @@ class TestExport:
         with pytest.raises(OSError) as err:
             verify.export_mesh(ws.surface, u, bad, resolution=(8, 8))
         assert "m.obj" in str(err.value)
+
+    def test_io_failure_names_the_csv(self, demo_solve, tmp_path):
+        # the OBJ is written; the error names the CSV whose write failed
+        _, ws, state = demo_solve
+        u = solver.graph_values(ws, state)
+        bad = tmp_path / "missing" / "m.csv"
+        with pytest.raises(OSError) as err:
+            verify.export_mesh(ws.surface, u, tmp_path / "m.obj", resolution=(8, 8),
+                               csv_path=bad)
+        assert f"mesh export to {bad} failed" in str(err.value)
+        assert "m.obj" not in str(err.value)
+        assert (tmp_path / "m.obj").stat().st_size > 0
+
+    @pytest.mark.parametrize("block", [None, 7, 60], ids=["default", "block7", "block60"])
+    def test_awkward_values_match_per_row_writers(self, tmp_path, monkeypatch, block):
+        # signed zeros, nan, infinities, a subnormal, 1e300 and negative
+        # values among ordinary ones: the per-value fallback and the special
+        # layouts land inside blocks of 7 and 60 rows, and next to rows of
+        # every %g form
+        rng = np.random.default_rng(5)
+        n = 70
+        values = rng.standard_normal((n, 7)) * 10.0 ** rng.integers(-8, 20, (n, 7))
+        awkward = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e300,
+                   -1e300, -1.0, -0.001, 1e16, 1e17, 0.5]
+        for i, v in enumerate(awkward):
+            values.flat[(i * 37) % values.size] = v
+        faces = rng.integers(0, n, (2 * n, 3))
+        faces[0] = [0, 9, 99]
+        mesh = verify.Mesh(values[:, :3], faces,
+                           dict(zip(("s", "theta", "H_abs", "u"), values[:, 3:].T)))
+        if block is not None:
+            monkeypatch.setattr(verify, "EXPORT_BLOCK", block)
+        obj = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in mesh.vertices)
+        obj += "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.faces)
+        want_csv = io.StringIO(newline="")
+        writer = csv.writer(want_csv)
+        writer.writerow(["s", "theta", "H_abs", "u"])
+        for row in zip(*(mesh.scalars[k] for k in ("s", "theta", "H_abs", "u"))):
+            writer.writerow([f"{x:.17g}" for x in row])
+        verify.write_obj(mesh, tmp_path / "m.obj")
+        verify.write_csv(mesh, tmp_path / "m.csv")
+        assert (tmp_path / "m.obj").read_bytes() == obj.encode()
+        assert (tmp_path / "m.csv").read_bytes() == want_csv.getvalue().encode()
+
+
+def _text_lines(values):
+    """The writers' text of each value, one value per row."""
+    values = np.asarray(values)
+    fh = io.BytesIO()
+    verify._write_rows(fh, len(values), lambda sl: values[sl, None], b"", b"", b"\n")
+    return fh.getvalue().decode().split("\n")[:-1]
+
+
+class TestNumberText:
+    """The writers' number formatter against Python's "%.17g" and "%d"."""
+
+    EDGES = [
+        1e16, 1e17, 1e22, 9.999999999999999e22, 1e23,
+        # doubles below a power of ten whose 17-digit rounding carries into
+        # the next decade
+        1e-79, 1e-176, 1e-243,
+        np.nextafter(1e-4, 0), np.nextafter(1e17, 0), np.nextafter(1.0, 0),
+        # %g's switch points: exponents -5/-4 and 16/17
+        1e-5, 1.2345e-5, 1e-4, 1.2345e-4, 1.2345678901234567e16, 1.2345678901234567e17,
+        # exact ties at the 17th digit (round half to even)
+        1125899906842624.25, 1125899906842624.75, 2.0 ** 53 + 2.0, 0.1, 1 / 3,
+        5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        1e-280, 1e280, 1.0000000000000001e-281, 1e281, 0.0, -0.0,
+        np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.5, 123456789.0, 0.5,
+    ]
+
+    def test_edge_values(self):
+        values = [sign * v for v in self.EDGES for sign in (1.0, -1.0)]
+        assert _text_lines(values) == ["%.17g" % v for v in values]
+
+    def test_random_bit_patterns(self):
+        values = np.random.default_rng(0).integers(
+            np.iinfo(np.int64).min, np.iinfo(np.int64).max, 10 ** 5,
+            dtype=np.int64, endpoint=True).view(np.float64)
+        assert _text_lines(values) == ["%.17g" % v for v in values.tolist()]
+
+    def test_powers_of_ten_and_neighbours(self):
+        # log10 misses by one next to a power of ten
+        p = 10.0 ** np.arange(-300, 301)
+        values = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+        assert _text_lines(values) == ["%.17g" % v for v in values.tolist()]
+
+    @pytest.mark.skipif(given is None, reason="needs hypothesis")
+    def test_hypothesis_floats(self):
+        @given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                                  allow_subnormal=True), min_size=1, max_size=40))
+        def check(values):
+            assert _text_lines(values) == ["%.17g" % v for v in values]
+
+        check()
+
+    def test_integers(self, demo_solve):
+        _, ws, state = demo_solve
+        mesh = verify.build_mesh(ws.surface, solver.graph_values(ws, state), (16, 16))
+        largest = int(mesh.faces.max()) + 1
+        values = np.array([1, 9, 10, 99, 100, largest, 10 ** 17 - 1,
+                           np.iinfo(np.int64).max], dtype=np.int64)
+        assert _text_lines(values) == ["%d" % v for v in values.tolist()]
 
 
 class TestReportText:
