@@ -275,6 +275,18 @@ def cumulative_from_zero(y, h, i_zero, d1_matrix):
     return c - c[i_zero]
 
 
+# points per block of the pointwise passes over a grid (Q, the mesh build)
+# and of the OBJ/CSV writers, so that their working memory is bounded and
+# is reused from block to block instead of faulted in afresh per call
+BLOCK = 8192
+
+
+def row_blocks(n_rows, row_size):
+    """Slices of max(1, BLOCK // row_size) rows covering n_rows rows in order."""
+    step = max(1, BLOCK // row_size)
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
 class Grid:
     """Uniform tensor grid on the cylinder section |s| <= arccosh(ell).
 

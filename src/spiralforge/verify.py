@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bent
-from .numerics import Grid, lagrange_resample, trig_interpolate, weighted_norm
+from .numerics import (Grid, lagrange_resample, row_blocks, trig_interpolate,
+                       weighted_norm)
 from .tube import max_embed_ell, sampled_min_separation
 
 
@@ -142,11 +143,6 @@ def _embed_samples(surface, u, n_samples, seed):
 # mesh export
 # ---------------------------------------------------------------------------
 
-# points per block of the mesh build and of the OBJ/CSV writers, so that
-# the export's working memory does not grow with the mesh
-EXPORT_BLOCK = 8192
-
-
 def build_mesh(surface, u, resolution=(64, 64), periods=1):
     """Triangulated graph surface, optionally extended by the similarity.
 
@@ -173,9 +169,7 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
     scalars = {k: np.empty((n_sm, n_cols)) for k in ("s", "theta", "H_abs", "u")}
     scale, rot = spec.similarity()
     t_row = t_m[None, :]
-    rows = max(1, EXPORT_BLOCK // n_tm)
-    for r0 in range(0, n_sm, rows):
-        blk = slice(r0, r0 + rows)
+    for blk in row_blocks(n_sm, n_tm):
         s_col = s_m[blk, None]
         brackets, normals, ch2 = bent.geometry(spec, s_col, t_row)
         # mean curvature: the solver's Q (aspect guard included), then undo
@@ -401,10 +395,10 @@ def _int_field(v, chars, keep):
 
 def _write_rows(fh, n_rows, rows_of, prefix, sep, end):
     """Write n_rows rows of prefix, the row's values joined by sep, and end,
-    EXPORT_BLOCK rows per write; rows_of(sl) gives the rows of slice sl as
-    a 2-D float ("%.17g") or non-negative integer ("%d") array."""
-    for i in range(0, n_rows, EXPORT_BLOCK):
-        block = rows_of(slice(i, i + EXPORT_BLOCK))
+    numerics.BLOCK rows per write; rows_of(sl) gives the rows of slice sl
+    as a 2-D float ("%.17g") or non-negative integer ("%d") array."""
+    for sl in row_blocks(n_rows, 1):
+        block = rows_of(sl)
         field = _float_field if block.dtype.kind == "f" else _int_field
         literals = [prefix, *[sep] * (block.shape[1] - 1), end]
         size = sum(map(len, literals)) + block.shape[1] * _FIELD_MAX

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spiralforge import bent, helicoid, jets, tube
+from spiralforge import bent, helicoid, jets, numerics, tube
 from spiralforge.bent import BentSurface, bent_jet, bent_point, normalized_jet
 from spiralforge.errors import (GraphTooLargeError, NoProfileError,
                                RejectedParametersError)
@@ -212,6 +214,88 @@ class TestGraphJet:
         assert 0.3 < consts[0] / consts[1] < 3.0
 
 
+# (kappa0, tau0, xi): the default spiral, and two with torsion and either sign of xi
+_NAMED = [(1.0, 0.0, 1.0), (0.95, 0.3, 1.05), (1.1, 0.4, -0.95)]
+
+
+def _cross_product_bundle(spec, s, theta):
+    """The normal bundle by cross products of the first brackets' literal
+    derivatives: n = a1 x a2 and its partials, then nu = n / |n| differentiated
+    through |n|.  A second route to bent._normal_bundle's separable form."""
+    cross, dot, apply = bent._cross, bent._dot, bent._apply
+    sh, ch, c0, c1, e3, q1 = bent._factors(spec, s, theta)
+    a1, a2 = e3 + sh * q1, ch * c0
+    q2 = apply(spec.b_mat, c1) - c0
+    a1_t, a1_s = sh * q2, ch * q1
+    a2_t, a2_s = ch * c1, sh * c0
+    a1_tt, a1_ts, a1_ss = -sh * q1, ch * q2, sh * q1
+    a2_tt, a2_ts, a2_ss = -ch * c0, sh * c1, ch * c0
+
+    n = cross(a1, a2)
+    r = np.sqrt(dot(n, n))
+    n_t = cross(a1_t, a2) + cross(a1, a2_t)
+    n_s = cross(a1_s, a2) + cross(a1, a2_s)
+    n_tt = cross(a1_tt, a2) + 2.0 * cross(a1_t, a2_t) + cross(a1, a2_tt)
+    n_ts = (cross(a1_ts, a2) + cross(a1_t, a2_s)
+            + cross(a1_s, a2_t) + cross(a1, a2_ts))
+    n_ss = cross(a1_ss, a2) + 2.0 * cross(a1_s, a2_s) + cross(a1, a2_ss)
+
+    r_t = dot(n, n_t) / r
+    r_s = dot(n, n_s) / r
+    r_tt = (dot(n_t, n_t) + dot(n, n_tt)) / r - r_t * r_t / r
+    r_ts = (dot(n_t, n_s) + dot(n, n_ts)) / r - r_t * r_s / r
+    r_ss = (dot(n_s, n_s) + dot(n, n_ss)) / r - r_s * r_s / r
+
+    r2 = r * r
+    nu = n / r
+    nu_t = n_t / r - n * (r_t / r2)
+    nu_s = n_s / r - n * (r_s / r2)
+
+    def d_second(n_ab, r_a, r_b, n_a, n_b, r_ab):
+        return (n_ab / r - (n_a * r_b + n_b * r_a + n * r_ab) / r2
+                + 2.0 * n * (r_a * r_b / (r2 * r)))
+
+    rw = spec.delta * spec.r_mat
+    return {
+        "nu": nu,
+        "nu_s": nu_s,
+        "nu_ss": d_second(n_ss, r_s, r_s, n_s, n_s, r_ss),
+        "nu_t": nu_t + apply(rw, nu),
+        "nu_ts": d_second(n_ts, r_t, r_s, n_t, n_s, r_ts) + apply(rw, nu_s),
+        "nu_tt": (d_second(n_tt, r_t, r_t, n_t, n_t, r_tt)
+                  + 2.0 * apply(rw, nu_t) + apply(rw @ rw, nu)),
+    }
+
+
+class TestNormalBundle:
+    @pytest.mark.parametrize("shift", [0.0, 2 * np.pi], ids=["theta", "theta+2pi"])
+    @pytest.mark.parametrize("invariants", _NAMED, ids=str)
+    def test_matches_cross_product_route(self, invariants, shift):
+        sp = SpiralSpec.from_invariants(*invariants, 1e-3)
+        g = Grid(32.0, 256, 16)
+        s, t = g.s[:, None], g.theta[None, :] + shift
+        got = bent.geometry(sp, s, t)[1]
+        want = _cross_product_bundle(sp, s, t)
+        assert got.keys() == want.keys()
+        for key, w in want.items():
+            assert np.abs(got[key] - w).max() <= 1e-13 * np.abs(w).max(), key
+
+    @pytest.mark.parametrize("invariants", _NAMED, ids=str)
+    def test_s_derivatives_by_differences(self, invariants):
+        # seven-point central differences in s of the unit normal alone
+        sp = SpiralSpec.from_invariants(*invariants, 1e-3)
+        s = np.linspace(-3.0, 3.0, 13)[:, None]
+        t = np.linspace(-np.pi, 3 * np.pi, 9)[None, :]
+        h = 1e-2
+        c2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+        nus = [bent._gauged_normal(sp, s + k * h, t) for k in range(-3, 4)]
+        got = bent.geometry(sp, s, t)[1]
+        nu_s = sum(c * n for c, n in zip(_C1, nus)) / h
+        nu_ss = sum(c * n for c, n in zip(c2, nus)) / h ** 2
+        assert np.abs(got["nu_s"] - nu_s).max() < 1e-10
+        assert np.abs(got["nu_ss"] - nu_ss).max() < 1e-9
+
+
 class TestQOperator:
     def test_flat_rig_zero(self):
         flat = SpiralSpec(np.zeros((3, 3)), 1e-3, 0.0, allow_trivial=True)
@@ -254,6 +338,35 @@ class TestQOperator:
         # the weighted size of the initial defect is linear in delta with a
         # stable measured constant
         assert max(weighted) / min(weighted) < 1.5
+
+    @pytest.mark.parametrize("rows", [None, 7, 0], ids=["default", "7-rows", "sub-row"])
+    def test_blocks_equal_whole_grid(self, surface, monkeypatch, rows):
+        # 7 n_theta + 3 points is 7 rows a block with a partial last block;
+        # 3 points is less than one row, so one row a block
+        g = surface.grid
+        if rows is not None:
+            monkeypatch.setattr(numerics, "BLOCK", rows * g.n_theta + 3)
+        rng = np.random.default_rng(3)
+        derivs = g.derivatives(1e-3 * rng.standard_normal((g.n_s + 1, g.n_theta)))
+        with_u0 = [d + d0 for d, d0 in zip(derivs, surface.u0_fn)]
+        whole = bent.graph_q(surface.spec.lam, surface.brackets, surface.normals,
+                             surface.ch2, with_u0)
+        assert np.array_equal(surface.q_operator(derivs), whole)
+
+    def test_bounded_memory(self, spec):
+        # the temporaries of one block, not of the grid: about 16.5 MB when
+        # Q ran on the whole 1024x64 grid at once
+        grid = Grid(32.0, 1024, 64)
+        surf = BentSurface(spec, grid, np.zeros(grid.n_s + 1))
+        rng = np.random.default_rng(4)
+        derivs = grid.derivatives(1e-3 * rng.standard_normal((1025, 64)))
+        tracemalloc.start()
+        try:
+            surf.q_operator(derivs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2 ** 20
 
     def test_linearization_is_stability_operator(self):
         # flat rig: dQ/du at 0 equals the discrete flattened stability operator

@@ -7,7 +7,7 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
-from spiralforge import bent, solver, verify
+from spiralforge import bent, numerics, solver, verify
 from spiralforge.errors import GraphTooLargeError
 from spiralforge.numerics import Grid, trig_interpolate
 from spiralforge.spirals import SpiralSpec
@@ -251,7 +251,7 @@ class TestExport:
         u = solver.graph_values(ws, state)
         whole = verify.build_mesh(ws.surface, u, resolution=(12, 12), periods=2)
         if block is not None:
-            monkeypatch.setattr(verify, "EXPORT_BLOCK", block)
+            monkeypatch.setattr(numerics, "BLOCK", block)
         mesh = verify.build_mesh(ws.surface, u, resolution=(12, 12), periods=2)
         assert np.array_equal(mesh.vertices, whole.vertices)
         assert np.array_equal(mesh.faces, whole.faces)
@@ -334,7 +334,7 @@ class TestExport:
         mesh = verify.Mesh(values[:, :3], faces,
                            dict(zip(("s", "theta", "H_abs", "u"), values[:, 3:].T)))
         if block is not None:
-            monkeypatch.setattr(verify, "EXPORT_BLOCK", block)
+            monkeypatch.setattr(numerics, "BLOCK", block)
         obj = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in mesh.vertices)
         obj += "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.faces)
         want_csv = io.StringIO(newline="")
