@@ -18,6 +18,7 @@ Torsion follows the classical sign convention tau = (g' x g'') . g''' /
 |g' x g''|^2 throughout.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,6 +192,17 @@ class SpiralSpec:
             kappa0 = tau0 = 0.0
         else:
             kappa0, tau0 = matrix_invariants(r)
+            # the normal form squares its rates: xi^2 + rho0^2 in
+            # invariants_to_spiral, and delta^2 (a^2 + b^2 + c^2) in the anchor
+            xi = float(self.xi)
+            if not math.isfinite(xi * xi + kappa0 * kappa0 + tau0 * tau0):
+                raise ValueError(f"xi = {xi:g} is too large: xi^2 + kappa0^2 "
+                                 f"+ tau0^2 overflows")
+            params, _ = invariants_to_spiral(kappa0, tau0, xi)
+            rate = float(self.delta) * math.hypot(params.a, params.b, params.c)
+            if not math.isfinite(rate * rate):
+                raise ValueError(f"delta = {self.delta:g} is too large: "
+                                 f"delta^2 (a^2 + b^2 + c^2) overflows")
             # gamma divides by lam^2 + mu^2, the squared growth and rotation
             # rates; below the smallest normal float the curve is nan or inf
             lam, mu = self.lam, self.delta * self.r_norm

@@ -44,11 +44,89 @@ class SolveReport:
         return len(self.residual_history) - 1
 
 
-@dataclass
+CSV_KEYS = ("s", "theta", "H_abs", "u")
+
+
 class Mesh:
-    vertices: np.ndarray
-    faces: np.ndarray
-    scalars: dict
+    """(n, 3) vertices, (m, 3) 0-based faces and per-vertex scalar columns
+    keyed by CSV_KEYS.  The writers read a mesh as blocks of rows."""
+
+    def __init__(self, vertices, faces, scalars):
+        self.vertices, self.faces, self.scalars = vertices, faces, scalars
+
+    def vertex_blocks(self):
+        return (self.vertices[sl] for sl in row_blocks(len(self.vertices), 1))
+
+    def face_blocks(self):
+        return (self.faces[sl] for sl in row_blocks(len(self.faces), 1))
+
+    def scalar_blocks(self):
+        """The CSV columns, stacked a block of vertices at a time."""
+        cols = [self.scalars[k] for k in CSV_KEYS]
+        return (np.column_stack([c[sl] for c in cols])
+                for sl in row_blocks(len(cols[0]), 1))
+
+
+class PeriodicMesh(Mesh):
+    """The (n_s, periods * n_theta) mesh of build_mesh, kept as its first
+    period: lab points x (n_s, n_theta, 3), |H| and u on the mesh grid
+    (s, theta).  Period p is the image of the first under the similarity:
+    scale^p rot^p x, |H| / scale^p, theta + 2 pi p.  The blocks form it, with
+    the faces and the scalar columns, a block of mesh rows at a time; the
+    whole arrays are formed on access."""
+
+    def __init__(self, s, theta, x, h_abs, u, similarity, periods):
+        self.s, self.theta, self.x, self.h_abs, self.u = s, theta, x, h_abs, u
+        scale, rot = similarity
+        self.maps = [(scale ** p, np.linalg.matrix_power(rot, p)) for p in range(periods)]
+        self.n_cols = periods * len(theta)
+
+    def _vertices(self, rows):
+        x = self.x[rows]
+        out = np.empty((len(x), len(self.maps), *x.shape[1:]))
+        for p, (scale_p, rot_p) in enumerate(self.maps):
+            out[:, p] = x if p == 0 else scale_p * np.einsum("ij,...j->...i", rot_p, x)
+        return out.reshape(-1, 3)
+
+    def _scalars(self, rows):
+        """(vertices, 4) columns in CSV_KEYS order."""
+        h_abs = self.h_abs[rows]
+        out = np.empty((len(h_abs), len(self.maps), len(self.theta), 4))
+        for p, (scale_p, _) in enumerate(self.maps):
+            out[:, p, :, 0] = self.s[rows, None]
+            out[:, p, :, 1] = self.theta + 2.0 * np.pi * p
+            out[:, p, :, 2] = h_abs / scale_p
+            out[:, p, :, 3] = self.u[rows]
+        return out.reshape(-1, 4)
+
+    def _faces(self, cells):
+        """Two triangles per cell, cells row by row: (a, b, b + 1), (a, b + 1,
+        a + 1) with a the cell's corner and b the vertex below it."""
+        n = self.n_cols
+        a = (np.arange(len(self.s) - 1)[cells, None] * n + np.arange(n - 1)).ravel()
+        b = a + n
+        return np.column_stack([a, b, b + 1, a, b + 1, a + 1]).reshape(-1, 3)
+
+    def vertex_blocks(self):
+        return map(self._vertices, row_blocks(len(self.s), self.n_cols))
+
+    def face_blocks(self):
+        return map(self._faces, row_blocks(len(self.s) - 1, 2 * self.n_cols))
+
+    def scalar_blocks(self):
+        return map(self._scalars, row_blocks(len(self.s), self.n_cols))
+
+    @property
+    def vertices(self):
+        return self._vertices(slice(None))
+
+    @property
+    def faces(self):
+        return self._faces(slice(None))
+
+    @property
+    def scalars(self):
+        return dict(zip(CSV_KEYS, self._scalars(slice(None)).T.copy()))
 
 
 def check_self_similarity(surface, u):
@@ -149,7 +227,9 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
     resolution = (n_s, n_theta) vertices per period in each direction; the
     theta samples are uniform without the wrap point, so one period of an
     (n, m) mesh has exactly n * m vertices.  Additional periods are images
-    of the first under the discrete dilation, so the seams are exact.
+    of the first under the discrete dilation, so the seams are exact; the
+    returned PeriodicMesh holds the first period only and forms the others
+    as they are read.
     """
     spec, g = surface.spec, surface.grid
     n_sm, n_tm = resolution
@@ -161,13 +241,11 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
     u_theta = trig_interpolate(u + surface.u0[:, None], t_m)
     u_mesh = lagrange_resample(g.s, u_theta, s_m)
     # s-stencils need whole columns; all that follows is pointwise, so it
-    # runs a block of mesh rows at a time into the preallocated mesh arrays
+    # runs a block of mesh rows at a time into the preallocated period
     derivs = mesh_grid.derivatives(u_mesh)
 
-    n_cols = periods * n_tm
-    vertices = np.empty((n_sm, n_cols, 3))
-    scalars = {k: np.empty((n_sm, n_cols)) for k in ("s", "theta", "H_abs", "u")}
-    scale, rot = spec.similarity()
+    x = np.empty((n_sm, n_tm, 3))
+    h_abs = np.empty((n_sm, n_tm))
     t_row = t_m[None, :]
     for blk in row_blocks(n_sm, n_tm):
         s_col = s_m[blk, None]
@@ -176,24 +254,9 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
         # the gauge factors
         q = bent.graph_q(spec.lam, brackets, normals, ch2, [d[blk] for d in derivs])
         del brackets  # not held through the next block's geometry
-        h_abs = np.abs(q) / (np.exp(spec.lam * t_row) * ch2)
-        x = bent.graph_point(spec, s_col, t_row, u_mesh[blk], normals["nu"])
-        for p in range(periods):
-            cols = slice(p * n_tm, (p + 1) * n_tm)
-            vertices[blk, cols] = x if p == 0 else (scale ** p) * np.einsum(
-                "ij,...j->...i", np.linalg.matrix_power(rot, p), x)
-            scalars["s"][blk, cols] = s_col
-            scalars["theta"][blk, cols] = t_row + 2.0 * np.pi * p
-            scalars["H_abs"][blk, cols] = h_abs / scale ** p
-            scalars["u"][blk, cols] = u_mesh[blk]
-
-    # two triangles per cell, cells row by row: (a, b, b + 1), (a, b + 1, a + 1)
-    # with a the cell's corner and b the vertex below it
-    a = (np.arange(n_sm - 1)[:, None] * n_cols + np.arange(n_cols - 1)).ravel()
-    b = a + n_cols
-    faces = np.column_stack([a, b, b + 1, a, b + 1, a + 1]).reshape(-1, 3)
-    return Mesh(vertices.reshape(-1, 3), faces,
-                {k: v.reshape(-1) for k, v in scalars.items()})
+        h_abs[blk] = np.abs(q) / (np.exp(spec.lam * t_row) * ch2)
+        x[blk] = bent.graph_point(spec, s_col, t_row, u_mesh[blk], normals["nu"])
+    return PeriodicMesh(s_m, t_m, x, h_abs, u_mesh, spec.similarity(), periods)
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +456,11 @@ def _int_field(v, chars, keep):
     return width
 
 
-def _write_rows(fh, n_rows, rows_of, prefix, sep, end):
-    """Write n_rows rows of prefix, the row's values joined by sep, and end,
-    numerics.BLOCK rows per write; rows_of(sl) gives the rows of slice sl
-    as a 2-D float ("%.17g") or non-negative integer ("%d") array."""
-    for sl in row_blocks(n_rows, 1):
-        block = rows_of(sl)
+def _write_rows(fh, blocks, prefix, sep, end):
+    """Write each row of each block as prefix, the row's values joined by
+    sep, and end, one write per block; a block is a 2-D float ("%.17g") or
+    non-negative integer ("%d") array."""
+    for block in blocks:
         field = _float_field if block.dtype.kind == "f" else _int_field
         literals = [prefix, *[sep] * (block.shape[1] - 1), end]
         size = sum(map(len, literals)) + block.shape[1] * _FIELD_MAX
@@ -417,10 +479,8 @@ def _write_rows(fh, n_rows, rows_of, prefix, sep, end):
 def write_obj(mesh, path):
     """ASCII OBJ, vertices in full double precision, 1-indexed faces."""
     with open(path, "wb") as fh:
-        _write_rows(fh, len(mesh.vertices), lambda sl: mesh.vertices[sl],
-                    b"v ", b" ", b"\n")
-        _write_rows(fh, len(mesh.faces), lambda sl: mesh.faces[sl] + 1,
-                    b"f ", b" ", b"\n")
+        _write_rows(fh, mesh.vertex_blocks(), b"v ", b" ", b"\n")
+        _write_rows(fh, (f + 1 for f in mesh.face_blocks()), b"f ", b" ", b"\n")
 
 
 def read_obj(path):
@@ -433,12 +493,11 @@ def read_obj(path):
 
 
 def write_csv(mesh, path):
-    """CSV sidecar: header s,theta,H_abs,u, then one CRLF-ended row per vertex."""
-    cols = [mesh.scalars[k] for k in ("s", "theta", "H_abs", "u")]
+    """CSV sidecar: header s,theta,H_abs,u (CSV_KEYS), then one CRLF-ended
+    row per vertex."""
     with open(path, "wb") as fh:
-        fh.write(b"s,theta,H_abs,u\r\n")
-        _write_rows(fh, len(cols[0]), lambda sl: np.column_stack([c[sl] for c in cols]),
-                    b"", b",", b"\r\n")
+        fh.write(",".join(CSV_KEYS).encode() + b"\r\n")
+        _write_rows(fh, mesh.scalar_blocks(), b"", b",", b"\r\n")
 
 
 def export_mesh(surface, u, obj_path, resolution=(64, 64), periods=1,

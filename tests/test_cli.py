@@ -140,9 +140,9 @@ class TestCommands:
     (["solve", "--tol", "-1"], "tol"),
     (["solve", "--max-iter", "0"], "max_iter"),
     # finite but overflowing the spiral's closed forms
-    (["spiral", "--xi", "1e200"], "rejected"),
+    (["spiral", "--xi", "1e200"], "xi"),
     (["spiral", "--kappa0", "1e300"], "rejected"),
-    (["spiral", "--delta", "1e300"], "rejected"),
+    (["spiral", "--delta", "1e300"], "delta"),
     # so small that gamma's denominator (delta xi)^2 + (delta |R|)^2 underflows
     (["spiral", "--delta", "1e-170"], "delta"),
     (["spiral", "--delta", "1e-160"], "delta"),
@@ -151,6 +151,8 @@ class TestCommands:
     # the gates are constants of the solve, no longer config keys
     (["solve", "--config", "eps1 = 0.2"], "eps1"),
     (["solve", "--config", "delta0 = 0.1"], "delta0"),
+    # overflowing the normal form's squared rates, named like the underflow
+    (["solve", "--xi", "1e300"], "xi"),
 ])
 def test_bad_input_rejected_at_boundary(argv, key, tmp_path, capsys):
     if "--config" in argv:

@@ -269,12 +269,32 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match=match):
                 SpiralSpec.from_invariants(kappa0, tau0, xi, delta)
 
+    @pytest.mark.parametrize("xi, delta, match", [
+        (1e200, 1e-3, r"xi = 1e\+200 is too large"),
+        (-1e200, 1e-3, r"xi = -1e\+200 is too large"),
+        (np.float64(1e300), 1e-3, r"xi = 1e\+300 is too large"),
+        (1.0, np.float64(1e300), r"delta = 1e\+300 is too large"),
+        (1.0, 1e155, r"delta = 1e\+155 is too large"),
+        (1e150, 1e10, r"delta = 1e\+10 is too large"),
+    ])
+    def test_overflowing_rates_rejected(self, xi, delta, match):
+        # the normal form squares xi and the delta-scaled rates: an overflow
+        # names its parameter in a ValueError, not as an errno tuple
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                SpiralSpec(frenet_generator(1.0, 0.3), delta, xi)
+
     def test_largest_rates_build_finite(self):
-        # tau0 takes a cube of the generator's entries: 1e100 still fits
+        # tau0 takes a cube of the generator's entries: 1e100 still fits;
+        # xi = 1e150 and delta = 1e100 pass the overflow gates
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             spec = SpiralSpec.from_invariants(1e100, 0.0, 1.0, 1e-3)
             assert np.all(np.isfinite(spec.gamma(np.linspace(-1.0, 1.0, 5))))
+            for xi, delta in ((1e150, 1e-3), (1.0, 1e100)):
+                assert np.all(np.isfinite(
+                    SpiralSpec.from_invariants(1.0, 0.3, xi, delta).anchor))
         assert spec.kappa0 == 1e100 and spec.tau0 == 0.0
 
     def test_rho_equals_rotation_rate(self):

@@ -296,6 +296,44 @@ class TestExport:
         del mesh
         assert peak_mb(verify.build_mesh, ws.surface, u, (256, 256), 2)[0] < 35.0
 
+    def test_export_memory_does_not_grow_with_the_mesh(self, demo_solve, tmp_path):
+        # the mesh keeps one period; the writers form the later periods, the
+        # s/theta columns and the faces a block of mesh rows at a time
+        _, ws, state = demo_solve
+        u = solver.graph_values(ws, state)
+
+        def peak_mb(resolution, periods):
+            tracemalloc.start()
+            try:
+                verify.export_mesh(ws.surface, u, tmp_path / "m.obj", resolution,
+                                   periods, csv_path=tmp_path / "m.csv")
+                return tracemalloc.get_traced_memory()[1] / 2 ** 20
+            finally:
+                tracemalloc.stop()
+
+        assert peak_mb((256, 256), 2) < 12.0
+        assert peak_mb((128, 128), 4) < peak_mb((128, 128), 1) + 2.0
+
+    @pytest.mark.parametrize("block", [None, 7, 60], ids=["default", "block7", "block60"])
+    def test_lazy_rows_match_materialized_mesh(self, demo_solve, tmp_path, monkeypatch,
+                                               block):
+        # three periods of an odd 13x11 mesh: blocks of 7 and 60 points split
+        # the 33-vertex mesh rows and leave a partial last block
+        _, ws, state = demo_solve
+        u = solver.graph_values(ws, state)
+        if block is not None:
+            monkeypatch.setattr(numerics, "BLOCK", block)
+        mesh = verify.export_mesh(ws.surface, u, tmp_path / "lazy.obj", (13, 11), 3,
+                                  csv_path=tmp_path / "lazy.csv")
+        assert mesh.vertices.shape == (13 * 33, 3)
+        assert mesh.faces.shape == (2 * 12 * 32, 3)
+        whole = verify.Mesh(mesh.vertices, mesh.faces, mesh.scalars)
+        verify.write_obj(whole, tmp_path / "whole.obj")
+        verify.write_csv(whole, tmp_path / "whole.csv")
+        for ext in ("obj", "csv"):
+            assert ((tmp_path / f"lazy.{ext}").read_bytes()
+                    == (tmp_path / f"whole.{ext}").read_bytes())
+
     def test_io_failure_surfaces_path(self, demo_solve):
         _, ws, state = demo_solve
         u = solver.graph_values(ws, state)
@@ -352,7 +390,8 @@ def _text_lines(values):
     """The writers' text of each value, one value per row."""
     values = np.asarray(values)
     fh = io.BytesIO()
-    verify._write_rows(fh, len(values), lambda sl: values[sl, None], b"", b"", b"\n")
+    blocks = (values[sl, None] for sl in numerics.row_blocks(len(values), 1))
+    verify._write_rows(fh, blocks, b"", b"", b"\n")
     return fh.getvalue().decode().split("\n")[:-1]
 
 
