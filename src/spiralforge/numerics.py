@@ -177,14 +177,21 @@ class BandedLU:
 
 def theta_derivative(u, order=1):
     """Exact mode-wise theta derivative of u with shape (..., n_theta)."""
+    return theta_derivatives(u, (order,))[0]
+
+
+def theta_derivatives(u, orders):
+    """The theta derivatives of u of the given orders, from one spectrum."""
     n = u.shape[-1]
     m = np.arange(n // 2 + 1)  # rfft wavenumbers of a 2 pi-periodic grid
     uh = np.fft.rfft(u, axis=-1)
-    fac = (1j * m) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        fac[-1] = 0.0  # odd derivative of the Nyquist mode is ambiguous
-    uh *= fac
-    return np.fft.irfft(uh, n=n, axis=-1)
+    out = []
+    for order in orders:
+        fac = (1j * m) ** order
+        if order % 2 == 1 and n % 2 == 0:
+            fac[-1] = 0.0  # odd derivative of the Nyquist mode is ambiguous
+        out.append(np.fft.irfft(uh * fac, n=n, axis=-1))
+    return out
 
 
 def trig_interpolate(values, t_new):
@@ -328,9 +335,8 @@ class Grid:
         Only for smooth fields: a cutoff's high derivatives alias on the grid,
         so the substitute functions carry closed-form bundles instead.
         """
-        u_t = theta_derivative(u)
-        return (u, u_t, self.d1 @ u, theta_derivative(u, order=2),
-                self.d2 @ u, self.d1 @ u_t)
+        u_t, u_tt = theta_derivatives(u, (1, 2))
+        return (u, u_t, self.d1 @ u, u_tt, self.d2 @ u, self.d1 @ u_t)
 
 
 def weighted_norm(u, grid):

@@ -10,6 +10,7 @@ fields a mesh file cannot.
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +50,8 @@ CSV_KEYS = ("s", "theta", "H_abs", "u")
 
 class Mesh:
     """(n, 3) vertices, (m, 3) 0-based faces and per-vertex scalar columns
-    keyed by CSV_KEYS.  The writers read a mesh as blocks of rows."""
+    keyed by CSV_KEYS.  The writers read a mesh as blocks of rows (see
+    _write_rows); face blocks number the vertices from 1, as the OBJ does."""
 
     def __init__(self, vertices, faces, scalars):
         self.vertices, self.faces, self.scalars = vertices, faces, scalars
@@ -58,7 +60,7 @@ class Mesh:
         return (self.vertices[sl] for sl in row_blocks(len(self.vertices), 1))
 
     def face_blocks(self):
-        return (self.faces[sl] for sl in row_blocks(len(self.faces), 1))
+        return (self.faces[sl] + 1 for sl in row_blocks(len(self.faces), 1))
 
     def scalar_blocks(self):
         """The CSV columns, stacked a block of vertices at a time."""
@@ -71,9 +73,10 @@ class PeriodicMesh(Mesh):
     """The (n_s, periods * n_theta) mesh of build_mesh, kept as its first
     period: lab points x (n_s, n_theta, 3), |H| and u on the mesh grid
     (s, theta).  Period p is the image of the first under the similarity:
-    scale^p rot^p x, |H| / scale^p, theta + 2 pi p.  The blocks form it, with
-    the faces and the scalar columns, a block of mesh rows at a time; the
-    whole arrays are formed on access."""
+    scale^p rot^p x, |H| / scale^p, theta + 2 pi p.  The blocks form it a
+    block of mesh rows at a time: the vertices whole, each scalar column
+    with only the axes it varies along, and the faces as slices of the text
+    of their corner ids.  The whole arrays are formed on access."""
 
     def __init__(self, s, theta, x, h_abs, u, similarity, periods):
         self.s, self.theta, self.x, self.h_abs, self.u = s, theta, x, h_abs, u
@@ -89,29 +92,25 @@ class PeriodicMesh(Mesh):
         return out.reshape(-1, 3)
 
     def _scalars(self, rows):
-        """(vertices, 4) columns in CSV_KEYS order."""
-        h_abs = self.h_abs[rows]
-        out = np.empty((len(h_abs), len(self.maps), len(self.theta), 4))
-        for p, (scale_p, _) in enumerate(self.maps):
-            out[:, p, :, 0] = self.s[rows, None]
-            out[:, p, :, 1] = self.theta + 2.0 * np.pi * p
-            out[:, p, :, 2] = h_abs / scale_p
-            out[:, p, :, 3] = self.u[rows]
-        return out.reshape(-1, 4)
+        """The CSV_KEYS columns of the mesh rows, each with only the axes of
+        (row, period, theta) it varies along."""
+        periods = np.arange(len(self.maps))[:, None]
+        scales = np.array([scale_p for scale_p, _ in self.maps])[:, None]
+        return (self.s[rows, None, None], (self.theta + 2.0 * np.pi * periods)[None],
+                self.h_abs[rows, None] / scales, self.u[rows, None])
 
-    def _faces(self, cells):
-        """Two triangles per cell, cells row by row: (a, b, b + 1), (a, b + 1,
-        a + 1) with a the cell's corner and b the vertex below it."""
-        n = self.n_cols
-        a = (np.arange(len(self.s) - 1)[cells, None] * n + np.arange(n - 1)).ravel()
-        b = a + n
-        return np.column_stack([a, b, b + 1, a, b + 1, a + 1]).reshape(-1, 3)
+    def _corners(self, cells):
+        """Vertex ids (rows, n_cols) of the mesh rows that bound the cells."""
+        rows = np.arange(len(self.s))[cells.start:cells.stop + 1]
+        return rows[:, None] * self.n_cols + np.arange(self.n_cols)
 
     def vertex_blocks(self):
         return map(self._vertices, row_blocks(len(self.s), self.n_cols))
 
     def face_blocks(self):
-        return map(self._faces, row_blocks(len(self.s) - 1, 2 * self.n_cols))
+        for cells in row_blocks(len(self.s) - 1, 2 * self.n_cols):
+            chars, keep = _text(self._corners(cells) + 1)
+            yield [_Text(*text) for text in zip(_triangles(chars), _triangles(keep))]
 
     def scalar_blocks(self):
         return map(self._scalars, row_blocks(len(self.s), self.n_cols))
@@ -122,11 +121,26 @@ class PeriodicMesh(Mesh):
 
     @property
     def faces(self):
-        return self._faces(slice(None))
+        ids = self._corners(slice(0, len(self.s) - 1))
+        return np.stack(_triangles(ids), axis=-1).reshape(-1, 3)
 
     @property
     def scalars(self):
-        return dict(zip(CSV_KEYS, self._scalars(slice(None)).T.copy()))
+        shape = (len(self.s), len(self.maps), len(self.theta))
+        return {key: np.broadcast_to(column, shape).ravel()
+                for key, column in zip(CSV_KEYS, self._scalars(slice(None)))}
+
+
+def _triangles(ids):
+    """The three face columns of the cells between the rows of ids (...,
+    rows, cols), two triangles per cell, cells row by row: (a, b, b + 1),
+    (a, b + 1, a + 1) with a the cell's corner and b the vertex below it.
+    Each column is (..., rows - 1, cols - 1, 2), two slices of ids stacked
+    (broadcasting a along the last axis would make the writer's copies run
+    two bytes at a time)."""
+    a, b = ids[..., :-1, :-1], ids[..., 1:, :-1]
+    a1, b1 = ids[..., :-1, 1:], ids[..., 1:, 1:]
+    return [np.stack(pair, axis=-1) for pair in ((a, a), (b, b1), (b1, a1))]
 
 
 def check_self_similarity(surface, u):
@@ -265,12 +279,17 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
 #
 # A block's text is laid out in planes: plane j of a field holds byte j of
 # that field for every row, and a mask keeps the bytes of each row's text,
-# so reading the kept bytes row by row gives the rows.  A float's 17 digits
-# come from |x| 10^(16 - k) in double-double arithmetic, correctly rounded
-# as CPython's dtoa rounds them, unless the rounding fraction lies within
-# the product's error bound of 1/2 (ties and near-ties) or k lies outside
-# the power table (subnormals, |x| beyond 1e280): such values take Python's
-# own "%.17g", one at a time.
+# so reading the kept bytes row by row gives the rows.  Each column is laid
+# out from its own values and its planes are broadcast into the block's, so
+# a value that repeats along an axis of the block (s along a mesh row, theta
+# down the rows, u in every period) is formatted once per block; the faces'
+# three columns are slices of the text of their corner ids.
+#
+# A float's 17 digits come from |x| 10^(16 - k) in double-double arithmetic,
+# correctly rounded as CPython's dtoa rounds them, unless the rounding
+# fraction lies within the product's error bound of 1/2 (ties and near-ties)
+# or k lies outside the power table (subnormals, |x| beyond 1e280): such
+# values take Python's own "%.17g", one at a time.
 
 _K_MAX = 280               # |k| covered by the power table, with one to spare
 _N_MIN = 15 - _K_MAX       # its smallest power of ten, 16 - (_K_MAX + 1)
@@ -417,7 +436,7 @@ def _float_field(x, chars, keep):
     for c in codes[codes != base]:
         rows = np.flatnonzero(code == c)
         planes = _layout(c)
-        body[:len(planes), rows] = src[np.ix_(planes, rows)]
+        body[:len(planes), rows] = src.take(rows, axis=1)[planes]
     for j in range(width):
         np.greater(body_len, j, out=keep[w + j])
     w += width
@@ -456,31 +475,64 @@ def _int_field(v, chars, keep):
     return width
 
 
+class _Text(NamedTuple):
+    """Values' text as planes: chars[j] holds byte j of each value's text
+    and keep[j] marks the values whose text has that byte; shape (width,
+    *values' shape)."""
+    chars: np.ndarray
+    keep: np.ndarray
+
+    @property
+    def shape(self):
+        return self.chars.shape[1:]
+
+
+def _text(values):
+    """The _Text of an array of floats ("%.17g") or non-negative integers
+    ("%d")."""
+    flat = values.ravel()
+    field = _float_field if flat.dtype.kind == "f" else _int_field
+    chars = np.empty((_FIELD_MAX, flat.size), np.uint8)
+    keep = np.empty((_FIELD_MAX, flat.size), bool)
+    w = field(flat, chars, keep)
+    return _Text(chars[:w].reshape(w, *values.shape), keep[:w].reshape(w, *values.shape))
+
+
 def _write_rows(fh, blocks, prefix, sep, end):
-    """Write each row of each block as prefix, the row's values joined by
-    sep, and end, one write per block; a block is a 2-D float ("%.17g") or
-    non-negative integer ("%d") array."""
+    """Write each row of each block as prefix, the row's fields joined by
+    sep, and end, one write per block.
+
+    A block is a 2-D array, one row per line, or a sequence of columns with
+    equally many axes that broadcast against each other, one line per
+    element of their broadcast shape in C order.  A column is an array of
+    values or their _Text: each column is formatted from its own values,
+    and its planes are broadcast into the block's.
+    """
     for block in blocks:
-        field = _float_field if block.dtype.kind == "f" else _int_field
-        literals = [prefix, *[sep] * (block.shape[1] - 1), end]
-        size = sum(map(len, literals)) + block.shape[1] * _FIELD_MAX
-        chars = np.empty((size, len(block)), np.uint8)
-        keep = np.empty((size, len(block)), bool)
-        w = 0
+        columns = block.T if isinstance(block, np.ndarray) else block
+        shape = np.broadcast_shapes(*(col.shape for col in columns))
+        literals = [prefix, *[sep] * (len(columns) - 1), end]
+        size = sum(map(len, literals)) + len(columns) * _FIELD_MAX
+        chars = np.empty((size, *shape), np.uint8)
+        keep = np.empty((size, *shape), bool)
+        axes, w = [1] * len(shape), 0
         for j, lit in enumerate(literals):
-            chars[w:w + len(lit)] = np.frombuffer(lit, np.uint8)[:, None]
+            chars[w:w + len(lit)] = np.frombuffer(lit, np.uint8).reshape(-1, *axes)
             keep[w:w + len(lit)] = True
             w += len(lit)
-            if j < block.shape[1]:
-                w += field(block[:, j], chars[w:], keep[w:])
-        fh.write(chars[:w].T[keep[:w].T])
+            if j < len(columns):
+                text = columns[j] if isinstance(columns[j], _Text) else _text(columns[j])
+                chars[w:w + len(text.chars)] = text.chars
+                keep[w:w + len(text.chars)] = text.keep
+                w += len(text.chars)
+        fh.write(chars[:w].reshape(w, -1).T[keep[:w].reshape(w, -1).T])
 
 
 def write_obj(mesh, path):
     """ASCII OBJ, vertices in full double precision, 1-indexed faces."""
     with open(path, "wb") as fh:
         _write_rows(fh, mesh.vertex_blocks(), b"v ", b" ", b"\n")
-        _write_rows(fh, (f + 1 for f in mesh.face_blocks()), b"f ", b" ", b"\n")
+        _write_rows(fh, mesh.face_blocks(), b"f ", b" ", b"\n")
 
 
 def read_obj(path):

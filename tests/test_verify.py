@@ -385,6 +385,74 @@ class TestExport:
         assert (tmp_path / "m.obj").read_bytes() == obj.encode()
         assert (tmp_path / "m.csv").read_bytes() == want_csv.getvalue().encode()
 
+    @pytest.mark.parametrize("block", [None, 7], ids=["default", "block7"])
+    def test_each_distinct_value_formatted_once(self, demo_solve, tmp_path, monkeypatch,
+                                                block):
+        # the writers format s once per mesh row, theta once per column and
+        # block, u once per vertex of the first period, |H| once per vertex,
+        # and each face corner once per block of cell rows it bounds
+        _, ws, state = demo_solve
+        u = solver.graph_values(ws, state)
+        if block is not None:
+            monkeypatch.setattr(numerics, "BLOCK", block)
+        n_s, n_theta, periods = 13, 11, 3
+        n_cols = periods * n_theta
+        mesh = verify.build_mesh(ws.surface, u, (n_s, n_theta), periods)
+        counts = {}
+
+        def counted(name):
+            field = getattr(verify, name)
+
+            def count(values, chars, keep):
+                counts[name] += len(values)
+                return field(values, chars, keep)
+            return count
+
+        def formatted(write, path):
+            counts.update(_float_field=0, _int_field=0)
+            write(mesh, path)
+            return counts["_float_field"], counts["_int_field"]
+
+        for name in ("_float_field", "_int_field"):
+            monkeypatch.setattr(verify, name, counted(name))
+        vertex_blocks = numerics.row_blocks(n_s, n_cols)
+        floats, ints = formatted(verify.write_csv, tmp_path / "m.csv")
+        assert ints == 0
+        assert floats <= (n_s * n_theta * (periods + 1) + n_s
+                          + len(vertex_blocks) * n_cols)
+        floats, ints = formatted(verify.write_obj, tmp_path / "m.obj")
+        assert floats == 3 * n_s * n_cols
+        cell_blocks = numerics.row_blocks(n_s - 1, 2 * n_cols)
+        corner_rows = sum(len(range(n_s)[sl.start:sl.stop + 1]) for sl in cell_blocks)
+        assert ints <= corner_rows * n_cols
+
+    def test_broadcast_columns_match_materialized(self):
+        # columns that broadcast against each other, holding values that take
+        # the per-value fallback (which widens a field), the special layouts
+        # and every %g form, write the bytes of the same columns materialized
+        # as one 2-D block, and those of "%.17g" per value
+        rng = np.random.default_rng(11)
+        awkward = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e300,
+                   1125899906842624.25, 0.0]
+        forms = [1.2345e-5, -1e-4, 0.5, 1.0, -12.5, 123456789.0, 1e16,
+                 1.2345678901234567e16, 1e17, -3.75e22, 1.25e-300]
+        pool = np.array(awkward + forms)
+        rows, periods, n_theta = len(pool), 2, 5
+        columns = [pool[:, None, None],
+                   rng.permutation(pool)[:periods * n_theta].reshape(1, periods, n_theta),
+                   (rng.standard_normal((rows, periods, n_theta))
+                    * 10.0 ** rng.integers(-8, 20, (rows, periods, n_theta))),
+                   rng.choice(pool, (rows, 1, n_theta))]
+        columns[2].flat[::7] = rng.permutation(pool)[:len(columns[2].flat[::7])]
+        shape = (rows, periods, n_theta)
+        full = np.column_stack([np.broadcast_to(c, shape).ravel() for c in columns])
+        broadcast, materialized = io.BytesIO(), io.BytesIO()
+        verify._write_rows(broadcast, [columns], b"", b",", b"\r\n")
+        verify._write_rows(materialized, [full], b"", b",", b"\r\n")
+        assert broadcast.getvalue() == materialized.getvalue()
+        want = "".join(",".join("%.17g" % v for v in row) + "\r\n" for row in full.tolist())
+        assert broadcast.getvalue() == want.encode()
+
 
 def _text_lines(values):
     """The writers' text of each value, one value per row."""
