@@ -399,6 +399,19 @@ class BentSurface:
 # the straightening profile u0
 # ---------------------------------------------------------------------------
 
+def _flat_q(lam, grid):
+    """Q_flat of the reference immersion with dilation lam on grid: u(s) ->
+    (graph_q of its theta-independent graph on one theta column, the sup of
+    |Q_flat| over the interior rows)."""
+    flat = SpiralSpec(np.zeros((3, 3)), 1.0, lam, allow_trivial=True)
+    brackets, normals, ch2 = geometry(flat, grid.s[:, None], grid.theta[None, :1])
+
+    def q_flat(u):
+        q = graph_q(flat.lam, brackets, normals, ch2, grid.derivatives(u[:, None]))[:, 0]
+        return q, float(np.abs(q[1:-1]).max())
+    return q_flat
+
+
 def solve_u0(delta_xi, grid, modes, tol=1e-9):
     """Odd profile u0(s) making the reference immersion's normal graph minimal.
 
@@ -419,7 +432,11 @@ def solve_u0(delta_xi, grid, modes, tol=1e-9):
     no collocation (free boundary).  numerics.iterate stops it as it stops
     the solve, on max |Q_flat| over the interior rows and the weighted C^2
     update (2.3e-10 at the second step for delta_xi = 1e-3); NoProfileError
-    unless it converged within PROFILE_STEPS steps.
+    unless it converged within PROFILE_STEPS steps.  Its first residual is
+    O(delta_xi), so below |delta_xi| of about 1e-27 it lies within
+    1 / RESIDUAL_DROP of Q_flat's roundoff floor (about 5e-32, its residual
+    on the helicoid at u = 0) and cannot fall by RESIDUAL_DROP: a last
+    residual below floor / RESIDUAL_DROP counts as converged too.
 
     The domain gate arccosh(ell) <= PROFILE_GATE |delta_xi|^(-1/4) guards
     direct library calls.  A solve never reaches it: solver.check_gates
@@ -438,12 +455,7 @@ def solve_u0(delta_xi, grid, modes, tol=1e-9):
         raise RejectedParametersError(
             f"profile domain arccosh(ell) = {grid.s_max:.3f} exceeds "
             f"{PROFILE_GATE:g} * (delta |xi|)^(-1/4) = {bound:.3f}")
-    flat = SpiralSpec(np.zeros((3, 3)), 1.0, lam, allow_trivial=True)
-    brackets, normals, ch2 = geometry(flat, grid.s[:, None], grid.theta[None, :1])
-
-    def q_flat(u):
-        q = graph_q(flat.lam, brackets, normals, ch2, grid.derivatives(u[:, None]))[:, 0]
-        return q, float(np.abs(q[1:-1]).max())
+    q_flat = _flat_q(lam, grid)
 
     def chord(u):
         q, r = q_flat(u)
@@ -451,7 +463,11 @@ def solve_u0(delta_xi, grid, modes, tol=1e-9):
         new = 0.5 * (new - new[::-1])
         return new, r, weighted_norm((new - u)[:, None], grid)
 
-    u, residuals, converged = iterate(chord, u, lambda u: q_flat(u)[1], tol, PROFILE_STEPS)
+    # Q_flat's roundoff floor: its residual on the helicoid (lam = 0) at the
+    # exact profile u = 0, about 5e-32
+    floor = lambda: _flat_q(0.0, grid)(np.zeros(grid.n_s + 1))[1]
+    u, residuals, converged = iterate(chord, u, lambda u: q_flat(u)[1], tol, PROFILE_STEPS,
+                                      floor)
     if not converged:
         raise NoProfileError(f"profile iteration did not converge: residual "
                              f"{residuals[0]:.3e} -> {residuals[-1]:.3e}")

@@ -104,9 +104,23 @@ def substitute(which, s, theta):
     """Substitute function u, its grid derivatives and its image, closed form.
 
     Returns ((u, u_t, u_s, u_tt, u_ss, u_ts), w): u's derivative bundle in
-    bent.graph_slots order and its image w = cosh^2(s) L u; psi
-    is the radial cutoff vanishing on |s| <= 1.  Grid stencils must never
-    touch these: the cutoff's high derivatives alias badly on solver grids.
+    bent.graph_slots order and its image w = cosh^2(s) L u, each field the
+    product of its substitute_factors, with the shapes of s and theta
+    broadcast.  Grid stencils must never touch these: the cutoff's high
+    derivatives alias badly on solver grids.
+    """
+    fields, (w, row) = substitute_factors(which, s, theta)
+    return tuple(profile * trig for profile, trig in fields), w * row
+
+
+def substitute_factors(which, s, theta):
+    """The substitute function u as s-profiles times theta-rows.
+
+    Returns (fields, image): fields holds one (profile, row) pair per slot of
+    u's derivative bundle (u, u_t, u_s, u_tt, u_ss, u_ts), image the pair of
+    w = cosh^2(s) L u; each field is profile * row.  The profiles have the
+    shape of s, the rows that of theta.  psi is the radial cutoff vanishing
+    on |s| <= 1.
 
     Writing u_x = psi f cos(theta) with f = cosh(s)/(4 pi), the operator gives
     cos(theta) (psi'' f + 2 psi' f' + psi (f'' - f) + 2 psi f / cosh^2); the
@@ -123,8 +137,8 @@ def substitute(which, s, theta):
         r1 = (dpsi * s + psi) / (4.0 * np.pi)
         r2 = (ddpsi * s + 2.0 * dpsi) / (4.0 * np.pi)
         w = (ddpsi * s + 2.0 * dpsi + 2.0 * psi * s / np.cosh(s) ** 2) / (4.0 * np.pi)
-        zero = np.zeros_like(r * one)
-        return (r * one, zero, r1 * one, zero, r2 * one, zero), w * one
+        zero = np.zeros_like(r)
+        return tuple((f, one) for f in (r, zero, r1, zero, r2, zero)), (w, one)
     if which not in ("x", "y"):
         raise ValueError(f"which must be one of x, y, z, not {which!r}")
     ch, sh = np.cosh(s), np.sinh(s)
@@ -134,8 +148,8 @@ def substitute(which, s, theta):
     w = (ddpsi * ch + 2.0 * dpsi * sh + 2.0 * psi / ch) / (4.0 * np.pi)
     cs, sn = np.cos(theta), np.sin(theta)
     if which == "x":
-        return (r * cs, -r * sn, r1 * cs, -r * cs, r2 * cs, -r1 * sn), w * cs
-    return (r * sn, r * cs, r1 * sn, -r * sn, r2 * sn, r1 * cs), w * sn
+        return ((r, cs), (-r, sn), (r1, cs), (-r, cs), (r2, cs), (-r1, sn)), (w, cs)
+    return ((r, sn), (r, cs), (r1, sn), (-r, sn), (r2, sn), (r1, cs)), (w, sn)
 
 
 def substitute_fn(which, s, theta):

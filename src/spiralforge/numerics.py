@@ -344,10 +344,17 @@ def weighted_norm(u, grid):
     |u_ss| + |u_tt| + |u_ts|), the derivatives those of grid.derivatives.
 
     The Hoelder seminorm of the continuous counterpart is deliberately
-    omitted.
+    omitted.  Each field is added into the total as it is formed, in the
+    order above, so the whole bundle is never held at once.
     """
-    u, u_t, u_s, u_tt, u_ss, u_ts = grid.derivatives(u)
-    total = sum(np.abs(f) for f in (u, u_s, u_t, u_ss, u_tt, u_ts))
+    u_t, u_tt = theta_derivatives(u, (1, 2))
+    total = np.abs(u)
+    total += np.abs(grid.d1 @ u)
+    total += np.abs(u_t)
+    total += np.abs(grid.d2 @ u)
+    total += np.abs(u_tt)
+    del u_tt
+    total += np.abs(grid.d1 @ u_t)
     weight = np.cosh(grid.s) ** -0.75
     return float(np.max(weight[:, None] * total))
 
@@ -355,7 +362,7 @@ def weighted_norm(u, grid):
 STALL_RATIO, RESIDUAL_DROP = 0.5, 1e-4  # the stop rule of iterate
 
 
-def iterate(step, x, residual, tol, max_iter):
+def iterate(step, x, residual, tol, max_iter, floor=None):
     """Run x <- step(x) until it stops; returns (x, residuals, converged).
 
     step(x) returns (x_new, the residual at x, the norm of x_new - x), and
@@ -363,7 +370,11 @@ def iterate(step, x, residual, tol, max_iter):
     is below tol, or (a nan too) above STALL_RATIO times the one before: the
     gated maps contract by 1e-3 to 1e-2 per step, and at the roundoff floor
     the ratio is about 1.  It has converged if it stopped within max_iter
-    steps with the last residual at most RESIDUAL_DROP times the first.
+    steps with the last residual at most RESIDUAL_DROP times the first, or
+    below floor() / RESIDUAL_DROP when a floor is given: floor() returns the
+    residual's roundoff floor, and is called only when the drop falls
+    short, since a residual within 1 / RESIDUAL_DROP of it has no room left
+    to fall by RESIDUAL_DROP.
     """
     residuals, last = [], np.inf
     for _ in range(max_iter):
@@ -371,6 +382,7 @@ def iterate(step, x, residual, tol, max_iter):
         residuals.append(r)
         if update < tol or not update <= STALL_RATIO * last:
             residuals.append(residual(x))
-            return x, residuals, residuals[-1] <= RESIDUAL_DROP * residuals[0]
+            return x, residuals, (residuals[-1] <= RESIDUAL_DROP * residuals[0] or (
+                floor is not None and residuals[-1] * RESIDUAL_DROP < floor()))
         last = update
     return x, residuals + [residual(x)], False

@@ -25,8 +25,9 @@ from . import verify
 from .bent import BentSurface, solve_u0
 from .cutoffs import even_cutoff
 from .errors import RejectedParametersError
-from .helicoid import StabilityModes, kernel_fn, substitute
-from .numerics import Grid, cumulative_from_zero, fd_weights, iterate, theta_derivative
+from .helicoid import StabilityModes, kernel_fn, substitute_factors
+from .numerics import (Grid, cumulative_from_zero, fd_weights, iterate, row_blocks,
+                       theta_derivative)
 
 # smallness budget delta (1 + |R| + |xi|) ell of the perturbation argument
 GATE_BUDGET = 0.2
@@ -92,8 +93,9 @@ class Workspace:
         self.psi_outer = even_cutoff(np.arccosh(ell), np.arccosh(ell / 2.0), g.s)[0]
         kappa_x = kernel_fn("x", s_col, t_row)
         kappa_y = kernel_fn("y", s_col, t_row)
-        self.ux_fn, self.w_x = substitute("x", s_col, t_row)
-        self.uy_fn, self.w_y = substitute("y", s_col, t_row)
+        # u_x and u_y as s-profiles times theta-rows, for _add_substitutes
+        # and the images' w_x, w_y
+        self.substitutes = [substitute_factors(which, s_col, t_row) for which in "xy"]
 
         self._gauge_x = kappa_x / np.sqrt(self.inner_flat(kappa_x, kappa_x))
         self._gauge_y = kappa_y / np.sqrt(self.inner_flat(kappa_y, kappa_y))
@@ -101,6 +103,18 @@ class Workspace:
         # mode-1 coefficient of w_x; that of w_y is -1j times it
         self.w_hat1 = np.fft.rfft(self.w_x, axis=1)[:, 1]
         self.interior = g.interior_mask()
+
+    @property
+    def w_x(self):
+        """The image cosh^2 L u_x on the grid, formed from its factors."""
+        w, row = self.substitutes[0][1]
+        return w * row
+
+    @property
+    def w_y(self):
+        """The image cosh^2 L u_y on the grid, formed from its factors."""
+        w, row = self.substitutes[1][1]
+        return w * row
 
     def _near_null_profile(self):
         """Left near-null vector of the m = 1 mode system, by inverse iteration.
@@ -172,10 +186,28 @@ def linear_solve(ws, e):
     return np.fft.irfft(eh, n=g.n_theta, axis=1), float(beta.real), float(-beta.imag)
 
 
+def _add_substitutes(ws, state, fields):
+    """Add b_x u_x + b_y u_y into fields in place and return them.
+
+    fields are the leading slots of a derivative bundle on the grid; each
+    gets the same slots of the substitute bundles, formed from their
+    factors a block of numerics.row_blocks rows at a time.  A block's
+    profile * row is the whole-grid product element for element, and the
+    sum is (field + b_x u_x) + b_y u_y, so the result is bit for bit the
+    whole-grid sum.
+    """
+    (ux, _), (uy, _) = ws.substitutes
+    for blk in row_blocks(*fields[0].shape):
+        for f, (px, rx), (py, ry) in zip(fields, ux, uy):
+            f[blk] += state.b_x * (px[blk] * rx)
+            f[blk] += state.b_y * (py[blk] * ry)
+    return fields
+
+
 def graph_values(ws, state):
     """The graph psi v + b_x u_x + b_y u_y of state on the grid, values only:
     the first field of its derivative bundle, bit for bit."""
-    return ws.psi[:, None] * state.v + state.b_x * ws.ux_fn[0] + state.b_y * ws.uy_fn[0]
+    return _add_substitutes(ws, state, [ws.psi[:, None] * state.v])[0]
 
 
 def _graph_bundle(ws, state):
@@ -187,11 +219,9 @@ def _graph_bundle(ws, state):
     functions carry analytic derivatives, matching the analytic images used
     in the kernel projection; differencing them instead would feed the
     cutoff's aliased derivatives into the b-coefficients and destabilize the
-    iteration.
+    iteration.  They are added into the freshly formed psi v bundle in place.
     """
-    psi_v = ws.grid.derivatives(ws.psi[:, None] * state.v)
-    return tuple(p + state.b_x * x + state.b_y * y
-                 for p, x, y in zip(psi_v, ws.ux_fn, ws.uy_fn))
+    return _add_substitutes(ws, state, ws.grid.derivatives(ws.psi[:, None] * state.v))
 
 
 def _residual(ws, state):

@@ -148,21 +148,26 @@ def check_self_similarity(surface, u):
 
     Zero to roundoff for periodic u over a correctly anchored curve; the
     similarity is centered at the origin, so any mis-anchoring (a translated
-    copy of the same surface) shows up as an O(|offset|) defect.
+    copy of the same surface) shows up as an O(|offset|) defect.  Every step
+    is pointwise, so it runs a block of numerics.row_blocks rows at a time,
+    and the blocks' maxima give the whole-grid maxima exactly.
     """
     spec, g = surface.spec, surface.grid
-    s_col, t_row = g.s[:, None], g.theta[None, :]
-    utot = u + surface.u0[:, None]
-    t_next = t_row + 2.0 * np.pi
-    x1 = bent.graph_point(spec, s_col, t_row, utot, surface.normals["nu"])
-    x2 = bent.graph_point(spec, s_col, t_next, utot,
-                          bent._gauged_normal(spec, s_col, t_next))
     scale, rot = spec.similarity()
-    image = scale * np.einsum("ij,...j->...i", rot, x1)
+    t_row = g.theta[None, :]
+    t_next = t_row + 2.0 * np.pi
     gauge = np.exp(-spec.lam * g.theta)[:, None]
-    defect = np.abs(x2 - image) * gauge
-    denom = np.abs(x1 * gauge).max()
-    return float(defect.max() / denom)
+    defects, sizes = [], []
+    for blk in row_blocks(*u.shape):
+        s_col = g.s[blk, None]
+        utot = u[blk] + surface.u0[blk, None]
+        x1 = bent.graph_point(spec, s_col, t_row, utot, surface.normals["nu"][:, blk])
+        x2 = bent.graph_point(spec, s_col, t_next, utot,
+                              bent._gauged_normal(spec, s_col, t_next))
+        image = scale * np.einsum("ij,...j->...i", rot, x1)
+        defects.append((np.abs(x2 - image) * gauge).max())
+        sizes.append(np.abs(x1 * gauge).max())
+    return float(np.max(defects) / np.max(sizes))
 
 
 def embed_bound(spec):
@@ -221,10 +226,14 @@ def _embed_samples(surface, u, n_samples, seed):
     t_samp = rng.uniform(-np.pi, 3.0 * np.pi, n_samples)
 
     # u is band-limited in theta and smooth in s: local Lagrange in s first,
-    # then evaluate each row's trigonometric interpolant at its own angle.
+    # then evaluate each row's trigonometric interpolant at its own angle,
+    # a block of samples' rows at a time (the resampling gathers six grid
+    # rows per sample)
     utot = u + surface.u0[:, None]
-    rows = lagrange_resample(g.s, utot, s_samp)
-    u_vals = trig_interpolate(rows, t_samp[:, None])[:, 0]
+    u_vals = np.empty(n_samples)
+    for blk in row_blocks(n_samples, g.n_theta):
+        rows = lagrange_resample(g.s, utot, s_samp[blk])
+        u_vals[blk] = trig_interpolate(rows, t_samp[blk, None])[:, 0]
     pts = bent.graph_point(spec, s_samp, t_samp, u_vals,
                            bent._gauged_normal(spec, s_samp, t_samp))
     cell = max(g.h, 2.0 * np.pi / g.n_theta)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,16 @@ def demo_solve(demo_spec):
         demo_spec, 32.0, n_s=256, n_theta=32, tol=1e-10, max_iter=50)
     assert report.converged
     return report, ws, state
+
+
+@pytest.fixture(scope="session")
+def traced_default_solve(demo_spec):
+    """The default 1024x64 solve and its tracemalloc peak in MiB."""
+    tracemalloc.start()
+    try:
+        report, ws, state = solver.solve_minimal(demo_spec, 32.0)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    return peak, report, ws, state

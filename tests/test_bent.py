@@ -442,6 +442,14 @@ class TestProfile:
         prof = profile(-1e-3, Grid(32.0, 128, 1))
         assert prof.residual_sup <= 1e-11
 
+    @pytest.mark.parametrize("lam", [1e-28, -1e-303])
+    def test_rate_at_the_roundoff_floor(self, lam):
+        # the first residual, O(delta_xi), lies within 1 / RESIDUAL_DROP of
+        # Q_flat's roundoff floor (about 5e-32), so it cannot fall by
+        # RESIDUAL_DROP; it converges by ending below floor / RESIDUAL_DROP
+        prof = profile(lam, Grid(32.0, 512, 1))
+        assert prof.residual_sup < 1e-30
+
     @pytest.mark.parametrize("lam", [1e-3, -1e-3])
     def test_against_positive_half_root(self, lam):
         # independent route: the positive-half system (unknowns u at s > 0,

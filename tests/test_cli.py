@@ -258,6 +258,16 @@ def test_profile_roundoff_floor_exits_0(argv, tmp_path):
     assert cli.main(argv) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("xi", ["1e-25", "-1e-300"])
+def test_tiny_growth_rate_converges(xi, tmp_path):
+    # u0's first residual, O(delta xi), is within four orders of its
+    # roundoff floor: the profile is accepted and the solve converges
+    argv = ["solve", f"--xi={xi}", "--ns", "512", "--ntheta", "8",
+            "--mesh-resolution", "16", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "converged = true" in (tmp_path / "report.txt").read_text()
+
+
 @pytest.mark.parametrize("n_s", [8, 16, 24, 32])
 def test_coarse_grid_is_not_converged(n_s, tmp_path):
     # on these grids the iteration stops while the residual of Q stays above

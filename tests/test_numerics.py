@@ -152,3 +152,21 @@ def test_lagrange_resample_value_shapes():
     assert stacked.shape == (17, 3, 1)
     np.testing.assert_allclose(many, np.column_stack([np.sin(x), np.cos(x), x ** 2]),
                                rtol=0, atol=1e-6)
+
+
+def test_iterate_asks_the_floor_only_when_the_drop_falls_short():
+    # constant updates stall the iteration at its second step
+    calls = []
+
+    def floor():
+        calls.append(1)
+        return 1.0
+
+    def converged(fall, first, floor=None):
+        step = lambda x: (fall * x, x, 1.0)
+        return numerics.iterate(step, first, lambda x: x, 0.0, 10, floor)[2]
+
+    assert converged(1e-5, 1e3, floor) and not calls        # fell by 1e-10
+    assert converged(1.0, 1e3, floor) and len(calls) == 1   # 1e3 * 1e-4 < 1
+    assert not converged(1.0, 1e5, floor)                   # 1e5 * 1e-4 > 1
+    assert not converged(1.0, 1e3)                          # no floor given

@@ -4,9 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from spiralforge import bent, solver
+from spiralforge import bent, numerics, solver
 from spiralforge.errors import RejectedParametersError
-from spiralforge.helicoid import StabilityModes
+from spiralforge.helicoid import StabilityModes, substitute
 from spiralforge.numerics import BandedLU, Grid
 from spiralforge.spirals import SpiralSpec
 
@@ -380,6 +380,33 @@ class TestSolveMinimal:
         _, ws, state = demo_solve
         assert np.array_equal(solver.graph_values(ws, state),
                               solver._graph_bundle(ws, state)[0])
+
+    @pytest.mark.parametrize("block", [None, 7, 60], ids=["default", "block7", "block60"])
+    def test_substitutes_match_the_whole_grid_bundles(self, demo_spec, monkeypatch, block):
+        # at n_theta = 8, blocks of 60 points are 7 rows with a partial last
+        # block, and blocks of 7 points one row
+        ws = solver.Workspace(demo_spec, 32.0, 256, 8)
+        if block is not None:
+            monkeypatch.setattr(numerics, "BLOCK", block)
+        g = ws.grid
+        (ux, wx), (uy, wy) = (substitute(which, g.s[:, None], g.theta[None, :])
+                              for which in "xy")
+        rng = np.random.default_rng(5)
+        state = solver.SolverState(1e-3 * rng.standard_normal((g.n_s + 1, g.n_theta)),
+                                   0.7, -0.3)
+        psi_v = g.derivatives(ws.psi[:, None] * state.v)
+        want = [p + state.b_x * x + state.b_y * y for p, x, y in zip(psi_v, ux, uy)]
+        added = solver._add_substitutes(ws, state, list(psi_v))
+        got = solver._graph_bundle(ws, state)
+        assert all(np.array_equal(a, b) for a, b in zip(added, want))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert np.array_equal(solver.graph_values(ws, state), want[0])
+        assert np.array_equal(ws.w_x, wx) and np.array_equal(ws.w_y, wy)
+
+    def test_default_solve_memory(self, traced_default_solve):
+        # the substitute bundles held as profiles times rows, the audit on
+        # row blocks: 39.5 MiB when they were whole-grid arrays
+        assert traced_default_solve[0] <= 30.0
 
     def test_final_q_consistency(self, demo_solve):
         # the reported residual is the interior sup of Q at the final state

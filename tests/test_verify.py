@@ -33,6 +33,21 @@ class TestWeightedNorm:
         assert abs(verify.weighted_norm(u, g) - want) <= 1e-12 * want
 
 
+def whole_grid_self_similarity(surface, u):
+    """check_self_similarity's formula on whole-grid arrays."""
+    spec, g = surface.spec, surface.grid
+    s_col, t_row = g.s[:, None], g.theta[None, :]
+    utot = u + surface.u0[:, None]
+    t_next = t_row + 2.0 * np.pi
+    x1 = bent.graph_point(spec, s_col, t_row, utot, surface.normals["nu"])
+    x2 = bent.graph_point(spec, s_col, t_next, utot,
+                          bent._gauged_normal(spec, s_col, t_next))
+    scale, rot = spec.similarity()
+    image = scale * np.einsum("ij,...j->...i", rot, x1)
+    gauge = np.exp(-spec.lam * g.theta)[:, None]
+    return float((np.abs(x2 - image) * gauge).max() / np.abs(x1 * gauge).max())
+
+
 class TestSelfSimilarity:
     def test_bare_surface(self, demo_solve):
         _, ws, _ = demo_solve
@@ -49,6 +64,20 @@ class TestSelfSimilarity:
         spec = SpiralSpec.from_invariants(1.0, 0.6, 0.9, 1e-3)
         surf = bent_surface(spec, 32.0, 128, 16)
         assert verify.check_self_similarity(surf, np.zeros((129, 16))) < 1e-12
+
+    def test_row_blocks_match_the_whole_grid(self, traced_default_solve):
+        # the whole-grid audit as a second route: the blocks' maxima give
+        # its float exactly, within 3 MiB instead of about 9.6
+        _, _, ws, state = traced_default_solve
+        u = solver.graph_values(ws, state)
+        tracemalloc.start()
+        try:
+            got = verify.check_self_similarity(ws.surface, u)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0
+        assert got == whole_grid_self_similarity(ws.surface, u)
 
     def test_mis_anchored_control(self, demo_solve):
         # translating the surface breaks the origin-centred similarity: the
@@ -115,6 +144,33 @@ class TestEmbeddedness:
             pts, params, exclusion, radius=5 * threshold) == none
         assert verify.sampled_min_separation(
             pts, params, 2 * exclusion, radius=10 * threshold) == none
+
+    def test_memory_bounded(self, demo_solve):
+        # the samples are resampled a block at a time: 18.2 MiB when all
+        # 10000 gathered their six grid rows of 32 values at once
+        _, ws, state = demo_solve
+        u = solver.graph_values(ws, state)
+        tracemalloc.start()
+        try:
+            verify.check_embedded(ws.surface, u, True, n_samples=10000)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0
+
+    @pytest.mark.parametrize("block", [None, 7, 100], ids=["default", "block7", "block100"])
+    def test_sample_blocks_match_all_at_once(self, demo_solve, monkeypatch, block):
+        _, ws, state = demo_solve
+        u = solver.graph_values(ws, state)
+        if block is not None:
+            monkeypatch.setattr(numerics, "BLOCK", block)
+        pts, params, _ = verify._embed_samples(ws.surface, u, 1000, 3)
+        g, (s, t) = ws.grid, params.T
+        rows = numerics.lagrange_resample(g.s, u + ws.surface.u0[:, None], s)
+        u_vals = trig_interpolate(rows, t[:, None])[:, 0]
+        want = bent.graph_point(ws.surface.spec, s, t, u_vals,
+                                bent._gauged_normal(ws.surface.spec, s, t))
+        assert np.array_equal(pts, want)
 
     def test_beyond_bound_sampled_ok(self):
         # small growth rate: the certified bound drops below ell = 32, but
