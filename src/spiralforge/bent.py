@@ -46,6 +46,7 @@ and m = 0 inverse (the solver's StabilityModes.solve_mean).  BentSurface
 takes u0 as given.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ from . import jets
 from .errors import (GraphTooLargeError, InvalidImmersionError, NoProfileError,
                      RejectedParametersError)
 from .jets import Jet, jet_from_arrays
-from .numerics import iterate, row_blocks, weighted_norm
+from .numerics import RESIDUAL_DROP, iterate, row_blocks, weighted_norm
 from .spirals import SpiralSpec
 from .tube import frame_point
 
@@ -63,6 +64,9 @@ _SLOTS = ("a1", "a2", "a11", "a22", "a12")
 # u0's domain gate: arccosh(ell) <= PROFILE_GATE * (delta |xi|)^(-1/4)
 PROFILE_GATE = 1.5
 PROFILE_STEPS = 40  # the cap on u0's chord steps
+# u0's first residual over Q_flat's roundoff floor above which c_hat is
+# reported: c_hat is 0.2% off at 172 times the floor and 2.4% at 19
+PROFILE_RESOLVED = 100.0
 
 
 def _dot(a, b):
@@ -167,13 +171,19 @@ def bent_point(spec, s, theta):
     return _last(frame_point(spec, theta, np.sinh(s) * _circ(theta)[0]))
 
 
-def graph_point(spec, s, theta, u, nu):
+def graph_point(spec, s, theta, u, nu=None):
     """Lab points of the normal graph by e^{lam theta} u over G, shape
-    broadcast(s, theta, u) + (3,).
+    broadcast(s, theta, u) + (3,): the one evaluation of a graph's lab
+    points, which the self-similarity audit, the embed samples and the mesh
+    build all call (the audit and the build a block of numerics.row_blocks
+    rows at a time).
 
-    nu is the gauged unit normal at the same points, component-major: a
-    normal bundle's "nu" or _gauged_normal.
+    nu is the gauged unit normal at the same points, component-major, where
+    the caller holds it (a normal bundle's "nu"); by default it is formed
+    here, bit for bit the bundle's.
     """
+    if nu is None:
+        nu = _gauged_normal(spec, s, theta)
     s, theta = _same_ndim(s, theta)
     return _last(frame_point(spec, theta, np.sinh(s) * _circ(theta)[0] + u * nu))
 
@@ -444,12 +454,16 @@ def solve_u0(delta_xi, grid, modes, tol=1e-9):
     margin of at least 1 for every ell > 16.
 
     Returns a U0Profile on grid.s (iterations: chord steps); c_hat reports
-    sup |u0| / (s^2 delta_xi), the measured constant of the quadratic bound.
+    sup |u0| / (s^2 delta_xi), the measured constant of the quadratic bound,
+    or nan where the first residual, about |delta_xi|, is below
+    PROFILE_RESOLVED times the floor (|delta_xi| below about 6e-30, and 0):
+    there u0 is mostly a fixed roundoff pattern, and the quotient grows like
+    1 / |delta_xi| (0.684 at delta_xi = 1e-33 on 512x8, 6.8e269 at -1e-303).
     """
     lam = float(delta_xi)
     u = np.zeros(grid.n_s + 1)
     if lam == 0.0:
-        return U0Profile(u, 0.0, 0, 0.0)
+        return U0Profile(u, 0.0, 0, float("nan"))
     bound = PROFILE_GATE * abs(lam) ** -0.25
     if grid.s_max > bound:
         raise RejectedParametersError(
@@ -465,12 +479,18 @@ def solve_u0(delta_xi, grid, modes, tol=1e-9):
 
     # Q_flat's roundoff floor: its residual on the helicoid (lam = 0) at the
     # exact profile u = 0, about 5e-32
-    floor = lambda: _flat_q(0.0, grid)(np.zeros(grid.n_s + 1))[1]
+    floor = functools.cache(lambda: _flat_q(0.0, grid)(np.zeros(grid.n_s + 1))[1])
     u, residuals, converged = iterate(chord, u, lambda u: q_flat(u)[1], tol, PROFILE_STEPS,
                                       floor)
     if not converged:
         raise NoProfileError(f"profile iteration did not converge: residual "
                              f"{residuals[0]:.3e} -> {residuals[-1]:.3e}")
+    # a residual that fell by RESIDUAL_DROP started at least 1e4 times above
+    # the last, which lies at the floor or above (0.8 to 2.4 times it, 512x8
+    # and 4096x8); only the floor's own clause needs the floor compared
+    resolved = (residuals[-1] <= RESIDUAL_DROP * residuals[0]
+                or residuals[0] >= PROFILE_RESOLVED * floor())
     s, i_zero = grid.s, grid.i_zero
-    c_hat = float(np.max(np.abs(u[i_zero + 1:]) / s[i_zero + 1:] ** 2) / abs(lam))
+    c_hat = (float(np.max(np.abs(u[i_zero + 1:]) / s[i_zero + 1:] ** 2) / abs(lam))
+             if resolved else float("nan"))
     return U0Profile(u, residuals[-1], len(residuals) - 1, c_hat)

@@ -192,13 +192,16 @@ def cmd_spiral(cfg):
 
 
 def _solve(cfg):
-    """Run the solve cfg describes; returns (report, surface, graph u)."""
-    from . import solver
+    """Run the solve cfg describes; returns (report, the solved surface's
+    verify.SurfaceBase, graph u)."""
+    from . import solver, verify
 
     report, ws, state = solver.solve_minimal(
         cfg.spec(), cfg.ell, n_s=cfg.n_s, n_theta=cfg.n_theta, tol=cfg.tol,
         max_iter=cfg.max_iter)
-    return report, ws.surface, solver.graph_values(ws, state)
+    surface = ws.surface
+    return (report, verify.SurfaceBase(surface.spec, surface.grid, surface.u0),
+            solver.graph_values(ws, state))
 
 
 def _export(cfg, surface, u):

@@ -98,10 +98,32 @@ class BandStencil:
         u = np.asarray(u, dtype=float)
         if len(u) != self.n:
             raise ValueError(f"stencil of {self.n} points applied to shape {u.shape}")
-        out = np.zeros(u.shape)
-        tmp = np.empty(u.shape)
-        for d, j0, j1, w in self.runs:
-            out[j0 - d:j1 - d] += np.multiply(w, u[j0:j1], out=tmp[:j1 - j0])
+        return self.rows(u, slice(0, self.n))
+
+    def rows(self, u, rows, first=0):
+        """Rows rows.start ... rows.stop - 1 of the product with a field of
+        which u holds the rows first ... first + len(u) - 1.
+
+        Each run is cut to the requested rows and applied in its stored
+        order, so every row sums the same products in the same order as the
+        whole product does: the rows are bit for bit those of `stencil @ U`.
+        u must hold every column those rows read.
+        """
+        lo, hi = rows.start, rows.stop
+        runs = self.runs
+        if (lo, hi, first, len(u)) != (0, self.n, 0, self.n):
+            runs = [(d, max(j0, lo + d), min(j1, hi + d), w) for d, j0, j1, w in runs]
+            runs = [run for run in runs if run[1] < run[2]]
+            read = (min(run[1] for run in runs), max(run[2] for run in runs))
+            if read[0] < first or read[1] > first + len(u):
+                raise ValueError(f"rows {lo} ... {hi - 1} read columns {read[0]} ... "
+                                 f"{read[1] - 1}, outside the given {first} ... "
+                                 f"{first + len(u) - 1}")
+        out = np.zeros((hi - lo, *u.shape[1:]))
+        tmp = np.empty(out.shape)
+        for d, j0, j1, w in runs:
+            out[j0 - d - lo:j1 - d - lo] += np.multiply(w, u[j0 - first:j1 - first],
+                                                        out=tmp[:j1 - j0])
         return out
 
     def row(self, i):
@@ -261,8 +283,14 @@ def lagrange_resample(s, values, s_new):
 
     Fifth-order local Lagrange interpolation (see lagrange_weights): exact
     on polynomials of degree 5, and the grid values at the nodes to roundoff.
+    values may also be a function that takes a sorted array of distinct grid
+    indices and returns the values on those rows: it is called once, with
+    the rows the stencils read, so rows no point needs are never formed.
     """
     idx, w = lagrange_weights(s, s_new)
+    if callable(values):
+        rows, at = np.unique(idx, return_inverse=True)
+        values, idx = values(rows), at.reshape(idx.shape)
     return np.einsum("jm,jm...->m...", w, np.take(np.asarray(values, dtype=float), idx, axis=0))
 
 
@@ -292,6 +320,11 @@ def row_blocks(n_rows, row_size):
     """Slices of max(1, BLOCK // row_size) rows covering n_rows rows in order."""
     step = max(1, BLOCK // row_size)
     return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+# rows the s-stencils of Grid reach beyond their own row on one side: the
+# one-sided d2 at a rim row spans order + acc = 6 points
+HALO = 5
 
 
 class Grid:
@@ -328,15 +361,25 @@ class Grid:
         """Points with cosh(s) <= ell / 4 where minimality is certified."""
         return np.cosh(self.s) <= self.ell / 4.0
 
-    def derivatives(self, u):
+    def derivatives(self, u, rows=None, first=0):
         """The derivative bundle (u, u_t, u_s, u_tt, u_ss, u_ts) of u, shape
         (n_s + 1, n_theta) or (n_s + 1, 1): stencils in s, modes in theta.
+
+        With rows, a slice of grid rows, u holds the grid rows first ...
+        first + len(u) - 1, which must include the rows the s-stencils of
+        rows read (HALO on either side, clipped to the grid); the bundle is
+        that of rows, bit for bit the rows of the whole grid's bundle.
 
         Only for smooth fields: a cutoff's high derivatives alias on the grid,
         so the substitute functions carry closed-form bundles instead.
         """
         u_t, u_tt = theta_derivatives(u, (1, 2))
-        return (u, u_t, self.d1 @ u, u_tt, self.d2 @ u, self.d1 @ u_t)
+        if rows is None:
+            return (u, u_t, self.d1 @ u, u_tt, self.d2 @ u, self.d1 @ u_t)
+        rows = slice(*rows.indices(self.n_s + 1)[:2])
+        own = slice(rows.start - first, rows.stop - first)
+        return (u[own], u_t[own], self.d1.rows(u, rows, first), u_tt[own],
+                self.d2.rows(u, rows, first), self.d1.rows(u_t, rows, first))
 
 
 def weighted_norm(u, grid):

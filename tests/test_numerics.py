@@ -72,6 +72,53 @@ def test_stencil_product_is_bitwise_csr(n_pts, order, acc):
         assert np.all(got == want)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n_pts", [6, 7, 33])
+def test_stencil_rows_are_bitwise_rows_of_the_product(n_pts, order):
+    # every block of rows, from the rows it reads within Grid's HALO
+    stencil = derivative_matrix(n_pts, 0.037, order, 4)
+    u = np.random.default_rng(n_pts + order).standard_normal((n_pts, 3))
+    whole = stencil @ u
+    for lo in range(n_pts):
+        for hi in range(lo + 1, n_pts + 1):
+            first = max(lo - numerics.HALO, 0)
+            part = u[first:min(hi + numerics.HALO, n_pts)]
+            assert np.array_equal(stencil.rows(part, slice(lo, hi), first), whole[lo:hi])
+    # a halo one row short is refused, not read past
+    with pytest.raises(ValueError, match="outside"):
+        stencil.rows(u[1:], slice(0, 1), 1)
+
+
+def test_grid_derivatives_of_rows_are_the_whole_bundle_rows():
+    g = Grid(32.0, 40, 8)
+    u = np.random.default_rng(4).standard_normal((41, 8))
+    whole = g.derivatives(u)
+    for rows in (slice(0, 3), slice(10, 17), slice(38, 60)):
+        ext = slice(max(rows.start - numerics.HALO, 0), min(rows.stop + numerics.HALO, 41))
+        part = g.derivatives(u[ext], rows, ext.start)
+        own = range(41)[rows]
+        for got, want in zip(part, whole):
+            assert np.array_equal(got, want[own.start:own.stop])
+
+
+def test_lagrange_resample_forms_only_the_rows_it_reads():
+    # 5 points on a 101-point grid read 30 rows; a function of those rows
+    # gives the values the whole table does, bit for bit
+    s = _grid(101)
+    x = np.array([-0.93, -0.5, 0.0001, 0.31, 0.99]) * s[-1]
+    table = np.column_stack([np.sin(s), s ** 3])
+    asked = []
+
+    def rows(idx):
+        asked.append(idx)
+        return table[idx]
+
+    got = lagrange_resample(s, rows, x)
+    assert len(asked) == 1 and len(asked[0]) == 5 * LAGRANGE_NODES
+    assert np.array_equal(asked[0], np.unique(asked[0]))
+    assert np.array_equal(got, lagrange_resample(s, table, x))
+
+
 def test_derivative_matrix_rejects_short_grids():
     with pytest.raises(ValueError, match="6-point stencil"):
         derivative_matrix(5, 0.1, 2, 4)

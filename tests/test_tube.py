@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,16 @@ def test_xi_zero_rejected():
         tube.tube_radius(spec, 0.5)
     with pytest.raises(ValueError):
         tube.max_embed_ell(spec)
+
+
+def test_uniform_takes_53_bits_per_double_from_random():
+    # the byte stream of randbytes is that of getrandbits(64) per value
+    x = tube.uniform(random.Random(11), -2.0, 3.0, 1000)
+    ref = random.Random(11)
+    want = [-2.0 + 5.0 * ((ref.getrandbits(64) >> 11) * 2.0 ** -53) for _ in range(1000)]
+    assert np.array_equal(x, want)
+    assert x.min() >= -2.0 and x.max() < 3.0
+    assert len(tube.uniform(random.Random(11), 0.0, 1.0, 0)) == 0
 
 
 class TestInjectivity:

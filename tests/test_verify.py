@@ -9,7 +9,7 @@ import pytest
 
 from spiralforge import bent, numerics, solver, verify
 from spiralforge.errors import GraphTooLargeError
-from spiralforge.numerics import Grid, trig_interpolate
+from spiralforge.numerics import Grid, lagrange_resample, trig_interpolate
 from spiralforge.spirals import SpiralSpec
 
 from conftest import bent_surface
@@ -46,6 +46,21 @@ def whole_grid_self_similarity(surface, u):
     image = scale * np.einsum("ij,...j->...i", rot, x1)
     gauge = np.exp(-spec.lam * g.theta)[:, None]
     return float((np.abs(x2 - image) * gauge).max() / np.abs(x1 * gauge).max())
+
+
+def whole_mesh(surface, u, resolution):
+    """build_mesh's first period on whole-mesh arrays: u + u0 resampled on
+    every mesh row from every solve-grid row, then Grid.derivatives of the
+    whole mesh; returns (x, h_abs, u)."""
+    spec, g = surface.spec, surface.grid
+    mesh_grid = Grid(g.ell, resolution[0] - 1, resolution[1])
+    s_col, t_row = mesh_grid.s[:, None], mesh_grid.theta[None, :]
+    u_theta = trig_interpolate(u + surface.u0[:, None], mesh_grid.theta)
+    u_mesh = lagrange_resample(g.s, u_theta, mesh_grid.s)
+    brackets, normals, ch2 = bent.geometry(spec, s_col, t_row)
+    q = bent.graph_q(spec.lam, brackets, normals, ch2, mesh_grid.derivatives(u_mesh))
+    x = bent.graph_point(spec, s_col, t_row, u_mesh, normals["nu"])
+    return x, np.abs(q) / (np.exp(spec.lam * t_row) * ch2), u_mesh
 
 
 class TestSelfSimilarity:
@@ -351,6 +366,51 @@ class TestExport:
         assert peak_mb(verify.write_csv, mesh, tmp_path / "m.csv")[0] < 4.0
         del mesh
         assert peak_mb(verify.build_mesh, ws.surface, u, (256, 256), 2)[0] < 35.0
+
+    @pytest.mark.parametrize("block", [None, 7, 60], ids=["default", "block7", "block60"])
+    def test_halo_build_matches_the_whole_mesh(self, demo_solve, monkeypatch, block):
+        # meshes coarser than the 257-row solve grid (whose stencils skip
+        # solve rows), finer than it, odd, and the smallest the stencils
+        # allow; blocks of 7 and 60 points cut them into one or a few mesh
+        # rows, so most blocks' halos are cut by the rim
+        _, ws, state = demo_solve
+        u = solver.graph_values(ws, state)
+        if block is not None:
+            monkeypatch.setattr(numerics, "BLOCK", block)
+        for resolution in ((6, 6), (13, 11), (64, 16), (300, 17)):
+            mesh = verify.build_mesh(ws.surface, u, resolution)
+            x, h_abs, u_mesh = whole_mesh(ws.surface, u, resolution)
+            assert np.array_equal(mesh.x, x)
+            assert np.array_equal(mesh.h_abs, h_abs)
+            assert np.array_equal(mesh.u, u_mesh)
+
+    def test_surface_base_suffices(self, demo_solve):
+        # the post-solve phases read the surface's spec, grid and u0 alone,
+        # so the CLI can free its cached geometry before they run
+        report, ws, state = demo_solve
+        u = solver.graph_values(ws, state)
+        s = ws.surface
+        base = verify.SurfaceBase(s.spec, s.grid, s.u0)
+        got, want = (verify.build_mesh(x, u, (13, 11), 2) for x in (base, s))
+        for name in ("x", "h_abs", "u"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        got, want = (verify._embed_samples(x, u, 500, 4) for x in (base, s))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert (verify.check_embedded(base, u, report.converged, 500)
+                == verify.check_embedded(s, u, report.converged, 500))
+
+    def test_build_memory_bounded(self, demo_solve):
+        # the halo build forms no whole-mesh resample or derivative bundle:
+        # 9.8 MiB when it did
+        _, ws, state = demo_solve
+        u = solver.graph_values(ws, state)
+        tracemalloc.start()
+        try:
+            verify.build_mesh(ws.surface, u, (256, 256), 2)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.0
 
     def test_export_memory_does_not_grow_with_the_mesh(self, demo_solve, tmp_path):
         # the mesh keeps one period; the writers form the later periods, the
