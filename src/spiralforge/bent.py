@@ -55,7 +55,7 @@ from . import jets
 from .errors import (GraphTooLargeError, InvalidImmersionError, NoProfileError,
                      RejectedParametersError)
 from .jets import Jet, jet_from_arrays
-from .numerics import RESIDUAL_DROP, iterate, row_blocks, weighted_norm
+from .numerics import iterate, residual_dropped, row_blocks, weighted_norm
 from .spirals import SpiralSpec
 from .tube import frame_point
 
@@ -485,11 +485,11 @@ def solve_u0(delta_xi, grid, modes, tol=1e-9):
     if not converged:
         raise NoProfileError(f"profile iteration did not converge: residual "
                              f"{residuals[0]:.3e} -> {residuals[-1]:.3e}")
-    # a residual that fell by RESIDUAL_DROP started at least 1e4 times above
-    # the last, which lies at the floor or above (0.8 to 2.4 times it, 512x8
-    # and 4096x8); only the floor's own clause needs the floor compared
-    resolved = (residuals[-1] <= RESIDUAL_DROP * residuals[0]
-                or residuals[0] >= PROFILE_RESOLVED * floor())
+    # a residual that fell by RESIDUAL_DROP (iterate's drop clause) started
+    # at least 1e4 times above the last, which lies at the floor or above
+    # (0.8 to 2.4 times it, 512x8 and 4096x8); only an iteration that the
+    # floor clause converged, which has evaluated the floor, compares it
+    resolved = residual_dropped(residuals) or residuals[0] >= PROFILE_RESOLVED * floor()
     s, i_zero = grid.s, grid.i_zero
     c_hat = (float(np.max(np.abs(u[i_zero + 1:]) / s[i_zero + 1:] ** 2) / abs(lam))
              if resolved else float("nan"))

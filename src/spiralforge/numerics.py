@@ -88,11 +88,13 @@ class BandStencil:
     (n, ...) and adds the runs' products to zero in that order, so each row
     sums its products in increasing column order: the order of a CSR row
     product, so every value equals that of the same matrix stored as CSR.
+    reach is the largest |d|: how many rows beyond its own a row reads.
     """
 
     def __init__(self, n, runs):
         self.n = n
         self.runs = sorted(runs, key=lambda run: run[0])
+        self.reach = max(abs(run[0]) for run in self.runs)
 
     def __matmul__(self, u):
         u = np.asarray(u, dtype=float)
@@ -111,6 +113,9 @@ class BandStencil:
         """
         lo, hi = rows.start, rows.stop
         runs = self.runs
+        if first < 0 or first + len(u) > self.n:
+            raise ValueError(f"rows {first} ... {first + len(u) - 1} given to a stencil "
+                             f"of {self.n} points")
         if (lo, hi, first, len(u)) != (0, self.n, 0, self.n):
             runs = [(d, max(j0, lo + d), min(j1, hi + d), w) for d, j0, j1, w in runs]
             runs = [run for run in runs if run[1] < run[2]]
@@ -322,17 +327,13 @@ def row_blocks(n_rows, row_size):
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
-# rows the s-stencils of Grid reach beyond their own row on one side: the
-# one-sided d2 at a rim row spans order + acc = 6 points
-HALO = 5
-
-
 class Grid:
     """Uniform tensor grid on the cylinder section |s| <= arccosh(ell).
 
     s has n_s intervals (n_s + 1 points; s = 0 is a grid point only when
     n_s is even); theta has n_theta uniform points on [-pi, pi) with
-    periodic wrap.
+    periodic wrap.  halo is the number of rows the s-stencils read beyond
+    a row on one side (5: the one-sided d2 at a rim row spans 6 points).
     """
 
     def __init__(self, ell, n_s, n_theta):
@@ -349,6 +350,7 @@ class Grid:
         self.w_theta = 2.0 * np.pi / n_theta
         self.d1 = derivative_matrix(n_s + 1, self.h, 1, acc=4)
         self.d2 = derivative_matrix(n_s + 1, self.h, 2, acc=4)
+        self.halo = max(self.d1.reach, self.d2.reach)
 
     @property
     def i_zero(self):
@@ -361,21 +363,19 @@ class Grid:
         """Points with cosh(s) <= ell / 4 where minimality is certified."""
         return np.cosh(self.s) <= self.ell / 4.0
 
-    def derivatives(self, u, rows=None, first=0):
+    def derivatives(self, u, rows=slice(None), first=0):
         """The derivative bundle (u, u_t, u_s, u_tt, u_ss, u_ts) of u, shape
         (n_s + 1, n_theta) or (n_s + 1, 1): stencils in s, modes in theta.
 
         With rows, a slice of grid rows, u holds the grid rows first ...
         first + len(u) - 1, which must include the rows the s-stencils of
-        rows read (HALO on either side, clipped to the grid); the bundle is
+        rows read (halo on either side, clipped to the grid); the bundle is
         that of rows, bit for bit the rows of the whole grid's bundle.
 
         Only for smooth fields: a cutoff's high derivatives alias on the grid,
         so the substitute functions carry closed-form bundles instead.
         """
         u_t, u_tt = theta_derivatives(u, (1, 2))
-        if rows is None:
-            return (u, u_t, self.d1 @ u, u_tt, self.d2 @ u, self.d1 @ u_t)
         rows = slice(*rows.indices(self.n_s + 1)[:2])
         own = slice(rows.start - first, rows.stop - first)
         return (u[own], u_t[own], self.d1.rows(u, rows, first), u_tt[own],
@@ -405,6 +405,12 @@ def weighted_norm(u, grid):
 STALL_RATIO, RESIDUAL_DROP = 0.5, 1e-4  # the stop rule of iterate
 
 
+def residual_dropped(residuals):
+    """Whether the last residual is at most RESIDUAL_DROP times the first:
+    iterate's test of convergence when no floor is involved."""
+    return residuals[-1] <= RESIDUAL_DROP * residuals[0]
+
+
 def iterate(step, x, residual, tol, max_iter, floor=None):
     """Run x <- step(x) until it stops; returns (x, residuals, converged).
 
@@ -413,11 +419,11 @@ def iterate(step, x, residual, tol, max_iter, floor=None):
     is below tol, or (a nan too) above STALL_RATIO times the one before: the
     gated maps contract by 1e-3 to 1e-2 per step, and at the roundoff floor
     the ratio is about 1.  It has converged if it stopped within max_iter
-    steps with the last residual at most RESIDUAL_DROP times the first, or
-    below floor() / RESIDUAL_DROP when a floor is given: floor() returns the
-    residual's roundoff floor, and is called only when the drop falls
-    short, since a residual within 1 / RESIDUAL_DROP of it has no room left
-    to fall by RESIDUAL_DROP.
+    steps with the last residual at most RESIDUAL_DROP times the first
+    (residual_dropped), or below floor() / RESIDUAL_DROP when a floor is
+    given: floor() returns the residual's roundoff floor, and is called only
+    when the drop falls short, since a residual within 1 / RESIDUAL_DROP of
+    it has no room left to fall by RESIDUAL_DROP.
     """
     residuals, last = [], np.inf
     for _ in range(max_iter):
@@ -425,7 +431,7 @@ def iterate(step, x, residual, tol, max_iter, floor=None):
         residuals.append(r)
         if update < tol or not update <= STALL_RATIO * last:
             residuals.append(residual(x))
-            return x, residuals, (residuals[-1] <= RESIDUAL_DROP * residuals[0] or (
+            return x, residuals, (residual_dropped(residuals) or (
                 floor is not None and residuals[-1] * RESIDUAL_DROP < floor()))
         last = update
     return x, residuals + [residual(x)], False

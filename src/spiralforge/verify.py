@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bent
-from .numerics import (HALO, Grid, lagrange_resample, row_blocks, trig_interpolate,
+from .numerics import (Grid, lagrange_resample, row_blocks, trig_interpolate,
                        weighted_norm)
 from .tube import max_embed_ell, sampled_min_separation, uniform
 
@@ -268,9 +268,8 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
     are read.
 
     It runs a block of numerics.row_blocks mesh rows at a time into the
-    preallocated period.  u + u0 is resampled on the block and a halo of
-    numerics.HALO mesh rows on either side, the reach of the mesh grid's
-    s-stencils: exact trigonometric interpolation in theta of only the
+    preallocated period.  u + u0 is resampled on the block and the mesh
+    grid's halo of 5 mesh rows on either side, the reach of its s-stencils: exact trigonometric interpolation in theta of only the
     solve-grid rows the block's fifth-order Lagrange stencils in s read.
     Each row is resampled and differenced as on the whole mesh, so every
     value is bit for bit the whole-mesh one.
@@ -278,7 +277,7 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
     spec, g = surface.spec, surface.grid
     n_sm, n_tm = resolution
     mesh_grid = Grid(g.ell, n_sm - 1, n_tm)
-    s_m, t_m = mesh_grid.s, mesh_grid.theta
+    s_m, t_m, halo = mesh_grid.s, mesh_grid.theta, mesh_grid.halo
 
     def solve_rows(rows):
         return trig_interpolate(u[rows] + surface.u0[rows, None], t_m)
@@ -288,7 +287,7 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
     u_mesh = np.empty((n_sm, n_tm))
     t_row = t_m[None, :]
     for blk in row_blocks(n_sm, n_tm):
-        ext = slice(max(blk.start - HALO, 0), min(blk.stop + HALO, n_sm))
+        ext = slice(max(blk.start - halo, 0), min(blk.stop + halo, n_sm))
         derivs = mesh_grid.derivatives(lagrange_resample(g.s, solve_rows, s_m[ext]),
                                        blk, ext.start)
         u_mesh[blk] = derivs[0]

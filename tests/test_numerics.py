@@ -75,26 +75,31 @@ def test_stencil_product_is_bitwise_csr(n_pts, order, acc):
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("n_pts", [6, 7, 33])
 def test_stencil_rows_are_bitwise_rows_of_the_product(n_pts, order):
-    # every block of rows, from the rows it reads within Grid's HALO
+    # every block of rows, from the rows it reads within the stencil's reach
     stencil = derivative_matrix(n_pts, 0.037, order, 4)
     u = np.random.default_rng(n_pts + order).standard_normal((n_pts, 3))
     whole = stencil @ u
     for lo in range(n_pts):
         for hi in range(lo + 1, n_pts + 1):
-            first = max(lo - numerics.HALO, 0)
-            part = u[first:min(hi + numerics.HALO, n_pts)]
+            first = max(lo - stencil.reach, 0)
+            part = u[first:min(hi + stencil.reach, n_pts)]
             assert np.array_equal(stencil.rows(part, slice(lo, hi), first), whole[lo:hi])
-    # a halo one row short is refused, not read past
+    # a halo one row short is refused, not read past, and so are rows
+    # beyond the stencil's n
     with pytest.raises(ValueError, match="outside"):
         stencil.rows(u[1:], slice(0, 1), 1)
+    with pytest.raises(ValueError, match="given to a stencil"):
+        stencil.rows(np.zeros((n_pts + 1, 3)), slice(0, n_pts))
 
 
 def test_grid_derivatives_of_rows_are_the_whole_bundle_rows():
     g = Grid(32.0, 40, 8)
+    # the one-sided d2 at a rim row reads 5 rows beyond it, d1 4
+    assert (g.d1.reach, g.d2.reach, g.halo) == (4, 5, 5)
     u = np.random.default_rng(4).standard_normal((41, 8))
     whole = g.derivatives(u)
     for rows in (slice(0, 3), slice(10, 17), slice(38, 60)):
-        ext = slice(max(rows.start - numerics.HALO, 0), min(rows.stop + numerics.HALO, 41))
+        ext = slice(max(rows.start - g.halo, 0), min(rows.stop + g.halo, 41))
         part = g.derivatives(u[ext], rows, ext.start)
         own = range(41)[rows]
         for got, want in zip(part, whole):
