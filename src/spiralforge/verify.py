@@ -269,8 +269,9 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
 
     It runs a block of numerics.row_blocks mesh rows at a time into the
     preallocated period.  u + u0 is resampled on the block and the mesh
-    grid's halo of 5 mesh rows on either side, the reach of its s-stencils: exact trigonometric interpolation in theta of only the
-    solve-grid rows the block's fifth-order Lagrange stencils in s read.
+    grid's halo of 5 mesh rows on either side, the reach of its s-stencils:
+    exact trigonometric interpolation in theta of only the solve-grid rows
+    the block's fifth-order Lagrange stencils in s read.
     Each row is resampled and differenced as on the whole mesh, so every
     value is bit for bit the whole-mesh one.
     """
