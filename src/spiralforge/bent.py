@@ -12,7 +12,7 @@ times a 2 pi-periodic "bracket" vector.  The normalized jet (gauge
 P(theta)^{-1} applied to every slot) is therefore exactly periodic, and the
 whole nonlinear operator
 
-    Q[u] = cosh^2(s) H( normalized jet of G + graph by e^{lam theta}(u + u0) )
+    Q[u] = cosh^2(s) H( normalized jet of G + graph by e^{lam theta} u )
 
 is assembled here in that gauge, so the output of Q is periodic to roundoff
 rather than to discretization error.
@@ -42,8 +42,9 @@ them from block to block instead of faulting in fresh pages per call.
 
 The straightening profile u0 solves Q = 0 for theta-independent graphs over
 G with the trivial generator, by a chord iteration on the solve's own grid
-and m = 0 inverse (the solver's StabilityModes.solve_mean).  BentSurface
-takes u0 as given.
+and m = 0 inverse (the solver's StabilityModes.solve_mean).  The solved
+graph u is u0 + psi v + b_x u_x + b_y u_y, and u0 enters it in one place,
+where the solver forms the graph's bundle; BentSurface holds G alone.
 """
 
 import functools
@@ -351,26 +352,23 @@ def graph_q(lam, brackets, normals, ch2, derivs):
 
 
 class BentSurface:
-    """Geometry of G sampled on a grid over |s| <= arccosh(ell), with u0.
+    """Geometry of G sampled on a grid over |s| <= arccosh(ell).
 
     The output of geometry on the grid is cached at construction,
-    component-major with shape (3, n_s + 1, n_theta); u0 holds the
-    straightening profile's values on the same s-grid, so no interpolation
-    enters the Q operator, and u0_fn its derivative bundle; graphs u enter
-    as theirs.  Instances are treated as immutable.  Q itself is graph_q,
-    which q_operator and the mesh export both evaluate a block of rows at a
-    time.
+    component-major with shape (3, n_s + 1, n_theta).  A graph enters as
+    its derivative bundle on the same grid, the whole graph (u0 included,
+    as solver._graph_bundle forms it), and every method reads it as given.
+    Instances are treated as immutable.  Q itself is graph_q, which
+    q_operator and the mesh export both evaluate a block of rows at a time.
     """
 
-    def __init__(self, spec: SpiralSpec, grid, u0):
+    def __init__(self, spec: SpiralSpec, grid):
         self.spec, self.grid = spec, grid
         self.brackets, self.normals, self.ch2 = geometry(
             spec, grid.s[:, None], grid.theta[None, :])
         # recorded conformality margin: 1 - min aspect ~ delta (|R| + |xi|)
         *_, aspect = _first_form(self.brackets["a1"], self.brackets["a2"])
         self.min_aspect = float(aspect.min())
-        self.u0 = np.asarray(u0, dtype=float)
-        self.u0_fn = grid.derivatives(self.u0[:, None])
 
     def graph_variation(self, derivs):
         """The gauged jet variation generated by the graph e^{lam theta} u,
@@ -384,24 +382,20 @@ class BentSurface:
         return _pack(*slots)
 
     def q_operator(self, derivs):
-        """cosh^2(s) times the gauged mean curvature of the graph by u + u0,
-        from u's derivative bundle.
+        """cosh^2(s) times the gauged mean curvature of the graph of
+        e^{lam theta} u over G, from u's derivative bundle.
 
         The output is a 2 pi-periodic grid function (see graph_q), evaluated
         a block of numerics.row_blocks rows at a time into one output array:
         every step is pointwise, so it equals the whole-grid graph_q bit for
         bit, while the temporaries stay a few MB and are reused per block.
         """
-        u, u_t, u_s, u_tt, u_ss, u_ts = derivs
-        u0, _, u0_s, _, u0_ss, _ = self.u0_fn
         out = np.empty((self.grid.n_s + 1, self.grid.n_theta))
         for blk in row_blocks(*out.shape):
             brackets = {k: f[:, blk] for k, f in self.brackets.items()}
             normals = {k: f[:, blk] for k, f in self.normals.items()}
-            # u0 depends on s alone, so only its values and s-derivatives add
             out[blk] = graph_q(self.spec.lam, brackets, normals, self.ch2[blk],
-                               (u[blk] + u0[blk], u_t[blk], u_s[blk] + u0_s[blk],
-                                u_tt[blk], u_ss[blk] + u0_ss[blk], u_ts[blk]))
+                               [f[blk] for f in derivs])
         return out
 
 

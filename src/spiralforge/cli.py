@@ -192,39 +192,39 @@ def cmd_spiral(cfg):
 
 
 def _solve(cfg):
-    """Run the solve cfg describes; returns (report, the solved surface's
-    verify.SurfaceBase, graph u)."""
-    from . import solver, verify
+    """Run the solve cfg describes; returns (report, spec, grid, the solved
+    graph's values u).  The workspace and its surface are dropped here, so
+    their cached geometry is freed before the post-solve phases run and
+    their allocations reuse that memory."""
+    from . import solver
 
     report, ws, state = solver.solve_minimal(
         cfg.spec(), cfg.ell, n_s=cfg.n_s, n_theta=cfg.n_theta, tol=cfg.tol,
         max_iter=cfg.max_iter)
-    surface = ws.surface
-    return (report, verify.SurfaceBase(surface.spec, surface.grid, surface.u0),
-            solver.graph_values(ws, state))
+    return report, ws.spec, ws.grid, solver.graph_values(ws, state)
 
 
-def _export(cfg, surface, u):
+def _export(cfg, spec, grid, u):
     """Write surface.obj and fields.csv into the output directory."""
     from . import verify
 
     out = cfg.output_dir
-    verify.export_mesh(surface, u, os.path.join(out, "surface.obj"),
+    verify.export_mesh(spec, grid, u, os.path.join(out, "surface.obj"),
+                       os.path.join(out, "fields.csv"),
                        resolution=(cfg.mesh_resolution, cfg.mesh_resolution),
-                       periods=cfg.periods,
-                       csv_path=os.path.join(out, "fields.csv"))
+                       periods=cfg.periods)
 
 
 def cmd_solve(cfg):
     from . import verify
 
-    report, surface, u = _solve(cfg)
+    report, spec, grid, u = _solve(cfg)
     report.config = config_dict(cfg)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "report.txt"), "w") as fh:
         fh.write(verify.report_text(report))
-    _export(cfg, surface, u)
+    _export(cfg, spec, grid, u)
     print(f"converged = {report.converged} after {report.iterations} iterations; "
           f"interior residual {report.final_interior_residual:.3e}; "
           f"runtime {report.runtime:.2f} s")
@@ -235,9 +235,9 @@ def cmd_solve(cfg):
 def cmd_check_embed(cfg):
     from . import verify
 
-    report, surface, u = _solve(cfg)
+    report, spec, grid, u = _solve(cfg)
     verdict, info = verify.check_embedded(
-        surface, u, report.converged, n_samples=cfg.n_samples, seed=cfg.seed)
+        spec, grid, u, report.converged, n_samples=cfg.n_samples, seed=cfg.seed)
     print(f"embeddedness verdict: {verdict}")
     print(f"closed-form bound on ell: {info['ell_bound']:.6g} (ell = {cfg.ell:g})")
     # the sampled search always runs, exact up to the threshold
@@ -252,10 +252,10 @@ def cmd_check_embed(cfg):
 
 
 def cmd_export(cfg):
-    report, surface, u = _solve(cfg)
+    report, spec, grid, u = _solve(cfg)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    _export(cfg, surface, u)
+    _export(cfg, spec, grid, u)
     print(f"wrote {out}/surface.obj and {out}/fields.csv "
           f"({cfg.periods} period(s) at resolution {cfg.mesh_resolution})")
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE

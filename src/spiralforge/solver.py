@@ -12,8 +12,9 @@ One step of the fixed-point map evaluates the bent-surface operator Q at the
 current graph, cuts it off so it vanishes at the domain boundary, and feeds
 it to the linear inverse.  At a fixed point the operator vanishes identically
 on the inner region where the cutoff is 1, which is the minimality being
-sought.  The graph psi v + b_x u_x + b_y u_y enters Q as its derivative
-bundle; the audits and the export read its values alone (graph_values).
+sought.  The graph u0 + psi v + b_x u_x + b_y u_y, u0 added where the
+graph is formed and nowhere else, enters Q as its derivative bundle; the
+audits and the export read its values (graph_values).
 """
 
 import time
@@ -31,6 +32,9 @@ from .numerics import (Grid, cumulative_from_zero, fd_weights, iterate, row_bloc
 
 # smallness budget delta (1 + |R| + |xi|) ell of the perturbation argument
 GATE_BUDGET = 0.2
+# the slots of a derivative bundle that hold no theta-derivative: u0 depends
+# on s alone, so it adds into these only
+_S_SLOTS = (0, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,8 @@ class Workspace:
         g = self.grid = Grid(ell, n_s, n_theta)
         self.modes = StabilityModes(g, n_theta // 2)
         self.u0 = solve_u0(spec.lam, g, self.modes, tol)
-        self.surface = BentSurface(spec, g, self.u0.values)
+        self.u0_bundle = g.derivatives(self.u0.values[:, None])
+        self.surface = BentSurface(spec, g)
         s_col, t_row = g.s[:, None], g.theta[None, :]
 
         self.psi = even_cutoff(np.arccosh(ell / 2.0), np.arccosh(ell / 4.0), g.s)[0]
@@ -187,31 +192,34 @@ def linear_solve(ws, e):
 
 
 def _add_substitutes(ws, state, fields):
-    """Add b_x u_x + b_y u_y into fields in place and return them.
+    """Add b_x u_x + b_y u_y + u0 into fields in place and return them.
 
     fields are the leading slots of a derivative bundle on the grid; each
     gets the same slots of the substitute bundles, formed from their
-    factors a block of numerics.row_blocks rows at a time.  A block's
-    profile * row is the whole-grid product element for element, and the
-    sum is (field + b_x u_x) + b_y u_y, so the result is bit for bit the
-    whole-grid sum.
+    factors a block of numerics.row_blocks rows at a time, and of u0's
+    bundle where it is not a theta-derivative.  A block's profile * row is
+    the whole-grid product element for element, and the sum is
+    ((field + b_x u_x) + b_y u_y) + u0, so the result is bit for bit the
+    whole-grid sum.  This is the one place u0 enters the solved graph.
     """
     (ux, _), (uy, _) = ws.substitutes
     for blk in row_blocks(*fields[0].shape):
-        for f, (px, rx), (py, ry) in zip(fields, ux, uy):
+        for i, (f, (px, rx), (py, ry)) in enumerate(zip(fields, ux, uy)):
             f[blk] += state.b_x * (px[blk] * rx)
             f[blk] += state.b_y * (py[blk] * ry)
+            if i in _S_SLOTS:
+                f[blk] += ws.u0_bundle[i][blk]
     return fields
 
 
 def graph_values(ws, state):
-    """The graph psi v + b_x u_x + b_y u_y of state on the grid, values only:
-    the first field of its derivative bundle, bit for bit."""
+    """The graph u0 + psi v + b_x u_x + b_y u_y of state on the grid, values
+    only: the first field of its derivative bundle, bit for bit."""
     return _add_substitutes(ws, state, [ws.psi[:, None] * state.v])[0]
 
 
 def _graph_bundle(ws, state):
-    """psi v + b_x u_x + b_y u_y as a derivative bundle.
+    """u0 + psi v + b_x u_x + b_y u_y as a derivative bundle.
 
     The product psi * v is differenced by the same grid stencils the linear
     inverse is built from, so the inverse reproduces it exactly and the
@@ -219,7 +227,8 @@ def _graph_bundle(ws, state):
     functions carry analytic derivatives, matching the analytic images used
     in the kernel projection; differencing them instead would feed the
     cutoff's aliased derivatives into the b-coefficients and destabilize the
-    iteration.  They are added into the freshly formed psi v bundle in place.
+    iteration.  They and u0's bundle are added into the freshly formed psi v
+    bundle in place.
     """
     return _add_substitutes(ws, state, ws.grid.derivatives(ws.psi[:, None] * state.v))
 
@@ -280,8 +289,7 @@ def solve_minimal(spec, ell, n_s=1024, n_theta=64, tol=1e-9, max_iter=50):
     denom = spec.delta * ell ** 0.25 * spec.r_norm
     zeta = max(norm_v, abs(state.b_x), abs(state.b_y)) / denom if denom > 0 else np.inf
 
-    embed_ok = ell <= verify.embed_bound(spec)
-    verdict = "certified" if (embed_ok and converged) else "not-certified"
+    verdict = "certified" if verify.certified(spec, ell, converged) else "not-certified"
 
     defect = verify.check_self_similarity(ws.surface, graph_values(ws, state))
     report = verify.SolveReport(

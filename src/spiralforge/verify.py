@@ -46,50 +46,19 @@ class SolveReport:
         return len(self.residual_history) - 1
 
 
-class SurfaceBase(NamedTuple):
-    """The spec, grid and u0 of a BentSurface: all that check_embedded and
-    build_mesh read of it.  The CLI hands them one in place of the solved
-    surface, so that the surface's cached brackets and normal bundle (16.5
-    MiB at 1024x64) are freed before they run and their allocations reuse
-    that memory: a cold default solve then peaks 0.8 MB lower, export and
-    check-embed at 512x8 1.2 MB lower."""
-    spec: object
-    grid: object
-    u0: np.ndarray
-
-
 CSV_KEYS = ("s", "theta", "H_abs", "u")
 
 
 class Mesh:
-    """(n, 3) vertices, (m, 3) 0-based faces and per-vertex scalar columns
-    keyed by CSV_KEYS.  The writers read a mesh as blocks of rows (see
-    _write_rows); face blocks number the vertices from 1, as the OBJ does."""
-
-    def __init__(self, vertices, faces, scalars):
-        self.vertices, self.faces, self.scalars = vertices, faces, scalars
-
-    def vertex_blocks(self):
-        return (self.vertices[sl] for sl in row_blocks(len(self.vertices), 1))
-
-    def face_blocks(self):
-        return (self.faces[sl] + 1 for sl in row_blocks(len(self.faces), 1))
-
-    def scalar_blocks(self):
-        """The CSV columns, stacked a block of vertices at a time."""
-        cols = [self.scalars[k] for k in CSV_KEYS]
-        return (np.column_stack([c[sl] for c in cols])
-                for sl in row_blocks(len(cols[0]), 1))
-
-
-class PeriodicMesh(Mesh):
     """The (n_s, periods * n_theta) mesh of build_mesh, kept as its first
     period: lab points x (n_s, n_theta, 3), |H| and u on the mesh grid
     (s, theta).  Period p is the image of the first under the similarity:
-    scale^p rot^p x, |H| / scale^p, theta + 2 pi p.  The blocks form it a
-    block of mesh rows at a time: the vertices whole, each scalar column
-    with only the axes it varies along, and the faces as slices of the text
-    of their corner ids.  The whole arrays are formed on access."""
+    scale^p rot^p x, |H| / scale^p, theta + 2 pi p.  The writers read it as
+    blocks of mesh rows (see _write_rows), which form it as they go: the
+    vertices' three columns, each scalar column of CSV_KEYS with only the
+    axes it varies along, and the faces, numbered from 1 as the OBJ does,
+    as slices of the text of their corner ids.  vertices, faces (0-based)
+    and scalars form the whole arrays on access."""
 
     def __init__(self, s, theta, x, h_abs, u, similarity, periods):
         self.s, self.theta, self.x, self.h_abs, self.u = s, theta, x, h_abs, u
@@ -118,7 +87,8 @@ class PeriodicMesh(Mesh):
         return rows[:, None] * self.n_cols + np.arange(self.n_cols)
 
     def vertex_blocks(self):
-        return map(self._vertices, row_blocks(len(self.s), self.n_cols))
+        return (tuple(self._vertices(rows).T)
+                for rows in row_blocks(len(self.s), self.n_cols))
 
     def face_blocks(self):
         for cells in row_blocks(len(self.s) - 1, 2 * self.n_cols):
@@ -157,7 +127,9 @@ def _triangles(ids):
 
 
 def check_self_similarity(surface, u):
-    """Relative defect of G_w(s, theta + 2 pi) = scale * rot * G_w(s, theta).
+    """Relative defect of G_w(s, theta + 2 pi) = scale * rot * G_w(s, theta)
+    for the graph G_w of the values u (solver.graph_values) on the surface's
+    grid, whose cached normal it reads at theta.
 
     Zero to roundoff for periodic u over a correctly anchored curve; the
     similarity is centered at the origin, so any mis-anchoring (a translated
@@ -173,9 +145,8 @@ def check_self_similarity(surface, u):
     defects, sizes = [], []
     for blk in row_blocks(*u.shape):
         s_col = g.s[blk, None]
-        utot = u[blk] + surface.u0[blk, None]
-        x1 = bent.graph_point(spec, s_col, t_row, utot, surface.normals["nu"][:, blk])
-        x2 = bent.graph_point(spec, s_col, t_next, utot)
+        x1 = bent.graph_point(spec, s_col, t_row, u[blk], surface.normals["nu"][:, blk])
+        x2 = bent.graph_point(spec, s_col, t_next, u[blk])
         image = scale * np.einsum("ij,...j->...i", rot, x1)
         defects.append((np.abs(x2 - image) * gauge).max())
         sizes.append(np.abs(x1 * gauge).max())
@@ -191,41 +162,47 @@ def embed_bound(spec):
         return float("nan")
 
 
+def certified(spec, ell, converged):
+    """The one certification rule, of the solve's verdict and of
+    check_embedded's first stage: a converged solve within the closed-form
+    bound, ell <= embed_bound(spec)."""
+    return bool(ell <= embed_bound(spec)) and converged
+
+
 # the audit's collision threshold, as a fraction of the sheet spacing
 # e^{-|lam| 3 pi}, and its exclusion radius in grid cells
 COLLISION_MARGIN = 0.1
 EXCLUSION_CELLS = 3
 
 
-def check_embedded(surface, u, converged, n_samples=10000, seed=0):
+def check_embedded(spec, grid, u, converged, n_samples=10000, seed=0):
     """Two-stage embeddedness audit.
 
-    Stage one checks the closed-form bound ell <= max_embed_ell, which
-    certifies embeddedness for a converged solve.  Stage two samples the
-    graph surface over two theta-periods and searches for image points that
-    are close despite being more than EXCLUSION_CELLS grid cells apart in
-    parameter space; a pair within the collision threshold overrules stage
-    one.  The search is exact within the threshold: info's min_separation
-    is the closest such pair's distance when it is at most the threshold,
-    and inf when no such pair lies within it.
+    Stage one is the certification rule (certified): the closed-form bound
+    ell <= max_embed_ell certifies embeddedness for a converged solve.
+    Stage two samples the graph surface over two theta-periods and searches
+    for image points that are close despite being more than EXCLUSION_CELLS
+    grid cells apart in parameter space; a pair within the collision
+    threshold overrules stage one.  The search is exact within the
+    threshold: info's min_separation is the closest such pair's distance
+    when it is at most the threshold, and inf when no such pair lies within
+    it.
 
-    surface is a BentSurface or its SurfaceBase.  Returns (verdict, info)
-    with verdict in {"certified", "sampled-ok", "not-certified"}.
+    u is the solved graph's values on grid (solver.graph_values).  Returns
+    (verdict, info) with verdict in {"certified", "sampled-ok",
+    "not-certified"}.
     """
-    spec, g = surface.spec, surface.grid
-    bound = embed_bound(spec)
-    certified = bool(g.ell <= bound) and converged
     threshold = COLLISION_MARGIN * float(np.exp(-abs(spec.lam) * 3.0 * np.pi))
     min_d, pair = sampled_min_separation(
-        *_embed_samples(surface, u, n_samples, seed), radius=threshold)
-    info = {"ell_bound": bound, "min_separation": min_d, "pair": pair,
+        *_embed_samples(spec, grid, u, n_samples, seed), radius=threshold)
+    info = {"ell_bound": embed_bound(spec), "min_separation": min_d, "pair": pair,
             "threshold": threshold}
     if min_d < threshold:
         return "not-certified", info
-    return ("certified" if certified else "sampled-ok"), info
+    return ("certified" if certified(spec, grid.ell, converged) else "sampled-ok"), info
 
 
-def _embed_samples(surface, u, n_samples, seed):
+def _embed_samples(spec, grid, u, n_samples, seed):
     """Random points of the graph surface over two theta-periods, uniform in
     (s, theta) from tube.uniform on random.Random(seed).
 
@@ -233,22 +210,20 @@ def _embed_samples(surface, u, n_samples, seed):
     (s, theta) parameters, and the parameter distance below which two
     samples count as neighbours on the same sheet.
     """
-    spec, g = surface.spec, surface.grid
     rng = random.Random(seed)
-    s_samp = uniform(rng, -g.s_max, g.s_max, n_samples)
+    s_samp = uniform(rng, -grid.s_max, grid.s_max, n_samples)
     t_samp = uniform(rng, -np.pi, 3.0 * np.pi, n_samples)
 
     # u is band-limited in theta and smooth in s: local Lagrange in s first,
     # then evaluate each row's trigonometric interpolant at its own angle,
     # a block of samples' rows at a time (the resampling gathers six grid
     # rows per sample)
-    utot = u + surface.u0[:, None]
     u_vals = np.empty(n_samples)
-    for blk in row_blocks(n_samples, g.n_theta):
-        rows = lagrange_resample(g.s, utot, s_samp[blk])
+    for blk in row_blocks(n_samples, grid.n_theta):
+        rows = lagrange_resample(grid.s, u, s_samp[blk])
         u_vals[blk] = trig_interpolate(rows, t_samp[blk, None])[:, 0]
     pts = bent.graph_point(spec, s_samp, t_samp, u_vals)
-    cell = max(g.h, 2.0 * np.pi / g.n_theta)
+    cell = max(grid.h, 2.0 * np.pi / grid.n_theta)
     return pts, np.column_stack([s_samp, t_samp]), EXCLUSION_CELLS * cell
 
 
@@ -256,32 +231,30 @@ def _embed_samples(surface, u, n_samples, seed):
 # mesh export
 # ---------------------------------------------------------------------------
 
-def build_mesh(surface, u, resolution=(64, 64), periods=1):
+def build_mesh(spec, grid, u, resolution=(64, 64), periods=1):
     """Triangulated graph surface, optionally extended by the similarity.
 
-    surface is a BentSurface or its SurfaceBase.  resolution = (n_s,
-    n_theta) vertices per period in each direction; the theta samples are
-    uniform without the wrap point, so one period of an (n, m) mesh has
-    exactly n * m vertices.  Additional periods are images of the first
-    under the discrete dilation, so the seams are exact; the returned
-    PeriodicMesh holds the first period only and forms the others as they
-    are read.
+    u is the solved graph's values on grid (solver.graph_values).
+    resolution = (n_s, n_theta) vertices per period in each direction; the
+    theta samples are uniform without the wrap point, so one period of an
+    (n, m) mesh has exactly n * m vertices.  Additional periods are images of the first
+    under the discrete dilation, so the seams are exact; the returned Mesh
+    holds the first period only and forms the others as they are read.
 
     It runs a block of numerics.row_blocks mesh rows at a time into the
-    preallocated period.  u + u0 is resampled on the block and the mesh
+    preallocated period.  u is resampled on the block and the mesh
     grid's halo of 5 mesh rows on either side, the reach of its s-stencils:
     exact trigonometric interpolation in theta of only the solve-grid rows
     the block's fifth-order Lagrange stencils in s read.
     Each row is resampled and differenced as on the whole mesh, so every
     value is bit for bit the whole-mesh one.
     """
-    spec, g = surface.spec, surface.grid
     n_sm, n_tm = resolution
-    mesh_grid = Grid(g.ell, n_sm - 1, n_tm)
+    mesh_grid = Grid(grid.ell, n_sm - 1, n_tm)
     s_m, t_m, halo = mesh_grid.s, mesh_grid.theta, mesh_grid.halo
 
     def solve_rows(rows):
-        return trig_interpolate(u[rows] + surface.u0[rows, None], t_m)
+        return trig_interpolate(u[rows], t_m)
 
     x = np.empty((n_sm, n_tm, 3))
     h_abs = np.empty((n_sm, n_tm))
@@ -289,7 +262,7 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
     t_row = t_m[None, :]
     for blk in row_blocks(n_sm, n_tm):
         ext = slice(max(blk.start - halo, 0), min(blk.stop + halo, n_sm))
-        derivs = mesh_grid.derivatives(lagrange_resample(g.s, solve_rows, s_m[ext]),
+        derivs = mesh_grid.derivatives(lagrange_resample(grid.s, solve_rows, s_m[ext]),
                                        blk, ext.start)
         u_mesh[blk] = derivs[0]
         s_col = s_m[blk, None]
@@ -300,7 +273,7 @@ def build_mesh(surface, u, resolution=(64, 64), periods=1):
         del brackets  # not held through the next block's geometry
         h_abs[blk] = np.abs(q) / (np.exp(spec.lam * t_row) * ch2)
         x[blk] = bent.graph_point(spec, s_col, t_row, u_mesh[blk], normals["nu"])
-    return PeriodicMesh(s_m, t_m, x, h_abs, u_mesh, spec.similarity(), periods)
+    return Mesh(s_m, t_m, x, h_abs, u_mesh, spec.similarity(), periods)
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +505,13 @@ def _write_rows(fh, blocks, prefix, sep, end):
     """Write each row of each block as prefix, the row's fields joined by
     sep, and end, one write per block.
 
-    A block is a 2-D array, one row per line, or a sequence of columns with
-    equally many axes that broadcast against each other, one line per
-    element of their broadcast shape in C order.  A column is an array of
-    values or their _Text: each column is formatted from its own values,
-    and its planes are broadcast into the block's.
+    A block is a sequence of columns with equally many axes that broadcast
+    against each other, one line per element of their broadcast shape in C
+    order.  A column is an array of values or their _Text: each column is
+    formatted from its own values, and its planes are broadcast into the
+    block's.
     """
-    for block in blocks:
-        columns = block.T if isinstance(block, np.ndarray) else block
+    for columns in blocks:
         shape = np.broadcast_shapes(*(col.shape for col in columns))
         literals = [prefix, *[sep] * (len(columns) - 1), end]
         size = sum(map(len, literals)) + len(columns) * _FIELD_MAX
@@ -582,13 +554,10 @@ def write_csv(mesh, path):
         _write_rows(fh, mesh.scalar_blocks(), b"", b",", b"\r\n")
 
 
-def export_mesh(surface, u, obj_path, resolution=(64, 64), periods=1,
-                csv_path=None):
-    """Write the OBJ (and CSV sidecar) for the solved graph surface."""
-    mesh = build_mesh(surface, u, resolution=resolution, periods=periods)
+def export_mesh(spec, grid, u, obj_path, csv_path, resolution=(64, 64), periods=1):
+    """Write the OBJ and CSV sidecar of build_mesh's mesh of the graph u."""
+    mesh = build_mesh(spec, grid, u, resolution=resolution, periods=periods)
     for write, path in ((write_obj, obj_path), (write_csv, csv_path)):
-        if path is None:
-            continue
         try:
             write(mesh, path)
         except OSError as exc:

@@ -58,9 +58,10 @@ def profile(delta_xi, grid):
 
 
 def bent_surface(spec, ell, n_s, n_theta):
-    """BentSurface on a new grid with u0 solved on it, as Workspace sets it up."""
+    """(BentSurface on a new grid, the derivative bundle of u0 solved on it),
+    as Workspace sets them up; Q at u + u0 takes the sum of the bundles."""
     grid = Grid(ell, n_s, n_theta)
-    return BentSurface(spec, grid, profile(spec.lam, grid).values)
+    return BentSurface(spec, grid), grid.derivatives(profile(spec.lam, grid).values[:, None])
 
 
 @pytest.fixture(scope="session")

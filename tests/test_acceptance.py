@@ -175,9 +175,10 @@ def test_09_q_scaling_in_delta():
     sups = []
     for delta in (1e-2, 5e-3, 2.5e-3):
         spec = SpiralSpec.from_invariants(1.0, 0.0, 1.0, delta)
-        surf = bent_surface(spec, 32.0, 512, 32)
+        surf, u0 = bent_surface(spec, 32.0, 512, 32)
         zero = surf.grid.derivatives(np.zeros((513, 32)))
-        sups.append(float(np.abs(surf.q_operator(zero)).max()))
+        q = surf.q_operator([z + d0 for z, d0 in zip(zero, u0)])
+        sups.append(float(np.abs(q).max()))
     ratios = [lo / hi for hi, lo in zip(sups, sups[1:])]
     ok = all(0.35 <= r <= 0.65 for r in ratios)
     announce(9, ok,
@@ -224,7 +225,7 @@ def test_12_embeddedness(full_solve):
     report, ws, state, _ = full_solve
     assert ws.grid.ell <= tube.max_embed_ell(ws.spec)
     u = solver.graph_values(ws, state)
-    verdict, info = verify.check_embedded(ws.surface, u, report.converged,
+    verdict, info = verify.check_embedded(ws.spec, ws.grid, u, report.converged,
                                           n_samples=10000, seed=5)
     ok_pos = verdict == "certified" and \
         info["min_separation"] > info["threshold"]

@@ -52,8 +52,8 @@ def test_traced_export_records_the_file_sizes(demo_solve, tmp_path):
     tracer = SPANS_NS["Tracer"]()
     tracer.install()
     try:
-        verify.export_mesh(ws.surface, u, tmp_path / "m.obj", (8, 8),
-                           csv_path=tmp_path / "m.csv")
+        verify.export_mesh(ws.spec, ws.grid, u, tmp_path / "m.obj", tmp_path / "m.csv",
+                           (8, 8))
     finally:
         tracer.uninstall()
     sizes = {sp["name"]: sp.get("bytes") for sp in tracer.spans}

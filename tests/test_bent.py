@@ -154,8 +154,13 @@ class TestReferenceJet:
 
 
 @pytest.fixture(scope="module")
-def surface(spec):
+def surface_and_u0(spec):
     return bent_surface(spec, 32.0, 128, 16)
+
+
+@pytest.fixture(scope="module")
+def surface(surface_and_u0):
+    return surface_and_u0[0]
 
 
 class TestGraphJet:
@@ -195,7 +200,7 @@ class TestGraphJet:
         # on the flat rig a constant offset by the focal distance cosh^2(s_k)
         # makes det(I + u S) vanish exactly at the grid row s_k
         flat = SpiralSpec(np.zeros((3, 3)), 1e-3, 0.0, allow_trivial=True)
-        surf = bent_surface(flat, 32.0, 128, 16)
+        surf, _ = bent_surface(flat, 32.0, 128, 16)
         u = np.full((129, 16), np.cosh(surf.grid.s[10]) ** 2)
         with pytest.raises(GraphTooLargeError):
             surf.graph_jet(surf.grid.derivatives(u))
@@ -299,7 +304,7 @@ class TestNormalBundle:
 class TestQOperator:
     def test_flat_rig_zero(self):
         flat = SpiralSpec(np.zeros((3, 3)), 1e-3, 0.0, allow_trivial=True)
-        surf = bent_surface(flat, 32.0, 128, 16)
+        surf, _ = bent_surface(flat, 32.0, 128, 16)
         q = surf.q_operator(surf.grid.derivatives(np.zeros((129, 16))))
         assert np.abs(q).max() < 1e-11
 
@@ -328,8 +333,9 @@ class TestQOperator:
         weighted = []
         for delta in (1e-2, 5e-3, 2.5e-3):
             sp = SpiralSpec.from_invariants(1.0, 0.0, 1.0, delta)
-            surf = bent_surface(sp, 32.0, 256, 32)
-            q = surf.q_operator(surf.grid.derivatives(np.zeros((257, 32))))
+            surf, u0 = bent_surface(sp, 32.0, 256, 32)
+            zero = surf.grid.derivatives(np.zeros((257, 32)))
+            q = surf.q_operator([z + d0 for z, d0 in zip(zero, u0)])
             sups.append(np.abs(q).max())
             w = np.abs(q).max(axis=1) / np.cosh(surf.grid.s) ** 0.75
             weighted.append(w.max() / (delta * 32.0 ** 0.25 * sp.r_norm))
@@ -340,24 +346,25 @@ class TestQOperator:
         assert max(weighted) / min(weighted) < 1.5
 
     @pytest.mark.parametrize("rows", [None, 7, 0], ids=["default", "7-rows", "sub-row"])
-    def test_blocks_equal_whole_grid(self, surface, monkeypatch, rows):
+    def test_blocks_equal_whole_grid(self, surface_and_u0, monkeypatch, rows):
         # 7 n_theta + 3 points is 7 rows a block with a partial last block;
         # 3 points is less than one row, so one row a block
+        surface, u0 = surface_and_u0
         g = surface.grid
         if rows is not None:
             monkeypatch.setattr(numerics, "BLOCK", rows * g.n_theta + 3)
         rng = np.random.default_rng(3)
         derivs = g.derivatives(1e-3 * rng.standard_normal((g.n_s + 1, g.n_theta)))
-        with_u0 = [d + d0 for d, d0 in zip(derivs, surface.u0_fn)]
+        with_u0 = [d + d0 for d, d0 in zip(derivs, u0)]
         whole = bent.graph_q(surface.spec.lam, surface.brackets, surface.normals,
                              surface.ch2, with_u0)
-        assert np.array_equal(surface.q_operator(derivs), whole)
+        assert np.array_equal(surface.q_operator(with_u0), whole)
 
     def test_bounded_memory(self, spec):
         # the temporaries of one block, not of the grid: about 16.5 MB when
         # Q ran on the whole 1024x64 grid at once
         grid = Grid(32.0, 1024, 64)
-        surf = BentSurface(spec, grid, np.zeros(grid.n_s + 1))
+        surf = BentSurface(spec, grid)
         rng = np.random.default_rng(4)
         derivs = grid.derivatives(1e-3 * rng.standard_normal((1025, 64)))
         tracemalloc.start()
@@ -371,7 +378,7 @@ class TestQOperator:
     def test_linearization_is_stability_operator(self):
         # flat rig: dQ/du at 0 equals the discrete flattened stability operator
         flat = SpiralSpec(np.zeros((3, 3)), 1e-3, 0.0, allow_trivial=True)
-        surf = bent_surface(flat, 32.0, 256, 16)
+        surf, _ = bent_surface(flat, 32.0, 256, 16)
         g = surf.grid
         u = (1 - (g.s[:, None] / g.s_max) ** 2) ** 2 * (
             np.cos(g.theta)[None, :] / np.cosh(g.s)[:, None])
@@ -384,11 +391,11 @@ class TestQOperator:
 
 
 def _q_by_jets(surface, gf):
-    """cosh^2 H by the Jet route: normalized_jet plus the packed variation,
-    through jets.mean_curvature."""
+    """cosh^2 H by the Jet route: normalized_jet plus the packed variation of
+    the graph's bundle gf, through jets.mean_curvature."""
     g = surface.grid
     total = (normalized_jet(surface.spec, g.s[:, None], g.theta[None, :])
-             + surface.graph_variation([a + b for a, b in zip(gf, surface.u0_fn)]))
+             + surface.graph_variation(gf))
     return np.cosh(g.s)[:, None] ** 2 * jets.mean_curvature(total)
 
 
@@ -407,7 +414,7 @@ class TestQAgainstJetRoute:
 
     def test_flat_u0_surface(self):
         flat = SpiralSpec(np.zeros((3, 3)), 1.0, 1e-3, allow_trivial=True)
-        surf = BentSurface(flat, Grid(32.0, 256, 1), np.zeros(257))
+        surf = BentSurface(flat, Grid(32.0, 256, 1))
         u = (1e-3 * np.sinh(surf.grid.s) ** 2 * np.tanh(surf.grid.s))[:, None]
         gf = surf.grid.derivatives(u)
         q = surf.q_operator(gf)
@@ -470,7 +477,7 @@ class TestProfile:
 
         n = 128
         flat = BentSurface(SpiralSpec(np.zeros((3, 3)), 1.0, lam, allow_trivial=True),
-                           Grid(32.0, n, 1), np.zeros(n + 1))
+                           Grid(32.0, n, 1))
         i0, h = flat.grid.i_zero, flat.grid.h
 
         def expand(u_pos):
@@ -520,5 +527,5 @@ class TestProfile:
 
         monkeypatch.setattr(bent, "solve_u0", refuse)
         grid = Grid(32.0, 64, 8)
-        surf = BentSurface(spec, grid, np.zeros(65))
-        assert surf.grid is grid and np.all(surf.u0 == 0.0)
+        surf = BentSurface(spec, grid)
+        assert surf.grid is grid

@@ -1,4 +1,7 @@
 import importlib
+import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +61,16 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         spiralforge.no_such_name
     assert not hasattr(spiralforge, "cli_main")
+
+
+def test_readme_module_names_resolve():
+    # every backticked `module.name` in README.md whose module is a
+    # spiralforge submodule names an attribute of it, so a rename or a
+    # deletion leaves no stale reference behind
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = {info.name for info in pkgutil.iter_modules(spiralforge.__path__)}
+    refs = sorted({ref for ref in re.findall(r"`(\w+)\.(\w+)`", readme) if ref[0] in modules})
+    assert len(refs) >= 20
+    stale = [f"{module}.{name}" for module, name in refs
+             if not hasattr(importlib.import_module(f"spiralforge.{module}"), name)]
+    assert stale == []

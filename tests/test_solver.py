@@ -263,7 +263,7 @@ class TestSolveMinimal:
                                                  n_theta=16, tol=1e-9)
         assert report.converged
         assert report.embed_verdict == "not-certified"
-        assert np.all(ws.surface.u0 == 0.0)
+        assert np.all(ws.u0.values == 0.0)
 
     def test_delta_scaling(self):
         norms = []
@@ -381,6 +381,16 @@ class TestSolveMinimal:
         assert np.array_equal(solver.graph_values(ws, state),
                               solver._graph_bundle(ws, state)[0])
 
+    def test_graph_of_the_zero_state_is_u0(self, demo_solve):
+        # u0 enters the solved graph where the graph is formed: at the zero
+        # state the graph is u0 on every theta column
+        _, ws, _ = demo_solve
+        g = ws.grid
+        zero = solver.SolverState(np.zeros((g.n_s + 1, g.n_theta)), 0.0, 0.0)
+        u = solver.graph_values(ws, zero)
+        assert np.any(ws.u0.values != 0.0)
+        assert np.array_equal(u, np.broadcast_to(ws.u0.values[:, None], u.shape))
+
     @pytest.mark.parametrize("block", [None, 7, 60], ids=["default", "block7", "block60"])
     def test_substitutes_match_the_whole_grid_bundles(self, demo_spec, monkeypatch, block):
         # at n_theta = 8, blocks of 60 points are 7 rows with a partial last
@@ -396,6 +406,8 @@ class TestSolveMinimal:
                                    0.7, -0.3)
         psi_v = g.derivatives(ws.psi[:, None] * state.v)
         want = [p + state.b_x * x + state.b_y * y for p, x, y in zip(psi_v, ux, uy)]
+        for i in (0, 2, 4):  # u0 depends on s alone: its value, u_s and u_ss
+            want[i] = want[i] + ws.u0_bundle[i]
         added = solver._add_substitutes(ws, state, list(psi_v))
         got = solver._graph_bundle(ws, state)
         assert all(np.array_equal(a, b) for a, b in zip(added, want))
@@ -443,7 +455,7 @@ class TestSolveMinimal:
         _, ws, st = demo_solve
         spec, g = ws.spec, ws.grid
         v_spl = CubicSpline(g.s, st.v, axis=0)
-        u0_spl = CubicSpline(g.s, ws.surface.u0)
+        u0_spl = CubicSpline(g.s, ws.u0.values)
 
         def graph_u(ss, th):
             v_rows = trig_interpolate(v_spl(ss), th)

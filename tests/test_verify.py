@@ -37,10 +37,9 @@ def whole_grid_self_similarity(surface, u):
     """check_self_similarity's formula on whole-grid arrays."""
     spec, g = surface.spec, surface.grid
     s_col, t_row = g.s[:, None], g.theta[None, :]
-    utot = u + surface.u0[:, None]
     t_next = t_row + 2.0 * np.pi
-    x1 = bent.graph_point(spec, s_col, t_row, utot, surface.normals["nu"])
-    x2 = bent.graph_point(spec, s_col, t_next, utot,
+    x1 = bent.graph_point(spec, s_col, t_row, u, surface.normals["nu"])
+    x2 = bent.graph_point(spec, s_col, t_next, u,
                           bent._gauged_normal(spec, s_col, t_next))
     scale, rot = spec.similarity()
     image = scale * np.einsum("ij,...j->...i", rot, x1)
@@ -48,14 +47,13 @@ def whole_grid_self_similarity(surface, u):
     return float((np.abs(x2 - image) * gauge).max() / np.abs(x1 * gauge).max())
 
 
-def whole_mesh(surface, u, resolution):
-    """build_mesh's first period on whole-mesh arrays: u + u0 resampled on
-    every mesh row from every solve-grid row, then Grid.derivatives of the
-    whole mesh; returns (x, h_abs, u)."""
-    spec, g = surface.spec, surface.grid
+def whole_mesh(spec, g, u, resolution):
+    """build_mesh's first period on whole-mesh arrays: u resampled on every
+    mesh row from every solve-grid row, then Grid.derivatives of the whole
+    mesh; returns (x, h_abs, u)."""
     mesh_grid = Grid(g.ell, resolution[0] - 1, resolution[1])
     s_col, t_row = mesh_grid.s[:, None], mesh_grid.theta[None, :]
-    u_theta = trig_interpolate(u + surface.u0[:, None], mesh_grid.theta)
+    u_theta = trig_interpolate(u, mesh_grid.theta)
     u_mesh = lagrange_resample(g.s, u_theta, mesh_grid.s)
     brackets, normals, ch2 = bent.geometry(spec, s_col, t_row)
     q = bent.graph_q(spec.lam, brackets, normals, ch2, mesh_grid.derivatives(u_mesh))
@@ -63,11 +61,29 @@ def whole_mesh(surface, u, resolution):
     return x, np.abs(q) / (np.exp(spec.lam * t_row) * ch2), u_mesh
 
 
+def _obj_text(vertices, faces):
+    """The OBJ text of "%.17g" per coordinate and "%d" per 1-based id."""
+    text = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in vertices)
+    text += "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in faces)
+    return text.encode()
+
+
+def _csv_text(scalars):
+    """The CSV text of the csv module's rows of "%.17g" per value."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["s", "theta", "H_abs", "u"])
+    for row in zip(*(scalars[k] for k in ("s", "theta", "H_abs", "u"))):
+        writer.writerow([f"{x:.17g}" for x in row])
+    return out.getvalue().encode()
+
+
 class TestSelfSimilarity:
     def test_bare_surface(self, demo_solve):
         _, ws, _ = demo_solve
-        defect = verify.check_self_similarity(ws.surface,
-                                              np.zeros((len(ws.grid.s), 32)))
+        # the graph of the zero state: u0 alone
+        defect = verify.check_self_similarity(
+            ws.surface, np.zeros((len(ws.grid.s), 32)) + ws.u0.values[:, None])
         assert defect < 1e-12
 
     def test_solved_surface(self, demo_solve):
@@ -77,8 +93,8 @@ class TestSelfSimilarity:
 
     def test_torsion_case(self):
         spec = SpiralSpec.from_invariants(1.0, 0.6, 0.9, 1e-3)
-        surf = bent_surface(spec, 32.0, 128, 16)
-        assert verify.check_self_similarity(surf, np.zeros((129, 16))) < 1e-12
+        surf, u0 = bent_surface(spec, 32.0, 128, 16)
+        assert verify.check_self_similarity(surf, np.zeros((129, 16)) + u0[0]) < 1e-12
 
     def test_row_blocks_match_the_whole_grid(self, traced_default_solve):
         # the whole-grid audit as a second route: the blocks' maxima give
@@ -102,7 +118,7 @@ class TestSelfSimilarity:
         _, ws, _ = demo_solve
         spec, g = ws.surface.spec, ws.grid
         s_col, t_row = g.s[:, None], g.theta[None, :]
-        u0 = ws.surface.u0[:, None] * np.ones((1, g.n_theta))
+        u0 = ws.u0.values[:, None] * np.ones((1, g.n_theta))
         nu_next = bent._gauged_normal(spec, s_col, t_row + 2 * np.pi)
         x1 = bent.graph_point(spec, s_col, t_row, u0, ws.surface.normals["nu"])
         x2 = bent.graph_point(spec, s_col, t_row + 2 * np.pi, u0, nu_next)
@@ -132,14 +148,14 @@ class TestEmbeddedness:
     def test_certified(self, demo_solve):
         report, ws, state = demo_solve
         u = solver.graph_values(ws, state)
-        verdict, info = verify.check_embedded(ws.surface, u, report.converged,
+        verdict, info = verify.check_embedded(ws.spec, ws.grid, u, report.converged,
                                               n_samples=2000, seed=0)
         assert verdict == "certified"
 
     def test_sampling_clears_margin(self, demo_solve):
         report, ws, state = demo_solve
         u = solver.graph_values(ws, state)
-        verdict, info = verify.check_embedded(ws.surface, u, report.converged,
+        verdict, info = verify.check_embedded(ws.spec, ws.grid, u, report.converged,
                                               n_samples=10000, seed=1)
         assert verdict == "certified"
         assert info["min_separation"] > 10 * info["threshold"]
@@ -153,7 +169,7 @@ class TestEmbeddedness:
         _, ws, state = demo_solve
         u = solver.graph_values(ws, state)
         threshold = 0.1 * np.exp(-abs(ws.spec.lam) * 3.0 * np.pi)
-        pts, params, exclusion = verify._embed_samples(ws.surface, u, 10000, 1)
+        pts, params, exclusion = verify._embed_samples(ws.spec, ws.grid, u, 10000, 1)
         none = (np.inf, (-1, -1))
         assert verify.sampled_min_separation(
             pts, params, exclusion, radius=5 * threshold) == none
@@ -167,7 +183,7 @@ class TestEmbeddedness:
         u = solver.graph_values(ws, state)
         tracemalloc.start()
         try:
-            verify.check_embedded(ws.surface, u, True, n_samples=10000)
+            verify.check_embedded(ws.spec, ws.grid, u, True, n_samples=10000)
             peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
@@ -179,12 +195,11 @@ class TestEmbeddedness:
         u = solver.graph_values(ws, state)
         if block is not None:
             monkeypatch.setattr(numerics, "BLOCK", block)
-        pts, params, _ = verify._embed_samples(ws.surface, u, 1000, 3)
+        pts, params, _ = verify._embed_samples(ws.spec, ws.grid, u, 1000, 3)
         g, (s, t) = ws.grid, params.T
-        rows = numerics.lagrange_resample(g.s, u + ws.surface.u0[:, None], s)
+        rows = numerics.lagrange_resample(g.s, u, s)
         u_vals = trig_interpolate(rows, t[:, None])[:, 0]
-        want = bent.graph_point(ws.surface.spec, s, t, u_vals,
-                                bent._gauged_normal(ws.surface.spec, s, t))
+        want = bent.graph_point(ws.spec, s, t, u_vals, bent._gauged_normal(ws.spec, s, t))
         assert np.array_equal(pts, want)
 
     def test_beyond_bound_sampled_ok(self):
@@ -196,7 +211,7 @@ class TestEmbeddedness:
         report, ws, state = solver.solve_minimal(spec, 32.0, n_s=128,
                                                  n_theta=16, tol=1e-9)
         u = solver.graph_values(ws, state)
-        verdict, info = verify.check_embedded(ws.surface, u, report.converged,
+        verdict, info = verify.check_embedded(ws.spec, ws.grid, u, report.converged,
                                               n_samples=4000, seed=2)
         assert verdict == "sampled-ok"
 
@@ -209,7 +224,7 @@ class TestEmbeddedness:
                                                  n_theta=8, tol=1e-9)
         assert report.embed_verdict == "not-certified"
         u = solver.graph_values(ws, state)
-        verdict, info = verify.check_embedded(ws.surface, u, report.converged,
+        verdict, info = verify.check_embedded(ws.spec, ws.grid, u, report.converged,
                                               n_samples=4000, seed=2)
         assert np.isnan(info["ell_bound"])
         assert verdict == "sampled-ok"
@@ -243,9 +258,8 @@ class TestExport:
     def test_vertex_count_and_roundtrip(self, demo_solve, tmp_path):
         _, ws, state = demo_solve
         u = solver.graph_values(ws, state)
-        mesh = verify.export_mesh(ws.surface, u, tmp_path / "m.obj",
-                                  resolution=(64, 64),
-                                  csv_path=tmp_path / "m.csv")
+        mesh = verify.export_mesh(ws.spec, ws.grid, u, tmp_path / "m.obj",
+                                  tmp_path / "m.csv", resolution=(64, 64))
         assert mesh.vertices.shape == (4096, 3)
         assert mesh.faces.shape == (2 * 63 * 63, 3)
         v2, f2 = verify.read_obj(tmp_path / "m.obj")
@@ -257,7 +271,7 @@ class TestExport:
     def test_faces_in_range(self, demo_solve):
         _, ws, state = demo_solve
         u = solver.graph_values(ws, state)
-        mesh = verify.build_mesh(ws.surface, u, resolution=(16, 16))
+        mesh = verify.build_mesh(ws.spec, ws.grid, u, resolution=(16, 16))
         assert mesh.faces.min() == 0
         assert mesh.faces.max() == len(mesh.vertices) - 1
 
@@ -266,7 +280,7 @@ class TestExport:
         # triangles; boundary edges by exactly one
         _, ws, state = demo_solve
         u = solver.graph_values(ws, state)
-        mesh = verify.build_mesh(ws.surface, u, resolution=(12, 12))
+        mesh = verify.build_mesh(ws.spec, ws.grid, u, resolution=(12, 12))
         from collections import Counter
         directed = Counter()
         for a, b, c in mesh.faces:
@@ -285,7 +299,7 @@ class TestExport:
         _, ws, state = demo_solve
         g = ws.grid
         u = solver.graph_values(ws, state)
-        mesh = verify.build_mesh(ws.surface, u, resolution=(len(g.s), g.n_theta))
+        mesh = verify.build_mesh(ws.spec, ws.grid, u, resolution=(len(g.s), g.n_theta))
         q = ws.surface.q_operator(g.derivatives(u))
         want = np.abs(q) / (np.exp(ws.spec.lam * g.theta)[None, :]
                             * np.cosh(g.s)[:, None] ** 2)
@@ -296,16 +310,16 @@ class TestExport:
         # the flat rig of the solver's aspect guard test: offsetting by the
         # focal distance cosh^2 of a mesh row degenerates that row of the mesh
         flat = SpiralSpec(np.zeros((3, 3)), 1e-3, 0.0, allow_trivial=True)
-        surf = bent_surface(flat, 32.0, 128, 16)
-        s_mesh = np.linspace(-surf.grid.s_max, surf.grid.s_max, 33)
+        grid = Grid(32.0, 128, 16)
+        s_mesh = np.linspace(-grid.s_max, grid.s_max, 33)
         u = np.full((129, 16), np.cosh(s_mesh[4]) ** 2)
         with pytest.raises(GraphTooLargeError):
-            verify.build_mesh(surf, u, (33, 16))
+            verify.build_mesh(flat, grid, u, (33, 16))
 
     def test_two_period_similarity(self, demo_solve):
         _, ws, state = demo_solve
         u = solver.graph_values(ws, state)
-        mesh = verify.build_mesh(ws.surface, u, resolution=(24, 24), periods=2)
+        mesh = verify.build_mesh(ws.spec, ws.grid, u, resolution=(24, 24), periods=2)
         pts = mesh.vertices.reshape(24, 48, 3)
         scale, rot = ws.spec.similarity()
         image = scale * np.einsum("ij,...j->...i", rot, pts[:, :24, :])
@@ -320,10 +334,10 @@ class TestExport:
         # partial last one, a block of 60 into mesh rows 5 + 5 + 2
         _, ws, state = demo_solve
         u = solver.graph_values(ws, state)
-        whole = verify.build_mesh(ws.surface, u, resolution=(12, 12), periods=2)
+        whole = verify.build_mesh(ws.spec, ws.grid, u, resolution=(12, 12), periods=2)
         if block is not None:
             monkeypatch.setattr(numerics, "BLOCK", block)
-        mesh = verify.build_mesh(ws.surface, u, resolution=(12, 12), periods=2)
+        mesh = verify.build_mesh(ws.spec, ws.grid, u, resolution=(12, 12), periods=2)
         assert np.array_equal(mesh.vertices, whole.vertices)
         assert np.array_equal(mesh.faces, whole.faces)
         for key, values in whole.scalars.items():
@@ -335,17 +349,10 @@ class TestExport:
                 a, b = i * n_cols + j, (i + 1) * n_cols + j
                 faces += [(a, b, b + 1), (a, b + 1, a + 1)]
         assert np.array_equal(mesh.faces, np.array(faces))
-        obj = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in mesh.vertices)
-        obj += "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.faces)
-        want_csv = io.StringIO(newline="")
-        writer = csv.writer(want_csv)
-        writer.writerow(["s", "theta", "H_abs", "u"])
-        for row in zip(*(mesh.scalars[k] for k in ("s", "theta", "H_abs", "u"))):
-            writer.writerow([f"{x:.17g}" for x in row])
         verify.write_obj(mesh, tmp_path / "m.obj")
         verify.write_csv(mesh, tmp_path / "m.csv")
-        assert (tmp_path / "m.obj").read_bytes() == obj.encode()
-        assert (tmp_path / "m.csv").read_bytes() == want_csv.getvalue().encode()
+        assert (tmp_path / "m.obj").read_bytes() == _obj_text(mesh.vertices, mesh.faces)
+        assert (tmp_path / "m.csv").read_bytes() == _csv_text(mesh.scalars)
 
     def test_memory_bounded(self, demo_solve, tmp_path):
         # block-wise export: the writers' working memory stays at one block
@@ -361,11 +368,11 @@ class TestExport:
             finally:
                 tracemalloc.stop()
 
-        _, mesh = peak_mb(verify.build_mesh, ws.surface, u, (128, 128), 2)
+        _, mesh = peak_mb(verify.build_mesh, ws.spec, ws.grid, u, (128, 128), 2)
         assert peak_mb(verify.write_obj, mesh, tmp_path / "m.obj")[0] < 4.0
         assert peak_mb(verify.write_csv, mesh, tmp_path / "m.csv")[0] < 4.0
         del mesh
-        assert peak_mb(verify.build_mesh, ws.surface, u, (256, 256), 2)[0] < 35.0
+        assert peak_mb(verify.build_mesh, ws.spec, ws.grid, u, (256, 256), 2)[0] < 35.0
 
     @pytest.mark.parametrize("block", [None, 7, 60], ids=["default", "block7", "block60"])
     def test_halo_build_matches_the_whole_mesh(self, demo_solve, monkeypatch, block):
@@ -378,26 +385,11 @@ class TestExport:
         if block is not None:
             monkeypatch.setattr(numerics, "BLOCK", block)
         for resolution in ((6, 6), (13, 11), (64, 16), (300, 17)):
-            mesh = verify.build_mesh(ws.surface, u, resolution)
-            x, h_abs, u_mesh = whole_mesh(ws.surface, u, resolution)
+            mesh = verify.build_mesh(ws.spec, ws.grid, u, resolution)
+            x, h_abs, u_mesh = whole_mesh(ws.spec, ws.grid, u, resolution)
             assert np.array_equal(mesh.x, x)
             assert np.array_equal(mesh.h_abs, h_abs)
             assert np.array_equal(mesh.u, u_mesh)
-
-    def test_surface_base_suffices(self, demo_solve):
-        # the post-solve phases read the surface's spec, grid and u0 alone,
-        # so the CLI can free its cached geometry before they run
-        report, ws, state = demo_solve
-        u = solver.graph_values(ws, state)
-        s = ws.surface
-        base = verify.SurfaceBase(s.spec, s.grid, s.u0)
-        got, want = (verify.build_mesh(x, u, (13, 11), 2) for x in (base, s))
-        for name in ("x", "h_abs", "u"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-        got, want = (verify._embed_samples(x, u, 500, 4) for x in (base, s))
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        assert (verify.check_embedded(base, u, report.converged, 500)
-                == verify.check_embedded(s, u, report.converged, 500))
 
     def test_build_memory_bounded(self, demo_solve):
         # the halo build forms no whole-mesh resample or derivative bundle:
@@ -406,7 +398,7 @@ class TestExport:
         u = solver.graph_values(ws, state)
         tracemalloc.start()
         try:
-            verify.build_mesh(ws.surface, u, (256, 256), 2)
+            verify.build_mesh(ws.spec, ws.grid, u, (256, 256), 2)
             peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
@@ -421,8 +413,8 @@ class TestExport:
         def peak_mb(resolution, periods):
             tracemalloc.start()
             try:
-                verify.export_mesh(ws.surface, u, tmp_path / "m.obj", resolution,
-                                   periods, csv_path=tmp_path / "m.csv")
+                verify.export_mesh(ws.spec, ws.grid, u, tmp_path / "m.obj",
+                                   tmp_path / "m.csv", resolution, periods)
                 return tracemalloc.get_traced_memory()[1] / 2 ** 20
             finally:
                 tracemalloc.stop()
@@ -434,28 +426,26 @@ class TestExport:
     def test_lazy_rows_match_materialized_mesh(self, demo_solve, tmp_path, monkeypatch,
                                                block):
         # three periods of an odd 13x11 mesh: blocks of 7 and 60 points split
-        # the 33-vertex mesh rows and leave a partial last block
+        # the 33-vertex mesh rows and leave a partial last block; the files
+        # are the per-value text of the whole arrays formed on access
         _, ws, state = demo_solve
         u = solver.graph_values(ws, state)
         if block is not None:
             monkeypatch.setattr(numerics, "BLOCK", block)
-        mesh = verify.export_mesh(ws.surface, u, tmp_path / "lazy.obj", (13, 11), 3,
-                                  csv_path=tmp_path / "lazy.csv")
+        mesh = verify.export_mesh(ws.spec, ws.grid, u, tmp_path / "lazy.obj",
+                                  tmp_path / "lazy.csv", (13, 11), 3)
         assert mesh.vertices.shape == (13 * 33, 3)
         assert mesh.faces.shape == (2 * 12 * 32, 3)
-        whole = verify.Mesh(mesh.vertices, mesh.faces, mesh.scalars)
-        verify.write_obj(whole, tmp_path / "whole.obj")
-        verify.write_csv(whole, tmp_path / "whole.csv")
-        for ext in ("obj", "csv"):
-            assert ((tmp_path / f"lazy.{ext}").read_bytes()
-                    == (tmp_path / f"whole.{ext}").read_bytes())
+        assert (tmp_path / "lazy.obj").read_bytes() == _obj_text(mesh.vertices, mesh.faces)
+        assert (tmp_path / "lazy.csv").read_bytes() == _csv_text(mesh.scalars)
 
-    def test_io_failure_surfaces_path(self, demo_solve):
+    def test_io_failure_surfaces_path(self, demo_solve, tmp_path):
         _, ws, state = demo_solve
         u = solver.graph_values(ws, state)
         bad = os.path.join("definitely", "missing", "dir", "m.obj")
         with pytest.raises(OSError) as err:
-            verify.export_mesh(ws.surface, u, bad, resolution=(8, 8))
+            verify.export_mesh(ws.spec, ws.grid, u, bad, tmp_path / "m.csv",
+                               resolution=(8, 8))
         assert "m.obj" in str(err.value)
 
     def test_io_failure_names_the_csv(self, demo_solve, tmp_path):
@@ -464,8 +454,8 @@ class TestExport:
         u = solver.graph_values(ws, state)
         bad = tmp_path / "missing" / "m.csv"
         with pytest.raises(OSError) as err:
-            verify.export_mesh(ws.surface, u, tmp_path / "m.obj", resolution=(8, 8),
-                               csv_path=bad)
+            verify.export_mesh(ws.spec, ws.grid, u, tmp_path / "m.obj", bad,
+                               resolution=(8, 8))
         assert f"mesh export to {bad} failed" in str(err.value)
         assert "m.obj" not in str(err.value)
         assert (tmp_path / "m.obj").stat().st_size > 0
@@ -475,7 +465,8 @@ class TestExport:
         # signed zeros, nan, infinities, a subnormal, 1e300 and negative
         # values among ordinary ones: the per-value fallback and the special
         # layouts land inside blocks of 7 and 60 rows, and next to rows of
-        # every %g form
+        # every %g form.  The block writer gets the columns of each block of
+        # rows, as the writers hand it a mesh's
         rng = np.random.default_rng(5)
         n = 70
         values = rng.standard_normal((n, 7)) * 10.0 ** rng.integers(-8, 20, (n, 7))
@@ -485,21 +476,21 @@ class TestExport:
             values.flat[(i * 37) % values.size] = v
         faces = rng.integers(0, n, (2 * n, 3))
         faces[0] = [0, 9, 99]
-        mesh = verify.Mesh(values[:, :3], faces,
-                           dict(zip(("s", "theta", "H_abs", "u"), values[:, 3:].T)))
         if block is not None:
             monkeypatch.setattr(numerics, "BLOCK", block)
-        obj = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in mesh.vertices)
-        obj += "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.faces)
-        want_csv = io.StringIO(newline="")
-        writer = csv.writer(want_csv)
-        writer.writerow(["s", "theta", "H_abs", "u"])
-        for row in zip(*(mesh.scalars[k] for k in ("s", "theta", "H_abs", "u"))):
-            writer.writerow([f"{x:.17g}" for x in row])
-        verify.write_obj(mesh, tmp_path / "m.obj")
-        verify.write_csv(mesh, tmp_path / "m.csv")
-        assert (tmp_path / "m.obj").read_bytes() == obj.encode()
-        assert (tmp_path / "m.csv").read_bytes() == want_csv.getvalue().encode()
+
+        def blocks(columns):
+            return ([c[sl] for c in columns]
+                    for sl in numerics.row_blocks(len(columns[0]), 1))
+
+        obj, sidecar = io.BytesIO(), io.BytesIO(b"s,theta,H_abs,u\r\n")
+        sidecar.seek(0, io.SEEK_END)
+        verify._write_rows(obj, blocks(values[:, :3].T), b"v ", b" ", b"\n")
+        verify._write_rows(obj, blocks((faces + 1).T), b"f ", b" ", b"\n")
+        verify._write_rows(sidecar, blocks(values[:, 3:].T), b"", b",", b"\r\n")
+        assert obj.getvalue() == _obj_text(values[:, :3], faces)
+        assert sidecar.getvalue() == _csv_text(
+            dict(zip(("s", "theta", "H_abs", "u"), values[:, 3:].T)))
 
     @pytest.mark.parametrize("block", [None, 7], ids=["default", "block7"])
     def test_each_distinct_value_formatted_once(self, demo_solve, tmp_path, monkeypatch,
@@ -513,7 +504,7 @@ class TestExport:
             monkeypatch.setattr(numerics, "BLOCK", block)
         n_s, n_theta, periods = 13, 11, 3
         n_cols = periods * n_theta
-        mesh = verify.build_mesh(ws.surface, u, (n_s, n_theta), periods)
+        mesh = verify.build_mesh(ws.spec, ws.grid, u, (n_s, n_theta), periods)
         counts = {}
 
         def counted(name):
@@ -546,7 +537,7 @@ class TestExport:
         # columns that broadcast against each other, holding values that take
         # the per-value fallback (which widens a field), the special layouts
         # and every %g form, write the bytes of the same columns materialized
-        # as one 2-D block, and those of "%.17g" per value
+        # as one block of 1-D columns, and those of "%.17g" per value
         rng = np.random.default_rng(11)
         awkward = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e300,
                    1125899906842624.25, 0.0]
@@ -564,7 +555,7 @@ class TestExport:
         full = np.column_stack([np.broadcast_to(c, shape).ravel() for c in columns])
         broadcast, materialized = io.BytesIO(), io.BytesIO()
         verify._write_rows(broadcast, [columns], b"", b",", b"\r\n")
-        verify._write_rows(materialized, [full], b"", b",", b"\r\n")
+        verify._write_rows(materialized, [tuple(full.T)], b"", b",", b"\r\n")
         assert broadcast.getvalue() == materialized.getvalue()
         want = "".join(",".join("%.17g" % v for v in row) + "\r\n" for row in full.tolist())
         assert broadcast.getvalue() == want.encode()
@@ -574,7 +565,7 @@ def _text_lines(values):
     """The writers' text of each value, one value per row."""
     values = np.asarray(values)
     fh = io.BytesIO()
-    blocks = (values[sl, None] for sl in numerics.row_blocks(len(values), 1))
+    blocks = ([values[sl]] for sl in numerics.row_blocks(len(values), 1))
     verify._write_rows(fh, blocks, b"", b"", b"\n")
     return fh.getvalue().decode().split("\n")[:-1]
 
@@ -624,7 +615,7 @@ class TestNumberText:
 
     def test_integers(self, demo_solve):
         _, ws, state = demo_solve
-        mesh = verify.build_mesh(ws.surface, solver.graph_values(ws, state), (16, 16))
+        mesh = verify.build_mesh(ws.spec, ws.grid, solver.graph_values(ws, state), (16, 16))
         largest = int(mesh.faces.max()) + 1
         values = np.array([1, 9, 10, 99, 100, largest, 10 ** 17 - 1,
                            np.iinfo(np.int64).max], dtype=np.int64)
