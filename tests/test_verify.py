@@ -483,8 +483,8 @@ class TestExport:
             return ([c[sl] for c in columns]
                     for sl in numerics.row_blocks(len(columns[0]), 1))
 
-        obj, sidecar = io.BytesIO(), io.BytesIO(b"s,theta,H_abs,u\r\n")
-        sidecar.seek(0, io.SEEK_END)
+        obj, sidecar = io.BytesIO(), io.BytesIO()
+        sidecar.write(b"s,theta,H_abs,u\r\n")
         verify._write_rows(obj, blocks(values[:, :3].T), b"v ", b" ", b"\n")
         verify._write_rows(obj, blocks((faces + 1).T), b"f ", b" ", b"\n")
         verify._write_rows(sidecar, blocks(values[:, 3:].T), b"", b",", b"\r\n")
