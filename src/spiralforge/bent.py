@@ -366,9 +366,6 @@ class BentSurface:
         self.spec, self.grid = spec, grid
         self.brackets, self.normals, self.ch2 = geometry(
             spec, grid.s[:, None], grid.theta[None, :])
-        # recorded conformality margin: 1 - min aspect ~ delta (|R| + |xi|)
-        *_, aspect = _first_form(self.brackets["a1"], self.brackets["a2"])
-        self.min_aspect = float(aspect.min())
 
     def graph_variation(self, derivs):
         """The gauged jet variation generated by the graph e^{lam theta} u,

@@ -288,14 +288,8 @@ def lagrange_resample(s, values, s_new):
 
     Fifth-order local Lagrange interpolation (see lagrange_weights): exact
     on polynomials of degree 5, and the grid values at the nodes to roundoff.
-    values may also be a function that takes a sorted array of distinct grid
-    indices and returns the values on those rows: it is called once, with
-    the rows the stencils read, so rows no point needs are never formed.
     """
     idx, w = lagrange_weights(s, s_new)
-    if callable(values):
-        rows, at = np.unique(idx, return_inverse=True)
-        values, idx = values(rows), at.reshape(idx.shape)
     return np.einsum("jm,jm...->m...", w, np.take(np.asarray(values, dtype=float), idx, axis=0))
 
 
@@ -358,6 +352,16 @@ class Grid:
         if self.n_s % 2 != 0:
             raise ValueError("n_s must be even so that s = 0 is a grid point")
         return self.n_s // 2
+
+    def resample(self, u, s_new, t_new):
+        """u, shape (n_s + 1, n_theta), at the points s_new (m,): fifth-order
+        Lagrange in s (lagrange_resample), then the exact trigonometric
+        interpolant in theta (trig_interpolate) at t_new, a row of angles
+        (p,) shared by every point or one angle per point (m, 1).  Returns
+        shape (m, p) or (m, 1).  The one off-grid evaluation of a grid
+        function: the mesh build and the embed samples both go through it.
+        """
+        return trig_interpolate(lagrange_resample(self.s, u, s_new), t_new)
 
     def interior_mask(self):
         """Points with cosh(s) <= ell / 4 where minimality is certified."""

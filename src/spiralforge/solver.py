@@ -291,7 +291,7 @@ def solve_minimal(spec, ell, n_s=1024, n_theta=64, tol=1e-9, max_iter=50):
 
     verdict = "certified" if verify.certified(spec, ell, converged) else "not-certified"
 
-    defect = verify.check_self_similarity(ws.surface, graph_values(ws, state))
+    defect = verify.check_self_similarity(spec, ws.grid, graph_values(ws, state))
     report = verify.SolveReport(
         residual_history=history,
         b_x=state.b_x,

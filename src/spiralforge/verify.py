@@ -16,8 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bent
-from .numerics import (Grid, lagrange_resample, row_blocks, trig_interpolate,
-                       weighted_norm)
+from .numerics import Grid, row_blocks, weighted_norm
 from .tube import max_embed_ell, sampled_min_separation, uniform
 
 
@@ -126,10 +125,10 @@ def _triangles(ids):
     return [np.stack(pair, axis=-1) for pair in ((a, a), (b, b1), (b1, a1))]
 
 
-def check_self_similarity(surface, u):
+def check_self_similarity(spec, grid, u):
     """Relative defect of G_w(s, theta + 2 pi) = scale * rot * G_w(s, theta)
-    for the graph G_w of the values u (solver.graph_values) on the surface's
-    grid, whose cached normal it reads at theta.
+    for the graph G_w of the values u (solver.graph_values) on grid, its
+    normals at theta and theta + 2 pi formed by bent.graph_point.
 
     Zero to roundoff for periodic u over a correctly anchored curve; the
     similarity is centered at the origin, so any mis-anchoring (a translated
@@ -137,15 +136,14 @@ def check_self_similarity(surface, u):
     is pointwise, so it runs a block of numerics.row_blocks rows at a time,
     and the blocks' maxima give the whole-grid maxima exactly.
     """
-    spec, g = surface.spec, surface.grid
     scale, rot = spec.similarity()
-    t_row = g.theta[None, :]
+    t_row = grid.theta[None, :]
     t_next = t_row + 2.0 * np.pi
-    gauge = np.exp(-spec.lam * g.theta)[:, None]
+    gauge = np.exp(-spec.lam * grid.theta)[:, None]
     defects, sizes = [], []
     for blk in row_blocks(*u.shape):
-        s_col = g.s[blk, None]
-        x1 = bent.graph_point(spec, s_col, t_row, u[blk], surface.normals["nu"][:, blk])
+        s_col = grid.s[blk, None]
+        x1 = bent.graph_point(spec, s_col, t_row, u[blk])
         x2 = bent.graph_point(spec, s_col, t_next, u[blk])
         image = scale * np.einsum("ij,...j->...i", rot, x1)
         defects.append((np.abs(x2 - image) * gauge).max())
@@ -214,14 +212,11 @@ def _embed_samples(spec, grid, u, n_samples, seed):
     s_samp = uniform(rng, -grid.s_max, grid.s_max, n_samples)
     t_samp = uniform(rng, -np.pi, 3.0 * np.pi, n_samples)
 
-    # u is band-limited in theta and smooth in s: local Lagrange in s first,
-    # then evaluate each row's trigonometric interpolant at its own angle,
-    # a block of samples' rows at a time (the resampling gathers six grid
-    # rows per sample)
+    # Grid.resample at each sample's own angle, a block of samples at a
+    # time (it gathers six grid rows per sample)
     u_vals = np.empty(n_samples)
     for blk in row_blocks(n_samples, grid.n_theta):
-        rows = lagrange_resample(grid.s, u, s_samp[blk])
-        u_vals[blk] = trig_interpolate(rows, t_samp[blk, None])[:, 0]
+        u_vals[blk] = grid.resample(u, s_samp[blk], t_samp[blk, None])[:, 0]
     pts = bent.graph_point(spec, s_samp, t_samp, u_vals)
     cell = max(grid.h, 2.0 * np.pi / grid.n_theta)
     return pts, np.column_stack([s_samp, t_samp]), EXCLUSION_CELLS * cell
@@ -241,30 +236,23 @@ def build_mesh(spec, grid, u, resolution=(64, 64), periods=1):
     under the discrete dilation, so the seams are exact; the returned Mesh
     holds the first period only and forms the others as they are read.
 
-    It runs a block of numerics.row_blocks mesh rows at a time into the
-    preallocated period.  u is resampled on the block and the mesh
-    grid's halo of 5 mesh rows on either side, the reach of its s-stencils:
-    exact trigonometric interpolation in theta of only the solve-grid rows
-    the block's fifth-order Lagrange stencils in s read.
-    Each row is resampled and differenced as on the whole mesh, so every
-    value is bit for bit the whole-mesh one.
+    u is resampled on the whole first period at once (Grid.resample), the
+    u the Mesh keeps.  The rest runs a block of numerics.row_blocks mesh
+    rows at a time into the preallocated period: each block is
+    differenced from its rows of that u and the mesh grid's halo of 5
+    rows on either side, the reach of its s-stencils, so every value is
+    bit for bit the whole-mesh one.
     """
     n_sm, n_tm = resolution
     mesh_grid = Grid(grid.ell, n_sm - 1, n_tm)
     s_m, t_m, halo = mesh_grid.s, mesh_grid.theta, mesh_grid.halo
-
-    def solve_rows(rows):
-        return trig_interpolate(u[rows], t_m)
-
+    u_mesh = grid.resample(u, s_m, t_m)
     x = np.empty((n_sm, n_tm, 3))
     h_abs = np.empty((n_sm, n_tm))
-    u_mesh = np.empty((n_sm, n_tm))
     t_row = t_m[None, :]
     for blk in row_blocks(n_sm, n_tm):
         ext = slice(max(blk.start - halo, 0), min(blk.stop + halo, n_sm))
-        derivs = mesh_grid.derivatives(lagrange_resample(grid.s, solve_rows, s_m[ext]),
-                                       blk, ext.start)
-        u_mesh[blk] = derivs[0]
+        derivs = mesh_grid.derivatives(u_mesh[ext], blk, ext.start)
         s_col = s_m[blk, None]
         brackets, normals, ch2 = bent.geometry(spec, s_col, t_row)
         # mean curvature: the solver's Q (aspect guard included), then undo

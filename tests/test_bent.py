@@ -105,10 +105,6 @@ class TestBentJet:
         assert consts[0] < 10.0
         assert 0.3 < consts[0] / consts[1] < 3.0
 
-    def test_surface_records_aspect_margin(self, surface, spec):
-        assert 0.0 < 1.0 - surface.min_aspect < 10.0 * spec.delta * (
-            spec.r_norm + abs(spec.xi))
-
     def test_mean_curvature_gauge(self, spec):
         # H of the lab jet and of the normalized jet differ by e^{lam theta}
         s = np.linspace(-2, 2, 21)[:, None]

@@ -369,6 +369,9 @@ assert tube.check_injectivity(spec, radius, n_samples=1000)[0] == "injective-sam
     # the surface geometry takes the m = 0 inverse as an argument and does
     # not depend on the linear theory
     pytest.param("import spiralforge.bent", "spiralforge.helicoid", id="bent-helicoid"),
+    # the post-solve phases take (spec, grid, u): neither the solver nor its
+    # surface
+    pytest.param("import spiralforge.verify", "spiralforge.solver", id="verify-solver"),
 ])
 def test_import_leaves_module_unloaded(code, module):
     probe = (f"{code}\nimport sys\n"

@@ -106,24 +106,6 @@ def test_grid_derivatives_of_rows_are_the_whole_bundle_rows():
             assert np.array_equal(got, want[own.start:own.stop])
 
 
-def test_lagrange_resample_forms_only_the_rows_it_reads():
-    # 5 points on a 101-point grid read 30 rows; a function of those rows
-    # gives the values the whole table does, bit for bit
-    s = _grid(101)
-    x = np.array([-0.93, -0.5, 0.0001, 0.31, 0.99]) * s[-1]
-    table = np.column_stack([np.sin(s), s ** 3])
-    asked = []
-
-    def rows(idx):
-        asked.append(idx)
-        return table[idx]
-
-    got = lagrange_resample(s, rows, x)
-    assert len(asked) == 1 and len(asked[0]) == 5 * LAGRANGE_NODES
-    assert np.array_equal(asked[0], np.unique(asked[0]))
-    assert np.array_equal(got, lagrange_resample(s, table, x))
-
-
 def test_derivative_matrix_rejects_short_grids():
     with pytest.raises(ValueError, match="6-point stencil"):
         derivative_matrix(5, 0.1, 2, 4)
@@ -204,6 +186,26 @@ def test_lagrange_resample_value_shapes():
     assert stacked.shape == (17, 3, 1)
     np.testing.assert_allclose(many, np.column_stack([np.sin(x), np.cos(x), x ** 2]),
                                rtol=0, atol=1e-6)
+
+
+def test_grid_resample_exact_on_quintic_times_trig_polynomial():
+    # a quintic in s times modes 0 ... 3 on 8 angles (below Nyquist) is
+    # reproduced at a shared row of angles and at one angle per point
+    g = Grid(32.0, 40, 8)
+    quintic = lambda s: np.polynomial.polynomial.polyval(
+        s, [0.7, -1.3, 0.4, 0.25, -0.08, 0.011])
+    trig = lambda t: 0.3 + np.cos(t) - 0.5 * np.sin(2 * t) + 0.25 * np.cos(3 * t - 0.4)
+    u = quintic(g.s)[:, None] * trig(g.theta)[None, :]
+    rng = np.random.default_rng(5)
+    s = rng.uniform(-g.s_max, g.s_max, 50)
+    t = rng.uniform(-np.pi, 3 * np.pi, 50)
+    scale = np.abs(u).max()
+    shared = g.resample(u, s, t[:7])
+    assert shared.shape == (50, 7)
+    assert np.abs(shared - quintic(s)[:, None] * trig(t[:7])).max() <= 1e-13 * scale
+    own = g.resample(u, s, t[:, None])
+    assert own.shape == (50, 1)
+    assert np.abs(own[:, 0] - quintic(s) * trig(t)).max() <= 1e-13 * scale
 
 
 def test_iterate_asks_the_floor_only_when_the_drop_falls_short():

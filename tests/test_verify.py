@@ -12,7 +12,7 @@ from spiralforge.errors import GraphTooLargeError
 from spiralforge.numerics import Grid, lagrange_resample, trig_interpolate
 from spiralforge.spirals import SpiralSpec
 
-from conftest import bent_surface
+from conftest import profile
 
 try:
     from hypothesis import given, strategies as st
@@ -33,12 +33,11 @@ class TestWeightedNorm:
         assert abs(verify.weighted_norm(u, g) - want) <= 1e-12 * want
 
 
-def whole_grid_self_similarity(surface, u):
+def whole_grid_self_similarity(spec, g, u):
     """check_self_similarity's formula on whole-grid arrays."""
-    spec, g = surface.spec, surface.grid
     s_col, t_row = g.s[:, None], g.theta[None, :]
     t_next = t_row + 2.0 * np.pi
-    x1 = bent.graph_point(spec, s_col, t_row, u, surface.normals["nu"])
+    x1 = bent.graph_point(spec, s_col, t_row, u, bent._gauged_normal(spec, s_col, t_row))
     x2 = bent.graph_point(spec, s_col, t_next, u,
                           bent._gauged_normal(spec, s_col, t_next))
     scale, rot = spec.similarity()
@@ -48,13 +47,12 @@ def whole_grid_self_similarity(surface, u):
 
 
 def whole_mesh(spec, g, u, resolution):
-    """build_mesh's first period on whole-mesh arrays: u resampled on every
-    mesh row from every solve-grid row, then Grid.derivatives of the whole
-    mesh; returns (x, h_abs, u)."""
+    """build_mesh's first period on whole-mesh arrays: u resampled on the
+    whole mesh, then Grid.derivatives of the whole mesh; returns (x, h_abs,
+    u)."""
     mesh_grid = Grid(g.ell, resolution[0] - 1, resolution[1])
     s_col, t_row = mesh_grid.s[:, None], mesh_grid.theta[None, :]
-    u_theta = trig_interpolate(u, mesh_grid.theta)
-    u_mesh = lagrange_resample(g.s, u_theta, mesh_grid.s)
+    u_mesh = g.resample(u, mesh_grid.s, mesh_grid.theta)
     brackets, normals, ch2 = bent.geometry(spec, s_col, t_row)
     q = bent.graph_q(spec.lam, brackets, normals, ch2, mesh_grid.derivatives(u_mesh))
     x = bent.graph_point(spec, s_col, t_row, u_mesh, normals["nu"])
@@ -83,18 +81,19 @@ class TestSelfSimilarity:
         _, ws, _ = demo_solve
         # the graph of the zero state: u0 alone
         defect = verify.check_self_similarity(
-            ws.surface, np.zeros((len(ws.grid.s), 32)) + ws.u0.values[:, None])
+            ws.spec, ws.grid, np.zeros((len(ws.grid.s), 32)) + ws.u0.values[:, None])
         assert defect < 1e-12
 
     def test_solved_surface(self, demo_solve):
         _, ws, state = demo_solve
         u = solver.graph_values(ws, state)
-        assert verify.check_self_similarity(ws.surface, u) < 1e-10
+        assert verify.check_self_similarity(ws.spec, ws.grid, u) < 1e-10
 
     def test_torsion_case(self):
         spec = SpiralSpec.from_invariants(1.0, 0.6, 0.9, 1e-3)
-        surf, u0 = bent_surface(spec, 32.0, 128, 16)
-        assert verify.check_self_similarity(surf, np.zeros((129, 16)) + u0[0]) < 1e-12
+        g = Grid(32.0, 128, 16)
+        u0 = profile(spec.lam, g).values
+        assert verify.check_self_similarity(spec, g, np.zeros((129, 16)) + u0[:, None]) < 1e-12
 
     def test_row_blocks_match_the_whole_grid(self, traced_default_solve):
         # the whole-grid audit as a second route: the blocks' maxima give
@@ -103,12 +102,12 @@ class TestSelfSimilarity:
         u = solver.graph_values(ws, state)
         tracemalloc.start()
         try:
-            got = verify.check_self_similarity(ws.surface, u)
+            got = verify.check_self_similarity(ws.spec, ws.grid, u)
             peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
         assert peak <= 3.0
-        assert got == whole_grid_self_similarity(ws.surface, u)
+        assert got == whole_grid_self_similarity(ws.spec, ws.grid, u)
 
     def test_mis_anchored_control(self, demo_solve):
         # translating the surface breaks the origin-centred similarity: the
@@ -391,9 +390,20 @@ class TestExport:
             assert np.array_equal(mesh.h_abs, h_abs)
             assert np.array_equal(mesh.u, u_mesh)
 
+    def test_resample_moves_the_old_mesh_values_by_roundoff(self, demo_solve):
+        # the mesh's u was the trigonometric interpolant first, then Lagrange
+        # in s; Grid.resample takes them the other way round, which moves a
+        # 256^2 mesh's u by 7.5e-16 max|u|
+        _, ws, state = demo_solve
+        g, u = ws.grid, solver.graph_values(ws, state)
+        mesh_grid = Grid(g.ell, 255, 256)
+        old = lagrange_resample(g.s, trig_interpolate(u, mesh_grid.theta), mesh_grid.s)
+        new = g.resample(u, mesh_grid.s, mesh_grid.theta)
+        assert np.abs(new - old).max() <= 2e-15 * np.abs(u).max()
+
     def test_build_memory_bounded(self, demo_solve):
-        # the halo build forms no whole-mesh resample or derivative bundle:
-        # 9.8 MiB when it did
+        # the halo build forms no whole-mesh derivative bundle (9.8 MiB when
+        # it did); its one whole-period resample is the u the mesh keeps
         _, ws, state = demo_solve
         u = solver.graph_values(ws, state)
         tracemalloc.start()
