@@ -24,21 +24,28 @@ field appears it is the covariant one, d_theta + delta * R.
 Vector fields are held component-major, shape (3,) + grid shape, and the
 geometry is written as elementwise dot and cross products of their
 components.  geometry is the one assembly of the pointwise geometry Q
-needs (brackets, gauged normal bundle, cosh^2 s).  The functions returning
-a `Jet` (normalized_jet, bent_jet, graph_jet, graph_variation) or a
-(..., 3) array (bent_point, graph_point) move the component axis last at
-their boundary; the Q operator never packs a Jet.  Lab points go through
-tube.frame_point, the one evaluation of the tube map.
+needs (the brackets as s-profiles times theta-rows, the gauged normal
+bundle, cosh^2 s).  The functions returning a `Jet` (normalized_jet,
+bent_jet, graph_jet, graph_variation) or a (..., 3) array (bent_point,
+graph_point) move the component axis last at their boundary; the Q
+operator never packs a Jet.  Lab points go through tube.frame_point, the
+one evaluation of the tube map.
 
 The normal is separable in s and theta: a1 x a2 = cosh(s) (A(theta) +
 sinh(s) B(theta)), so the bundle takes its cross products on theta-rows
-only and differentiates m / |m| in closed form (about 0.035 s CPU at
-1024x64, against 0.08 s by whole-grid cross products; one thread on a
-2-vCPU x86-64 host).  BentSurface.q_operator runs graph_q a block of
-numerics.row_blocks rows at a time, the loop the mesh export and the
-OBJ/CSV writers also use: at 1024x64 one Q call peaks at about 2.6 MB of
-temporaries (tracemalloc), against 16.5 MB on the whole grid, and reuses
-them from block to block instead of faulting in fresh pages per call.
+only and differentiates m / |m| in closed form.  BentSurface builds it a
+block of numerics.row_blocks rows at a time into the arrays it keeps
+(9 MiB at 1024x64) and keeps the brackets as their s-profiles and
+theta-rows alone: at 1024x64 its set-up peaks at 12.3 MiB (tracemalloc)
+and takes about 15 ms CPU, against 24.6 MiB and 26 ms when it also kept
+the 15 bracket fields (7.5 MiB) on the whole grid (one thread on a 2-vCPU
+x86-64 host).  BentSurface.q_operator runs graph_q a block of rows at a
+time, the loop the mesh export and the OBJ/CSV writers also use: it asks
+for each block's derivative bundle as it reaches it, forms the block's
+brackets from their factors, and evaluates the slots, the first form and
+H in place in buffers allocated once per call.  At 1024x64 a solver
+residual (the graph's bundle and Q) peaks at 2.8 MiB, against 5.5 MiB
+when Q read a whole-grid bundle and cached brackets.
 
 The straightening profile u0 solves Q = 0 for theta-independent graphs over
 G with the trivial generator, by a chord iteration on the solve's own grid
@@ -132,17 +139,28 @@ def _factors(spec, s, theta):
 
 
 def _brackets(spec, factors):
-    """Periodic bracket vectors of the normalized jet of G, component-major,
-    from factors = _factors(spec, s, theta)."""
+    """Periodic bracket vectors of the normalized jet of G by slot, from
+    factors = _factors(spec, s, theta), each as (r0, p, row): the bracket
+    is r0 + p * row (p * row where r0 is None), with p = sinh s or cosh s
+    on the s-shape and r0, row component-major on the theta-shape.
+
+    The one form of the brackets: a block of grid rows slices p alone, and
+    _bracket forms a whole field.
+    """
     sh, ch, c0, c1, e3, q1 = factors
     b = spec.b_mat
     return {
-        "a1": e3 + sh * q1,
-        "a2": ch * c0,
-        "a11": _apply(b, e3) + sh * (_apply(b, q1) + _apply(b, c1) - c0),
-        "a22": sh * c0,
-        "a12": ch * q1,
+        "a1": (e3, sh, q1),
+        "a2": (None, ch, c0),
+        "a11": (_apply(b, e3), sh, _apply(b, q1) + _apply(b, c1) - c0),
+        "a22": (None, sh, c0),
+        "a12": (None, ch, q1),
     }
+
+
+def _bracket(r0, p, row):
+    """One bracket of _brackets as a field, shape (3,) + broadcast(p, row)."""
+    return p * row if r0 is None else r0 + p * row
 
 
 def normalized_jet(spec, s, theta):
@@ -152,7 +170,7 @@ def normalized_jet(spec, s, theta):
     (theta, s).
     """
     br = _brackets(spec, _factors(spec, s, theta))
-    return _pack(*(br[k] for k in _SLOTS))
+    return _pack(*(_bracket(*br[k]) for k in _SLOTS))
 
 
 def bent_jet(spec, s, theta):
@@ -254,12 +272,12 @@ def _normal_bundle(spec, factors):
 
 
 def geometry(spec, s, theta):
-    """(brackets, normals, ch2): the pointwise geometry of G that Q needs, as
-    component-major dicts of shape (3,) + broadcast(s, theta), and cosh^2 s."""
+    """(brackets, normals, ch2): the pointwise geometry of G that Q needs on
+    broadcast(s, theta), the brackets in _brackets' form, the normal bundle
+    as a component-major dict of shape (3,) + broadcast(s, theta), and
+    cosh^2 s."""
     factors = _factors(spec, s, theta)
-    # the bundle first, so the brackets are not held through its temporaries
-    normals = _normal_bundle(spec, factors)
-    return _brackets(spec, factors), normals, np.cosh(s) ** 2
+    return _brackets(spec, factors), _normal_bundle(spec, factors), np.cosh(s) ** 2
 
 
 def _gauged_normal(spec, s, theta):
@@ -279,98 +297,180 @@ class U0Profile:
     c_hat: float
 
 
-def _variation(lam, normals, u, u_t, u_s, u_tt, u_ss, u_ts):
-    """Gauged jet variation (e1, e2, e11, e22, e12) of the graph e^{lam theta} u.
+def _scratch(shape):
+    """The buffers of one graph_slots or graph_q evaluation on points of
+    shape: six component-major vector fields (the five slots and a
+    temporary) and nine scalar fields."""
+    return np.empty((6, 3) + shape), np.empty((9,) + shape)
 
-    normals is a component-major normal bundle; the slots come out
-    component-major with the grid shape of u and normals broadcast.  The
+
+def _points(normals, derivs):
+    """The shape of the points of a normal bundle and a derivative bundle."""
+    return np.broadcast_shapes(normals["nu"].shape[1:], *(np.shape(d) for d in derivs))
+
+
+def _products(out, tmp, *pairs):
+    """The sum of a * b over pairs (a, b), added left to right, into out,
+    with tmp as scratch; returns out."""
+    (a, b), *rest = pairs
+    np.multiply(a, b, out=out)
+    for a, b in rest:
+        out += np.multiply(a, b, out=tmp)
+    return out
+
+
+def _dot_into(out, tmp, a, b):
+    """_dot(a, b) into out, in _dot's order."""
+    return _products(out, tmp, (a[0], b[0]), (a[2], b[2]), (a[1], b[1]))
+
+
+def _variation(lam, normals, derivs, work):
+    """Gauged jet variation (e1, e2, e11, e22, e12) of the graph e^{lam theta} u,
+    component-major, into the first five vector buffers of work (_scratch).
+
+    normals is a component-major normal bundle and derivs = (u, u_t, u_s,
+    u_tt, u_ss, u_ts) u's derivative bundle on the same points.  The
     lam-shifts on theta-derivatives come from differentiating the dilation
     gauge; the covariant normal fields already absorb the rotation gauge.
+    Every sum is added left to right in the order written here, and every
+    product as written, so the slots are bit for bit those of the same
+    expressions on whole arrays.
     """
-    du_t = u_t + lam * u
-    du_tt = u_tt + 2.0 * lam * u_t + lam * lam * u
-    du_ts = u_ts + lam * u_s
+    u, u_t, u_s, u_tt, u_ss, u_ts = derivs
+    (*slots, tmp), (du_t, du_tt, du_ts, t, *_) = work
+    e1, e2, e11, e22, e12 = slots
     nu, nu_t, nu_s = normals["nu"], normals["nu_t"], normals["nu_s"]
     nu_tt, nu_ts, nu_ss = normals["nu_tt"], normals["nu_ts"], normals["nu_ss"]
-    return (du_t * nu + u * nu_t,
-            u_s * nu + u * nu_s,
-            du_tt * nu + 2.0 * du_t * nu_t + u * nu_tt,
-            u_ss * nu + 2.0 * u_s * nu_s + u * nu_ss,
-            du_ts * nu + du_t * nu_s + u_s * nu_t + u * nu_ts)
+    # du_t = u_t + lam u, du_tt = u_tt + (2 lam) u_t + (lam lam) u,
+    # du_ts = u_ts + lam u_s
+    np.add(u_t, np.multiply(lam, u, out=du_t), out=du_t)
+    np.add(u_tt, np.multiply(2.0 * lam, u_t, out=du_tt), out=du_tt)
+    du_tt += np.multiply(lam * lam, u, out=t)
+    np.add(u_ts, np.multiply(lam, u_s, out=du_ts), out=du_ts)
+    _products(e1, tmp, (du_t, nu), (u, nu_t))
+    _products(e2, tmp, (u_s, nu), (u, nu_s))
+    _products(e11, tmp, (du_tt, nu), (np.multiply(2.0, du_t, out=t), nu_t), (u, nu_tt))
+    _products(e22, tmp, (u_ss, nu), (np.multiply(2.0, u_s, out=t), nu_s), (u, nu_ss))
+    _products(e12, tmp, (du_ts, nu), (du_t, nu_s), (u_s, nu_t), (u, nu_ts))
+    return slots
 
 
-def _first_form(x1, x2):
-    """g11, g12, g22, det g and the conformality ratio of jets.aspect_ratio.
+def _first_form(x1, x2, scalars):
+    """g11, g12, g22, det g and the conformality ratio of jets.aspect_ratio,
+    2 sqrt(max(det g, 0)) / (g11 + g22), into the last six scalar buffers
+    of _scratch.
 
     Raises InvalidImmersionError on an identically zero first jet.
     """
-    g11, g12, g22 = _dot(x1, x1), _dot(x1, x2), _dot(x2, x2)
-    trace = g11 + g22
+    *_, trace, g11, g12, g22, det, aspect = scalars
+    _dot_into(g11, trace, x1, x1)
+    _dot_into(g12, trace, x1, x2)
+    _dot_into(g22, trace, x2, x2)
+    np.add(g11, g22, out=trace)
     if np.any(trace == 0.0):
         raise InvalidImmersionError("zero first-order jet")
-    det = g11 * g22 - g12 * g12
-    return g11, g12, g22, det, 2.0 * np.sqrt(np.maximum(det, 0.0)) / trace
+    np.multiply(g11, g22, out=det)
+    det -= np.multiply(g12, g12, out=aspect)
+    np.sqrt(np.maximum(det, 0.0, out=aspect), out=aspect)
+    aspect *= 2.0
+    aspect /= trace
+    return g11, g12, g22, det, aspect
 
 
-def graph_slots(lam, brackets, normals, derivs):
+def graph_slots(lam, brackets, normals, derivs, work=None):
     """Component-major slots of the graph by e^{lam theta} u over G, and its
     first form.
 
-    brackets and normals are component-major on a grid (or a block of grid
-    rows), derivs = (u, u_t, u_s, u_tt, u_ss, u_ts), u's derivative bundle on
-    the same points (numerics.Grid.derivatives or helicoid.substitute).
-    Raises GraphTooLargeError where the graph leaves the immersion set.
+    brackets (in _brackets' form) and normals are on a grid (or a block of
+    grid rows), derivs = (u, u_t, u_s, u_tt, u_ss, u_ts), u's derivative
+    bundle on the same points (numerics.Grid.derivatives or
+    helicoid.substitute).  Everything is formed in place in work, the
+    buffers of _scratch for these points (allocated here by default), and
+    the slots and the form returned are views of them.  Raises
+    GraphTooLargeError where the graph leaves the immersion set.
     """
-    slots = _variation(lam, normals, *derivs)
+    if work is None:
+        work = _scratch(_points(normals, derivs))
+    slots = _variation(lam, normals, derivs, work)
+    tmp = work[0][5]
     for e, key in zip(slots, _SLOTS):
-        e += brackets[key]
-    form = _first_form(slots[0], slots[1])
+        r0, p, row = brackets[key]
+        np.multiply(p, row, out=tmp)
+        if r0 is not None:
+            tmp += r0
+        e += tmp
+    form = _first_form(slots[0], slots[1], work[1])
     *_, aspect = form
     if np.any(aspect < jets.ASPECT_FLOOR):
         raise GraphTooLargeError("graph leaves the immersion set")
     return slots, form
 
 
-def graph_q(lam, brackets, normals, ch2, derivs):
+def graph_q(lam, brackets, normals, ch2, derivs, out=None, work=None):
     """cosh^2(s) times the gauged mean curvature of the graph by derivs.
 
     The arguments are those of graph_slots plus ch2 = cosh^2(s) broadcasting
-    against the points.  Every step is pointwise, so any block of grid rows
-    gives the rows of the whole-grid result.  H is jets.mean_curvature's
+    against the points, and out, where the result is written (a new array
+    by default).  Every step is pointwise, so any block of grid rows gives
+    the rows of the whole-grid result.  H is jets.mean_curvature's
     (g22 A11 - 2 g12 A12 + g11 A22) / det g, evaluated on components.
     """
+    if work is None:
+        work = _scratch(_points(normals, derivs))
     (x1, x2, x11, x22, x12), (g11, g12, g22, det, _) = graph_slots(
-        lam, brackets, normals, derivs)
+        lam, brackets, normals, derivs, work)
     if np.any(det <= 0.0):
         raise InvalidImmersionError("degenerate metric in mean curvature")
-    n = _cross(x1, x2)
+    # the slots' first-form scratch and the variation's are free again
+    n = work[0][5]
+    r, d, h, t, *_ = work[1]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(x1[j], x2[k], out=n[i])
+        n[i] -= np.multiply(x1[k], x2[j], out=t)
     # |n| summed in order, as np.linalg.norm does in jets.unit_normal
-    nu = n / np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
-    h = (g22 * _dot(x11, nu) - 2.0 * g12 * _dot(x12, nu)
-         + g11 * _dot(x22, nu)) / det
-    return ch2 * h
+    n /= np.sqrt(_products(r, t, (n[0], n[0]), (n[1], n[1]), (n[2], n[2])), out=r)
+    np.multiply(g22, _dot_into(d, t, x11, n), out=h)
+    h -= np.multiply(np.multiply(2.0, g12, out=r), _dot_into(d, t, x12, n), out=r)
+    h += np.multiply(g11, _dot_into(d, t, x22, n), out=d)
+    h /= det
+    return np.multiply(ch2, h, out=out)
+
+
+# the keys of a normal bundle (_normal_bundle)
+_NORMALS = ("nu", "nu_s", "nu_ss", "nu_t", "nu_ts", "nu_tt")
 
 
 class BentSurface:
     """Geometry of G sampled on a grid over |s| <= arccosh(ell).
 
-    The output of geometry on the grid is cached at construction,
-    component-major with shape (3, n_s + 1, n_theta).  A graph enters as
-    its derivative bundle on the same grid, the whole graph (u0 included,
-    as solver._graph_bundle forms it), and every method reads it as given.
-    Instances are treated as immutable.  Q itself is graph_q, which
-    q_operator and the mesh export both evaluate a block of rows at a time.
+    The surface keeps the normal bundle on the grid, component-major with
+    shape (3, n_s + 1, n_theta) (9 MiB at 1024x64), built a block of
+    numerics.row_blocks rows at a time into these arrays, and the brackets
+    in _brackets' form alone: sinh s and cosh s on the s-column and
+    theta-rows.  A graph enters as its derivative bundle on the same grid,
+    the whole graph (u0 included, as solver._graph_bundle forms it), and
+    every method reads it as given.  Instances are treated as immutable.
+    Q itself is graph_q, which q_operator and the mesh export both evaluate
+    a block of rows at a time.
     """
 
     def __init__(self, spec: SpiralSpec, grid):
         self.spec, self.grid = spec, grid
-        self.brackets, self.normals, self.ch2 = geometry(
-            spec, grid.s[:, None], grid.theta[None, :])
+        s = grid.s[:, None]
+        sh, ch, *rows = factors = _factors(spec, s, grid.theta[None, :])
+        self.brackets = _brackets(spec, factors)
+        self.ch2 = np.cosh(s) ** 2
+        shape = (3, grid.n_s + 1, grid.n_theta)
+        self.normals = {key: np.empty(shape) for key in _NORMALS}
+        for blk in row_blocks(grid.n_s + 1, grid.n_theta):
+            for key, f in _normal_bundle(spec, (sh[blk], ch[blk], *rows)).items():
+                self.normals[key][:, blk] = f
 
     def graph_variation(self, derivs):
         """The gauged jet variation generated by the graph e^{lam theta} u,
         from u's derivative bundle."""
-        return _pack(*_variation(self.spec.lam, self.normals, *derivs))
+        work = _scratch(_points(self.normals, derivs))
+        return _pack(*_variation(self.spec.lam, self.normals, derivs, work))
 
     def graph_jet(self, derivs):
         """Normalized-gauge jet of the graph of e^{lam theta} u over G, from
@@ -378,21 +478,29 @@ class BentSurface:
         slots, _ = graph_slots(self.spec.lam, self.brackets, self.normals, derivs)
         return _pack(*slots)
 
-    def q_operator(self, derivs):
+    def q_operator(self, bundle):
         """cosh^2(s) times the gauged mean curvature of the graph of
-        e^{lam theta} u over G, from u's derivative bundle.
+        e^{lam theta} u over G, where bundle(rows) is u's derivative bundle
+        on the grid rows rows, a slice.
 
         The output is a 2 pi-periodic grid function (see graph_q), evaluated
-        a block of numerics.row_blocks rows at a time into one output array:
-        every step is pointwise, so it equals the whole-grid graph_q bit for
-        bit, while the temporaries stay a few MB and are reused per block.
+        a block of numerics.row_blocks rows at a time into one output array,
+        each block's brackets formed from their factors and its bundle asked
+        for as it is reached, in buffers allocated once per call: every step
+        is pointwise, so it equals the whole-grid graph_q bit for bit, while
+        the memory in use stays that of a block (about 1.7 MiB of buffers at
+        1024x64).
         """
         out = np.empty((self.grid.n_s + 1, self.grid.n_theta))
-        for blk in row_blocks(*out.shape):
-            brackets = {k: f[:, blk] for k, f in self.brackets.items()}
+        blocks = row_blocks(*out.shape)
+        vectors, scalars = _scratch(out[blocks[0]].shape)
+        for blk in blocks:
+            brackets = {k: (r0, p[blk], row) for k, (r0, p, row) in self.brackets.items()}
             normals = {k: f[:, blk] for k, f in self.normals.items()}
-            out[blk] = graph_q(self.spec.lam, brackets, normals, self.ch2[blk],
-                               [f[blk] for f in derivs])
+            rows = out[blk]
+            # a partial last block uses the buffers' leading rows
+            work = vectors[:, :, :len(rows)], scalars[:, :len(rows)]
+            graph_q(self.spec.lam, brackets, normals, self.ch2[blk], bundle(blk), rows, work)
         return out
 
 

@@ -27,8 +27,7 @@ from .bent import BentSurface, solve_u0
 from .cutoffs import even_cutoff
 from .errors import RejectedParametersError
 from .helicoid import StabilityModes, kernel_fn, substitute_factors
-from .numerics import (Grid, cumulative_from_zero, fd_weights, iterate, row_blocks,
-                       theta_derivative)
+from .numerics import Grid, cumulative_from_zero, fd_weights, iterate
 
 # smallness budget delta (1 + |R| + |xi|) ell of the perturbation argument
 GATE_BUDGET = 0.2
@@ -158,12 +157,6 @@ class Workspace:
             v = v - self.inner_flat(v, gauge) * gauge
         return v
 
-    def apply_operator(self, v):
-        """The discrete flattened stability operator used by the mode solves."""
-        g = self.grid
-        return (g.d2 @ v + theta_derivative(v, order=2)
-                + self.modes.potential[:, None] * v)
-
 
 def linear_solve(ws, e):
     """Total inverse: v with cosh^2 L v = e - b_x w_x - b_y w_y on the grid.
@@ -191,46 +184,56 @@ def linear_solve(ws, e):
     return np.fft.irfft(eh, n=g.n_theta, axis=1), float(beta.real), float(-beta.imag)
 
 
-def _add_substitutes(ws, state, fields):
+def _add_substitutes(ws, state, fields, rows):
     """Add b_x u_x + b_y u_y + u0 into fields in place and return them.
 
-    fields are the leading slots of a derivative bundle on the grid; each
-    gets the same slots of the substitute bundles, formed from their
-    factors a block of numerics.row_blocks rows at a time, and of u0's
-    bundle where it is not a theta-derivative.  A block's profile * row is
-    the whole-grid product element for element, and the sum is
-    ((field + b_x u_x) + b_y u_y) + u0, so the result is bit for bit the
+    fields are the leading slots of a derivative bundle on the grid rows
+    rows, a slice; each gets the same slots of the substitute bundles,
+    formed on those rows from their factors, and of u0's bundle where it is
+    not a theta-derivative.  The rows of a profile * row are those of the
+    whole-grid product element for element, and the sum is ((field + b_x
+    u_x) + b_y u_y) + u0, so the result is bit for bit the rows of the
     whole-grid sum.  This is the one place u0 enters the solved graph.
     """
     (ux, _), (uy, _) = ws.substitutes
-    for blk in row_blocks(*fields[0].shape):
-        for i, (f, (px, rx), (py, ry)) in enumerate(zip(fields, ux, uy)):
-            f[blk] += state.b_x * (px[blk] * rx)
-            f[blk] += state.b_y * (py[blk] * ry)
-            if i in _S_SLOTS:
-                f[blk] += ws.u0_bundle[i][blk]
+    for i, (f, (px, rx), (py, ry)) in enumerate(zip(fields, ux, uy)):
+        f += state.b_x * (px[rows] * rx)
+        f += state.b_y * (py[rows] * ry)
+        if i in _S_SLOTS:
+            f += ws.u0_bundle[i][rows]
     return fields
 
 
 def graph_values(ws, state):
     """The graph u0 + psi v + b_x u_x + b_y u_y of state on the grid, values
     only: the first field of its derivative bundle, bit for bit."""
-    return _add_substitutes(ws, state, [ws.psi[:, None] * state.v])[0]
+    return _add_substitutes(ws, state, [ws.psi[:, None] * state.v], slice(None))[0]
 
 
 def _graph_bundle(ws, state):
-    """u0 + psi v + b_x u_x + b_y u_y as a derivative bundle.
+    """u0 + psi v + b_x u_x + b_y u_y as a derivative bundle, formed a block
+    of rows at a time: returns bundle(rows), the bundle on the grid rows
+    rows (a slice), bit for bit those rows of the whole grid's bundle.
 
     The product psi * v is differenced by the same grid stencils the linear
     inverse is built from, so the inverse reproduces it exactly and the
-    cutoff-band stencil error cancels through the round trip.  The substitute
-    functions carry analytic derivatives, matching the analytic images used
-    in the kernel projection; differencing them instead would feed the
-    cutoff's aliased derivatives into the b-coefficients and destabilize the
-    iteration.  They and u0's bundle are added into the freshly formed psi v
-    bundle in place.
+    cutoff-band stencil error cancels through the round trip; a block
+    differences its rows and the grid's halo of rows on either side
+    (Grid.derivatives).  The substitute functions carry analytic
+    derivatives, matching the analytic images used in the kernel
+    projection; differencing them instead would feed the cutoff's aliased
+    derivatives into the b-coefficients and destabilize the iteration.  They
+    and u0's bundle are added into the block's freshly formed psi v bundle
+    in place.
     """
-    return _add_substitutes(ws, state, ws.grid.derivatives(ws.psi[:, None] * state.v))
+    g = ws.grid
+
+    def bundle(rows):
+        lo, hi, _ = rows.indices(g.n_s + 1)
+        ext = slice(max(lo - g.halo, 0), min(hi + g.halo, g.n_s + 1))
+        psi_v = ws.psi[ext, None] * state.v[ext]
+        return _add_substitutes(ws, state, list(g.derivatives(psi_v, rows, ext.start)), rows)
+    return bundle
 
 
 def _residual(ws, state):

@@ -258,7 +258,6 @@ def build_mesh(spec, grid, u, resolution=(64, 64), periods=1):
         # mean curvature: the solver's Q (aspect guard included), then undo
         # the gauge factors
         q = bent.graph_q(spec.lam, brackets, normals, ch2, derivs)
-        del brackets  # not held through the next block's geometry
         h_abs[blk] = np.abs(q) / (np.exp(spec.lam * t_row) * ch2)
         x[blk] = bent.graph_point(spec, s_col, t_row, u_mesh[blk], normals["nu"])
     return Mesh(s_m, t_m, x, h_abs, u_mesh, spec.similarity(), periods)

@@ -6,7 +6,7 @@ import pytest
 from spiralforge import solver, spirals
 from spiralforge.bent import BentSurface, solve_u0
 from spiralforge.helicoid import StabilityModes
-from spiralforge.numerics import Grid, fd_weights
+from spiralforge.numerics import Grid, fd_weights, theta_derivative
 
 try:
     from hypothesis import settings
@@ -62,6 +62,20 @@ def bent_surface(spec, ell, n_s, n_theta):
     as Workspace sets them up; Q at u + u0 takes the sum of the bundles."""
     grid = Grid(ell, n_s, n_theta)
     return BentSurface(spec, grid), grid.derivatives(profile(spec.lam, grid).values[:, None])
+
+
+def rows_of(derivs):
+    """A whole-grid derivative bundle in the form BentSurface.q_operator
+    takes: rows -> the bundle's rows."""
+    return lambda rows: [f[rows] for f in derivs]
+
+
+def apply_operator(ws, v):
+    """The discrete flattened stability operator the workspace's mode solves
+    invert: d2 v + v_tt + (2 sech^2 s) v."""
+    g = ws.grid
+    return (g.d2 @ v + theta_derivative(v, order=2)
+            + ws.modes.potential[:, None] * v)
 
 
 @pytest.fixture(scope="session")

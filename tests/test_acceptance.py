@@ -14,7 +14,7 @@ from spiralforge import helicoid, jets, solver, spirals, tube, verify
 from spiralforge.numerics import Grid
 from spiralforge.spirals import SpiralParams, SpiralSpec
 
-from conftest import bent_surface, frenet_oracle, rel_err
+from conftest import apply_operator, bent_surface, frenet_oracle, rel_err, rows_of
 
 
 def announce(num, ok, text):
@@ -164,7 +164,7 @@ def test_08_total_linear_inverse():
                 + 0.2 * np.sin(t_row) * np.tanh(s_col)
                 + 0.1 * np.cos(5 * t_row))
     v, b_x, b_y = solver.linear_solve(ws, e)
-    resid = ws.apply_operator(v) - (e - b_x * ws.w_x - b_y * ws.w_y)
+    resid = apply_operator(ws, v) - (e - b_x * ws.w_x - b_y * ws.w_y)
     err = float(np.abs(resid[1:-1, :]).max())
     announce(8, err < 1e-6,
              f"total linear inverse at (2048, 64), ell = 32: defining-identity "
@@ -177,7 +177,7 @@ def test_09_q_scaling_in_delta():
         spec = SpiralSpec.from_invariants(1.0, 0.0, 1.0, delta)
         surf, u0 = bent_surface(spec, 32.0, 512, 32)
         zero = surf.grid.derivatives(np.zeros((513, 32)))
-        q = surf.q_operator([z + d0 for z, d0 in zip(zero, u0)])
+        q = surf.q_operator(rows_of([z + d0 for z, d0 in zip(zero, u0)]))
         sups.append(float(np.abs(q).max()))
     ratios = [lo / hi for hi, lo in zip(sups, sups[1:])]
     ok = all(0.35 <= r <= 0.65 for r in ratios)

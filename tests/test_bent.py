@@ -5,13 +5,13 @@ import pytest
 
 from spiralforge import bent, helicoid, jets, numerics, tube
 from spiralforge.bent import BentSurface, bent_jet, bent_point, normalized_jet
-from spiralforge.errors import (GraphTooLargeError, NoProfileError,
-                               RejectedParametersError)
+from spiralforge.errors import (GraphTooLargeError, InvalidImmersionError,
+                               NoProfileError, RejectedParametersError)
 from spiralforge.helicoid import reference_jet, reference_point
 from spiralforge.numerics import Grid, theta_derivative
 from spiralforge.spirals import SpiralSpec
 
-from conftest import bent_surface, profile
+from conftest import bent_surface, profile, rows_of
 
 _C1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 
@@ -301,7 +301,7 @@ class TestQOperator:
     def test_flat_rig_zero(self):
         flat = SpiralSpec(np.zeros((3, 3)), 1e-3, 0.0, allow_trivial=True)
         surf, _ = bent_surface(flat, 32.0, 128, 16)
-        q = surf.q_operator(surf.grid.derivatives(np.zeros((129, 16))))
+        q = surf.q_operator(rows_of(surf.grid.derivatives(np.zeros((129, 16)))))
         assert np.abs(q).max() < 1e-11
 
     def test_periodicity_of_output(self, spec):
@@ -331,7 +331,7 @@ class TestQOperator:
             sp = SpiralSpec.from_invariants(1.0, 0.0, 1.0, delta)
             surf, u0 = bent_surface(sp, 32.0, 256, 32)
             zero = surf.grid.derivatives(np.zeros((257, 32)))
-            q = surf.q_operator([z + d0 for z, d0 in zip(zero, u0)])
+            q = surf.q_operator(rows_of([z + d0 for z, d0 in zip(zero, u0)]))
             sups.append(np.abs(q).max())
             w = np.abs(q).max(axis=1) / np.cosh(surf.grid.s) ** 0.75
             weighted.append(w.max() / (delta * 32.0 ** 0.25 * sp.r_norm))
@@ -352,9 +352,9 @@ class TestQOperator:
         rng = np.random.default_rng(3)
         derivs = g.derivatives(1e-3 * rng.standard_normal((g.n_s + 1, g.n_theta)))
         with_u0 = [d + d0 for d, d0 in zip(derivs, u0)]
-        whole = bent.graph_q(surface.spec.lam, surface.brackets, surface.normals,
-                             surface.ch2, with_u0)
-        assert np.array_equal(surface.q_operator(with_u0), whole)
+        brackets, normals, ch2 = bent.geometry(surface.spec, g.s[:, None], g.theta[None, :])
+        whole = bent.graph_q(surface.spec.lam, brackets, normals, ch2, with_u0)
+        assert np.array_equal(surface.q_operator(rows_of(with_u0)), whole)
 
     def test_bounded_memory(self, spec):
         # the temporaries of one block, not of the grid: about 16.5 MB when
@@ -365,7 +365,7 @@ class TestQOperator:
         derivs = grid.derivatives(1e-3 * rng.standard_normal((1025, 64)))
         tracemalloc.start()
         try:
-            surf.q_operator(derivs)
+            surf.q_operator(rows_of(derivs))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -379,11 +379,125 @@ class TestQOperator:
         u = (1 - (g.s[:, None] / g.s_max) ** 2) ** 2 * (
             np.cos(g.theta)[None, :] / np.cosh(g.s)[:, None])
         eps = 1e-6
-        dq = (surf.q_operator(g.derivatives(eps * u))
-              - surf.q_operator(g.derivatives(-eps * u))) / (2 * eps)
+        dq = (surf.q_operator(rows_of(g.derivatives(eps * u)))
+              - surf.q_operator(rows_of(g.derivatives(-eps * u)))) / (2 * eps)
         want = (g.d2 @ u + theta_derivative(u, order=2)
                 + 2 * u / np.cosh(g.s)[:, None] ** 2)
         assert np.abs(dq - want).max() < 1e-8
+
+
+# bent's bracket, slot and Q code in its whole-array expression form, kept
+# as the reference of the in-place kernel: same operations, same order
+
+
+def _ref_brackets(spec, factors):
+    sh, ch, c0, c1, e3, q1 = factors
+    b = spec.b_mat
+    return {
+        "a1": e3 + sh * q1,
+        "a2": ch * c0,
+        "a11": bent._apply(b, e3) + sh * (bent._apply(b, q1) + bent._apply(b, c1) - c0),
+        "a22": sh * c0,
+        "a12": ch * q1,
+    }
+
+
+def _ref_variation(lam, normals, u, u_t, u_s, u_tt, u_ss, u_ts):
+    du_t = u_t + lam * u
+    du_tt = u_tt + 2.0 * lam * u_t + lam * lam * u
+    du_ts = u_ts + lam * u_s
+    nu, nu_t, nu_s = normals["nu"], normals["nu_t"], normals["nu_s"]
+    nu_tt, nu_ts, nu_ss = normals["nu_tt"], normals["nu_ts"], normals["nu_ss"]
+    return (du_t * nu + u * nu_t,
+            u_s * nu + u * nu_s,
+            du_tt * nu + 2.0 * du_t * nu_t + u * nu_tt,
+            u_ss * nu + 2.0 * u_s * nu_s + u * nu_ss,
+            du_ts * nu + du_t * nu_s + u_s * nu_t + u * nu_ts)
+
+
+def _ref_first_form(x1, x2):
+    _dot = bent._dot
+    g11, g12, g22 = _dot(x1, x1), _dot(x1, x2), _dot(x2, x2)
+    trace = g11 + g22
+    if np.any(trace == 0.0):
+        raise InvalidImmersionError("zero first-order jet")
+    det = g11 * g22 - g12 * g12
+    return g11, g12, g22, det, 2.0 * np.sqrt(np.maximum(det, 0.0)) / trace
+
+
+def _ref_graph_slots(lam, brackets, normals, derivs):
+    slots = _ref_variation(lam, normals, *derivs)
+    for e, key in zip(slots, bent._SLOTS):
+        e += brackets[key]
+    form = _ref_first_form(slots[0], slots[1])
+    *_, aspect = form
+    if np.any(aspect < jets.ASPECT_FLOOR):
+        raise GraphTooLargeError("graph leaves the immersion set")
+    return slots, form
+
+
+def _ref_graph_q(lam, brackets, normals, ch2, derivs):
+    _dot = bent._dot
+    (x1, x2, x11, x22, x12), (g11, g12, g22, det, _) = _ref_graph_slots(
+        lam, brackets, normals, derivs)
+    if np.any(det <= 0.0):
+        raise InvalidImmersionError("degenerate metric in mean curvature")
+    n = bent._cross(x1, x2)
+    nu = n / np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+    h = (g22 * _dot(x11, nu) - 2.0 * g12 * _dot(x12, nu)
+         + g11 * _dot(x22, nu)) / det
+    return ch2 * h
+
+
+def _random_graph(g, seed):
+    """A random graph's bundle plus u0's on g, as Q sees the solved graph."""
+    rng = np.random.default_rng(seed)
+    derivs = g.derivatives(1e-3 * rng.standard_normal((g.n_s + 1, g.n_theta)))
+    u0 = g.derivatives(profile(1e-3, g).values[:, None])
+    return [d + d0 for d, d0 in zip(derivs, u0)]
+
+
+class TestInPlaceKernel:
+    """graph_slots, graph_q and the surface's per-block normal bundle equal
+    the expression form above bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_whole_grid(self, surface, seed):
+        spec, g = surface.spec, surface.grid
+        s, t = g.s[:, None], g.theta[None, :]
+        derivs = _random_graph(g, seed)
+        brackets, normals, ch2 = bent.geometry(spec, s, t)
+        ref = _ref_brackets(spec, bent._factors(spec, s, t))
+        slots, form = bent.graph_slots(spec.lam, brackets, normals, derivs)
+        want_slots, want_form = _ref_graph_slots(spec.lam, ref, normals, derivs)
+        assert all(np.array_equal(a, b) for a, b in zip(slots, want_slots))
+        assert all(np.array_equal(a, b) for a, b in zip(form, want_form))
+        want = _ref_graph_q(spec.lam, ref, normals, ch2, derivs)
+        assert np.array_equal(bent.graph_q(spec.lam, brackets, normals, ch2, derivs), want)
+        jet, want_jet = surface.graph_jet(derivs), bent._pack(*want_slots)
+        assert np.array_equal(jet.d1, want_jet.d1) and np.array_equal(jet.d2, want_jet.d2)
+        var = surface.graph_variation(derivs)
+        want_var = bent._pack(*_ref_variation(spec.lam, normals, *derivs))
+        assert np.array_equal(var.d1, want_var.d1) and np.array_equal(var.d2, want_var.d2)
+
+    @pytest.mark.parametrize("n_s,n_theta,rows", [(1024, 64, None), (128, 16, 7), (128, 16, 0)],
+                             ids=["default", "7-rows", "sub-row"])
+    def test_blocks(self, spec, monkeypatch, n_s, n_theta, rows):
+        # the default BLOCK is 128 rows at 1024x64, with a last block of one
+        # row; 7 n_theta + 3 points is 7 rows a block with a partial last
+        # block; 3 points is less than one row, so one row a block
+        g = Grid(32.0, n_s, n_theta)
+        if rows is not None:
+            monkeypatch.setattr(numerics, "BLOCK", rows * g.n_theta + 3)
+        surf = BentSurface(spec, g)
+        s, t = g.s[:, None], g.theta[None, :]
+        derivs = _random_graph(g, 2)
+        _, normals, ch2 = bent.geometry(spec, s, t)
+        assert surf.normals.keys() == normals.keys()
+        assert all(np.array_equal(surf.normals[k], f) for k, f in normals.items())
+        want = _ref_graph_q(spec.lam, _ref_brackets(spec, bent._factors(spec, s, t)),
+                            normals, ch2, derivs)
+        assert np.array_equal(surf.q_operator(rows_of(derivs)), want)
 
 
 def _q_by_jets(surface, gf):
@@ -404,8 +518,8 @@ class TestQAgainstJetRoute:
         rng = np.random.default_rng(7)
         v = 1e-3 * np.cos(g.theta)[None, :] * np.tanh(g.s)[:, None] \
             + 1e-4 * rng.standard_normal((129, 16))
-        gf = solver._graph_bundle(ws, solver.SolverState(v, 0.02, -0.01))
-        q = ws.surface.q_operator(gf)
+        gf = solver._graph_bundle(ws, solver.SolverState(v, 0.02, -0.01))(slice(None))
+        q = ws.surface.q_operator(rows_of(gf))
         assert np.abs(q - _q_by_jets(ws.surface, gf)).max() <= 1e-13 * np.abs(q).max()
 
     def test_flat_u0_surface(self):
@@ -413,7 +527,7 @@ class TestQAgainstJetRoute:
         surf = BentSurface(flat, Grid(32.0, 256, 1))
         u = (1e-3 * np.sinh(surf.grid.s) ** 2 * np.tanh(surf.grid.s))[:, None]
         gf = surf.grid.derivatives(u)
-        q = surf.q_operator(gf)
+        q = surf.q_operator(rows_of(gf))
         assert np.abs(q - _q_by_jets(surf, gf)).max() <= 1e-13 * np.abs(q).max()
 
 
@@ -480,7 +594,7 @@ class TestProfile:
             return np.r_[-u_pos[::-1], 0.0, u_pos]
 
         def system(u_pos):
-            q = flat.q_operator(flat.grid.derivatives(expand(u_pos)[:, None]))[:, 0]
+            q = flat.q_operator(rows_of(flat.grid.derivatives(expand(u_pos)[:, None])))[:, 0]
             return np.r_[(8.0 * u_pos[0] - u_pos[1]) / (6.0 * h), q[i0 + 1:-1]]
 
         # hybr may report failure at this xtol although the residual sits at

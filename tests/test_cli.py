@@ -231,7 +231,8 @@ def test_no_profile_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_builds_the_graph_bundle_once_per_residual(tmp_path, monkeypatch):
-    # one bundle per step and one for the final residual; the audit and the
+    # one bundle per step and one for the final residual, each formed a block
+    # of rows at a time with every grid row formed once; the audit and the
     # export read the graph's values alone
     from spiralforge import solver
 
@@ -239,8 +240,14 @@ def test_solve_builds_the_graph_bundle_once_per_residual(tmp_path, monkeypatch):
     bundle = solver._graph_bundle
 
     def counted(*args):
-        calls.append(1)
-        return bundle(*args)
+        rows = []
+        calls.append(rows)
+        formed = bundle(*args)
+
+        def recorded(blk):
+            rows.extend(range(*blk.indices(513)))
+            return formed(blk)
+        return recorded
 
     monkeypatch.setattr(solver, "_graph_bundle", counted)
     argv = ["solve", "--ns", "512", "--ntheta", "8", "--mesh-resolution", "16",
@@ -249,11 +256,12 @@ def test_solve_builds_the_graph_bundle_once_per_residual(tmp_path, monkeypatch):
     report = (tmp_path / "report.txt").read_text()
     iterations = int(re.search(r"^iterations = (\d+)$", report, re.M).group(1))
     assert len(calls) == iterations + 1
+    assert all(rows == list(range(513)) for rows in calls)
 
 
 def test_solve_frees_the_surface(monkeypatch):
     # _solve hands the post-solve phases the spec, grid and graph values
-    # alone: the workspace's surface and its cached geometry (16.5 MiB at
+    # alone: the workspace's surface and its cached normal bundle (9 MiB at
     # 1024x64) are unreachable once it returns, so the export and the embed
     # audit reuse that memory; keeping it raised the default solve's peak
     # RSS by 0.26 MB

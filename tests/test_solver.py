@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from spiralforge.errors import RejectedParametersError
 from spiralforge.helicoid import StabilityModes, substitute
 from spiralforge.numerics import BandedLU, Grid
 from spiralforge.spirals import SpiralSpec
+
+from conftest import apply_operator
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +198,7 @@ class TestLinearSolve:
     def test_defining_identity(self, ws):
         e = smooth_rhs(ws.grid)
         v, bx, by = solver.linear_solve(ws, e)
-        resid = ws.apply_operator(v) - (e - bx * ws.w_x - by * ws.w_y)
+        resid = apply_operator(ws, v) - (e - bx * ws.w_x - by * ws.w_y)
         assert np.abs(resid[1:-1, :]).max() < 1e-6
 
     def test_linearity(self, ws):
@@ -226,9 +229,9 @@ class TestLinearSolve:
         g = ws.grid
         u = (1 - (g.s[:, None] / g.s_max) ** 2) ** 2 * (
             np.cos(2 * g.theta)[None, :] * np.exp(-g.s[:, None] ** 2))
-        e = ws.apply_operator(u)
+        e = apply_operator(ws, u)
         v, _, _ = solver.linear_solve(ws, e)
-        resid = ws.apply_operator(v) - e
+        resid = apply_operator(ws, v) - e
         assert np.abs(resid[1:-1, :]).max() < 1e-9
 
 
@@ -379,7 +382,7 @@ class TestSolveMinimal:
     def test_graph_values_are_the_bundle_values(self, demo_solve):
         _, ws, state = demo_solve
         assert np.array_equal(solver.graph_values(ws, state),
-                              solver._graph_bundle(ws, state)[0])
+                              solver._graph_bundle(ws, state)(slice(None))[0])
 
     def test_graph_of_the_zero_state_is_u0(self, demo_solve):
         # u0 enters the solved graph where the graph is formed: at the zero
@@ -394,7 +397,8 @@ class TestSolveMinimal:
     @pytest.mark.parametrize("block", [None, 7, 60], ids=["default", "block7", "block60"])
     def test_substitutes_match_the_whole_grid_bundles(self, demo_spec, monkeypatch, block):
         # at n_theta = 8, blocks of 60 points are 7 rows with a partial last
-        # block, and blocks of 7 points one row
+        # block, and blocks of 7 points one row: each block's bundle, its
+        # rows and the halo differenced, is those rows of the whole one
         ws = solver.Workspace(demo_spec, 32.0, 256, 8)
         if block is not None:
             monkeypatch.setattr(numerics, "BLOCK", block)
@@ -408,10 +412,12 @@ class TestSolveMinimal:
         want = [p + state.b_x * x + state.b_y * y for p, x, y in zip(psi_v, ux, uy)]
         for i in (0, 2, 4):  # u0 depends on s alone: its value, u_s and u_ss
             want[i] = want[i] + ws.u0_bundle[i]
-        added = solver._add_substitutes(ws, state, list(psi_v))
-        got = solver._graph_bundle(ws, state)
+        added = solver._add_substitutes(ws, state, list(psi_v), slice(None))
+        bundle = solver._graph_bundle(ws, state)
         assert all(np.array_equal(a, b) for a, b in zip(added, want))
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert all(np.array_equal(a, b) for a, b in zip(bundle(slice(None)), want))
+        for blk in numerics.row_blocks(g.n_s + 1, g.n_theta):
+            assert all(np.array_equal(a, b[blk]) for a, b in zip(bundle(blk), want))
         assert np.array_equal(solver.graph_values(ws, state), want[0])
         assert np.array_equal(ws.w_x, wx) and np.array_equal(ws.w_y, wy)
 
@@ -419,6 +425,26 @@ class TestSolveMinimal:
         # the substitute bundles held as profiles times rows, the audit on
         # row blocks: 39.5 MiB when they were whole-grid arrays
         assert traced_default_solve[0] <= 30.0
+
+    def test_default_solve_memory_without_whole_grid_brackets(self, traced_default_solve):
+        # the surface keeps its normal bundle alone, and Q forms the brackets
+        # and the graph's bundle a block at a time: 28.3 MiB when the
+        # brackets and the whole graph bundle were whole-grid arrays
+        assert traced_default_solve[0] <= 22.0
+
+    def test_workspace_keeps_no_whole_grid_brackets(self, demo_spec):
+        # a 1024x64 workspace keeps its surface's normal bundle (9 MiB), the
+        # mode factorizations and the gauges; 21.8 MiB with the 15 bracket
+        # fields (7.5 MiB) on the whole grid
+        solver.Workspace(demo_spec, 32.0, 64, 8)  # first-call allocations
+        tracemalloc.start()
+        try:
+            ws = solver.Workspace(demo_spec, 32.0, 1024, 64)
+            kept = tracemalloc.get_traced_memory()[0] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert ws.surface.normals["nu"].shape == (3, 1025, 64)
+        assert kept <= 16.0
 
     def test_final_q_consistency(self, demo_solve):
         # the reported residual is the interior sup of Q at the final state

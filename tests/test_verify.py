@@ -12,7 +12,7 @@ from spiralforge.errors import GraphTooLargeError
 from spiralforge.numerics import Grid, lagrange_resample, trig_interpolate
 from spiralforge.spirals import SpiralSpec
 
-from conftest import profile
+from conftest import profile, rows_of
 
 try:
     from hypothesis import given, strategies as st
@@ -299,7 +299,7 @@ class TestExport:
         g = ws.grid
         u = solver.graph_values(ws, state)
         mesh = verify.build_mesh(ws.spec, ws.grid, u, resolution=(len(g.s), g.n_theta))
-        q = ws.surface.q_operator(g.derivatives(u))
+        q = ws.surface.q_operator(rows_of(g.derivatives(u)))
         want = np.abs(q) / (np.exp(ws.spec.lam * g.theta)[None, :]
                             * np.cosh(g.s)[:, None] ** 2)
         got = mesh.scalars["H_abs"].reshape(len(g.s), g.n_theta)
