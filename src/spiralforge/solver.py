@@ -75,7 +75,15 @@ def invert_mean(e_bar, grid):
 
 
 class Workspace:
-    """Grid-bound data for repeated linear solves over one bent surface."""
+    """Grid-bound data for repeated linear solves over one bent surface.
+
+    Its one whole-grid field is the surface's normal bundle; it keeps the
+    mode factorizations, u0's bundle, the near-null kernel profile, w_x's
+    mode-1 coefficient and the cutoffs as s-columns, and the substitutes as
+    s-profiles times theta-rows.  What the iteration can form again is not
+    kept: the two gauges are formed each time fix_gauge runs (gauge), from
+    their norms, which set-up computes.
+    """
 
     def __init__(self, spec, ell, n_s, n_theta, tol=1e-9):
         # checked before any set-up: the mean solve pins v(0) = v'(0) = 0
@@ -95,18 +103,27 @@ class Workspace:
 
         self.psi = even_cutoff(np.arccosh(ell / 2.0), np.arccosh(ell / 4.0), g.s)[0]
         self.psi_outer = even_cutoff(np.arccosh(ell), np.arccosh(ell / 2.0), g.s)[0]
-        kappa_x = kernel_fn("x", s_col, t_row)
-        kappa_y = kernel_fn("y", s_col, t_row)
         # u_x and u_y as s-profiles times theta-rows, for _add_substitutes
         # and the images' w_x, w_y
         self.substitutes = [substitute_factors(which, s_col, t_row) for which in "xy"]
 
-        self._gauge_x = kappa_x / np.sqrt(self.inner_flat(kappa_x, kappa_x))
-        self._gauge_y = kappa_y / np.sqrt(self.inner_flat(kappa_y, kappa_y))
+        self._gauge_norms = {}
+        for which in "xy":
+            kappa = kernel_fn(which, s_col, t_row)
+            self._gauge_norms[which] = np.sqrt(self.inner_flat(kappa, kappa))
         self.kernel_profile = self._near_null_profile()
-        # mode-1 coefficient of w_x; that of w_y is -1j times it
-        self.w_hat1 = np.fft.rfft(self.w_x, axis=1)[:, 1]
+        # mode-1 coefficient of w_x, that of w_y being -1j times it, and the
+        # kernel projection's denominator; the pairing is formed on the
+        # spectrum's strided column, as linear_solve pairs e's (a contiguous
+        # column takes another matmul path, which can move beta in its last
+        # digit), and the column is then copied so the spectrum is freed
+        w_hat1 = np.fft.rfft(self.w_x, axis=1)[:, 1]
+        self.kernel_w_hat1 = self.kernel_profile @ w_hat1
+        self.w_hat1 = w_hat1.copy()
         self.interior = g.interior_mask()
+        # the interior is one run of rows, about s = 0
+        start = int(np.argmax(self.interior))
+        self.interior_rows = slice(start, start + int(np.count_nonzero(self.interior)))
 
     @property
     def w_x(self):
@@ -152,10 +169,28 @@ class Workspace:
         family along which the iteration wanders indefinitely.  Projecting
         them out pins one representative.  (The vertical direction is
         already pinned by the mean solve's value/slope normalization.)
+        Returns a new array; v is left as it is.
         """
-        for gauge in (self._gauge_x, self._gauge_y):
-            v = v - self.inner_flat(v, gauge) * gauge
+        return self._remove_gauges(v.copy())
+
+    def _remove_gauges(self, v):
+        """fix_gauge in place: v loses its gauge content and is returned.
+        Each gauge is formed, scaled by its pairing with v and subtracted,
+        and freed before the next is formed."""
+        for which in "xy":
+            gauge = self.gauge(which)
+            gauge *= self.inner_flat(v, gauge)
+            v -= gauge
+            del gauge
         return v
+
+    def gauge(self, which):
+        """The unit gauge direction of which ("x" or "y"): kernel_fn's
+        field on the grid over its grid norm, formed afresh on each call."""
+        g = self.grid
+        gauge = kernel_fn(which, g.s[:, None], g.theta[None, :])
+        gauge /= self._gauge_norms[which]
+        return gauge
 
 
 def linear_solve(ws, e):
@@ -173,7 +208,7 @@ def linear_solve(ws, e):
     g = ws.grid
     eh = np.fft.rfft(e, axis=1)
     kp = ws.kernel_profile
-    beta = (kp @ eh[:, 1]) / (kp @ ws.w_hat1)
+    beta = (kp @ eh[:, 1]) / ws.kernel_w_hat1
     eh[:, 1] -= beta * ws.w_hat1
     eh[:, 0] = g.n_theta * ws.modes.solve_mean(e.mean(axis=1))
     for m in range(1, g.n_theta // 2 + 1):
@@ -239,21 +274,34 @@ def _graph_bundle(ws, state):
 def _residual(ws, state):
     """Q at the graph of state, and its sup over the interior rows."""
     q = ws.surface.q_operator(_graph_bundle(ws, state))
-    return q, float(np.abs(q[ws.interior, :]).max())
+    return q, float(np.abs(q[ws.interior_rows]).max())
 
 
 def psi_step(ws, state):
     """One full application of the fixed-point map, a step of numerics.iterate.
 
     Returns (new_state, the interior residual of Q at the *incoming* state,
-    the weighted C^2 norm of the update).
+    the weighted C^2 norm of the update).  Each value is that of the
+    expression form psi v - v_hat, gauged, bit for bit, but the step
+    allocates few whole-grid arrays: the right-hand side psi_outer q is
+    formed in Q's array, psi v - v_hat and its gauge projections in the new
+    state's v, and the update new v - v in v_hat's array.  Past Q's block
+    buffers (bent.BentSurface.q_operator), at most four whole-grid arrays
+    besides the incoming v are live at once: Q's array with linear_solve's
+    spectrum and output, or v_hat, the new v, a gauge and its pairing
+    product; the update's norm runs on row blocks (weighted_norm).
     """
     q, q_interior = _residual(ws, state)
-    rhs = ws.psi_outer[:, None] * q
-    v_hat, beta_x, beta_y = linear_solve(ws, rhs)
-    new = SolverState(ws.fix_gauge(ws.psi[:, None] * state.v - v_hat),
-                      state.b_x - beta_x, state.b_y - beta_y)
-    update = (verify.weighted_norm(new.v - state.v, ws.grid)
+    q *= ws.psi_outer[:, None]
+    v_hat, beta_x, beta_y = linear_solve(ws, q)
+    v = ws.psi[:, None] * state.v
+    v -= v_hat
+    # freed only now, so that the gauges reuse its memory: freed before v
+    # is formed, glibc returned the heap's top to the system and faulted
+    # it in again on every step
+    del q
+    new = SolverState(ws._remove_gauges(v), state.b_x - beta_x, state.b_y - beta_y)
+    update = (verify.weighted_norm(np.subtract(new.v, state.v, out=v_hat), ws.grid)
               + abs(new.b_x - state.b_x) + abs(new.b_y - state.b_y))
     return new, q_interior, update
 

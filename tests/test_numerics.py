@@ -106,6 +106,56 @@ def test_grid_derivatives_of_rows_are_the_whole_bundle_rows():
             assert np.array_equal(got, want[own.start:own.stop])
 
 
+def _ref_weighted_norm(u, grid):
+    """The whole-grid weighted_norm that the row-block one replaced, verbatim."""
+    u_t, u_tt = numerics.theta_derivatives(u, (1, 2))
+    total = np.abs(u)
+    total += np.abs(grid.d1 @ u)
+    total += np.abs(u_t)
+    total += np.abs(grid.d2 @ u)
+    total += np.abs(u_tt)
+    del u_tt
+    total += np.abs(grid.d1 @ u_t)
+    weight = np.cosh(grid.s) ** -0.75
+    return float(np.max(weight[:, None] * total))
+
+
+@pytest.mark.parametrize("n_s, n_theta, block", [
+    (1024, 64, None), (1024, 64, 7), (4096, 8, None), (4096, 8, 60), (256, 32, None),
+    (256, 32, 7), (256, 8, 60), (256, 8, 7), (1024, 1, None), (4096, 1, 60), (1024, 1, 7)])
+def test_weighted_norm_is_the_whole_grid_norm_bit_for_bit(monkeypatch, n_s, n_theta, block):
+    # blocks of BLOCK points (None: the default) with the halo differenced:
+    # at n_theta = 8, 60 points are 7 rows with a partial last block, and 7
+    # points are one row at n_theta >= 8; the (n_s + 1, 1) columns are u0's
+    # chord updates.  Besides noise, smooth bumps put the sup in the first
+    # block, an inner one and the last.
+    if block is not None:
+        monkeypatch.setattr(numerics, "BLOCK", block)
+    g = Grid(32.0, n_s, max(n_theta, 2))
+    rng = np.random.default_rng(n_s + n_theta)
+    s, theta = g.s[:, None], g.theta[None, :n_theta]
+    fields = [rng.standard_normal((n_s + 1, n_theta))]
+    for centre in (g.s[0], g.s[n_s // 3], g.s[-1]):
+        bump = np.exp(-((s - centre) / (20 * g.h)) ** 2) * np.cosh(s) ** 0.75
+        fields.append(bump * np.cos(2 * theta + rng.uniform(0, 6)))
+    for u in fields:
+        assert numerics.weighted_norm(u, g) == _ref_weighted_norm(u, g)
+    u[n_s // 3, 0] = np.nan
+    assert np.isnan(numerics.weighted_norm(u, g))
+
+
+def test_weighted_norm_sums_in_the_whole_grid_order(monkeypatch):
+    # the six magnitudes are added in the reference's order: another order
+    # moves the sum's last bit at a few points in a thousand, so many small
+    # fields are compared, in blocks of 7 rows with a partial last block
+    monkeypatch.setattr(numerics, "BLOCK", 56)
+    g = Grid(32.0, 40, 8)
+    rng = np.random.default_rng(9)
+    for _ in range(1000):
+        u = rng.standard_normal((41, 8)) * rng.uniform(0.1, 10.0, size=(1, 8))
+        assert numerics.weighted_norm(u, g) == _ref_weighted_norm(u, g)
+
+
 def test_derivative_matrix_rejects_short_grids():
     with pytest.raises(ValueError, match="6-point stencil"):
         derivative_matrix(5, 0.1, 2, 4)

@@ -1,3 +1,4 @@
+import gc
 import subprocess
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 
 from spiralforge import bent, numerics, solver
 from spiralforge.errors import RejectedParametersError
-from spiralforge.helicoid import StabilityModes, substitute
+from spiralforge.helicoid import StabilityModes, kernel_fn, substitute
 from spiralforge.numerics import BandedLU, Grid
 from spiralforge.spirals import SpiralSpec
 
@@ -248,8 +249,49 @@ class TestPsiStep:
         rng = np.random.default_rng(1)
         v = rng.standard_normal((257, 32))
         v_fixed = ws.fix_gauge(v)
-        assert abs(ws.inner_flat(v_fixed, ws._gauge_x)) < 1e-12
-        assert abs(ws.inner_flat(v_fixed, ws._gauge_y)) < 1e-12
+        assert abs(ws.inner_flat(v_fixed, ws.gauge("x"))) < 1e-12
+        assert abs(ws.inner_flat(v_fixed, ws.gauge("y"))) < 1e-12
+
+    def test_solves_leave_their_arguments_unchanged(self, ws):
+        # the step works in place on its own arrays only: linear_solve and
+        # fix_gauge take e and v as they are, so a caller may reuse them
+        e = smooth_rhs(ws.grid)
+        kept = e.copy()
+        v1, b1x, b1y = solver.linear_solve(ws, e)
+        assert np.array_equal(e, kept)
+        v2, b2x, b2y = solver.linear_solve(ws, e)
+        assert np.array_equal(v1, v2) and (b1x, b1y) == (b2x, b2y)
+        v = np.random.default_rng(2).standard_normal(e.shape)
+        kept = v.copy()
+        assert not np.array_equal(ws.fix_gauge(v), kept)
+        assert np.array_equal(v, kept)
+
+    def test_nan_in_q_stops_the_iteration(self, ws, monkeypatch):
+        # a nan anywhere in Q's interior rows is the interior residual, and
+        # the update it spreads to stops iterate at its stall test
+        q_operator = ws.surface.q_operator
+
+        def q_with_nan(bundle):
+            q = q_operator(bundle)
+            q[ws.grid.i_zero, 3] = np.nan
+            return q
+        monkeypatch.setattr(ws.surface, "q_operator", q_with_nan)
+        state = solver.SolverState(np.zeros((257, 32)), 0.0, 0.0)
+        assert np.isnan(solver._residual(ws, state)[1])
+        _, history, converged = numerics.iterate(
+            lambda x: solver.psi_step(ws, x), state,
+            lambda x: solver._residual(ws, x)[1], 1e-9, 50)
+        assert len(history) == 2 and np.isnan(history).all()
+        assert not converged
+
+    def test_gauges_are_the_unit_kernel_fields(self, ws):
+        # formed afresh from kernel_fn and the norms set-up computed
+        g = ws.grid
+        for which in "xy":
+            kappa = kernel_fn(which, g.s[:, None], g.theta[None, :])
+            gauge = ws.gauge(which)
+            assert np.array_equal(gauge, kappa / np.sqrt(ws.inner_flat(kappa, kappa)))
+            assert abs(ws.inner_flat(gauge, gauge) - 1.0) < 1e-14
 
 
 class TestSolveMinimal:
@@ -445,6 +487,44 @@ class TestSolveMinimal:
             tracemalloc.stop()
         assert ws.surface.normals["nu"].shape == (3, 1025, 64)
         assert kept <= 16.0
+
+    def test_default_solve_memory_without_whole_grid_step_temporaries(
+            self, traced_default_solve):
+        # the psi step forms its right-hand side, psi v - v_hat, the gauge
+        # projections and the update in arrays it already holds, and the
+        # norms run on row blocks: 20.4 MiB when each step allocated about
+        # ten whole-grid temporaries
+        assert traced_default_solve[0] <= 18.5
+
+    def test_psi_step_rise(self, traced_default_solve):
+        # one step at the default solve's final state: Q's block buffers and
+        # array, then at most four whole-grid arrays; 5.0 MiB when each
+        # intermediate of the step's expression form was its own array
+        _, _, ws, state = traced_default_solve
+        solver.psi_step(ws, state)  # first-call allocations
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solver.psi_step(ws, state)
+            rise = (tracemalloc.get_traced_memory()[1] - before) / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert rise <= 4.0
+
+    def test_workspace_keeps_no_whole_grid_gauges(self, demo_spec):
+        # the gauges are formed when fix_gauge runs and the w_x spectrum is
+        # freed once its mode-1 column is copied: 14.35 MiB with the two
+        # gauges (1 MiB) and the spectrum (0.5 MiB) kept
+        solver.Workspace(demo_spec, 32.0, 64, 8)  # first-call allocations
+        tracemalloc.start()
+        try:
+            ws = solver.Workspace(demo_spec, 32.0, 1024, 64)
+            kept = tracemalloc.get_traced_memory()[0] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert kept <= 13.5
+        assert ws.w_hat1.base is None
 
     def test_final_q_consistency(self, demo_solve):
         # the reported residual is the interior sup of Q at the final state
