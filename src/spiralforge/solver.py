@@ -120,10 +120,10 @@ class Workspace:
         w_hat1 = np.fft.rfft(self.w_x, axis=1)[:, 1]
         self.kernel_w_hat1 = self.kernel_profile @ w_hat1
         self.w_hat1 = w_hat1.copy()
-        self.interior = g.interior_mask()
-        # the interior is one run of rows, about s = 0
-        start = int(np.argmax(self.interior))
-        self.interior_rows = slice(start, start + int(np.count_nonzero(self.interior)))
+        # the interior, where Q's residual is read, is one run of rows about s = 0
+        interior = g.interior_mask()
+        start = int(np.argmax(interior))
+        self.interior_rows = slice(start, start + int(np.count_nonzero(interior)))
 
     @property
     def w_x(self):

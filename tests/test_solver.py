@@ -255,6 +255,7 @@ class TestPsiStep:
     def test_solves_leave_their_arguments_unchanged(self, ws):
         # the step works in place on its own arrays only: linear_solve and
         # fix_gauge take e and v as they are, so a caller may reuse them
+        # (acceptance criterion 8 solves e, then 2 e)
         e = smooth_rhs(ws.grid)
         kept = e.copy()
         v1, b1x, b1y = solver.linear_solve(ws, e)
@@ -265,6 +266,10 @@ class TestPsiStep:
         kept = v.copy()
         assert not np.array_equal(ws.fix_gauge(v), kept)
         assert np.array_equal(v, kept)
+        # and a step leaves the incoming state's v as it is
+        state = solver.SolverState(1e-3 * v, 0.1, -0.1)
+        solver.psi_step(ws, state)
+        assert np.array_equal(state.v, 1e-3 * kept)
 
     def test_nan_in_q_stops_the_iteration(self, ws, monkeypatch):
         # a nan anywhere in Q's interior rows is the interior residual, and
@@ -530,7 +535,7 @@ class TestSolveMinimal:
         # the reported residual is the interior sup of Q at the final state
         report, ws, state = demo_solve
         q = ws.surface.q_operator(solver._graph_bundle(ws, state))
-        assert abs(np.abs(q[ws.interior, :]).max()
+        assert abs(np.abs(q[ws.grid.interior_mask(), :]).max()
                    - report.final_interior_residual) < 1e-15
 
     @pytest.mark.parametrize("kappa0,tau0,xi,ell", [
@@ -594,5 +599,5 @@ class TestSolveMinimal:
         from spiralforge.jets import jet_from_arrays, mean_curvature
         big_h = np.abs(mean_curvature(
             jet_from_arrays(x_t, x_s, x_tt, x_ss, x_ts)))
-        smooth = ws.interior & ~((np.abs(g.s) >= 1.0) & (np.abs(g.s) <= 2.0))
+        smooth = g.interior_mask() & ~((np.abs(g.s) >= 1.0) & (np.abs(g.s) <= 2.0))
         assert big_h[smooth, :].max() < 1e-5
