@@ -367,6 +367,12 @@ class Grid:
         """Points with cosh(s) <= ell / 4 where minimality is certified."""
         return np.cosh(self.s) <= self.ell / 4.0
 
+    def halo_rows(self, rows):
+        """The grid rows that derivatives reads for rows, a slice: rows and
+        halo rows on either side, clipped to the grid."""
+        lo, hi, _ = rows.indices(self.n_s + 1)
+        return slice(max(lo - self.halo, 0), min(hi + self.halo, self.n_s + 1))
+
     def derivatives(self, u, rows=slice(None), first=0):
         """The derivative bundle (u, u_t, u_s, u_tt, u_ss, u_ts) of u, shape
         (n_s + 1, n_theta) or (n_s + 1, 1): stencils in s, modes in theta.
@@ -401,8 +407,7 @@ def weighted_norm(u, grid):
     weight = np.cosh(grid.s) ** -0.75
     peaks = []
     for rows in row_blocks(n, u.shape[1]):
-        lo, hi, _ = rows.indices(n)
-        ext = slice(max(lo - grid.halo, 0), min(hi + grid.halo, n))
+        ext = grid.halo_rows(rows)
         f, f_t, f_s, f_tt, f_ss, f_ts = grid.derivatives(u[ext], rows, ext.start)
         total = np.abs(f)
         for field in (f_s, f_t, f_ss, f_tt, f_ts):

@@ -264,8 +264,7 @@ def _graph_bundle(ws, state):
     g = ws.grid
 
     def bundle(rows):
-        lo, hi, _ = rows.indices(g.n_s + 1)
-        ext = slice(max(lo - g.halo, 0), min(hi + g.halo, g.n_s + 1))
+        ext = g.halo_rows(rows)
         psi_v = ws.psi[ext, None] * state.v[ext]
         return _add_substitutes(ws, state, list(g.derivatives(psi_v, rows, ext.start)), rows)
     return bundle

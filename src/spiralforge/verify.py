@@ -245,13 +245,13 @@ def build_mesh(spec, grid, u, resolution=(64, 64), periods=1):
     """
     n_sm, n_tm = resolution
     mesh_grid = Grid(grid.ell, n_sm - 1, n_tm)
-    s_m, t_m, halo = mesh_grid.s, mesh_grid.theta, mesh_grid.halo
+    s_m, t_m = mesh_grid.s, mesh_grid.theta
     u_mesh = grid.resample(u, s_m, t_m)
     x = np.empty((n_sm, n_tm, 3))
     h_abs = np.empty((n_sm, n_tm))
     t_row = t_m[None, :]
     for blk in row_blocks(n_sm, n_tm):
-        ext = slice(max(blk.start - halo, 0), min(blk.stop + halo, n_sm))
+        ext = mesh_grid.halo_rows(blk)
         derivs = mesh_grid.derivatives(u_mesh[ext], blk, ext.start)
         s_col = s_m[blk, None]
         brackets, normals, ch2 = bent.geometry(spec, s_col, t_row)
