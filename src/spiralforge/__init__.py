@@ -26,8 +26,7 @@ _EXPORTS = {
     "tube": ("check_injectivity", "max_embed_ell", "tube_jacobian", "tube_map",
              "tube_radius"),
     "helicoid": ("gauss_map", "helicoid_jet", "kernel_fn", "kernel_pairing",
-                 "reference_jet", "stability_apply", "substitute_fn",
-                 "substitute_image"),
+                 "reference_jet", "stability_apply"),
     "bent": ("BentSurface", "bent_jet", "normalized_jet", "solve_u0"),
     "solver": ("SolverState", "Workspace", "linear_solve", "invert_mean",
                "psi_step", "solve_minimal"),

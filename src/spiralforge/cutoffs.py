@@ -3,10 +3,12 @@
 The base profile rises from 0 to 1 across [-1, 1], is non-decreasing, and its
 shift by -1/2 is odd.  ``Cutoff(a, b)`` rescales it so the transition sits in
 the middle third of [a, b]: the value is exactly 0 near a and exactly 1 near
-b, and Cutoff(a, b) + Cutoff(b, a) == 1 pointwise.  First and second
-derivatives are available in closed form, which the helicoid module needs to
-evaluate substitute-kernel images without differencing across the band; one
-evaluation of the profile gives the value and both derivatives.
+b, and the values of Cutoff(a, b) and Cutoff(b, a) sum to 1 pointwise.
+``Cutoff.jet`` gives the value with its first and second derivatives in
+closed form, from one evaluation of the profile, which the helicoid module
+needs to evaluate substitute-kernel images without differencing across the
+band.  ``Cutoff.breakpoints`` gives where the band starts and ends, so the
+transition's placement is known only to this module.
 """
 
 from dataclasses import dataclass
@@ -40,11 +42,6 @@ def _profile(t):
             ppp / d - (2.0 * pp * dp + p * dpp) / d ** 2 + 2.0 * p * dp ** 2 / d ** 3)
 
 
-def base_profile(t):
-    """The unit transition: 0 on (-inf, -1], 1 on [1, inf), odd around (0, 1/2)."""
-    return _profile(t)[0]
-
-
 @dataclass(frozen=True)
 class Cutoff:
     """Smooth transition that is 0 near a and 1 near b (a != b, either order)."""
@@ -63,14 +60,13 @@ class Cutoff:
         v, v1, v2 = _profile(arg)
         return v, v1 * 6.0 / (self.b - self.a), v2 * 36.0 / (self.b - self.a) ** 2
 
-    def __call__(self, t):
-        return self.jet(t)[0]
-
-    def d1(self, t):
-        return self.jet(t)[1]
-
-    def d2(self, t):
-        return self.jet(t)[2]
+    def breakpoints(self):
+        """(a, band start, band end, b): the t that jet's affine map sends to
+        -3, -1, 1, 3, in the order from a to b."""
+        # this form, not a + (b - a) (x + 3) / 6, gives 4/3 and 5/3 for
+        # (1, 2) exactly
+        return tuple((self.a * (3.0 - x) + self.b * (3.0 + x)) / 6.0
+                     for x in (-3.0, -1.0, 1.0, 3.0))
 
 
 def even_cutoff(a, b, s):

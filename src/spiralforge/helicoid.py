@@ -21,11 +21,14 @@ straightening profile u0 go through.
 
 import numpy as np
 
-from .cutoffs import even_cutoff
+from .cutoffs import Cutoff, even_cutoff
 from .jets import jet_from_arrays
 from .numerics import BandedLU, derivative_matrix, theta_derivative
 
-_CUT_BREAKPOINTS = (-2.0, -5.0 / 3.0, -4.0 / 3.0, -1.0, 1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0)
+# kernel_pairing's quad breakpoints, ascending: +- those of Cutoff(1, 2),
+# which the substitute band's even_cutoff(1, 2, s) evaluates at |s|
+_CUT_BREAKPOINTS = tuple(sorted(sign * t for t in Cutoff(1.0, 2.0).breakpoints()
+                                for sign in (-1.0, 1.0)))
 
 
 def reference_jet(delta_xi, s, theta):
@@ -68,10 +71,6 @@ def helicoid_jet(s, theta):
     """Analytic jet of the helicoid F, the reference immersion at lam = 0;
     slot order (theta, s)."""
     return reference_jet(0.0, s, theta)
-
-
-def helicoid_point(s, theta):
-    return reference_point(0.0, s, theta)
 
 
 def gauss_map(s, theta):
@@ -150,16 +149,6 @@ def substitute_factors(which, s, theta):
     if which == "x":
         return ((r, cs), (-r, sn), (r1, cs), (-r, cs), (r2, cs), (-r1, sn)), (w, cs)
     return ((r, sn), (r, cs), (r1, sn), (-r, sn), (r2, sn), (r1, cs)), (w, sn)
-
-
-def substitute_fn(which, s, theta):
-    """Growing substitute functions; psi is the radial cutoff vanishing on |s| <= 1."""
-    return substitute(which, s, theta)[0][0]
-
-
-def substitute_image(which, s, theta):
-    """w = cosh^2(s) L u for the substitute functions, in closed form."""
-    return substitute(which, s, theta)[1]
 
 
 def stability_apply(u, s):
@@ -257,11 +246,3 @@ def kernel_pairing(which, s_max):
     pts = [p for p in _CUT_BREAKPOINTS if abs(p) < s_max]
     val, _ = quad(integrand, -s_max, s_max, points=pts, limit=200)
     return val
-
-
-def pairing_matrix(s_max):
-    """3x3 matrix of pairings; off-diagonal entries vanish by theta parity."""
-    m = np.zeros((3, 3))
-    for i, which in enumerate("xyz"):
-        m[i, i] = kernel_pairing(which, s_max)
-    return m

@@ -42,11 +42,6 @@ class Jet:
     def scaled(self, c):
         return Jet(c * self.d1, c * self.d2)
 
-    def rotated(self, rot):
-        """Apply a 3x3 matrix to every slot (broadcasts over batch dims)."""
-        apply = lambda a: np.einsum("ij,...kj->...ki", rot, a)
-        return Jet(apply(self.d1), apply(self.d2))
-
     def norm(self):
         """Euclidean norm of all stored components."""
         return np.sqrt(np.sum(self.d1 ** 2, axis=(-2, -1))

@@ -131,12 +131,6 @@ class Workspace:
         w, row = self.substitutes[0][1]
         return w * row
 
-    @property
-    def w_y(self):
-        """The image cosh^2 L u_y on the grid, formed from its factors."""
-        w, row = self.substitutes[1][1]
-        return w * row
-
     def _near_null_profile(self):
         """Left near-null vector of the m = 1 mode system, by inverse iteration.
 

@@ -259,10 +259,6 @@ class SpiralSpec:
         axis = self.omega / self.r_norm
         return _rodrigues(axis, self.delta * self.r_norm * np.asarray(z, dtype=float))
 
-    def rotation(self, theta):
-        """Rotation carrying the frame at theta back to the standard basis."""
-        return self.frame(-np.asarray(theta, dtype=float))
-
     def _gamma_raw(self, z):
         """Integral of e^{delta xi t} e_3(t) from 0 to z, in closed form."""
         z = np.asarray(z, dtype=float)
@@ -317,15 +313,4 @@ class SpiralSpec:
         """(scale, rotation) of the one-period action gamma(z + 2 pi) =
         scale * rotation @ gamma(z), exact for every antisymmetric generator."""
         return float(np.exp(2.0 * np.pi * self.lam)), self.frame(2.0 * np.pi)
-
-    def similarity_defect(self):
-        """Norm of the translation left over by the one-period similarity.
-
-        Zero to roundoff for every antisymmetric generator: the one-period
-        map of the anchored curve is a pure dilation-rotation about the origin.
-        """
-        scale, rot = self.similarity()
-        g0 = self.gamma(0.0)
-        g1 = self.gamma(2.0 * np.pi)
-        return float(np.linalg.norm(g1 - scale * rot @ g0))
 

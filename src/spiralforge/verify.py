@@ -56,8 +56,8 @@ class Mesh:
     blocks of mesh rows (see _write_rows), which form it as they go: the
     vertices' three columns, each scalar column of CSV_KEYS with only the
     axes it varies along, and the faces, numbered from 1 as the OBJ does,
-    as slices of the text of their corner ids.  vertices, faces (0-based)
-    and scalars form the whole arrays on access."""
+    as slices of the text of their corner ids.  No method forms the whole
+    arrays."""
 
     def __init__(self, s, theta, x, h_abs, u, similarity, periods):
         self.s, self.theta, self.x, self.h_abs, self.u = s, theta, x, h_abs, u
@@ -96,21 +96,6 @@ class Mesh:
 
     def scalar_blocks(self):
         return map(self._scalars, row_blocks(len(self.s), self.n_cols))
-
-    @property
-    def vertices(self):
-        return self._vertices(slice(None))
-
-    @property
-    def faces(self):
-        ids = self._corners(slice(0, len(self.s) - 1))
-        return np.stack(_triangles(ids), axis=-1).reshape(-1, 3)
-
-    @property
-    def scalars(self):
-        shape = (len(self.s), len(self.maps), len(self.theta))
-        return {key: np.broadcast_to(column, shape).ravel()
-                for key, column in zip(CSV_KEYS, self._scalars(slice(None)))}
 
 
 def _triangles(ids):
@@ -522,15 +507,6 @@ def write_obj(mesh, path):
     with open(path, "wb") as fh:
         _write_rows(fh, mesh.vertex_blocks(), b"v ", b" ", b"\n")
         _write_rows(fh, mesh.face_blocks(), b"f ", b" ", b"\n")
-
-
-def read_obj(path):
-    """Vertices and 0-based faces of an OBJ file."""
-    with open(path) as fh:
-        rows = [line.split() for line in fh]
-    vertices = [[float(x) for x in r[1:4]] for r in rows if r[:1] == ["v"]]
-    faces = [[int(x.split("/")[0]) - 1 for x in r[1:4]] for r in rows if r[:1] == ["f"]]
-    return np.array(vertices), np.array(faces, dtype=int)
 
 
 def write_csv(mesh, path):

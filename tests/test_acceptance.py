@@ -125,7 +125,7 @@ def test_06_kernel_pairings():
                 s = np.linspace(-10, 10, 4097)
                 th = -np.pi + 2 * np.pi * np.arange(64) / 64
                 f = (helicoid.kernel_fn(ki, s[:, None], th[None, :])
-                     * helicoid.substitute_image(wj, s[:, None], th[None, :]))
+                     * helicoid.substitute(wj, s[:, None], th[None, :])[1])
                 val = np.trapezoid(f.sum(axis=1) * 2 * np.pi / 64, s)
                 worst = max(worst, abs(val))
     announce(6, worst < 1e-6,
@@ -164,7 +164,8 @@ def test_08_total_linear_inverse():
                 + 0.2 * np.sin(t_row) * np.tanh(s_col)
                 + 0.1 * np.cos(5 * t_row))
     v, b_x, b_y = solver.linear_solve(ws, e)
-    resid = apply_operator(ws, v) - (e - b_x * ws.w_x - b_y * ws.w_y)
+    w_y = np.multiply(*ws.substitutes[1][1])
+    resid = apply_operator(ws, v) - (e - b_x * ws.w_x - b_y * w_y)
     err = float(np.abs(resid[1:-1, :]).max())
     announce(8, err < 1e-6,
              f"total linear inverse at (2048, 64), ell = 32: defining-identity "

@@ -1,33 +1,34 @@
 import numpy as np
 import pytest
 
-from spiralforge.cutoffs import Cutoff, base_profile, even_cutoff
+from spiralforge.cutoffs import Cutoff, _profile, even_cutoff
 
 
 def test_partition_of_unity():
     t = np.linspace(-5, 5, 4001)
-    total = Cutoff(1.0, 2.0)(t) + Cutoff(2.0, 1.0)(t)
+    total = Cutoff(1.0, 2.0).jet(t)[0] + Cutoff(2.0, 1.0).jet(t)[0]
     assert np.abs(total - 1.0).max() < 1e-15
 
 
 def test_plateaus_exact():
     c = Cutoff(1.0, 2.0)
-    assert c(0.9) == 0.0
-    assert c(2.1) == 1.0
+    assert c.jet(0.9)[0] == 0.0
+    assert c.jet(2.1)[0] == 1.0
     # transition confined to the middle third
-    assert c(4.0 / 3.0 - 1e-9) == 0.0
-    assert c(5.0 / 3.0 + 1e-9) == 1.0
+    assert c.jet(4.0 / 3.0 - 1e-9)[0] == 0.0
+    assert c.jet(5.0 / 3.0 + 1e-9)[0] == 1.0
+    assert c.breakpoints() == (1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0)
 
 
 def test_midpoint_and_oddness():
-    assert abs(base_profile(0.0) - 0.5) < 1e-15
+    assert abs(_profile(0.0)[0] - 0.5) < 1e-15
     t = np.linspace(-1, 1, 101)
-    assert np.abs(base_profile(t) + base_profile(-t) - 1.0).max() < 1e-15
+    assert np.abs(_profile(t)[0] + _profile(-t)[0] - 1.0).max() < 1e-15
 
 
 def test_monotone():
     t = np.linspace(-1.5, 1.5, 500)
-    v = base_profile(t)
+    v = _profile(t)[0]
     assert np.all(np.diff(v) >= -1e-16)
 
 
@@ -35,16 +36,17 @@ def test_monotone():
 def test_derivatives_match_fd(t0):
     c = Cutoff(1.0, 2.0)
     h = 1e-6
-    fd1 = (c(t0 + h) - c(t0 - h)) / (2 * h)
-    fd2 = (c(t0 + h) - 2 * c(t0) + c(t0 - h)) / h ** 2
-    assert abs(fd1 - c.d1(t0)) < 1e-6 * max(1.0, abs(c.d1(t0)))
-    assert abs(fd2 - c.d2(t0)) < 1e-3 * max(1.0, abs(c.d2(t0)))
+    fd1 = (c.jet(t0 + h)[0] - c.jet(t0 - h)[0]) / (2 * h)
+    fd2 = (c.jet(t0 + h)[0] - 2 * c.jet(t0)[0] + c.jet(t0 - h)[0]) / h ** 2
+    assert abs(fd1 - c.jet(t0)[1]) < 1e-6 * max(1.0, abs(c.jet(t0)[1]))
+    assert abs(fd2 - c.jet(t0)[2]) < 1e-3 * max(1.0, abs(c.jet(t0)[2]))
 
 
 def test_descending_order_flips():
     c = Cutoff(2.0, 1.0)  # 1 near t = 1, 0 near t = 2
-    assert c(0.9) == 1.0
-    assert c(2.1) == 0.0
+    assert c.jet(0.9)[0] == 1.0
+    assert c.jet(2.1)[0] == 0.0
+    assert c.breakpoints() == (2.0, 5.0 / 3.0, 4.0 / 3.0, 1.0)
 
 
 def test_even_cutoff_symmetry():

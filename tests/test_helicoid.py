@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from spiralforge import jets
-from spiralforge.helicoid import (gauss_map, helicoid_jet, helicoid_point,
-                                  kernel_fn, kernel_pairing, pairing_matrix,
-                                  stability_apply, substitute_fn,
-                                  substitute, substitute_image)
+from spiralforge import helicoid, jets
+from spiralforge.helicoid import (gauss_map, helicoid_jet, kernel_fn, kernel_pairing,
+                                  reference_point, stability_apply, substitute)
 
 from conftest import rel_err
 
@@ -18,7 +16,7 @@ def grid(s_max=6.0, n_s=512, n_theta=32):
 
 class TestHelicoidJet:
     def test_base_point(self):
-        assert np.allclose(helicoid_point(0.0, 0.0), [0, 0, 0])
+        assert np.allclose(reference_point(0.0, 0.0, 0.0), [0, 0, 0])
         j = helicoid_jet(0.0, 0.0)
         assert np.allclose(j.d1[1], [0, 1, 0])   # s-slot
         assert np.allclose(j.d1[0], [0, 0, 1])   # theta-slot
@@ -105,18 +103,18 @@ class TestKernel:
 
 class TestSubstitute:
     def test_vanishes_inside_cutoff(self):
-        assert substitute_fn("x", 0.5, 0.7) == 0.0
-        assert substitute_fn("z", -0.9, 0.0) == 0.0
+        assert substitute("x", 0.5, 0.7)[0][0] == 0.0
+        assert substitute("z", -0.9, 0.0)[0][0] == 0.0
 
     def test_odd_vertical_profile(self):
         s = np.linspace(-5, 5, 101)
-        u = substitute_fn("z", s, 0.0)
+        u = substitute("z", s, 0.0)[0][0]
         assert np.abs(u + u[::-1]).max() < 1e-15
 
     def test_theta_independence_of_vertical(self):
         t = np.linspace(-np.pi, np.pi, 9)
-        u = substitute_fn("z", 3.0, t)
-        w = substitute_image("z", 3.0, t)
+        u = substitute("z", 3.0, t)[0][0]
+        w = substitute("z", 3.0, t)[1]
         assert np.ptp(u) == 0.0
         assert np.ptp(w) == 0.0
 
@@ -126,7 +124,7 @@ class TestSubstitute:
         for s in (2.5, -3.0, 4.0):
             for t in (0.0, 1.1):
                 want = 2.0 * np.cos(t) / np.cosh(s) / (4 * np.pi)
-                assert rel_err(substitute_image("x", s, t), want) < 1e-13
+                assert rel_err(substitute("x", s, t)[1], want) < 1e-13
 
     def test_image_matches_discrete_operator(self):
         # independent route: apply the discrete operator to u_x and refine;
@@ -134,8 +132,8 @@ class TestSubstitute:
         errs = []
         for n_s in (2048, 4096):
             s, theta, sc, tr = grid(6.0, n_s, 8)
-            ux = substitute_fn("x", sc, tr)
-            wx = substitute_image("x", sc, tr)
+            ux = substitute("x", sc, tr)[0][0]
+            wx = substitute("x", sc, tr)[1]
             errs.append(np.abs(stability_apply(ux, s) - wx).max())
         assert errs[0] / errs[1] > 3.0
 
@@ -144,12 +142,12 @@ class TestSubstitute:
         t = (np.linspace(-np.pi, np.pi, 9)[:-1])[None, :]
         (u, u_t, u_s, u_tt, u_ss, u_ts), _ = substitute("x", s, t)
         h = 1e-5
-        up = substitute_fn("x", s + h, t)
-        um = substitute_fn("x", s - h, t)
+        up = substitute("x", s + h, t)[0][0]
+        um = substitute("x", s - h, t)[0][0]
         assert np.abs((up - um) / (2 * h) - u_s).max() < 1e-7
         assert np.abs((up - 2 * u + um) / h ** 2 - u_ss).max() < 5e-4
-        vp = substitute_fn("x", s, t + h)
-        vm = substitute_fn("x", s, t - h)
+        vp = substitute("x", s, t + h)[0][0]
+        vm = substitute("x", s, t - h)[0][0]
         assert np.abs((vp - vm) / (2 * h) - u_t).max() < 1e-9
 
 
@@ -174,12 +172,23 @@ class TestPairings:
                 if ki == wj:
                     continue
                 val = float(w_s @ (kernel_fn(ki, sc, tr)
-                                   * substitute_image(wj, sc, tr)) @ np.ones(len(theta))) * dth
+                                   * substitute(wj, sc, tr)[1]) @ np.ones(len(theta))) * dth
                 assert abs(val) < 1e-8
 
     def test_pairing_matrix(self):
-        m = pairing_matrix(10.0)
+        m = np.diag([kernel_pairing(which, 10.0) for which in "xyz"])
         assert np.abs(m - np.eye(3)).max() < 1e-6
+
+    def test_breakpoints_follow_the_cutoff(self):
+        # quad's breakpoints come from cutoffs.Cutoff(1, 2), equal bit for
+        # bit to the band's transition points, and the pairings they give
+        # are those of the literal points
+        assert helicoid._CUT_BREAKPOINTS == (-2.0, -5.0 / 3.0, -4.0 / 3.0, -1.0,
+                                             1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0)
+        pinned = {"x": "0x1.ffffffdc96f2cp-1", "y": "0x1.ffffffdc96f2cp-1",
+                  "z": "0x1.fffffd1861f66p-1"}
+        for which, value in pinned.items():
+            assert kernel_pairing(which, 10.0) == float.fromhex(value)
 
     def test_s_max_gate(self):
         with pytest.raises(ValueError):

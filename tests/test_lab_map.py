@@ -49,7 +49,7 @@ def test_axis_norm(spec, z):
 @given(specs, s_values, theta_values)
 def test_bent_point_is_tube_of_helicoid(spec, s, theta):
     point = bent.bent_point(spec, s, theta)
-    f = helicoid.helicoid_point(s, theta)
+    f = helicoid.reference_point(0.0, s, theta)
     via_tube = tube.tube_map(spec, f[0], f[1], f[2])
     assert np.linalg.norm(point - via_tube) <= 1e-15 * np.linalg.norm(point)
     flat_graph = bent.graph_point(spec, s, theta, 0.0, bent._gauged_normal(spec, s, theta))

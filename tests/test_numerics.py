@@ -106,6 +106,28 @@ def test_grid_derivatives_of_rows_are_the_whole_bundle_rows():
             assert np.array_equal(got, want[own.start:own.stop])
 
 
+def test_halo_rows_pads_a_block_by_the_halo_within_the_grid():
+    # the one slice weighted_norm, the solver's graph bundle and the mesh
+    # build read for a block of rows: halo rows on either side, clipped to
+    # the grid's 41 rows; the grid's stencils are of accuracy 4
+    g = Grid(32.0, 40, 8)
+    assert g.halo == 5
+    cases = [(slice(10, 17), slice(5, 22)),   # interior block
+             (slice(0, 3), slice(0, 8)),      # at the lower rim
+             (slice(36, 41), slice(31, 41)),  # at the upper rim
+             (slice(38, 60), slice(33, 41)),  # a last block running past it
+             (slice(20, 21), slice(15, 26)),  # one row
+             (slice(None), slice(0, 41))]
+    u = np.random.default_rng(6).standard_normal((41, 8))
+    whole = g.derivatives(u)
+    for rows, want in cases:
+        ext = g.halo_rows(rows)
+        assert ext == want
+        own = range(41)[rows]
+        for got, full in zip(g.derivatives(u[ext], rows, ext.start), whole):
+            assert np.array_equal(got, full[own.start:own.stop])
+
+
 def _ref_weighted_norm(u, grid):
     """The whole-grid weighted_norm that the row-block one replaced, verbatim."""
     u_t, u_tt = numerics.theta_derivatives(u, (1, 2))

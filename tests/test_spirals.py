@@ -156,12 +156,12 @@ class TestFrame:
 
 class TestRotation:
     def test_identity_at_zero(self, demo_spec):
-        assert np.allclose(demo_spec.rotation(0.0), np.eye(3))
+        assert np.allclose(demo_spec.frame(-0.0), np.eye(3))
 
     def test_maps_frame_to_standard(self, demo_spec):
         rng = np.random.default_rng(12)
         for theta in rng.uniform(-10, 10, 20):
-            r = demo_spec.rotation(theta)
+            r = demo_spec.frame(-theta)
             e = demo_spec.frame(theta)
             assert np.abs(r @ e[:, 2] - np.array([0, 0, 1.0])).max() < 1e-13
             assert np.abs(r.T @ r - np.eye(3)).max() < 1e-13
@@ -224,7 +224,9 @@ class TestGamma:
         specs += [SpiralSpec(skew(w), 0.01, xi) for w, xi in [
             ([0.4, 0.9, 0.3], 1.0), ([-1.2, 0.1, 0.7], 0.6), ([0.05, -0.3, 1.1], -0.9)]]
         for spec in specs:
-            assert spec.similarity_defect() < 1e-10
+            scale, rot = spec.similarity()
+            defect = spec.gamma(2.0 * np.pi) - scale * rot @ spec.gamma(0.0)
+            assert np.linalg.norm(defect) < 1e-10
 
 
 class TestSpecValidation:

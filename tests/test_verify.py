@@ -59,6 +59,33 @@ def whole_mesh(spec, g, u, resolution):
     return x, np.abs(q) / (np.exp(spec.lam * t_row) * ch2), u_mesh
 
 
+def mesh_vertices(mesh):
+    """The whole (n_vertices, 3) vertex array of a verify.Mesh."""
+    return mesh._vertices(slice(None))
+
+
+def mesh_faces(mesh):
+    """The whole (n_faces, 3) array of a verify.Mesh's 0-based faces."""
+    ids = mesh._corners(slice(0, len(mesh.s) - 1))
+    return np.stack(verify._triangles(ids), axis=-1).reshape(-1, 3)
+
+
+def mesh_scalars(mesh):
+    """The whole CSV_KEYS columns of a verify.Mesh, one value per vertex."""
+    shape = (len(mesh.s), len(mesh.maps), len(mesh.theta))
+    return {key: np.broadcast_to(column, shape).ravel()
+            for key, column in zip(verify.CSV_KEYS, mesh._scalars(slice(None)))}
+
+
+def read_obj(path):
+    """Vertices and 0-based faces of an OBJ file."""
+    with open(path) as fh:
+        rows = [line.split() for line in fh]
+    vertices = [[float(x) for x in r[1:4]] for r in rows if r[:1] == ["v"]]
+    faces = [[int(x.split("/")[0]) - 1 for x in r[1:4]] for r in rows if r[:1] == ["f"]]
+    return np.array(vertices), np.array(faces, dtype=int)
+
+
 def _obj_text(vertices, faces):
     """The OBJ text of "%.17g" per coordinate and "%d" per 1-based id."""
     text = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in vertices)
@@ -259,11 +286,11 @@ class TestExport:
         u = solver.graph_values(ws, state)
         mesh = verify.export_mesh(ws.spec, ws.grid, u, tmp_path / "m.obj",
                                   tmp_path / "m.csv", resolution=(64, 64))
-        assert mesh.vertices.shape == (4096, 3)
-        assert mesh.faces.shape == (2 * 63 * 63, 3)
-        v2, f2 = verify.read_obj(tmp_path / "m.obj")
-        assert np.array_equal(v2, mesh.vertices)
-        assert np.array_equal(f2, mesh.faces)
+        assert mesh_vertices(mesh).shape == (4096, 3)
+        assert mesh_faces(mesh).shape == (2 * 63 * 63, 3)
+        v2, f2 = read_obj(tmp_path / "m.obj")
+        assert np.array_equal(v2, mesh_vertices(mesh))
+        assert np.array_equal(f2, mesh_faces(mesh))
         header = (tmp_path / "m.csv").read_text().splitlines()[0]
         assert header == "s,theta,H_abs,u"
 
@@ -271,8 +298,8 @@ class TestExport:
         _, ws, state = demo_solve
         u = solver.graph_values(ws, state)
         mesh = verify.build_mesh(ws.spec, ws.grid, u, resolution=(16, 16))
-        assert mesh.faces.min() == 0
-        assert mesh.faces.max() == len(mesh.vertices) - 1
+        assert mesh_faces(mesh).min() == 0
+        assert mesh_faces(mesh).max() == len(mesh_vertices(mesh)) - 1
 
     def test_strip_topology_watertight_except_boundary(self, demo_solve):
         # every interior edge is shared by exactly two consistently oriented
@@ -282,7 +309,7 @@ class TestExport:
         mesh = verify.build_mesh(ws.spec, ws.grid, u, resolution=(12, 12))
         from collections import Counter
         directed = Counter()
-        for a, b, c in mesh.faces:
+        for a, b, c in mesh_faces(mesh):
             for e in ((a, b), (b, c), (c, a)):
                 directed[e] += 1
         # consistent orientation: no directed edge repeats
@@ -302,7 +329,7 @@ class TestExport:
         q = ws.surface.q_operator(rows_of(g.derivatives(u)))
         want = np.abs(q) / (np.exp(ws.spec.lam * g.theta)[None, :]
                             * np.cosh(g.s)[:, None] ** 2)
-        got = mesh.scalars["H_abs"].reshape(len(g.s), g.n_theta)
+        got = mesh_scalars(mesh)["H_abs"].reshape(len(g.s), g.n_theta)
         assert np.abs(got - want).max() < 1e-12
 
     def test_too_large_graph_rejected(self):
@@ -319,7 +346,7 @@ class TestExport:
         _, ws, state = demo_solve
         u = solver.graph_values(ws, state)
         mesh = verify.build_mesh(ws.spec, ws.grid, u, resolution=(24, 24), periods=2)
-        pts = mesh.vertices.reshape(24, 48, 3)
+        pts = mesh_vertices(mesh).reshape(24, 48, 3)
         scale, rot = ws.spec.similarity()
         image = scale * np.einsum("ij,...j->...i", rot, pts[:, :24, :])
         rel = np.abs(pts[:, 24:, :] - image).max() / np.abs(pts).max()
@@ -337,21 +364,22 @@ class TestExport:
         if block is not None:
             monkeypatch.setattr(numerics, "BLOCK", block)
         mesh = verify.build_mesh(ws.spec, ws.grid, u, resolution=(12, 12), periods=2)
-        assert np.array_equal(mesh.vertices, whole.vertices)
-        assert np.array_equal(mesh.faces, whole.faces)
-        for key, values in whole.scalars.items():
-            assert np.array_equal(mesh.scalars[key], values)
+        assert np.array_equal(mesh_vertices(mesh), mesh_vertices(whole))
+        assert np.array_equal(mesh_faces(mesh), mesh_faces(whole))
+        for key, values in mesh_scalars(whole).items():
+            assert np.array_equal(mesh_scalars(mesh)[key], values)
         n_cols = 24
         faces = []
         for i in range(11):
             for j in range(n_cols - 1):
                 a, b = i * n_cols + j, (i + 1) * n_cols + j
                 faces += [(a, b, b + 1), (a, b + 1, a + 1)]
-        assert np.array_equal(mesh.faces, np.array(faces))
+        assert np.array_equal(mesh_faces(mesh), np.array(faces))
         verify.write_obj(mesh, tmp_path / "m.obj")
         verify.write_csv(mesh, tmp_path / "m.csv")
-        assert (tmp_path / "m.obj").read_bytes() == _obj_text(mesh.vertices, mesh.faces)
-        assert (tmp_path / "m.csv").read_bytes() == _csv_text(mesh.scalars)
+        assert ((tmp_path / "m.obj").read_bytes()
+                == _obj_text(mesh_vertices(mesh), mesh_faces(mesh)))
+        assert (tmp_path / "m.csv").read_bytes() == _csv_text(mesh_scalars(mesh))
 
     def test_memory_bounded(self, demo_solve, tmp_path):
         # block-wise export: the writers' working memory stays at one block
@@ -437,17 +465,19 @@ class TestExport:
                                                block):
         # three periods of an odd 13x11 mesh: blocks of 7 and 60 points split
         # the 33-vertex mesh rows and leave a partial last block; the files
-        # are the per-value text of the whole arrays formed on access
+        # are the per-value text of the whole arrays of mesh_vertices, mesh_faces
+        # and mesh_scalars
         _, ws, state = demo_solve
         u = solver.graph_values(ws, state)
         if block is not None:
             monkeypatch.setattr(numerics, "BLOCK", block)
         mesh = verify.export_mesh(ws.spec, ws.grid, u, tmp_path / "lazy.obj",
                                   tmp_path / "lazy.csv", (13, 11), 3)
-        assert mesh.vertices.shape == (13 * 33, 3)
-        assert mesh.faces.shape == (2 * 12 * 32, 3)
-        assert (tmp_path / "lazy.obj").read_bytes() == _obj_text(mesh.vertices, mesh.faces)
-        assert (tmp_path / "lazy.csv").read_bytes() == _csv_text(mesh.scalars)
+        assert mesh_vertices(mesh).shape == (13 * 33, 3)
+        assert mesh_faces(mesh).shape == (2 * 12 * 32, 3)
+        assert ((tmp_path / "lazy.obj").read_bytes()
+                == _obj_text(mesh_vertices(mesh), mesh_faces(mesh)))
+        assert (tmp_path / "lazy.csv").read_bytes() == _csv_text(mesh_scalars(mesh))
 
     def test_io_failure_surfaces_path(self, demo_solve, tmp_path):
         _, ws, state = demo_solve
@@ -626,7 +656,7 @@ class TestNumberText:
     def test_integers(self, demo_solve):
         _, ws, state = demo_solve
         mesh = verify.build_mesh(ws.spec, ws.grid, solver.graph_values(ws, state), (16, 16))
-        largest = int(mesh.faces.max()) + 1
+        largest = int(mesh_faces(mesh).max()) + 1
         values = np.array([1, 9, 10, 99, 100, largest, 10 ** 17 - 1,
                            np.iinfo(np.int64).max], dtype=np.int64)
         assert _text_lines(values) == ["%d" % v for v in values.tolist()]
