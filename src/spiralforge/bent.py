@@ -419,8 +419,6 @@ def graph_q(lam, brackets, normals, ch2, derivs, out=None, work=None):
         work = _scratch(_points(normals, derivs))
     (x1, x2, x11, x22, x12), (g11, g12, g22, det, _) = graph_slots(
         lam, brackets, normals, derivs, work)
-    if np.any(det <= 0.0):
-        raise InvalidImmersionError("degenerate metric in mean curvature")
     # the slots' first-form scratch and the variation's are free again
     n = work[0][5]
     r, d, h, t, *_ = work[1]

@@ -90,6 +90,12 @@ class RunConfig:
                              f"fourth-order stencils need at least {_STENCIL_POINTS}")
         if self.periods < 1:
             raise ValueError(f"periods = {self.periods} must be at least 1")
+        # the mesh scales its last period by exp(2 pi delta xi (periods - 1));
+        # past this bound that factor or its inverse is no finite nonzero double
+        if (2.0 * math.pi * self.delta * abs(self.xi) * (self.periods - 1)
+                > math.log(sys.float_info.max)):
+            raise ValueError(f"periods = {self.periods} rejected: the similarity factor "
+                             f"exp(2 pi delta xi (periods - 1)) leaves the double range")
         if self.seed < 0:
             raise ValueError(f"seed = {self.seed} must be non-negative")
         if self.n_samples < 2:

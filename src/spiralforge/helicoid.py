@@ -25,9 +25,10 @@ from .cutoffs import Cutoff, even_cutoff
 from .jets import jet_from_arrays
 from .numerics import BandedLU, derivative_matrix, theta_derivative
 
-# kernel_pairing's quad breakpoints, ascending: +- those of Cutoff(1, 2),
-# which the substitute band's even_cutoff(1, 2, s) evaluates at |s|
-_CUT_BREAKPOINTS = tuple(sorted(sign * t for t in Cutoff(1.0, 2.0).breakpoints()
+# the substitutes' cutoff band: 0 for |s| <= 1, 1 for |s| >= 2; and
+# kernel_pairing's quad breakpoints, ascending: +- those of Cutoff(*_BAND)
+_BAND = (1.0, 2.0)
+_CUT_BREAKPOINTS = tuple(sorted(sign * t for t in Cutoff(*_BAND).breakpoints()
                                 for sign in (-1.0, 1.0)))
 
 
@@ -129,7 +130,7 @@ def substitute_factors(which, s, theta):
     """
     s = np.asarray(s, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    psi, dpsi, ddpsi = even_cutoff(1.0, 2.0, s)
+    psi, dpsi, ddpsi = even_cutoff(*_BAND, s)
     if which == "z":
         one = np.ones_like(theta)
         r = psi * s / (4.0 * np.pi)
@@ -232,12 +233,12 @@ def kernel_pairing(which, s_max):
         raise ValueError("s_max must cover the cutoff band, s_max >= 3")
     if which in ("x", "y"):
         def integrand(s):
-            psi, dpsi, ddpsi = even_cutoff(1.0, 2.0, s)
+            psi, dpsi, ddpsi = even_cutoff(*_BAND, s)
             return 0.25 * (ddpsi + 2.0 * dpsi * np.tanh(s)
                            + 2.0 * psi / np.cosh(s) ** 2)
     elif which == "z":
         def integrand(s):
-            psi, dpsi, ddpsi = even_cutoff(1.0, 2.0, s)
+            psi, dpsi, ddpsi = even_cutoff(*_BAND, s)
             return 0.5 * np.tanh(s) * (ddpsi * s + 2.0 * dpsi
                                        + 2.0 * psi * s / np.cosh(s) ** 2)
     else:

@@ -101,8 +101,6 @@ def mean_curvature(jet):
     g11, g12, g22 = metric(jet)
     a11, a22, a12, a21 = second_fundamental(jet)
     det = g11 * g22 - g12 * g12
-    if np.any(det <= 0.0):
-        raise InvalidImmersionError("degenerate metric in mean curvature")
     return (g22 * a11 - g12 * (a12 + a21) + g11 * a22) / det
 
 
@@ -127,8 +125,6 @@ def _path_step(jet, variation):
     # about 1e-3 of its own scale; clamped to keep stencils inside [0, 1]-ish.
     jn = float(jet.norm())
     en = float(variation.norm())
-    if en == 0.0:
-        return 0.0
     return min(max(1e-3 * jn / en, 1e-7), 0.05)
 
 

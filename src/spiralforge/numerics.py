@@ -102,6 +102,11 @@ class BandStencil:
             raise ValueError(f"stencil of {self.n} points applied to shape {u.shape}")
         return self.rows(u, slice(0, self.n))
 
+    def _cut(self, lo, hi):
+        """The runs, in order, cut to rows lo ... hi - 1; empty ones dropped."""
+        runs = [(d, max(j0, lo + d), min(j1, hi + d), w) for d, j0, j1, w in self.runs]
+        return [run for run in runs if run[1] < run[2]]
+
     def rows(self, u, rows, first=0):
         """Rows rows.start ... rows.stop - 1 of the product with a field of
         which u holds the rows first ... first + len(u) - 1.
@@ -117,8 +122,7 @@ class BandStencil:
             raise ValueError(f"rows {first} ... {first + len(u) - 1} given to a stencil "
                              f"of {self.n} points")
         if (lo, hi, first, len(u)) != (0, self.n, 0, self.n):
-            runs = [(d, max(j0, lo + d), min(j1, hi + d), w) for d, j0, j1, w in runs]
-            runs = [run for run in runs if run[1] < run[2]]
+            runs = self._cut(lo, hi)
             read = (min(run[1] for run in runs), max(run[2] for run in runs))
             if read[0] < first or read[1] > first + len(u):
                 raise ValueError(f"rows {lo} ... {hi - 1} read columns {read[0]} ... "
@@ -134,9 +138,8 @@ class BandStencil:
     def row(self, i):
         """Row i of the matrix, dense."""
         out = np.zeros(self.n)
-        for d, j0, j1, w in self.runs:
-            if j0 <= i + d < j1:
-                out[i + d] = w
+        for _, j, _, w in self._cut(i, i + 1):
+            out[j] = w
         return out
 
     def band(self):
@@ -147,9 +150,7 @@ class BandStencil:
         the band of the fourth-order d2 is kl = ku = 4.
         """
         n = self.n
-        # each run cut to the columns j whose row j - d lies in 1 ... n-2
-        runs = [(d, max(j0, d + 1), min(j1, d + n - 1), w) for d, j0, j1, w in self.runs]
-        runs = [run for run in runs if run[1] < run[2]]
+        runs = self._cut(1, n - 1)
         kl, ku = -runs[0][0], runs[-1][0]
         ab = np.zeros((kl + ku + 1, n))
         for d, j0, j1, w in runs:
@@ -362,10 +363,6 @@ class Grid:
         function: the mesh build and the embed samples both go through it.
         """
         return trig_interpolate(lagrange_resample(self.s, u, s_new), t_new)
-
-    def interior_mask(self):
-        """Points with cosh(s) <= ell / 4 where minimality is certified."""
-        return np.cosh(self.s) <= self.ell / 4.0
 
     def halo_rows(self, rows):
         """The grid rows that derivatives reads for rows, a slice: rows and

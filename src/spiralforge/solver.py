@@ -27,7 +27,7 @@ from .bent import BentSurface, solve_u0
 from .cutoffs import even_cutoff
 from .errors import RejectedParametersError
 from .helicoid import StabilityModes, kernel_fn, substitute_factors
-from .numerics import Grid, cumulative_from_zero, fd_weights, iterate
+from .numerics import Grid, cumulative_from_zero, fd_weights, iterate, weighted_norm
 
 # smallness budget delta (1 + |R| + |xi|) ell of the perturbation argument
 GATE_BUDGET = 0.2
@@ -103,6 +103,10 @@ class Workspace:
 
         self.psi = even_cutoff(np.arccosh(ell / 2.0), np.arccosh(ell / 4.0), g.s)[0]
         self.psi_outer = even_cutoff(np.arccosh(ell), np.arccosh(ell / 2.0), g.s)[0]
+        # Q's residual is read on cosh s <= ell / 4, where psi is 1: one run of rows
+        interior = np.cosh(g.s) <= self.ell / 4.0
+        start = int(np.argmax(interior))
+        self.interior_rows = slice(start, start + int(np.count_nonzero(interior)))
         # u_x and u_y as s-profiles times theta-rows, for _add_substitutes
         # and the images' w_x, w_y
         self.substitutes = [substitute_factors(which, s_col, t_row) for which in "xy"]
@@ -120,10 +124,6 @@ class Workspace:
         w_hat1 = np.fft.rfft(self.w_x, axis=1)[:, 1]
         self.kernel_w_hat1 = self.kernel_profile @ w_hat1
         self.w_hat1 = w_hat1.copy()
-        # the interior, where Q's residual is read, is one run of rows about s = 0
-        interior = g.interior_mask()
-        start = int(np.argmax(interior))
-        self.interior_rows = slice(start, start + int(np.count_nonzero(interior)))
 
     @property
     def w_x(self):
@@ -294,7 +294,7 @@ def psi_step(ws, state):
     # it in again on every step
     del q
     new = SolverState(ws._remove_gauges(v), state.b_x - beta_x, state.b_y - beta_y)
-    update = (verify.weighted_norm(np.subtract(new.v, state.v, out=v_hat), ws.grid)
+    update = (weighted_norm(np.subtract(new.v, state.v, out=v_hat), ws.grid)
               + abs(new.b_x - state.b_x) + abs(new.b_y - state.b_y))
     return new, q_interior, update
 
@@ -329,7 +329,7 @@ def solve_minimal(spec, ell, n_s=1024, n_theta=64, tol=1e-9, max_iter=50):
     state, history, converged = iterate(lambda x: psi_step(ws, x), state,
                                         lambda x: _residual(ws, x)[1], tol, max_iter)
 
-    norm_v = verify.weighted_norm(state.v, ws.grid)
+    norm_v = weighted_norm(state.v, ws.grid)
     denom = spec.delta * ell ** 0.25 * spec.r_norm
     zeta = max(norm_v, abs(state.b_x), abs(state.b_y)) / denom if denom > 0 else np.inf
 

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -43,6 +44,19 @@ class TestParseConfig:
     def test_small_ell_rejected(self):
         with pytest.raises(ValueError, match="ell > 16"):
             cli.parse_config(None, {"ell": 8.0})
+
+    @pytest.mark.parametrize("xi", [1.0, -1.0])
+    def test_periods_keep_the_similarity_factor_a_double(self, xi):
+        # the last period's factor exp(2 pi delta xi (periods - 1)) and its
+        # inverse stay finite and nonzero up to the bound, and one period
+        # more is rejected by name (xi < 0 would underflow the factor)
+        last = math.floor(math.log(sys.float_info.max) / (2e-3 * math.pi)) + 1
+        cfg = cli.parse_config(None, {"xi": xi, "periods": last})
+        scale = cfg.spec().similarity()[0]
+        assert 0.0 < scale ** (last - 1) < math.inf
+        assert 0.0 < scale ** (1 - last) < math.inf
+        with pytest.raises(ValueError, match=r"\bperiods\b"):
+            cli.parse_config(None, {"xi": xi, "periods": last + 1})
 
     def test_ntheta_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -155,6 +169,13 @@ class TestCommands:
     (["solve", "--config", "delta0 = 0.1"], "delta0"),
     # overflowing the normal form's squared rates, named like the underflow
     (["solve", "--xi", "1e300"], "xi"),
+    # the mesh's similarity factor would overflow: rejected before the solve
+    (["export", "--ns", "64", "--ntheta", "8", "--mesh-resolution", "6",
+      "--periods", "1000000000"], "periods"),
+    (["solve", "--kappa0", "0"], "kappa0"),
+    (["solve", "--delta", "0"], "delta"),
+    (["solve", "--ns", "7"], "n_s"),
+    (["solve", "--config", "kappa0 2.0"], "expected key = value"),
 ])
 def test_bad_input_rejected_at_boundary(argv, key, tmp_path, capsys):
     if "--config" in argv:
@@ -168,6 +189,44 @@ def test_bad_input_rejected_at_boundary(argv, key, tmp_path, capsys):
     assert re.search(rf"\b{key}\b", err)
     # rejected before any output, even where the rejection is an overflow
     assert out == ""
+    assert [p.name for p in tmp_path.iterdir()] in ([], ["run.cfg"])
+
+
+def test_missing_config_exits_4(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert cli.main(["spiral", "--config", str(missing)]) == cli.EXIT_IO
+    assert f"cannot read config {missing}" in capsys.readouterr().err
+
+
+def test_out_on_a_regular_file_exits_4(tmp_path, capsys):
+    # the solve runs, then the output directory cannot be made
+    out = tmp_path / "taken"
+    out.write_text("")
+    argv = ["solve", "--ns", "64", "--ntheta", "8", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_IO
+    assert str(out) in capsys.readouterr().err
+    assert out.read_text() == ""
+
+
+def test_spiral_at_xi_zero_has_no_tube_bound(capsys):
+    assert cli.main(["spiral", "--xi", "0"]) == cli.EXIT_OK
+    assert ("tube radius / embeddedness bound: not defined at xi = 0"
+            in capsys.readouterr().out.splitlines())
+
+
+def test_check_embed_prints_a_collision(capsys, monkeypatch):
+    # a margin above the closest far pair of the 256x32 samples (0.584)
+    # turns it into a collision, printed with its distance
+    from spiralforge import verify
+
+    monkeypatch.setattr(verify, "COLLISION_MARGIN", 0.6)
+    assert cli.main(["check-embed", "--ns", "256", "--ntheta", "32"]) == cli.EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert "embeddedness verdict: not-certified" in out
+    lines = [re.fullmatch(r"sampled min separation: (\S+) \(collision threshold (\S+)\)",
+                          line) for line in out]
+    (d, threshold), = [m.groups() for m in lines if m]
+    assert 0.58 < float(d) <= float(threshold)
 
 
 def test_spiral_normal_form_follows_explicit_generator(tmp_path, capsys):

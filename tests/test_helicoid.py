@@ -175,14 +175,10 @@ class TestPairings:
                                    * substitute(wj, sc, tr)[1]) @ np.ones(len(theta))) * dth
                 assert abs(val) < 1e-8
 
-    def test_pairing_matrix(self):
-        m = np.diag([kernel_pairing(which, 10.0) for which in "xyz"])
-        assert np.abs(m - np.eye(3)).max() < 1e-6
-
     def test_breakpoints_follow_the_cutoff(self):
-        # quad's breakpoints come from cutoffs.Cutoff(1, 2), equal bit for
-        # bit to the band's transition points, and the pairings they give
-        # are those of the literal points
+        # quad's breakpoints come from cutoffs.Cutoff(*helicoid._BAND), equal
+        # bit for bit to the band's transition points, and the pairings they
+        # give are those of the literal points
         assert helicoid._CUT_BREAKPOINTS == (-2.0, -5.0 / 3.0, -4.0 / 3.0, -1.0,
                                              1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0)
         pinned = {"x": "0x1.ffffffdc96f2cp-1", "y": "0x1.ffffffdc96f2cp-1",

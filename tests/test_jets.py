@@ -88,6 +88,12 @@ class TestMeanCurvature:
         j = simple_jet([1, 0, 0], [0, 1, 0], [0, 0, -1], [0, 0, -1], [0, 0, 0])
         assert abs(jets.mean_curvature(j) + 2.0) < 1e-14
 
+    def test_degenerate_rejected(self):
+        # det g = 0 gives aspect ratio 0, which the unit normal rejects
+        # before H divides by det g
+        with pytest.raises(InvalidImmersionError):
+            jets.mean_curvature(simple_jet([1, 0, 0], [1, 0, 0]))
+
     def test_degree_minus_one(self):
         rng = np.random.default_rng(5)
         for c in (0.5, 2.0, 10.0):

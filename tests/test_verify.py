@@ -186,6 +186,20 @@ class TestEmbeddedness:
         assert verdict == "certified"
         assert info["min_separation"] > 10 * info["threshold"]
 
+    def test_collision_overrules_the_bound(self, demo_solve, monkeypatch):
+        # a margin above the closest far pair of these samples (0.584 in
+        # space, just past the 0.589 exclusion in parameters) makes that
+        # pair a collision, which overrules the closed-form certificate
+        report, ws, state = demo_solve
+        u = solver.graph_values(ws, state)
+        monkeypatch.setattr(verify, "COLLISION_MARGIN", 0.6)
+        verdict, info = verify.check_embedded(ws.spec, ws.grid, u, report.converged,
+                                              n_samples=10000, seed=1)
+        assert verify.certified(ws.spec, ws.grid.ell, report.converged)
+        assert verdict == "not-certified"
+        assert 0.58 < info["min_separation"] < info["threshold"]
+        assert min(info["pair"]) >= 0
+
     def test_margin_of_the_sample(self, demo_solve):
         # the audit searches only up to its threshold; the same exact search
         # on the same samples shows the margin beyond it.  No far pair lies
