@@ -117,17 +117,15 @@ class BandStencil:
         u must hold every column those rows read.
         """
         lo, hi = rows.start, rows.stop
-        runs = self.runs
         if first < 0 or first + len(u) > self.n:
             raise ValueError(f"rows {first} ... {first + len(u) - 1} given to a stencil "
                              f"of {self.n} points")
-        if (lo, hi, first, len(u)) != (0, self.n, 0, self.n):
-            runs = self._cut(lo, hi)
-            read = (min(run[1] for run in runs), max(run[2] for run in runs))
-            if read[0] < first or read[1] > first + len(u):
-                raise ValueError(f"rows {lo} ... {hi - 1} read columns {read[0]} ... "
-                                 f"{read[1] - 1}, outside the given {first} ... "
-                                 f"{first + len(u) - 1}")
+        runs = self._cut(lo, hi)
+        read = (min(run[1] for run in runs), max(run[2] for run in runs))
+        if read[0] < first or read[1] > first + len(u):
+            raise ValueError(f"rows {lo} ... {hi - 1} read columns {read[0]} ... "
+                             f"{read[1] - 1}, outside the given {first} ... "
+                             f"{first + len(u) - 1}")
         out = np.zeros((hi - lo, *u.shape[1:]))
         tmp = np.empty(out.shape)
         for d, j0, j1, w in runs:
@@ -328,7 +326,9 @@ class Grid:
     s has n_s intervals (n_s + 1 points; s = 0 is a grid point only when
     n_s is even); theta has n_theta uniform points on [-pi, pi) with
     periodic wrap.  halo is the number of rows the s-stencils read beyond
-    a row on one side (5: the one-sided d2 at a rim row spans 6 points).
+    a row on one side (5: the one-sided d2 at a rim row spans 6 points);
+    derivatives cuts it from the whole-grid field for a block of rows, so
+    no caller works out which rows a block reads.
     """
 
     def __init__(self, ell, n_s, n_theta):
@@ -364,28 +364,26 @@ class Grid:
         """
         return trig_interpolate(lagrange_resample(self.s, u, s_new), t_new)
 
-    def halo_rows(self, rows):
-        """The grid rows that derivatives reads for rows, a slice: rows and
-        halo rows on either side, clipped to the grid."""
-        lo, hi, _ = rows.indices(self.n_s + 1)
-        return slice(max(lo - self.halo, 0), min(hi + self.halo, self.n_s + 1))
-
-    def derivatives(self, u, rows=slice(None), first=0):
+    def derivatives(self, u, rows=slice(None)):
         """The derivative bundle (u, u_t, u_s, u_tt, u_ss, u_ts) of u, shape
-        (n_s + 1, n_theta) or (n_s + 1, 1): stencils in s, modes in theta.
+        (n_s + 1, n_theta) or (n_s + 1, 1), on the grid rows rows, a slice:
+        stencils in s, modes in theta.
 
-        With rows, a slice of grid rows, u holds the grid rows first ...
-        first + len(u) - 1, which must include the rows the s-stencils of
-        rows read (halo on either side, clipped to the grid); the bundle is
-        that of rows, bit for bit the rows of the whole grid's bundle.
+        It differences rows and the halo rows on either side that their
+        s-stencils read, clipped to the grid, so the bundle is bit for bit
+        those rows of the whole grid's bundle.  Every field is a fresh
+        array: a caller may add into the bundle without touching u.
 
         Only for smooth fields: a cutoff's high derivatives alias on the grid,
         so the substitute functions carry closed-form bundles instead.
         """
-        u_t, u_tt = theta_derivatives(u, (1, 2))
-        rows = slice(*rows.indices(self.n_s + 1)[:2])
+        n = self.n_s + 1
+        rows = slice(*rows.indices(n)[:2])
+        first = max(rows.start - self.halo, 0)
+        u = u[first:min(rows.stop + self.halo, n)]
         own = slice(rows.start - first, rows.stop - first)
-        return (u[own], u_t[own], self.d1.rows(u, rows, first), u_tt[own],
+        u_t, u_tt = theta_derivatives(u, (1, 2))
+        return (u[own].copy(), u_t[own], self.d1.rows(u, rows, first), u_tt[own],
                 self.d2.rows(u, rows, first), self.d1.rows(u_t, rows, first))
 
 
@@ -395,17 +393,15 @@ def weighted_norm(u, grid):
 
     The Hoelder seminorm of the continuous counterpart is deliberately
     omitted.  u has shape (n_s + 1, n_theta) or (n_s + 1, 1).  It runs one
-    row_blocks block at a time, differencing the block's rows and the
-    grid's halo of rows on either side (Grid.derivatives), so it allocates
-    block-sized arrays only; the bundle is that of the whole grid bit for
-    bit, and the max over the blocks' maxima is exact (a nan propagates).
+    row_blocks block at a time (Grid.derivatives of the block's rows), so
+    it allocates block-sized arrays only; the bundle is that of the whole
+    grid bit for bit, and the max over the blocks' maxima is exact (a nan
+    propagates).
     """
-    n = len(u)
     weight = np.cosh(grid.s) ** -0.75
     peaks = []
-    for rows in row_blocks(n, u.shape[1]):
-        ext = grid.halo_rows(rows)
-        f, f_t, f_s, f_tt, f_ss, f_ts = grid.derivatives(u[ext], rows, ext.start)
+    for rows in row_blocks(*u.shape):
+        f, f_t, f_s, f_tt, f_ss, f_ts = grid.derivatives(u, rows)
         total = np.abs(f)
         for field in (f_s, f_t, f_ss, f_tt, f_ts):
             total += np.abs(field)

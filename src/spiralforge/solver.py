@@ -239,34 +239,29 @@ def graph_values(ws, state):
     return _add_substitutes(ws, state, [ws.psi[:, None] * state.v], slice(None))[0]
 
 
-def _graph_bundle(ws, state):
+def _graph_bundle(ws, state, psi_v):
     """u0 + psi v + b_x u_x + b_y u_y as a derivative bundle, formed a block
-    of rows at a time: returns bundle(rows), the bundle on the grid rows
-    rows (a slice), bit for bit those rows of the whole grid's bundle.
+    of rows at a time from psi_v = psi v on the whole grid: returns
+    bundle(rows), the bundle on the grid rows rows (a slice), bit for bit
+    those rows of the whole grid's bundle.
 
-    The product psi * v is differenced by the same grid stencils the linear
-    inverse is built from, so the inverse reproduces it exactly and the
-    cutoff-band stencil error cancels through the round trip; a block
-    differences its rows and the grid's halo of rows on either side
-    (Grid.derivatives).  The substitute functions carry analytic
-    derivatives, matching the analytic images used in the kernel
-    projection; differencing them instead would feed the cutoff's aliased
-    derivatives into the b-coefficients and destabilize the iteration.  They
-    and u0's bundle are added into the block's freshly formed psi v bundle
-    in place.
+    psi v is differenced by the same grid stencils the linear inverse is
+    built from (Grid.derivatives), so the inverse reproduces it exactly and
+    the cutoff-band stencil error cancels through the round trip.  The
+    substitute functions carry analytic derivatives, matching the analytic
+    images used in the kernel projection; differencing them instead would
+    feed the cutoff's aliased derivatives into the b-coefficients and
+    destabilize the iteration.  They and u0's bundle are added into the
+    block's fresh psi v bundle in place, so psi_v itself is left as it is.
     """
     g = ws.grid
-
-    def bundle(rows):
-        ext = g.halo_rows(rows)
-        psi_v = ws.psi[ext, None] * state.v[ext]
-        return _add_substitutes(ws, state, list(g.derivatives(psi_v, rows, ext.start)), rows)
-    return bundle
+    return lambda rows: _add_substitutes(ws, state, list(g.derivatives(psi_v, rows)), rows)
 
 
-def _residual(ws, state):
-    """Q at the graph of state, and its sup over the interior rows."""
-    q = ws.surface.q_operator(_graph_bundle(ws, state))
+def _residual(ws, state, psi_v):
+    """Q at the graph of state, given psi_v = psi v, and its sup over the
+    interior rows."""
+    q = ws.surface.q_operator(_graph_bundle(ws, state, psi_v))
     return q, float(np.abs(q[ws.interior_rows]).max())
 
 
@@ -276,22 +271,23 @@ def psi_step(ws, state):
     Returns (new_state, the interior residual of Q at the *incoming* state,
     the weighted C^2 norm of the update).  Each value is that of the
     expression form psi v - v_hat, gauged, bit for bit, but the step
-    allocates few whole-grid arrays: the right-hand side psi_outer q is
-    formed in Q's array, psi v - v_hat and its gauge projections in the new
-    state's v, and the update new v - v in v_hat's array.  Past Q's block
-    buffers (bent.BentSurface.q_operator), at most four whole-grid arrays
-    besides the incoming v are live at once: Q's array with linear_solve's
+    allocates few whole-grid arrays: psi v is formed once, Q reads it and
+    it becomes the new state's v (psi v - v_hat and its gauge projections,
+    in place), the right-hand side psi_outer q is formed in Q's array, and
+    the update new v - v in v_hat's array.  Past Q's block buffers
+    (bent.BentSurface.q_operator), at most four whole-grid arrays besides
+    the incoming v are live at once: psi v and Q's array with linear_solve's
     spectrum and output, or v_hat, the new v, a gauge and its pairing
     product; the update's norm runs on row blocks (weighted_norm).
     """
-    q, q_interior = _residual(ws, state)
+    v = ws.psi[:, None] * state.v
+    q, q_interior = _residual(ws, state, v)
     q *= ws.psi_outer[:, None]
     v_hat, beta_x, beta_y = linear_solve(ws, q)
-    v = ws.psi[:, None] * state.v
     v -= v_hat
-    # freed only now, so that the gauges reuse its memory: freed before v
-    # is formed, glibc returned the heap's top to the system and faulted
-    # it in again on every step
+    # freed only now, so that the gauges reuse its memory rather than glibc
+    # returning the heap's top to the system and faulting it in again on
+    # every step
     del q
     new = SolverState(ws._remove_gauges(v), state.b_x - beta_x, state.b_y - beta_y)
     update = (weighted_norm(np.subtract(new.v, state.v, out=v_hat), ws.grid)
@@ -326,8 +322,9 @@ def solve_minimal(spec, ell, n_s=1024, n_theta=64, tol=1e-9, max_iter=50):
     ws = Workspace(spec, ell, n_s, n_theta, tol)
 
     state = SolverState(np.zeros((len(ws.grid.s), n_theta)), 0.0, 0.0)
-    state, history, converged = iterate(lambda x: psi_step(ws, x), state,
-                                        lambda x: _residual(ws, x)[1], tol, max_iter)
+    state, history, converged = iterate(
+        lambda x: psi_step(ws, x), state,
+        lambda x: _residual(ws, x, ws.psi[:, None] * x.v)[1], tol, max_iter)
 
     norm_v = weighted_norm(state.v, ws.grid)
     denom = spec.delta * ell ** 0.25 * spec.r_norm

@@ -223,10 +223,9 @@ def build_mesh(spec, grid, u, resolution=(64, 64), periods=1):
 
     u is resampled on the whole first period at once (Grid.resample), the
     u the Mesh keeps.  The rest runs a block of numerics.row_blocks mesh
-    rows at a time into the preallocated period: each block is
-    differenced from its rows of that u and the mesh grid's halo of 5
-    rows on either side, the reach of its s-stencils, so every value is
-    bit for bit the whole-mesh one.
+    rows at a time into the preallocated period: each block's bundle is
+    the mesh grid's derivatives of those rows of that u (Grid.derivatives),
+    so every value is bit for bit the whole-mesh one.
     """
     n_sm, n_tm = resolution
     mesh_grid = Grid(grid.ell, n_sm - 1, n_tm)
@@ -236,8 +235,7 @@ def build_mesh(spec, grid, u, resolution=(64, 64), periods=1):
     h_abs = np.empty((n_sm, n_tm))
     t_row = t_m[None, :]
     for blk in row_blocks(n_sm, n_tm):
-        ext = mesh_grid.halo_rows(blk)
-        derivs = mesh_grid.derivatives(u_mesh[ext], blk, ext.start)
+        derivs = mesh_grid.derivatives(u_mesh, blk)
         s_col = s_m[blk, None]
         brackets, normals, ch2 = bent.geometry(spec, s_col, t_row)
         # mean curvature: the solver's Q (aspect guard included), then undo

@@ -518,7 +518,8 @@ class TestQAgainstJetRoute:
         rng = np.random.default_rng(7)
         v = 1e-3 * np.cos(g.theta)[None, :] * np.tanh(g.s)[:, None] \
             + 1e-4 * rng.standard_normal((129, 16))
-        gf = solver._graph_bundle(ws, solver.SolverState(v, 0.02, -0.01))(slice(None))
+        state = solver.SolverState(v, 0.02, -0.01)
+        gf = solver._graph_bundle(ws, state, ws.psi[:, None] * v)(slice(None))
         q = ws.surface.q_operator(rows_of(gf))
         assert np.abs(q - _q_by_jets(ws.surface, gf)).max() <= 1e-13 * np.abs(q).max()
 

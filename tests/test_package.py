@@ -103,9 +103,10 @@ ORACLES = {
 
 
 def test_every_public_name_is_called_in_the_package():
-    # a public function or class counts as called when src names it or
-    # reads it as a module attribute, a method when src reads it as an
-    # attribute; what only the tests reach belongs in the tests
+    # a module function or class, public or private, counts as called when
+    # src names it or reads it as a module attribute, a method when src
+    # reads it as an attribute; dunders are called by the language.  What
+    # only the tests reach belongs in the tests
     src = Path(spiralforge.__file__).parent
     trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
     defined, names, attributes = [], set(), set()
@@ -123,6 +124,6 @@ def test_every_public_name_is_called_in_the_package():
                 attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
-    unused = {name for name, method in defined if not name.startswith("_")
+    unused = {name for name, method in defined if not re.fullmatch(r"__\w+__", name)
               and name not in attributes and (method or name not in names)}
     assert sorted(unused) == sorted(ORACLES)

@@ -286,10 +286,10 @@ class TestPsiStep:
             return q
         monkeypatch.setattr(ws.surface, "q_operator", q_with_nan)
         state = solver.SolverState(np.zeros((257, 32)), 0.0, 0.0)
-        assert np.isnan(solver._residual(ws, state)[1])
+        assert np.isnan(solver._residual(ws, state, ws.psi[:, None] * state.v)[1])
         _, history, converged = numerics.iterate(
             lambda x: solver.psi_step(ws, x), state,
-            lambda x: solver._residual(ws, x)[1], 1e-9, 50)
+            lambda x: solver._residual(ws, x, ws.psi[:, None] * x.v)[1], 1e-9, 50)
         assert len(history) == 2 and np.isnan(history).all()
         assert not converged
 
@@ -432,8 +432,8 @@ class TestSolveMinimal:
 
     def test_graph_values_are_the_bundle_values(self, demo_solve):
         _, ws, state = demo_solve
-        assert np.array_equal(solver.graph_values(ws, state),
-                              solver._graph_bundle(ws, state)(slice(None))[0])
+        bundle = solver._graph_bundle(ws, state, ws.psi[:, None] * state.v)
+        assert np.array_equal(solver.graph_values(ws, state), bundle(slice(None))[0])
 
     def test_graph_of_the_zero_state_is_u0(self, demo_solve):
         # u0 enters the solved graph where the graph is formed: at the zero
@@ -459,16 +459,20 @@ class TestSolveMinimal:
         rng = np.random.default_rng(5)
         state = solver.SolverState(1e-3 * rng.standard_normal((g.n_s + 1, g.n_theta)),
                                    0.7, -0.3)
-        psi_v = g.derivatives(ws.psi[:, None] * state.v)
-        want = [p + state.b_x * x + state.b_y * y for p, x, y in zip(psi_v, ux, uy)]
+        psi_v = ws.psi[:, None] * state.v
+        kept = psi_v.copy()
+        psi_v_bundle = g.derivatives(psi_v)
+        want = [p + state.b_x * x + state.b_y * y for p, x, y in zip(psi_v_bundle, ux, uy)]
         for i in (0, 2, 4):  # u0 depends on s alone: its value, u_s and u_ss
             want[i] = want[i] + ws.u0_bundle[i]
-        added = solver._add_substitutes(ws, state, list(psi_v), slice(None))
-        bundle = solver._graph_bundle(ws, state)
+        added = solver._add_substitutes(ws, state, list(psi_v_bundle), slice(None))
+        bundle = solver._graph_bundle(ws, state, psi_v)
         assert all(np.array_equal(a, b) for a, b in zip(added, want))
         assert all(np.array_equal(a, b) for a, b in zip(bundle(slice(None)), want))
         for blk in numerics.row_blocks(g.n_s + 1, g.n_theta):
             assert all(np.array_equal(a, b[blk]) for a, b in zip(bundle(blk), want))
+        # psi v, which the psi step makes the new v, is read and not written
+        assert np.array_equal(psi_v, kept)
         assert np.array_equal(solver.graph_values(ws, state), want[0])
         assert np.array_equal(ws.w_x, wx)
         assert np.array_equal(np.multiply(*ws.substitutes[1][1]), wy)
@@ -539,7 +543,7 @@ class TestSolveMinimal:
     def test_final_q_consistency(self, demo_solve):
         # the reported residual is the interior sup of Q at the final state
         report, ws, state = demo_solve
-        q = ws.surface.q_operator(solver._graph_bundle(ws, state))
+        q = ws.surface.q_operator(solver._graph_bundle(ws, state, ws.psi[:, None] * state.v))
         assert abs(np.abs(q[ws.interior_rows]).max()
                    - report.final_interior_residual) < 1e-15
 
