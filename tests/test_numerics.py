@@ -93,27 +93,37 @@ def test_stencil_rows_are_bitwise_rows_of_the_product(n_pts, order):
 
 
 def test_grid_derivatives_of_rows_are_the_whole_bundle_rows():
-    # the one call weighted_norm, the solver's graph bundle and the mesh
-    # build make for a block of rows: it reads the rows and halo rows on
-    # either side, clipped to the grid's 41 rows (a nan outside them stays
-    # out), and gives those rows of the whole bundle bit for bit
     g = Grid(32.0, 40, 8)
     # the one-sided d2 at a rim row reads 5 rows beyond it, d1 4
     assert (g.d1.reach, g.d2.reach, g.halo) == (4, 5, 5)
+    u = np.random.default_rng(4).standard_normal((41, 8))
+    whole = g.derivatives(u)
+    for rows in (slice(0, 3), slice(10, 17), slice(38, 60)):
+        own = range(41)[rows]
+        for got, want in zip(g.derivatives(u, rows), whole):
+            assert np.array_equal(got, want[own.start:own.stop])
+
+
+def test_halo_rows_pads_a_block_by_the_halo_within_the_grid():
+    # the rows weighted_norm, the solver's graph bundle and the mesh build
+    # read for a block: halo rows on either side, clipped to the grid's 41
+    # rows; a nan outside them stays out of the block's bundle rows
+    g = Grid(32.0, 40, 8)
+    assert g.halo == 5
     cases = [(slice(10, 17), slice(5, 22)),   # interior block
              (slice(0, 3), slice(0, 8)),      # at the lower rim
              (slice(36, 41), slice(31, 41)),  # at the upper rim
              (slice(38, 60), slice(33, 41)),  # a last block running past it
              (slice(20, 21), slice(15, 26)),  # one row
              (slice(None), slice(0, 41))]
-    u = np.random.default_rng(4).standard_normal((41, 8))
+    u = np.random.default_rng(6).standard_normal((41, 8))
     whole = g.derivatives(u)
     for rows, reads in cases:
         part = np.full_like(u, np.nan)
         part[reads] = u[reads]
         own = range(41)[rows]
-        for got, want in zip(g.derivatives(part, rows), whole):
-            assert np.array_equal(got, want[own.start:own.stop])
+        for got, full in zip(g.derivatives(part, rows), whole):
+            assert np.array_equal(got, full[own.start:own.stop])
 
 
 def test_grid_derivatives_are_fresh_arrays():
