@@ -8,7 +8,8 @@ and # comments; command-line flags override file values.  Reports are
 written as deterministic key = value files (identical configuration gives
 byte-identical output; wall-clock timing goes to the console only).
 
-Exit codes: 0 success, 2 rejected parameters, 3 non-convergence, 4 I/O.
+Exit codes: 0 success, 2 rejected parameters, 3 non-convergence, 4 I/O, 5 a
+collision found by check-embed (3 wins when the solve did not converge too).
 """
 
 import argparse
@@ -34,6 +35,10 @@ EXIT_OK = 0
 EXIT_REJECTED = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
+EXIT_COLLISION = 5
+
+# the most mesh vertices written: 32 times a 256^2 two-period mesh, ~0.8 GB of text
+MAX_MESH_VERTICES = 2 ** 22
 
 # grid points the one-sided second-derivative stencil of numerics.derivative_matrix
 # spans at accuracy 4 (order + acc); shorter grids cannot be differenced
@@ -96,6 +101,9 @@ class RunConfig:
                 > math.log(sys.float_info.max)):
             raise ValueError(f"periods = {self.periods} rejected: the similarity factor "
                              f"exp(2 pi delta xi (periods - 1)) leaves the double range")
+        if self.mesh_resolution ** 2 * self.periods > MAX_MESH_VERTICES:
+            raise ValueError(f"mesh_resolution^2 * periods = {self.mesh_resolution}^2 * "
+                             f"{self.periods} rejected: above {MAX_MESH_VERTICES} vertices")
         if self.seed < 0:
             raise ValueError(f"seed = {self.seed} must be non-negative")
         if self.n_samples < 2:
@@ -254,7 +262,9 @@ def cmd_check_embed(cfg):
     else:
         print(f"sampled min separation: > {threshold:.3g} "
               f"(no far pair within the collision threshold)")
-    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
+    if not report.converged:
+        return EXIT_NO_CONVERGENCE
+    return EXIT_COLLISION if verdict == "not-certified" else EXIT_OK
 
 
 def cmd_export(cfg):

@@ -55,12 +55,15 @@ class Mesh:
     scale^p rot^p x, |H| / scale^p, theta + 2 pi p.  The writers read it as
     blocks of mesh rows (see _write_rows), which form it as they go: the
     vertices' three columns, each scalar column of CSV_KEYS with only the
-    axes it varies along, and the faces, numbered from 1 as the OBJ does,
-    as slices of the text of their corner ids.  No method forms the whole
+    axes it varies along (s and theta as slices of their text, formatted
+    once per mesh), and the faces, numbered from 1 as the OBJ does, as
+    slices of the text of their corner ids.  No method forms the whole
     arrays."""
 
     def __init__(self, s, theta, x, h_abs, u, similarity, periods):
         self.s, self.theta, self.x, self.h_abs, self.u = s, theta, x, h_abs, u
+        # theta of each mesh column, theta + 2 pi p in period p: (1, periods, n_theta)
+        self.col_theta = (theta + 2.0 * np.pi * np.arange(periods)[:, None])[None]
         scale, rot = similarity
         self.maps = [(scale ** p, np.linalg.matrix_power(rot, p)) for p in range(periods)]
         self.n_cols = periods * len(theta)
@@ -75,10 +78,9 @@ class Mesh:
     def _scalars(self, rows):
         """The CSV_KEYS columns of the mesh rows, each with only the axes of
         (row, period, theta) it varies along."""
-        periods = np.arange(len(self.maps))[:, None]
         scales = np.array([scale_p for scale_p, _ in self.maps])[:, None]
-        return (self.s[rows, None, None], (self.theta + 2.0 * np.pi * periods)[None],
-                self.h_abs[rows, None] / scales, self.u[rows, None])
+        return (self.s[rows, None, None], self.col_theta, self.h_abs[rows, None] / scales,
+                self.u[rows, None])
 
     def _corners(self, cells):
         """Vertex ids (rows, n_cols) of the mesh rows that bound the cells."""
@@ -91,11 +93,12 @@ class Mesh:
 
     def face_blocks(self):
         for cells in row_blocks(len(self.s) - 1, 2 * self.n_cols):
-            chars, keep = _text(self._corners(cells) + 1)
-            yield [_Text(*text) for text in zip(_triangles(chars), _triangles(keep))]
+            yield list(map(_Text, _triangles(_text(self._corners(cells) + 1).chars)))
 
     def scalar_blocks(self):
-        return map(self._scalars, row_blocks(len(self.s), self.n_cols))
+        s, theta = _text(self.s[:, None, None]), _text(self.col_theta)
+        for rows in row_blocks(len(self.s), self.n_cols):
+            yield (_Text(s.chars[:, rows]), theta, *self._scalars(rows)[2:])
 
 
 def _triangles(ids):
@@ -251,12 +254,13 @@ def build_mesh(spec, grid, u, resolution=(64, 64), periods=1):
 # ---------------------------------------------------------------------------
 #
 # A block's text is laid out in planes: plane j of a field holds byte j of
-# that field for every row, and a mask keeps the bytes of each row's text,
-# so reading the kept bytes row by row gives the rows.  Each column is laid
+# that field for every row, and NUL past the end of each row's text, so
+# reading the planes row by row and dropping the NULs gives the rows (no
+# byte of a number or of the writers' literals is NUL).  Each column is laid
 # out from its own values and its planes are broadcast into the block's, so
-# a value that repeats along an axis of the block (s along a mesh row, theta
-# down the rows, u in every period) is formatted once per block; the faces'
-# three columns are slices of the text of their corner ids.
+# a value that repeats along an axis of the block (u in every period) is
+# formatted once per block; s and theta are formatted once per mesh and
+# the faces' three columns are slices of the text of their corner ids.
 #
 # A float's 17 digits come from |x| 10^(16 - k) in double-double arithmetic,
 # correctly rounded as CPython's dtoa rounds them, unless the rounding
@@ -306,11 +310,11 @@ def _pow10():
 
 @functools.cache
 def _exponents():
-    """"e%+03d" % X for X = -_K_MAX - 1 .. _K_MAX + 1: five planes, and the
-    lengths."""
-    text = [b"e%+03d" % x for x in range(-_K_MAX - 1, _K_MAX + 2)]
-    planes = np.frombuffer(b"".join(t.ljust(5) for t in text), np.uint8)
-    return planes.reshape(-1, 5).T.copy(), np.array(list(map(len, text)), np.uint8)
+    """"e%+03d" % X for X = -_K_MAX - 1 .. _K_MAX + 1 as five NUL-padded
+    planes, and a last column of NULs."""
+    text = [b"e%+03d" % x for x in range(-_K_MAX - 1, _K_MAX + 2)] + [b""]
+    planes = np.frombuffer(b"".join(t.ljust(5, b"\0") for t in text), np.uint8)
+    return planes.reshape(-1, 5).T.copy()
 
 
 def _split(a):
@@ -361,22 +365,24 @@ def _digits(v, out):
     v = v.astype(np.uint32 if len(out) <= 9 else np.int64)
     for j in range(len(out) - 1, 0, -1):
         q = v // 10
-        np.subtract(v, 10 * q, out=out[j], casting="unsafe")
+        v -= 10 * q
+        out[j] = v
         v = q
     out[0] = v
     out += ord("0")
 
 
-def _float_field(x, chars, keep):
-    """Lay out "%.17g" % v for each v of x in the planes chars and mark its
-    bytes in keep; returns the number of planes used."""
+def _float_field(x, chars):
+    """Lay out "%.17g" % v for each v of x in the planes chars, NUL-padded;
+    returns the number of planes used."""
     ax = np.abs(x)
     nonzero = np.isfinite(x) & (ax > 0)
     in_table = (ax >= 10.0 ** -_K_MAX) & (ax <= 10.0 ** _K_MAX)
     D, X, undecided = _decimal17(np.where(in_table, ax, 1.0))
     src = np.empty((17 + len(_CONST), len(x)), np.uint8)
-    _digits(D // 10 ** 8, src[:9])
-    _digits(D % 10 ** 8, src[9:17])
+    head = D // 10 ** 8  # D % 10 ** 8 would take a second, slower division
+    _digits(head, src[:9])
+    _digits(D - head * 10 ** 8, src[9:17])
     src[17:] = _CONST
     n_sig = 1 + ((src[1:17] != ord("0")) * _POS).max(axis=0)
     # %g at precision 17: fixed for -4 <= X < 17, trailing zeros trimmed,
@@ -396,8 +402,7 @@ def _float_field(x, chars, keep):
     w = 0
     neg = np.signbit(x) & ~nan
     if neg.any():
-        chars[0] = ord("-")
-        keep[0] = neg
+        np.multiply(neg, ord("-"), out=chars[0], casting="unsafe")
         w = 1
     # the most common layout fills all rows, the others overwrite theirs
     counts = np.bincount(code, minlength=25)
@@ -410,50 +415,39 @@ def _float_field(x, chars, keep):
         rows = np.flatnonzero(code == c)
         planes = _layout(c)
         body[:len(planes), rows] = src.take(rows, axis=1)[planes]
-    for j in range(width):
-        np.greater(body_len, j, out=keep[w + j])
+    body *= np.arange(width, dtype=np.uint8)[:, None] < body_len
     w += width
 
     expo = nonzero & ~fixed
     if expo.any():
-        text, lengths = _exponents()
-        i = X + _K_MAX + 1
-        np.take(text, i, axis=1, out=chars[w:w + 5])
-        exp_len = np.where(expo, lengths[i], 0).astype(np.uint8)
-        for j in range(5):
-            np.greater(exp_len, j, out=keep[w + j])
+        np.take(_exponents(), np.where(expo, X + _K_MAX + 1, -1), axis=1, out=chars[w:w + 5])
         w += 5
 
     fallback = np.flatnonzero(nonzero & (~in_table | undecided))
     if len(fallback):
         text = [b"%.17g" % v for v in x[fallback].tolist()]
-        lengths = np.array(list(map(len, text)))
-        if lengths.max() > w:
-            keep[w:lengths.max()] = False
-            w = int(lengths.max())
-        padded = np.frombuffer(b"".join(t.ljust(w) for t in text), np.uint8)
+        longest = max(map(len, text))
+        chars[w:longest] = 0  # the other rows end before these planes
+        w = max(w, longest)
+        padded = np.frombuffer(b"".join(t.ljust(w, b"\0") for t in text), np.uint8)
         chars[:w, fallback] = padded.reshape(-1, w).T
-        keep[:w, fallback] = np.arange(w)[:, None] < lengths
     return w
 
 
-def _int_field(v, chars, keep):
+def _int_field(v, chars):
     """Lay out "%d" % i for each non-negative integer i of v in the planes
-    chars and mark its bytes in keep; returns the number of planes used."""
+    chars, its leading zeros NUL; returns the number of planes used."""
     width = len(str(int(v.max(initial=0))))
     _digits(v, chars[:width])
     for j in range(width - 1):
-        np.greater_equal(v, 10 ** (width - 1 - j), out=keep[j])
-    keep[width - 1] = True
+        chars[j] *= v >= 10 ** (width - 1 - j)
     return width
 
 
 class _Text(NamedTuple):
-    """Values' text as planes: chars[j] holds byte j of each value's text
-    and keep[j] marks the values whose text has that byte; shape (width,
-    *values' shape)."""
+    """Values' text as planes: chars[j] holds byte j of each value's text,
+    NUL where the text is shorter; shape (width, *values' shape)."""
     chars: np.ndarray
-    keep: np.ndarray
 
     @property
     def shape(self):
@@ -466,9 +460,8 @@ def _text(values):
     flat = values.ravel()
     field = _float_field if flat.dtype.kind == "f" else _int_field
     chars = np.empty((_FIELD_MAX, flat.size), np.uint8)
-    keep = np.empty((_FIELD_MAX, flat.size), bool)
-    w = field(flat, chars, keep)
-    return _Text(chars[:w].reshape(w, *values.shape), keep[:w].reshape(w, *values.shape))
+    w = field(flat, chars)
+    return _Text(chars[:w].reshape(w, *values.shape))
 
 
 def _write_rows(fh, blocks, prefix, sep, end):
@@ -479,25 +472,22 @@ def _write_rows(fh, blocks, prefix, sep, end):
     against each other, one line per element of their broadcast shape in C
     order.  A column is an array of values or their _Text: each column is
     formatted from its own values, and its planes are broadcast into the
-    block's.
+    block's, and the block's bytes are read row by row without the NULs.
     """
     for columns in blocks:
         shape = np.broadcast_shapes(*(col.shape for col in columns))
         literals = [prefix, *[sep] * (len(columns) - 1), end]
         size = sum(map(len, literals)) + len(columns) * _FIELD_MAX
         chars = np.empty((size, *shape), np.uint8)
-        keep = np.empty((size, *shape), bool)
         axes, w = [1] * len(shape), 0
         for j, lit in enumerate(literals):
             chars[w:w + len(lit)] = np.frombuffer(lit, np.uint8).reshape(-1, *axes)
-            keep[w:w + len(lit)] = True
             w += len(lit)
             if j < len(columns):
                 text = columns[j] if isinstance(columns[j], _Text) else _text(columns[j])
                 chars[w:w + len(text.chars)] = text.chars
-                keep[w:w + len(text.chars)] = text.keep
                 w += len(text.chars)
-        fh.write(chars[:w].reshape(w, -1).T[keep[:w].reshape(w, -1).T])
+        fh.write(chars[:w].reshape(w, -1).T.tobytes().translate(None, b"\0"))
 
 
 def write_obj(mesh, path):

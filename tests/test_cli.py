@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import weakref
 
 import numpy as np
@@ -49,14 +50,25 @@ class TestParseConfig:
     def test_periods_keep_the_similarity_factor_a_double(self, xi):
         # the last period's factor exp(2 pi delta xi (periods - 1)) and its
         # inverse stay finite and nonzero up to the bound, and one period
-        # more is rejected by name (xi < 0 would underflow the factor)
+        # more is rejected by name (xi < 0 would underflow the factor); the
+        # smallest mesh keeps both counts of vertices under the cap
         last = math.floor(math.log(sys.float_info.max) / (2e-3 * math.pi)) + 1
-        cfg = cli.parse_config(None, {"xi": xi, "periods": last})
+        mesh = {"xi": xi, "mesh_resolution": 6}
+        assert 36 * (last + 1) <= cli.MAX_MESH_VERTICES
+        cfg = cli.parse_config(None, {**mesh, "periods": last})
         scale = cfg.spec().similarity()[0]
         assert 0.0 < scale ** (last - 1) < math.inf
         assert 0.0 < scale ** (1 - last) < math.inf
-        with pytest.raises(ValueError, match=r"\bperiods\b"):
-            cli.parse_config(None, {"xi": xi, "periods": last + 1})
+        with pytest.raises(ValueError, match="double range"):
+            cli.parse_config(None, {**mesh, "periods": last + 1})
+
+    @pytest.mark.parametrize("resolution, periods", [(2048, 1), (1024, 4)])
+    def test_mesh_vertex_cap(self, resolution, periods):
+        # a mesh of exactly MAX_MESH_VERTICES passes, one period more does not
+        assert resolution ** 2 * periods == cli.MAX_MESH_VERTICES
+        cli.parse_config(None, {"mesh_resolution": resolution, "periods": periods})
+        with pytest.raises(ValueError, match=r"\bmesh_resolution\b.*\bperiods\b"):
+            cli.parse_config(None, {"mesh_resolution": resolution, "periods": periods + 1})
 
     def test_ntheta_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -192,6 +204,18 @@ def test_bad_input_rejected_at_boundary(argv, key, tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] in ([], ["run.cfg"])
 
 
+def test_export_above_the_vertex_cap_is_rejected_at_once(tmp_path, capsys):
+    # 64^2 * 112,966 vertices: the similarity factor is still a double, the
+    # mesh is far above the cap, and nothing is solved or written
+    start = time.process_time()
+    argv = ["export", "--periods", "112966", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_REJECTED
+    assert time.process_time() - start < 0.2
+    out, err = capsys.readouterr()
+    assert out == "" and re.search(r"\bperiods\b", err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_config_exits_4(tmp_path, capsys):
     missing = tmp_path / "missing.cfg"
     assert cli.main(["spiral", "--config", str(missing)]) == cli.EXIT_IO
@@ -220,7 +244,7 @@ def test_check_embed_prints_a_collision(capsys, monkeypatch):
     from spiralforge import verify
 
     monkeypatch.setattr(verify, "COLLISION_MARGIN", 0.6)
-    assert cli.main(["check-embed", "--ns", "256", "--ntheta", "32"]) == cli.EXIT_OK
+    assert cli.main(["check-embed", "--ns", "256", "--ntheta", "32"]) == cli.EXIT_COLLISION
     out = capsys.readouterr().out.splitlines()
     assert "embeddedness verdict: not-certified" in out
     lines = [re.fullmatch(r"sampled min separation: (\S+) \(collision threshold (\S+)\)",

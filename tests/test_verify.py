@@ -549,9 +549,9 @@ class TestExport:
     @pytest.mark.parametrize("block", [None, 7], ids=["default", "block7"])
     def test_each_distinct_value_formatted_once(self, demo_solve, tmp_path, monkeypatch,
                                                 block):
-        # the writers format s once per mesh row, theta once per column and
-        # block, u once per vertex of the first period, |H| once per vertex,
-        # and each face corner once per block of cell rows it bounds
+        # the writers format s once per mesh row, theta once per column, u
+        # once per vertex of the first period, |H| once per vertex, and each
+        # face corner once per block of cell rows it bounds
         _, ws, state = demo_solve
         u = solver.graph_values(ws, state)
         if block is not None:
@@ -564,9 +564,9 @@ class TestExport:
         def counted(name):
             field = getattr(verify, name)
 
-            def count(values, chars, keep):
+            def count(values, chars):
                 counts[name] += len(values)
-                return field(values, chars, keep)
+                return field(values, chars)
             return count
 
         def formatted(write, path):
@@ -576,11 +576,9 @@ class TestExport:
 
         for name in ("_float_field", "_int_field"):
             monkeypatch.setattr(verify, name, counted(name))
-        vertex_blocks = numerics.row_blocks(n_s, n_cols)
         floats, ints = formatted(verify.write_csv, tmp_path / "m.csv")
         assert ints == 0
-        assert floats <= (n_s * n_theta * (periods + 1) + n_s
-                          + len(vertex_blocks) * n_cols)
+        assert floats == n_s + n_cols + n_s * n_theta * (periods + 1)
         floats, ints = formatted(verify.write_obj, tmp_path / "m.obj")
         assert floats == 3 * n_s * n_cols
         cell_blocks = numerics.row_blocks(n_s - 1, 2 * n_cols)
