@@ -11,8 +11,10 @@ Two descriptions of the same curve family live here:
 
 ``invariants_to_spiral`` converts prescribed initial curvature/torsion and
 growth rate into the first description; ``SpiralSpec`` packages the second
-and anchors the curve by the translation that puts it into the normal form,
-so that |gamma(z)| matches the closed-form axis-norm identity exactly.
+and anchors the curve at the fixed point of its one-period similarity,
+gamma(0) = (lam I + delta R)^-1 e_3 in closed form, so that the similarity
+acts about the origin with no translation part.  That |gamma(z)| then equals
+the normal form's closed-form axis norm is an identity the tests check.
 
 Torsion follows the classical sign convention tau = (g' x g'') . g''' /
 |g' x g''|^2 throughout.
@@ -192,8 +194,9 @@ class SpiralSpec:
             kappa0 = tau0 = 0.0
         else:
             kappa0, tau0 = matrix_invariants(r)
-            # the normal form squares its rates: xi^2 + rho0^2 in
-            # invariants_to_spiral, and delta^2 (a^2 + b^2 + c^2) in the anchor
+            # input checks: the normal form (invariants_to_spiral, the spiral
+            # table) squares xi^2 + rho0^2, and delta^2 (a^2 + b^2 + c^2)
+            # bounds the lam^2 + (delta |R|)^2 that gamma and the anchor divide by
             xi = float(self.xi)
             if not math.isfinite(xi * xi + kappa0 * kappa0 + tau0 * tau0):
                 raise ValueError(f"xi = {xi:g} is too large: xi^2 + kappa0^2 "
@@ -243,12 +246,6 @@ class SpiralSpec:
     def trivial(self):
         return self.rho0 == 0.0
 
-    def scaled_params(self):
-        """Normal-form spiral parameters of this curve (delta-rescaled)."""
-        params, _ = invariants_to_spiral(self.kappa0, self.tau0, self.xi)
-        return SpiralParams(self.delta * params.a, self.delta * params.b,
-                            self.delta * params.c)
-
     # -- frame, rotation, curve ----------------------------------------------
 
     def frame(self, z):
@@ -282,35 +279,31 @@ class SpiralSpec:
                 + np.multiply.outer(i0 - i_cos, v2))
 
     def _anchor(self):
-        """Translation gamma(0) aligning the curve with its normal form.
+        """gamma(0): the fixed point (lam I + delta R)^-1 e_3 of the
+        similarity, so that gamma(z + 2 pi) = scale * rotation @ gamma(z)
+        with no translation part, for every antisymmetric generator.
 
-        Maps the normal-form start point through the Frenet columns [T, N, B]
-        at z = 0 of the normal-form and of the raw curve.  With this anchor
-        |gamma(z)| equals the closed-form axis norm of the normal-form spiral,
-        and the one-period similarity acts about the origin with no
-        translation part, for every antisymmetric generator.
+        With w the rotation axis, c = e_3 . w and v = e_3 - c w, it is
+        c w / lam along w and (lam v - delta R v) / (lam^2 + (delta |R|)^2)
+        on the plane normal to w.  Below |lam| = _EPS_A (the helix limit)
+        the axial part is left out: each period then translates along w.
         """
         if self.trivial:
             return np.zeros(3)
-        e3 = np.array([0.0, 0.0, 1.0])
-        n_raw = self.r_mat @ e3 / self.kappa0
-        fr_raw = np.column_stack([e3, n_raw, np.cross(e3, n_raw)])
-        p = self.scaled_params()
-        a1 = float(np.sqrt(p.a ** 2 + p.b ** 2 + p.c ** 2))
-        t_hat = np.array([p.a, p.c, p.b]) / a1
-        n_hat = np.array([-p.c, p.a, 0.0]) / np.hypot(p.a, p.c)
-        fr_hat = np.column_stack([t_hat, n_hat, np.cross(t_hat, n_hat)])
-        if abs(p.a) < _EPS_A:
-            start = np.array([1.0, 0.0, 0.0]) / a1
-        else:
-            start = np.array([1.0, 0.0, p.b / p.a]) / a1
-        return fr_raw @ (fr_hat.T @ start)
+        w = self.omega / self.r_norm
+        c = w[2]
+        v = np.array([0.0, 0.0, 1.0]) - c * w
+        lam, mu = self.lam, self.delta * self.r_norm
+        plane = (lam * v - self.delta * (self.r_mat @ v)) / (lam * lam + mu * mu)
+        return plane if abs(lam) < _EPS_A else plane + (c / lam) * w
 
     def gamma(self, z):
         return self._gamma_raw(z) + self.anchor
 
-    def similarity(self):
-        """(scale, rotation) of the one-period action gamma(z + 2 pi) =
-        scale * rotation @ gamma(z), exact for every antisymmetric generator."""
-        return float(np.exp(2.0 * np.pi * self.lam)), self.frame(2.0 * np.pi)
-
+    def similarity(self, p=1):
+        """(scale, rotation) of the p-period action gamma(z + 2 pi p) =
+        scale * rotation @ gamma(z), exact for every antisymmetric generator:
+        (exp(2 pi lam p), frame(2 pi p)).  p may be an array of periods; the
+        scales then have its shape and the rotations its shape + (3, 3)."""
+        p = np.asarray(p, dtype=float)
+        return np.exp(2.0 * np.pi * self.lam * p), self.frame(2.0 * np.pi * p)

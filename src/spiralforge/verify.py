@@ -9,9 +9,9 @@ fields a mesh file cannot.
 """
 
 import functools
+import math
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,36 +51,36 @@ CSV_KEYS = ("s", "theta", "H_abs", "u")
 class Mesh:
     """The (n_s, periods * n_theta) mesh of build_mesh, kept as its first
     period: lab points x (n_s, n_theta, 3), |H| and u on the mesh grid
-    (s, theta).  Period p is the image of the first under the similarity:
-    scale^p rot^p x, |H| / scale^p, theta + 2 pi p.  The writers read it as
-    blocks of mesh rows (see _write_rows), which form it as they go: the
-    vertices' three columns, each scalar column of CSV_KEYS with only the
-    axes it varies along (s and theta as slices of their text, formatted
+    (s, theta).  Period p is the image of the first under the similarity
+    (scales[p], rots[p]) = spec.similarity(p): scales[p] rots[p] x,
+    |H| / scales[p], theta + 2 pi p.  The writers read it as blocks of mesh
+    rows (see _write_rows), which form it as they go and hand over its text:
+    the vertices' three columns, each scalar column of CSV_KEYS with only
+    the axes it varies along (s and theta as slices of their text, formatted
     once per mesh), and the faces, numbered from 1 as the OBJ does, as
     slices of the text of their corner ids.  No method forms the whole
     arrays."""
 
-    def __init__(self, s, theta, x, h_abs, u, similarity, periods):
+    def __init__(self, s, theta, x, h_abs, u, similarity):
         self.s, self.theta, self.x, self.h_abs, self.u = s, theta, x, h_abs, u
+        self.scales, self.rots = similarity
+        periods = len(self.scales)
         # theta of each mesh column, theta + 2 pi p in period p: (1, periods, n_theta)
         self.col_theta = (theta + 2.0 * np.pi * np.arange(periods)[:, None])[None]
-        scale, rot = similarity
-        self.maps = [(scale ** p, np.linalg.matrix_power(rot, p)) for p in range(periods)]
         self.n_cols = periods * len(theta)
 
     def _vertices(self, rows):
         x = self.x[rows]
-        out = np.empty((len(x), len(self.maps), *x.shape[1:]))
-        for p, (scale_p, rot_p) in enumerate(self.maps):
+        out = np.empty((len(x), len(self.scales), *x.shape[1:]))
+        for p, (scale_p, rot_p) in enumerate(zip(self.scales, self.rots)):
             out[:, p] = x if p == 0 else scale_p * np.einsum("ij,...j->...i", rot_p, x)
         return out.reshape(-1, 3)
 
     def _scalars(self, rows):
         """The CSV_KEYS columns of the mesh rows, each with only the axes of
         (row, period, theta) it varies along."""
-        scales = np.array([scale_p for scale_p, _ in self.maps])[:, None]
-        return (self.s[rows, None, None], self.col_theta, self.h_abs[rows, None] / scales,
-                self.u[rows, None])
+        return (self.s[rows, None, None], self.col_theta,
+                self.h_abs[rows, None] / self.scales[:, None], self.u[rows, None])
 
     def _corners(self, cells):
         """Vertex ids (rows, n_cols) of the mesh rows that bound the cells."""
@@ -88,17 +88,17 @@ class Mesh:
         return rows[:, None] * self.n_cols + np.arange(self.n_cols)
 
     def vertex_blocks(self):
-        return (tuple(self._vertices(rows).T)
-                for rows in row_blocks(len(self.s), self.n_cols))
+        for rows in row_blocks(len(self.s), self.n_cols):
+            yield [_text(column) for column in self._vertices(rows).T]
 
     def face_blocks(self):
         for cells in row_blocks(len(self.s) - 1, 2 * self.n_cols):
-            yield list(map(_Text, _triangles(_text(self._corners(cells) + 1).chars)))
+            yield _triangles(_text(self._corners(cells) + 1))
 
     def scalar_blocks(self):
         s, theta = _text(self.s[:, None, None]), _text(self.col_theta)
         for rows in row_blocks(len(self.s), self.n_cols):
-            yield (_Text(s.chars[:, rows]), theta, *self._scalars(rows)[2:])
+            yield (s[:, rows], theta, *map(_text, self._scalars(rows)[2:]))
 
 
 def _triangles(ids):
@@ -115,8 +115,9 @@ def _triangles(ids):
 
 def check_self_similarity(spec, grid, u):
     """Relative defect of G_w(s, theta + 2 pi) = scale * rot * G_w(s, theta)
-    for the graph G_w of the values u (solver.graph_values) on grid, its
-    normals at theta and theta + 2 pi formed by bent.graph_point.
+    for the graph G_w of the values u (solver.graph_values) on grid, by
+    bent.graph_point at theta and theta + 2 pi with one gauged normal per
+    block for both: the gauge makes it 2 pi-periodic in closed form.
 
     Zero to roundoff for periodic u over a correctly anchored curve; the
     similarity is centered at the origin, so any mis-anchoring (a translated
@@ -131,8 +132,9 @@ def check_self_similarity(spec, grid, u):
     defects, sizes = [], []
     for blk in row_blocks(*u.shape):
         s_col = grid.s[blk, None]
-        x1 = bent.graph_point(spec, s_col, t_row, u[blk])
-        x2 = bent.graph_point(spec, s_col, t_next, u[blk])
+        nu = bent._gauged_normal(spec, s_col, t_row)
+        x1 = bent.graph_point(spec, s_col, t_row, u[blk], nu)
+        x2 = bent.graph_point(spec, s_col, t_next, u[blk], nu)
         image = scale * np.einsum("ij,...j->...i", rot, x1)
         defects.append((np.abs(x2 - image) * gauge).max())
         sizes.append(np.abs(x1 * gauge).max())
@@ -222,7 +224,9 @@ def build_mesh(spec, grid, u, resolution=(64, 64), periods=1):
     theta samples are uniform without the wrap point, so one period of an
     (n, m) mesh has exactly n * m vertices.  Additional periods are images of the first
     under the discrete dilation, so the seams are exact; the returned Mesh
-    holds the first period only and forms the others as they are read.
+    holds the first period and the maps spec.similarity(p) of every period p,
+    and forms the others as they are read.  Raises OverflowError when the
+    last period's scale or its inverse is not a finite nonzero double.
 
     u is resampled on the whole first period at once (Grid.resample), the
     u the Mesh keeps.  The rest runs a block of numerics.row_blocks mesh
@@ -230,6 +234,12 @@ def build_mesh(spec, grid, u, resolution=(64, 64), periods=1):
     the mesh grid's derivatives of those rows of that u (Grid.derivatives),
     so every value is bit for bit the whole-mesh one.
     """
+    with np.errstate(over="ignore"):
+        similarity = spec.similarity(np.arange(periods))
+    last = float(similarity[0][-1])
+    if not (0.0 < last < math.inf and 1.0 / last < math.inf):
+        raise OverflowError(f"periods = {periods}: the similarity factor {last:g} of "
+                            f"the last period or its inverse leaves the double range")
     n_sm, n_tm = resolution
     mesh_grid = Grid(grid.ell, n_sm - 1, n_tm)
     s_m, t_m = mesh_grid.s, mesh_grid.theta
@@ -246,7 +256,7 @@ def build_mesh(spec, grid, u, resolution=(64, 64), periods=1):
         q = bent.graph_q(spec.lam, brackets, normals, ch2, derivs)
         h_abs[blk] = np.abs(q) / (np.exp(spec.lam * t_row) * ch2)
         x[blk] = bent.graph_point(spec, s_col, t_row, u_mesh[blk], normals["nu"])
-    return Mesh(s_m, t_m, x, h_abs, u_mesh, spec.similarity(), periods)
+    return Mesh(s_m, t_m, x, h_abs, u_mesh, similarity)
 
 
 # ---------------------------------------------------------------------------
@@ -444,38 +454,29 @@ def _int_field(v, chars):
     return width
 
 
-class _Text(NamedTuple):
-    """Values' text as planes: chars[j] holds byte j of each value's text,
-    NUL where the text is shorter; shape (width, *values' shape)."""
-    chars: np.ndarray
-
-    @property
-    def shape(self):
-        return self.chars.shape[1:]
-
-
 def _text(values):
-    """The _Text of an array of floats ("%.17g") or non-negative integers
-    ("%d")."""
+    """The text of an array of floats ("%.17g") or non-negative integers
+    ("%d") as planes, shape (width, *values.shape): plane j holds byte j of
+    each value's text, NUL where the text is shorter."""
     flat = values.ravel()
     field = _float_field if flat.dtype.kind == "f" else _int_field
     chars = np.empty((_FIELD_MAX, flat.size), np.uint8)
     w = field(flat, chars)
-    return _Text(chars[:w].reshape(w, *values.shape))
+    return chars[:w].reshape(w, *values.shape)
 
 
 def _write_rows(fh, blocks, prefix, sep, end):
     """Write each row of each block as prefix, the row's fields joined by
     sep, and end, one write per block.
 
-    A block is a sequence of columns with equally many axes that broadcast
-    against each other, one line per element of their broadcast shape in C
-    order.  A column is an array of values or their _Text: each column is
-    formatted from its own values, and its planes are broadcast into the
-    block's, and the block's bytes are read row by row without the NULs.
+    A block is a sequence of columns of text (_text's planes) whose values'
+    shapes have equally many axes and broadcast against each other, one line
+    per element of their broadcast shape in C order.  Each column's planes
+    are broadcast into the block's, and the block's bytes are read row by
+    row without the NULs.
     """
     for columns in blocks:
-        shape = np.broadcast_shapes(*(col.shape for col in columns))
+        shape = np.broadcast_shapes(*(col.shape[1:] for col in columns))
         literals = [prefix, *[sep] * (len(columns) - 1), end]
         size = sum(map(len, literals)) + len(columns) * _FIELD_MAX
         chars = np.empty((size, *shape), np.uint8)
@@ -484,9 +485,8 @@ def _write_rows(fh, blocks, prefix, sep, end):
             chars[w:w + len(lit)] = np.frombuffer(lit, np.uint8).reshape(-1, *axes)
             w += len(lit)
             if j < len(columns):
-                text = columns[j] if isinstance(columns[j], _Text) else _text(columns[j])
-                chars[w:w + len(text.chars)] = text.chars
-                w += len(text.chars)
+                chars[w:w + len(columns[j])] = columns[j]
+                w += len(columns[j])
         fh.write(chars[:w].reshape(w, -1).T.tobytes().translate(None, b"\0"))
 
 

@@ -13,6 +13,11 @@ import pytest
 
 from spiralforge import cli
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test skips itself without hypothesis
+    given = None
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "spiralforge.cli", *args],
@@ -202,6 +207,64 @@ def test_bad_input_rejected_at_boundary(argv, key, tmp_path, capsys):
     # rejected before any output, even where the rejection is an overflow
     assert out == ""
     assert [p.name for p in tmp_path.iterdir()] in ([], ["run.cfg"])
+
+
+# each flag's values for the argv property test: admissible ones and the
+# edges of the admissible box, on grids small enough to solve in a few ms
+_ARGV_VALUES = {
+    "--kappa0": ["1", "0.8", "1.2", "0", "-1", "nan", "1e300"],
+    "--tau0": ["0", "0.5", "-0.8", "inf", "1e200"],
+    "--xi": ["1", "0.9", "-1", "0", "1e-25", "1e200", "-inf"],
+    "--delta": ["1e-3", "2e-3", "5e-3", "0", "-1e-3", "1e-170", "1e300"],
+    "--ell": ["32", "17", "16", "8", "1e300", "nan"],
+    "--tol": ["1e-9", "1e-3", "0", "-1"],
+    "--alpha": ["0.5", "0.1", "0", "1"],
+    "--ns": ["64", "96", "128", "24", "7", "4", "0"],
+    "--ntheta": ["8", "4", "16", "6", "2", "0"],
+    "--max-iter": ["50", "1", "2", "0"],
+    "--seed": ["0", "7", "-1"],
+    "--periods": ["1", "2", "3", "0", "1000000000"],
+    "--mesh-resolution": ["6", "8", "5", "0", "100000"],
+}
+
+
+def _argv_runs():
+    flags = st.dictionaries(st.sampled_from(sorted(_ARGV_VALUES)), st.integers(0, 6),
+                            max_size=4)
+    commands = st.sampled_from(["spiral", "solve", "check-embed", "export"])
+    # the output path is sometimes a regular file, which the writers cannot use
+    return st.tuples(commands, flags, st.booleans())
+
+
+@pytest.mark.skipif(given is None, reason="hypothesis not installed")
+def test_argv_exit_codes_property(tmp_path_factory):
+    # any command with any of these flags exits 0, 2, 3, 4 or 5 (never by an
+    # uncaught exception, which a console script turns into 1), and a
+    # rejected run writes nothing into its output directory
+    @settings(max_examples=100)
+    @given(_argv_runs())
+    def check(run):
+        command, picks, out_is_file = run
+        # the grid stays bounded unless a flag of the draw sets it
+        argv = [command, "--ns", "64", "--ntheta", "8", "--mesh-resolution", "6"]
+        for flag, i in sorted(picks.items()):
+            values = _ARGV_VALUES[flag]
+            argv.append(f"{flag}={values[i % len(values)]}")
+        out = tmp_path_factory.mktemp("argv")
+        if out_is_file:
+            out = out / "taken"
+            out.write_text("")
+        code = cli.main([*argv, "--out", str(out)])
+        assert code in (cli.EXIT_OK, cli.EXIT_REJECTED, cli.EXIT_NO_CONVERGENCE,
+                        cli.EXIT_IO, cli.EXIT_COLLISION), argv
+        if out_is_file:
+            # solve and export write into the output directory
+            assert code != cli.EXIT_OK or command in ("spiral", "check-embed"), argv
+            assert out.read_text() == "", argv
+        elif code == cli.EXIT_REJECTED:
+            assert list(out.iterdir()) == [], argv
+
+    check()
 
 
 def test_export_above_the_vertex_cap_is_rejected_at_once(tmp_path, capsys):

@@ -228,6 +228,40 @@ class TestGamma:
             defect = spec.gamma(2.0 * np.pi) - scale * rot @ spec.gamma(0.0)
             assert np.linalg.norm(defect) < 1e-10
 
+    def test_anchor_solves_the_fixed_point_equation(self):
+        # gamma(0) = (lam I + delta R)^-1 e_3 = b_mat^-1 e_3, against a
+        # dense solve wherever the growth keeps b_mat well conditioned
+        rng = np.random.default_rng(32)
+        e3 = np.array([0.0, 0.0, 1.0])
+        for _ in range(300):
+            w = rng.standard_normal(3)
+            xi = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 1)
+            spec = SpiralSpec(skew(w), 10.0 ** rng.uniform(-3, 0), xi)
+            want = np.linalg.solve(spec.b_mat, e3)
+            assert np.linalg.norm(spec.anchor - want) < 1e-11 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("xi", [0.0, 1e-25])
+    def test_helix_anchor_has_no_axial_part(self, xi):
+        # below |lam| = _EPS_A the anchor solves the fixed-point equation on
+        # the plane normal to the rotation axis w and has no part along w
+        e3 = np.array([0.0, 0.0, 1.0])
+        for w in ([0.0, 1.0, 0.0], [0.0, 1.0, 0.5], [0.4, 0.9, 0.3], [-1.2, 0.1, 0.7]):
+            spec = SpiralSpec(skew(w), 0.01, xi)
+            axis = spec.omega / spec.r_norm
+            assert abs(spec.anchor @ axis) < 1e-14 * np.linalg.norm(spec.anchor)
+            want = e3 - (e3 @ axis) * axis
+            assert np.abs(spec.b_mat @ spec.anchor - want).max() < 1e-14
+
+    def test_similarity_of_many_periods(self, demo_spec):
+        # similarity(p) in closed form against the p-th powers of one period
+        scale, rot = demo_spec.similarity()
+        periods = np.arange(50)
+        scales, rots = demo_spec.similarity(periods)
+        assert scales.shape == (50,) and rots.shape == (50, 3, 3)
+        for p in periods:
+            assert rel_err(scales[p], scale ** p) < 1e-14
+            assert np.abs(rots[p] - np.linalg.matrix_power(rot, p)).max() < 1e-14
+
 
 class TestSpecValidation:
     def test_trivial_rejected_by_default(self):

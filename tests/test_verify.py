@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import time
 import tracemalloc
 from dataclasses import MISSING, fields
 
@@ -37,9 +38,9 @@ def whole_grid_self_similarity(spec, g, u):
     """check_self_similarity's formula on whole-grid arrays."""
     s_col, t_row = g.s[:, None], g.theta[None, :]
     t_next = t_row + 2.0 * np.pi
-    x1 = bent.graph_point(spec, s_col, t_row, u, bent._gauged_normal(spec, s_col, t_row))
-    x2 = bent.graph_point(spec, s_col, t_next, u,
-                          bent._gauged_normal(spec, s_col, t_next))
+    nu = bent._gauged_normal(spec, s_col, t_row)
+    x1 = bent.graph_point(spec, s_col, t_row, u, nu)
+    x2 = bent.graph_point(spec, s_col, t_next, u, nu)
     scale, rot = spec.similarity()
     image = scale * np.einsum("ij,...j->...i", rot, x1)
     gauge = np.exp(-spec.lam * g.theta)[:, None]
@@ -72,7 +73,7 @@ def mesh_faces(mesh):
 
 def mesh_scalars(mesh):
     """The whole CSV_KEYS columns of a verify.Mesh, one value per vertex."""
-    shape = (len(mesh.s), len(mesh.maps), len(mesh.theta))
+    shape = (len(mesh.s), len(mesh.scales), len(mesh.theta))
     return {key: np.broadcast_to(column, shape).ravel()
             for key, column in zip(verify.CSV_KEYS, mesh._scalars(slice(None)))}
 
@@ -135,6 +136,24 @@ class TestSelfSimilarity:
             tracemalloc.stop()
         assert peak <= 3.0
         assert got == whole_grid_self_similarity(ws.spec, ws.grid, u)
+
+    def test_one_normal_per_block(self, monkeypatch):
+        # the gauged normal is 2 pi-periodic in closed form: the audit forms
+        # it once per block of rows, for theta and theta + 2 pi alike
+        spec = SpiralSpec.from_invariants(1.0, 0.6, 0.9, 1e-3)
+        g = Grid(32.0, 128, 16)
+        u = np.zeros((129, 16)) + profile(spec.lam, g).values[:, None]
+        calls = []
+        normal = bent._gauged_normal
+
+        def counted(*args):
+            calls.append(args)
+            return normal(*args)
+
+        monkeypatch.setattr(numerics, "BLOCK", 16 * 20)
+        monkeypatch.setattr(bent, "_gauged_normal", counted)
+        assert verify.check_self_similarity(spec, g, u) < 1e-12
+        assert len(calls) == len(numerics.row_blocks(129, 16)) == 7
 
     def test_mis_anchored_control(self, demo_solve):
         # translating the surface breaks the origin-centred similarity: the
@@ -346,6 +365,29 @@ class TestExport:
         got = mesh_scalars(mesh)["H_abs"].reshape(len(g.s), g.n_theta)
         assert np.abs(got - want).max() < 1e-12
 
+    def test_many_periods_build_at_once(self):
+        # every period's map comes from one closed-form similarity call:
+        # 100,000 periods of a 6x6 mesh build in well under a second
+        spec = SpiralSpec.from_invariants(1.0, 0.0, 1.0, 1e-3)
+        g = Grid(32.0, 64, 8)
+        u = np.zeros((65, 8)) + profile(spec.lam, g).values[:, None]
+        start = time.process_time()
+        mesh = verify.build_mesh(spec, g, u, (6, 6), periods=100_000)
+        assert time.process_time() - start < 1.0
+        assert mesh.scales.shape == (100_000,) and mesh.rots.shape == (100_000, 3, 3)
+        assert mesh.n_cols == 600_000
+
+    @pytest.mark.parametrize("xi", [1.0, -1.0])
+    def test_similarity_factor_overflow_raises(self, xi):
+        # exp(2 pi delta xi (periods - 1)) or its inverse leaves the double
+        # range past 112,966 periods at delta = 1e-3, |xi| = 1
+        spec = SpiralSpec.from_invariants(1.0, 0.0, xi, 1e-3)
+        g = Grid(32.0, 64, 8)
+        u = np.zeros((65, 8)) + profile(spec.lam, g).values[:, None]
+        verify.build_mesh(spec, g, u, (6, 6), periods=112_966)
+        with pytest.raises(OverflowError, match="periods = 112968"):
+            verify.build_mesh(spec, g, u, (6, 6), periods=112_968)
+
     def test_too_large_graph_rejected(self):
         # the flat rig of the solver's aspect guard test: offsetting by the
         # focal distance cosh^2 of a mesh row degenerates that row of the mesh
@@ -534,7 +576,7 @@ class TestExport:
             monkeypatch.setattr(numerics, "BLOCK", block)
 
         def blocks(columns):
-            return ([c[sl] for c in columns]
+            return ([verify._text(c[sl]) for c in columns]
                     for sl in numerics.row_blocks(len(columns[0]), 1))
 
         obj, sidecar = io.BytesIO(), io.BytesIO()
@@ -606,8 +648,9 @@ class TestExport:
         shape = (rows, periods, n_theta)
         full = np.column_stack([np.broadcast_to(c, shape).ravel() for c in columns])
         broadcast, materialized = io.BytesIO(), io.BytesIO()
-        verify._write_rows(broadcast, [columns], b"", b",", b"\r\n")
-        verify._write_rows(materialized, [tuple(full.T)], b"", b",", b"\r\n")
+        verify._write_rows(broadcast, [list(map(verify._text, columns))], b"", b",", b"\r\n")
+        verify._write_rows(materialized, [list(map(verify._text, full.T))], b"", b",",
+                           b"\r\n")
         assert broadcast.getvalue() == materialized.getvalue()
         want = "".join(",".join("%.17g" % v for v in row) + "\r\n" for row in full.tolist())
         assert broadcast.getvalue() == want.encode()
@@ -617,7 +660,7 @@ def _text_lines(values):
     """The writers' text of each value, one value per row."""
     values = np.asarray(values)
     fh = io.BytesIO()
-    blocks = ([values[sl]] for sl in numerics.row_blocks(len(values), 1))
+    blocks = ([verify._text(values[sl])] for sl in numerics.row_blocks(len(values), 1))
     verify._write_rows(fh, blocks, b"", b"", b"\n")
     return fh.getvalue().decode().split("\n")[:-1]
 
