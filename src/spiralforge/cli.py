@@ -15,6 +15,7 @@ collision found by check-embed (3 wins when the solve did not converge too).
 import argparse
 import math
 import os
+import re
 import sys
 
 # honor the thread cap before numpy initializes its thread pools
@@ -169,13 +170,6 @@ def parse_config(path=None, overrides=None):
     return cfg.validate()
 
 
-def config_dict(cfg):
-    # output_dir is environment, not a run parameter: identical runs into
-    # different directories must still produce byte-identical reports
-    d = asdict(cfg)
-    return {k: v for k, v in d.items() if v is not None and k != "output_dir"}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -233,11 +227,14 @@ def cmd_solve(cfg):
     from . import verify
 
     report, spec, grid, u = _solve(cfg)
-    report.config = config_dict(cfg)
+    # output_dir is environment, not a run parameter: identical runs into
+    # different directories must still produce byte-identical reports
+    report.config = {k: v for k, v in asdict(cfg).items()
+                     if v is not None and k != "output_dir"}
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "report.txt"), "w") as fh:
-        fh.write(verify.report_text(report))
+    with verify.whole_file(os.path.join(out, "report.txt")) as fh:
+        fh.write(verify.report_text(report).encode())
     _export(cfg, spec, grid, u)
     print(f"converged = {report.converged} after {report.iterations} iterations; "
           f"interior residual {report.final_interior_residual:.3e}; "
@@ -283,6 +280,9 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("spiral", "solve", "check-embed", "export"):
         q = sub.add_parser(name)
+        # a negative float literal, exponent form included, is a flag's value:
+        # argparse reads only -5 and -.5 forms as numbers, -1e-3 as an option
+        q._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
         q.add_argument("--config", default=None)
         for flag in ("kappa0", "tau0", "xi", "delta", "ell", "tol", "alpha"):
             q.add_argument(f"--{flag}", type=float)

@@ -7,7 +7,8 @@ b, and the values of Cutoff(a, b) and Cutoff(b, a) sum to 1 pointwise.
 ``Cutoff.jet`` gives the value with its first and second derivatives in
 closed form, from one evaluation of the profile, which the helicoid module
 needs to evaluate substitute-kernel images without differencing across the
-band.  ``Cutoff.breakpoints`` gives where the band starts and ends, so the
+band, and ``Cutoff.even_jet`` the same at |s| for radial cutoffs.
+``Cutoff.breakpoints`` gives where the band starts and ends, so the
 transition's placement is known only to this module.
 """
 
@@ -60,6 +61,15 @@ class Cutoff:
         v, v1, v2 = _profile(arg)
         return v, v1 * 6.0 / (self.b - self.a), v2 * 36.0 / (self.b - self.a) ** 2
 
+    def even_jet(self, s):
+        """jet at |s| with full s-derivatives: (value, d/ds, d2/ds2).
+
+        For radial cutoffs psi(|s|); the chain rule through |s| is safe
+        because every such cutoff is constant in a neighbourhood of s = 0.
+        """
+        v, v1, v2 = self.jet(np.abs(s))
+        return v, np.sign(s) * v1, v2
+
     def breakpoints(self):
         """(a, band start, band end, b): the t that jet's affine map sends to
         -3, -1, 1, 3, in the order from a to b."""
@@ -68,14 +78,3 @@ class Cutoff:
         return tuple((self.a * (3.0 - x) + self.b * (3.0 + x)) / 6.0
                      for x in (-3.0, -1.0, 1.0, 3.0))
 
-
-def even_cutoff(a, b, s):
-    """Cutoff(a, b) evaluated at |s|, with full s-derivatives.
-
-    Returns (value, d/ds, d2/ds2).  Used for radial cutoffs psi(|s|); the
-    chain rule through |s| is safe because every such cutoff is constant in a
-    neighbourhood of s = 0.
-    """
-    s = np.asarray(s, dtype=float)
-    v, v1, v2 = Cutoff(a, b).jet(np.abs(s))
-    return v, np.sign(s) * v1, v2

@@ -21,14 +21,14 @@ straightening profile u0 go through.
 
 import numpy as np
 
-from .cutoffs import Cutoff, even_cutoff
+from .cutoffs import Cutoff
 from .jets import jet_from_arrays
-from .numerics import BandedLU, derivative_matrix, theta_derivative
+from .numerics import BandedLU, derivative_matrix, theta_derivatives
 
 # the substitutes' cutoff band: 0 for |s| <= 1, 1 for |s| >= 2; and
-# kernel_pairing's quad breakpoints, ascending: +- those of Cutoff(*_BAND)
-_BAND = (1.0, 2.0)
-_CUT_BREAKPOINTS = tuple(sorted(sign * t for t in Cutoff(*_BAND).breakpoints()
+# kernel_pairing's quad breakpoints, ascending: +- those of _BAND
+_BAND = Cutoff(1.0, 2.0)
+_CUT_BREAKPOINTS = tuple(sorted(sign * t for t in _BAND.breakpoints()
                                 for sign in (-1.0, 1.0)))
 
 
@@ -130,7 +130,7 @@ def substitute_factors(which, s, theta):
     """
     s = np.asarray(s, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    psi, dpsi, ddpsi = even_cutoff(*_BAND, s)
+    psi, dpsi, ddpsi = _BAND.even_jet(s)
     if which == "z":
         one = np.ones_like(theta)
         r = psi * s / (4.0 * np.pi)
@@ -165,7 +165,7 @@ def stability_apply(u, s):
     h = s[1] - s[0]
     d2 = derivative_matrix(len(s), h, 2, acc=2)
     u_ss = d2 @ u
-    u_tt = theta_derivative(u, order=2)
+    (u_tt,) = theta_derivatives(u, (2,))
     return u_ss + u_tt + 2.0 * u / np.cosh(s)[:, None] ** 2
 
 
@@ -233,12 +233,12 @@ def kernel_pairing(which, s_max):
         raise ValueError("s_max must cover the cutoff band, s_max >= 3")
     if which in ("x", "y"):
         def integrand(s):
-            psi, dpsi, ddpsi = even_cutoff(*_BAND, s)
+            psi, dpsi, ddpsi = _BAND.even_jet(s)
             return 0.25 * (ddpsi + 2.0 * dpsi * np.tanh(s)
                            + 2.0 * psi / np.cosh(s) ** 2)
     elif which == "z":
         def integrand(s):
-            psi, dpsi, ddpsi = even_cutoff(*_BAND, s)
+            psi, dpsi, ddpsi = _BAND.even_jet(s)
             return 0.5 * np.tanh(s) * (ddpsi * s + 2.0 * dpsi
                                        + 2.0 * psi * s / np.cosh(s) ** 2)
     else:

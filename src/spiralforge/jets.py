@@ -90,16 +90,12 @@ def unit_normal(jet):
     return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
-def second_fundamental(jet):
-    """Components (A11, A22, A12, A21) of the second fundamental form."""
-    nu = unit_normal(jet)
-    return tuple(np.einsum("...i,...i->...", jet.d2[..., k, :], nu) for k in range(4))
-
-
 def mean_curvature(jet):
-    """Sum of principal curvatures; homogeneous of degree -1."""
+    """Sum of principal curvatures; homogeneous of degree -1.  a11 ... a21
+    are the second fundamental form's components, d2 against the normal."""
     g11, g12, g22 = metric(jet)
-    a11, a22, a12, a21 = second_fundamental(jet)
+    nu = unit_normal(jet)
+    a11, a22, a12, a21 = (np.einsum("...i,...i->...", jet.d2[..., k, :], nu) for k in range(4))
     det = g11 * g22 - g12 * g12
     return (g22 * a11 - g12 * (a12 + a21) + g11 * a22) / det
 

@@ -201,13 +201,8 @@ class BandedLU:
         return x
 
 
-def theta_derivative(u, order=1):
-    """Exact mode-wise theta derivative of u with shape (..., n_theta)."""
-    return theta_derivatives(u, (order,))[0]
-
-
 def theta_derivatives(u, orders):
-    """The theta derivatives of u of the given orders, from one spectrum."""
+    """Exact theta derivatives of u (..., n_theta) of the given orders, from one spectrum."""
     n = u.shape[-1]
     m = np.arange(n // 2 + 1)  # rfft wavenumbers of a 2 pi-periodic grid
     uh = np.fft.rfft(u, axis=-1)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import verify
 from .bent import BentSurface, solve_u0
-from .cutoffs import even_cutoff
+from .cutoffs import Cutoff
 from .errors import RejectedParametersError
 from .helicoid import StabilityModes, kernel_fn, substitute_factors
 from .numerics import Grid, cumulative_from_zero, fd_weights, iterate, weighted_norm
@@ -101,8 +101,9 @@ class Workspace:
         self.surface = BentSurface(spec, g)
         s_col, t_row = g.s[:, None], g.theta[None, :]
 
-        self.psi = even_cutoff(np.arccosh(ell / 2.0), np.arccosh(ell / 4.0), g.s)[0]
-        self.psi_outer = even_cutoff(np.arccosh(ell), np.arccosh(ell / 2.0), g.s)[0]
+        s_half = np.arccosh(ell / 2.0)
+        self.psi = Cutoff(s_half, np.arccosh(ell / 4.0)).even_jet(g.s)[0]
+        self.psi_outer = Cutoff(g.s_max, s_half).even_jet(g.s)[0]
         # Q's residual is read on cosh s <= ell / 4, where psi is 1: one run of rows
         interior = np.cosh(g.s) <= self.ell / 4.0
         start = int(np.argmax(interior))
@@ -156,21 +157,16 @@ class Workspace:
         return float(self.grid.h * self.grid.w_theta * np.sum(u * v))
 
     def fix_gauge(self, v):
-        """Remove the horizontal-translation content of v.
+        """Remove the horizontal-translation content of v in place; returns v.
 
         The bounded kernel directions correspond to translating the whole
         surface, which the operator cannot see: left in, they form a neutral
         family along which the iteration wanders indefinitely.  Projecting
         them out pins one representative.  (The vertical direction is
         already pinned by the mean solve's value/slope normalization.)
-        Returns a new array; v is left as it is.
-        """
-        return self._remove_gauges(v.copy())
-
-    def _remove_gauges(self, v):
-        """fix_gauge in place: v loses its gauge content and is returned.
         Each gauge is formed, scaled by its pairing with v and subtracted,
-        and freed before the next is formed."""
+        and freed before the next is formed.
+        """
         for which in "xy":
             gauge = self.gauge(which)
             gauge *= self.inner_flat(v, gauge)
@@ -289,7 +285,7 @@ def psi_step(ws, state):
     # returning the heap's top to the system and faulting it in again on
     # every step
     del q
-    new = SolverState(ws._remove_gauges(v), state.b_x - beta_x, state.b_y - beta_y)
+    new = SolverState(ws.fix_gauge(v), state.b_x - beta_x, state.b_y - beta_y)
     update = (weighted_norm(np.subtract(new.v, state.v, out=v_hat), ws.grid)
               + abs(new.b_x - state.b_x) + abs(new.b_y - state.b_y))
     return new, q_interior, update

@@ -99,11 +99,6 @@ def skew(w):
                      [-w[1], w[0], 0.0]])
 
 
-def rotation_vector(r_mat):
-    """Inverse of ``skew``."""
-    return np.array([r_mat[2, 1], r_mat[0, 2], r_mat[1, 0]])
-
-
 def frenet_generator(kappa0, tau0):
     """Generator whose frame is the Frenet frame of its own curve.
 
@@ -225,7 +220,8 @@ class SpiralSpec:
 
     @property
     def omega(self):
-        return rotation_vector(self.r_mat)
+        """The rotation vector w with R = skew(w)."""
+        return np.array([self.r_mat[2, 1], self.r_mat[0, 2], self.r_mat[1, 0]])
 
     @property
     def r_norm(self):

@@ -10,7 +10,9 @@ fields a mesh file cannot.
 
 import functools
 import math
+import os
 import random
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -490,9 +492,23 @@ def _write_rows(fh, blocks, prefix, sep, end):
         fh.write(chars[:w].reshape(w, -1).T.tobytes().translate(None, b"\0"))
 
 
+@contextmanager
+def whole_file(path):
+    """open(path, "wb") for one writer; a raise in the writer or the close
+    removes the file, so no truncated file is left under its name."""
+    fh = open(path, "wb")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        with suppress(OSError):
+            os.remove(path)
+        raise
+
+
 def write_obj(mesh, path):
     """ASCII OBJ, vertices in full double precision, 1-indexed faces."""
-    with open(path, "wb") as fh:
+    with whole_file(path) as fh:
         _write_rows(fh, mesh.vertex_blocks(), b"v ", b" ", b"\n")
         _write_rows(fh, mesh.face_blocks(), b"f ", b" ", b"\n")
 
@@ -500,7 +516,7 @@ def write_obj(mesh, path):
 def write_csv(mesh, path):
     """CSV sidecar: header s,theta,H_abs,u (CSV_KEYS), then one CRLF-ended
     row per vertex."""
-    with open(path, "wb") as fh:
+    with whole_file(path) as fh:
         fh.write(",".join(CSV_KEYS).encode() + b"\r\n")
         _write_rows(fh, mesh.scalar_blocks(), b"", b",", b"\r\n")
 

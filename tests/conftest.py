@@ -6,7 +6,7 @@ import pytest
 from spiralforge import solver, spirals
 from spiralforge.bent import BentSurface, solve_u0
 from spiralforge.helicoid import StabilityModes
-from spiralforge.numerics import Grid, fd_weights, theta_derivative
+from spiralforge.numerics import Grid, fd_weights, theta_derivatives
 
 try:
     from hypothesis import settings
@@ -74,7 +74,7 @@ def apply_operator(ws, v):
     """The discrete flattened stability operator the workspace's mode solves
     invert: d2 v + v_tt + (2 sech^2 s) v."""
     g = ws.grid
-    return (g.d2 @ v + theta_derivative(v, order=2)
+    return (g.d2 @ v + theta_derivatives(v, (2,))[0]
             + ws.modes.potential[:, None] * v)
 
 

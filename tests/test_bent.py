@@ -8,7 +8,7 @@ from spiralforge.bent import BentSurface, bent_jet, bent_point, normalized_jet
 from spiralforge.errors import (GraphTooLargeError, InvalidImmersionError,
                                NoProfileError, RejectedParametersError)
 from spiralforge.helicoid import reference_jet, reference_point
-from spiralforge.numerics import Grid, theta_derivative
+from spiralforge.numerics import Grid, theta_derivatives
 from spiralforge.spirals import SpiralSpec
 
 from conftest import bent_surface, profile, rows_of
@@ -307,7 +307,7 @@ class TestQOperator:
     def test_periodicity_of_output(self, spec):
         # evaluate the same periodic graph on the theta window shifted by a
         # full period: Q must reproduce itself to roundoff
-        from spiralforge.numerics import derivative_matrix, theta_derivative
+        from spiralforge.numerics import derivative_matrix
         s = np.linspace(-2.0, 2.0, 65)
         theta = -np.pi + 2 * np.pi * np.arange(16) / 16
         h = s[1] - s[0]
@@ -315,8 +315,8 @@ class TestQOperator:
         d2 = derivative_matrix(len(s), h, 2, acc=4)
         rng = np.random.default_rng(5)
         u = 1e-3 * rng.standard_normal((65, 16))
-        u_t = theta_derivative(u)
-        derivs = (u, u_t, d1 @ u, theta_derivative(u, order=2), d2 @ u, d1 @ u_t)
+        u_t, u_tt = theta_derivatives(u, (1, 2))
+        derivs = (u, u_t, d1 @ u, u_tt, d2 @ u, d1 @ u_t)
 
         def q_of(t):
             brackets, normals, ch2 = bent.geometry(spec, s[:, None], t[None, :])
@@ -381,7 +381,7 @@ class TestQOperator:
         eps = 1e-6
         dq = (surf.q_operator(rows_of(g.derivatives(eps * u)))
               - surf.q_operator(rows_of(g.derivatives(-eps * u)))) / (2 * eps)
-        want = (g.d2 @ u + theta_derivative(u, order=2)
+        want = (g.d2 @ u + theta_derivatives(u, (2,))[0]
                 + 2 * u / np.cosh(g.s)[:, None] ** 2)
         assert np.abs(dq - want).max() < 1e-8
 

@@ -236,20 +236,36 @@ def _argv_runs():
     return st.tuples(commands, flags, st.booleans())
 
 
+def _assert_mesh_counts(out, res, periods):
+    """Each OBJ/CSV in out has the vertex, face and row counts of a res x
+    res mesh of periods periods."""
+    vertices, faces = res * res * periods, 2 * (res - 1) * (res * periods - 1)
+    if (out / "surface.obj").exists():
+        lines = (out / "surface.obj").read_bytes().splitlines()
+        assert sum(line.startswith(b"v ") for line in lines) == vertices
+        assert sum(line.startswith(b"f ") for line in lines) == faces
+        assert len(lines) == vertices + faces
+    if (out / "fields.csv").exists():
+        assert len((out / "fields.csv").read_bytes().splitlines()) == vertices + 1
+
+
 @pytest.mark.skipif(given is None, reason="hypothesis not installed")
 def test_argv_exit_codes_property(tmp_path_factory):
     # any command with any of these flags exits 0, 2, 3, 4 or 5 (never by an
-    # uncaught exception, which a console script turns into 1), and a
-    # rejected run writes nothing into its output directory
+    # uncaught exception, which a console script turns into 1), a rejected
+    # run writes nothing into its output directory, and every OBJ and CSV a
+    # run leaves is whole
     @settings(max_examples=100)
     @given(_argv_runs())
     def check(run):
         command, picks, out_is_file = run
         # the grid stays bounded unless a flag of the draw sets it
         argv = [command, "--ns", "64", "--ntheta", "8", "--mesh-resolution", "6"]
+        mesh = {"--mesh-resolution": "6", "--periods": "1"}
         for flag, i in sorted(picks.items()):
             values = _ARGV_VALUES[flag]
             argv.append(f"{flag}={values[i % len(values)]}")
+            mesh[flag] = values[i % len(values)]
         out = tmp_path_factory.mktemp("argv")
         if out_is_file:
             out = out / "taken"
@@ -263,6 +279,8 @@ def test_argv_exit_codes_property(tmp_path_factory):
             assert out.read_text() == "", argv
         elif code == cli.EXIT_REJECTED:
             assert list(out.iterdir()) == [], argv
+        else:
+            _assert_mesh_counts(out, int(mesh["--mesh-resolution"]), int(mesh["--periods"]))
 
     check()
 
@@ -293,6 +311,59 @@ def test_out_on_a_regular_file_exits_4(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_IO
     assert str(out) in capsys.readouterr().err
     assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("blocks, left", [("vertex_blocks", []),
+                                          ("scalar_blocks", ["surface.obj"])])
+def test_failing_writer_leaves_no_partial_file(tmp_path, capsys, monkeypatch, blocks, left):
+    # the writer fails after its first block: export exits 4, the file it
+    # was writing is gone, and a file written before it stays whole
+    from spiralforge import verify
+
+    whole = getattr(verify.Mesh, blocks)
+
+    def failing(mesh):
+        yield next(whole(mesh))
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(verify.Mesh, blocks, failing)
+    argv = ["export", "--ns", "64", "--ntheta", "8", "--mesh-resolution", "8",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_IO
+    assert "no space left on device" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == left
+    if left:
+        _assert_mesh_counts(tmp_path, 8, 1)
+
+
+def test_failing_report_leaves_no_report(tmp_path, capsys, monkeypatch):
+    from spiralforge import verify
+
+    def failing(report):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(verify, "report_text", failing)
+    argv = ["solve", "--ns", "64", "--ntheta", "8", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_IO
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+2", "-.5e1"])
+def test_negative_exponent_float_is_a_flag_value(capsys, value):
+    # argparse alone reads -1e-3 as an unknown option and exits 2
+    assert cli.main(["spiral", "--xi", value]) == cli.EXIT_OK
+    spaced = capsys.readouterr().out
+    assert cli.main(["spiral", f"--xi={value}"]) == cli.EXIT_OK
+    assert spaced == capsys.readouterr().out
+
+
+def test_negative_exponent_delta_is_rejected(tmp_path, capsys):
+    argv = ["solve", "--delta", "-1e-3", "--ns", "64", "--ntheta", "8",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_REJECTED
+    out, err = capsys.readouterr()
+    assert out == "" and re.search(r"\bdelta\b", err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spiral_at_xi_zero_has_no_tube_bound(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spiralforge.cutoffs import Cutoff, _profile, even_cutoff
+from spiralforge.cutoffs import Cutoff, _profile
 
 
 def test_partition_of_unity():
@@ -51,7 +51,7 @@ def test_descending_order_flips():
 
 def test_even_cutoff_symmetry():
     s = np.linspace(-4, 4, 801)
-    v, d1, d2 = even_cutoff(1.0, 2.0, s)
+    v, d1, d2 = Cutoff(1.0, 2.0).even_jet(s)
     # mirrored grid values agree to roundoff of the |s| evaluation
     assert np.abs(v - v[::-1]).max() < 1e-13
     assert np.abs(d1 + d1[::-1]).max() < 1e-12

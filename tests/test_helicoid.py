@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spiralforge import helicoid, jets
+from spiralforge.cutoffs import Cutoff
 from spiralforge.helicoid import (gauss_map, helicoid_jet, kernel_fn, kernel_pairing,
                                   reference_point, stability_apply, substitute)
 
@@ -99,6 +100,8 @@ class TestKernel:
     def test_bad_name(self):
         with pytest.raises(ValueError):
             kernel_fn("w", 0.0, 0.0)
+        with pytest.raises(ValueError, match="which"):
+            helicoid.substitute_factors("w", 0.0, 0.0)
 
 
 class TestSubstitute:
@@ -176,9 +179,10 @@ class TestPairings:
                 assert abs(val) < 1e-8
 
     def test_breakpoints_follow_the_cutoff(self):
-        # quad's breakpoints come from cutoffs.Cutoff(*helicoid._BAND), equal
+        # quad's breakpoints come from the helicoid._BAND cutoff's, equal
         # bit for bit to the band's transition points, and the pairings they
         # give are those of the literal points
+        assert helicoid._BAND == Cutoff(1.0, 2.0)
         assert helicoid._CUT_BREAKPOINTS == (-2.0, -5.0 / 3.0, -4.0 / 3.0, -1.0,
                                              1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0)
         pinned = {"x": "0x1.ffffffdc96f2cp-1", "y": "0x1.ffffffdc96f2cp-1",
@@ -189,6 +193,8 @@ class TestPairings:
     def test_s_max_gate(self):
         with pytest.raises(ValueError):
             kernel_pairing("x", 2.0)
+        with pytest.raises(ValueError, match="which"):
+            kernel_pairing("w", 10.0)
 
 
 class TestStabilityApply:

@@ -128,6 +128,7 @@ class TestTaylorRemainder:
         j = random_jet(rng)
         var = jets.Jet(np.zeros((2, 3)), np.zeros((4, 3)))
         assert jets.taylor_remainder("mean_curvature", j, var, 1) == 0.0
+        assert jets.taylor_remainder_integral("mean_curvature", j, var, 1) == 0.0
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_remainder_order(self, k):
@@ -156,6 +157,16 @@ class TestTaylorRemainder:
             a = jets.taylor_remainder("mean_curvature", base, var, k)
             b = jets.taylor_remainder_integral("mean_curvature", base, var, k)
             assert abs(a - b) < 1e-8 * max(1.0, abs(a))
+
+    def test_callable_quantity(self):
+        # a callable is used as it is: the named quantity's own function
+        # gives the named quantity's remainder
+        rng = np.random.default_rng(23)
+        base = random_jet(rng, conformal=True)
+        var = jets.Jet(0.05 * rng.standard_normal((2, 3)),
+                       0.05 * rng.standard_normal((4, 3)))
+        assert (jets.taylor_remainder(jets.mean_curvature, base, var, 1)
+                == jets.taylor_remainder("mean_curvature", base, var, 1))
 
     def test_aspect_remainder_bound(self):
         # order-0 remainder of the conformality ratio is <= C |e| / |d1|

@@ -188,6 +188,14 @@ def test_weighted_norm_sums_in_the_whole_grid_order(monkeypatch):
         assert numerics.weighted_norm(u, g) == _ref_weighted_norm(u, g)
 
 
+def test_banded_lu_rejects_a_singular_band():
+    # a zero column: gbtrf reports a zero pivot
+    ab = np.zeros((3, 4))
+    ab[1] = [1.0, 0.0, 1.0, 1.0]
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        numerics.BandedLU(ab, 1, 1)
+
+
 def test_derivative_matrix_rejects_short_grids():
     with pytest.raises(ValueError, match="6-point stencil"):
         derivative_matrix(5, 0.1, 2, 4)

@@ -98,7 +98,6 @@ ORACLES = {
     "spiral_point": "a point of the spiral from its invariants",
     "spiral_invariants": "the spiral's curvature, torsion and speed",
     "from_invariants": "a spiral spec from its invariants",
-    "fix_gauge": "the gauge fix whose copy semantics a solver test pins",
 }
 
 

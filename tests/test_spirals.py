@@ -168,6 +168,15 @@ class TestRotation:
 
 
 class TestGamma:
+    @pytest.mark.parametrize("xi", [0.0, 1.0])
+    def test_trivial_generator_runs_along_e3(self, xi):
+        # R = 0: the frame never turns, so gamma is the growth integral
+        # times e_3 from the origin
+        flat = SpiralSpec(np.zeros((3, 3)), 1e-3, xi, allow_trivial=True)
+        z = np.array([-2.0, 0.0, 3.0])
+        height = z if xi == 0.0 else np.expm1(flat.lam * z) / flat.lam
+        assert np.array_equal(flat.gamma(z), np.outer(height, [0.0, 0.0, 1.0]))
+
     def test_unit_speed_at_xi_zero(self):
         spec = SpiralSpec.from_invariants(1.0, 0.3, 0.0, 0.01)
         h = 1e-5
@@ -275,6 +284,10 @@ class TestSpecValidation:
     def test_bad_delta(self):
         with pytest.raises(ValueError):
             SpiralSpec(frenet_generator(1.0, 0.0), -1.0, 0.0)
+
+    def test_straight_axis_generator_rejected(self):
+        with pytest.raises(ValueError, match="kappa0"):
+            frenet_generator(0.0, 0.0)
 
     def test_underflowing_rates_rejected(self):
         # gamma divides by (delta xi)^2 + (delta |R|)^2, which must stay a

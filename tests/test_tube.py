@@ -115,6 +115,15 @@ def test_xi_zero_rejected():
         tube.max_embed_ell(spec)
 
 
+def test_trivial_generator_rejected():
+    # R = 0 at xi != 0: the bounds are stated for a turning frame only
+    flat = SpiralSpec(np.zeros((3, 3)), 1e-3, 1.0, allow_trivial=True)
+    with pytest.raises(ValueError, match="non-trivial"):
+        tube.tube_radius(flat, 0.5)
+    with pytest.raises(ValueError, match="non-trivial"):
+        tube.injectivity_margin(flat)
+
+
 def test_uniform_takes_53_bits_per_double_from_random():
     # the byte stream of randbytes is that of getrandbits(64) per value
     x = tube.uniform(random.Random(11), -2.0, 3.0, 1000)
@@ -225,6 +234,9 @@ class TestPairSearch:
     def test_invalid_radius(self, radius):
         with pytest.raises(ValueError, match="radius"):
             next(tube.near_pairs(np.zeros((4, 3)), radius))
+
+    def test_one_point_has_no_pairs(self):
+        assert list(tube.near_pairs(np.zeros((1, 3)), 1.0)) == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points(self, bad):
