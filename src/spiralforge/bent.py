@@ -36,7 +36,7 @@ sinh(s) B(theta)), so the bundle takes its cross products on theta-rows
 only and differentiates m / |m| in closed form.  BentSurface builds it a
 block of numerics.row_blocks rows at a time into the arrays it keeps
 (9 MiB at 1024x64) and keeps the brackets as their s-profiles and
-theta-rows alone: at 1024x64 its set-up peaks at 12.3 MiB (tracemalloc)
+theta-rows alone: at 1024x64 its set-up peaks at 12.0 MiB (tracemalloc)
 and takes about 15 ms CPU, against 24.6 MiB and 26 ms when it also kept
 the 15 bracket fields (7.5 MiB) on the whole grid (one thread on a 2-vCPU
 x86-64 host).  BentSurface.q_operator runs graph_q a block of rows at a
@@ -44,7 +44,7 @@ time, the loop the mesh export and the OBJ/CSV writers also use: it asks
 for each block's derivative bundle as it reaches it, forms the block's
 brackets from their factors, and evaluates the slots, the first form and
 H in place in buffers allocated once per call.  At 1024x64 a solver
-residual (the graph's bundle and Q) peaks at 2.8 MiB, against 5.5 MiB
+residual (the graph's bundle and Q) peaks at 2.5 MiB, against 5.5 MiB
 when Q read a whole-grid bundle and cached brackets.
 
 The straightening profile u0 solves Q = 0 for theta-independent graphs over
@@ -486,7 +486,7 @@ class BentSurface:
         each block's brackets formed from their factors and its bundle asked
         for as it is reached, in buffers allocated once per call: every step
         is pointwise, so it equals the whole-grid graph_q bit for bit, while
-        the memory in use stays that of a block (about 1.7 MiB of buffers at
+        the memory in use stays that of a block (about 1.5 MiB of buffers at
         1024x64).
         """
         out = np.empty((self.grid.n_s + 1, self.grid.n_theta))
@@ -496,7 +496,7 @@ class BentSurface:
             brackets = {k: (r0, p[blk], row) for k, (r0, p, row) in self.brackets.items()}
             normals = {k: f[:, blk] for k, f in self.normals.items()}
             rows = out[blk]
-            # a partial last block uses the buffers' leading rows
+            # a block a row shorter than the first uses the buffers' leading rows
             work = vectors[:, :, :len(rows)], scalars[:, :len(rows)]
             graph_q(self.spec.lam, brackets, normals, self.ch2[blk], bundle(blk), rows, work)
         return out

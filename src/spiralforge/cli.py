@@ -280,9 +280,11 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("spiral", "solve", "check-embed", "export"):
         q = sub.add_parser(name)
-        # a negative float literal, exponent form included, is a flag's value:
-        # argparse reads only -5 and -.5 forms as numbers, -1e-3 as an option
-        q._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        # a negative float literal, exponent form and -inf / -nan included, is
+        # a flag's value (validate then names it): argparse reads only -5 and
+        # -.5 forms as numbers, -1e-3 and -inf as options
+        q._negative_number_matcher = re.compile(
+            r"-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
         q.add_argument("--config", default=None)
         for flag in ("kappa0", "tau0", "xi", "delta", "ell", "tol", "alpha"):
             q.add_argument(f"--{flag}", type=float)
@@ -295,7 +297,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (exit 0) or its usage error
+        return EXIT_OK if exc.code in (0, None) else EXIT_REJECTED
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "config")}
     try:

@@ -95,6 +95,7 @@ class BandStencil:
         self.n = n
         self.runs = sorted(runs, key=lambda run: run[0])
         self.reach = max(abs(run[0]) for run in self.runs)
+        self._plans = {}
 
     def __matmul__(self, u):
         u = np.asarray(u, dtype=float)
@@ -120,18 +121,29 @@ class BandStencil:
         if first < 0 or first + len(u) > self.n:
             raise ValueError(f"rows {first} ... {first + len(u) - 1} given to a stencil "
                              f"of {self.n} points")
-        runs = self._cut(lo, hi)
-        read = (min(run[1] for run in runs), max(run[2] for run in runs))
+        runs, read = self._plan(lo, hi)
         if read[0] < first or read[1] > first + len(u):
             raise ValueError(f"rows {lo} ... {hi - 1} read columns {read[0]} ... "
                              f"{read[1] - 1}, outside the given {first} ... "
                              f"{first + len(u) - 1}")
         out = np.zeros((hi - lo, *u.shape[1:]))
         tmp = np.empty(out.shape)
-        for d, j0, j1, w in runs:
-            out[j0 - d - lo:j1 - d - lo] += np.multiply(w, u[j0 - first:j1 - first],
-                                                        out=tmp[:j1 - j0])
+        for i0, i1, j0, j1, w in runs:
+            out[i0:i1] += np.multiply(w, u[j0 - first:j1 - first], out=tmp[:i1 - i0])
         return out
+
+    def _plan(self, lo, hi):
+        """The runs cut to rows lo ... hi - 1 as (i0, i1, j0, j1, w), output
+        rows i0 ... i1 - 1 counted from lo, and the columns they read; cut
+        once per row range, since a solve asks for the same blocks on every
+        pass."""
+        plan = self._plans.get((lo, hi))
+        if plan is None:
+            runs = self._cut(lo, hi)
+            plan = self._plans[lo, hi] = (
+                [(j0 - d - lo, j1 - d - lo, j0, j1, w) for d, j0, j1, w in runs],
+                (min(run[1] for run in runs), max(run[2] for run in runs)))
+        return plan
 
     def row(self, i):
         """Row i of the matrix, dense."""
@@ -202,8 +214,12 @@ class BandedLU:
 
 
 def theta_derivatives(u, orders):
-    """Exact theta derivatives of u (..., n_theta) of the given orders, from one spectrum."""
+    """Exact theta derivatives of u (..., n_theta) of the given orders, from
+    one spectrum; fresh zeros, without a transform, for one column."""
     n = u.shape[-1]
+    if n == 1:
+        # constant in theta (u0's profile): every derivative is exactly zero
+        return [np.zeros(u.shape) for _ in orders]
     m = np.arange(n // 2 + 1)  # rfft wavenumbers of a 2 pi-periodic grid
     uh = np.fft.rfft(u, axis=-1)
     out = []
@@ -310,9 +326,14 @@ BLOCK = 8192
 
 
 def row_blocks(n_rows, row_size):
-    """Slices of max(1, BLOCK // row_size) rows covering n_rows rows in order."""
-    step = max(1, BLOCK // row_size)
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
+    """Slices covering n_rows rows in order, in the fewest blocks of at most
+    max(1, BLOCK // row_size) rows: their sizes differ by at most one, the
+    larger ones first, so no block is a sliver and the first is a largest
+    (the one a caller sizes its buffers by)."""
+    count = -(-n_rows // max(1, BLOCK // row_size))
+    size, extra = divmod(n_rows, max(count, 1))
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 class Grid:
@@ -367,7 +388,9 @@ class Grid:
         It differences rows and the halo rows on either side that their
         s-stencils read, clipped to the grid, so the bundle is bit for bit
         those rows of the whole grid's bundle.  Every field is a fresh
-        array: a caller may add into the bundle without touching u.
+        array: a caller may add into the bundle without touching u.  The
+        theta slots of a one-column field (u0's profile and its chord
+        steps) are zeros, formed without a transform or a stencil.
 
         Only for smooth fields: a cutoff's high derivatives alias on the grid,
         so the substitute functions carry closed-form bundles instead.
@@ -378,8 +401,9 @@ class Grid:
         u = u[first:min(rows.stop + self.halo, n)]
         own = slice(rows.start - first, rows.stop - first)
         u_t, u_tt = theta_derivatives(u, (1, 2))
+        u_ts = np.zeros(u_t[own].shape) if u.shape[1] == 1 else self.d1.rows(u_t, rows, first)
         return (u[own].copy(), u_t[own], self.d1.rows(u, rows, first), u_tt[own],
-                self.d2.rows(u, rows, first), self.d1.rows(u_t, rows, first))
+                self.d2.rows(u, rows, first), u_ts)
 
 
 def weighted_norm(u, grid):

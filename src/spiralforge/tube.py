@@ -29,7 +29,8 @@ def frame_point(spec, z, vec):
     one frame per value.
     """
     z = np.asarray(z, dtype=float)
-    frame = np.moveaxis(spec.frame(z), (-2, -1), (0, 1))
+    # contiguous, so that each product below streams over unit strides
+    frame = np.ascontiguousarray(np.moveaxis(spec.frame(z), (-2, -1), (0, 1)))
     rotated = frame[:, 0] * vec[0] + frame[:, 1] * vec[1] + frame[:, 2] * vec[2]
     return np.moveaxis(spec.gamma(z), -1, 0) + np.exp(spec.lam * z) * rotated
 

@@ -130,14 +130,16 @@ def check_self_similarity(spec, grid, u):
     scale, rot = spec.similarity()
     t_row = grid.theta[None, :]
     t_next = t_row + 2.0 * np.pi
-    gauge = np.exp(-spec.lam * grid.theta)[:, None]
+    gauge = np.exp(-spec.lam * grid.theta)
     defects, sizes = [], []
     for blk in row_blocks(*u.shape):
         s_col = grid.s[blk, None]
         nu = bent._gauged_normal(spec, s_col, t_row)
-        x1 = bent.graph_point(spec, s_col, t_row, u[blk], nu)
-        x2 = bent.graph_point(spec, s_col, t_next, u[blk], nu)
-        image = scale * np.einsum("ij,...j->...i", rot, x1)
+        # component-major views of the points; bent._apply sums rot @ x1 in
+        # the order np.einsum("ij,...j->...i") does on (..., 3) points
+        x1 = np.moveaxis(bent.graph_point(spec, s_col, t_row, u[blk], nu), -1, 0)
+        x2 = np.moveaxis(bent.graph_point(spec, s_col, t_next, u[blk], nu), -1, 0)
+        image = scale * bent._apply(rot, x1)
         defects.append((np.abs(x2 - image) * gauge).max())
         sizes.append(np.abs(x1 * gauge).max())
     return float(np.max(defects) / np.max(sizes))

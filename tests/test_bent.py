@@ -343,8 +343,9 @@ class TestQOperator:
 
     @pytest.mark.parametrize("rows", [None, 7, 0], ids=["default", "7-rows", "sub-row"])
     def test_blocks_equal_whole_grid(self, surface_and_u0, monkeypatch, rows):
-        # 7 n_theta + 3 points is 7 rows a block with a partial last block;
-        # 3 points is less than one row, so one row a block
+        # 7 n_theta + 3 points is at most 7 rows a block, so 129 rows are
+        # 19 blocks of 7 or 6; 3 points is less than one row, so one row a
+        # block
         surface, u0 = surface_and_u0
         g = surface.grid
         if rows is not None:
@@ -384,6 +385,19 @@ class TestQOperator:
         want = (g.d2 @ u + theta_derivatives(u, (2,))[0]
                 + 2 * u / np.cosh(g.s)[:, None] ** 2)
         assert np.abs(dq - want).max() < 1e-8
+
+
+def test_first_form_refuses_a_zero_first_jet():
+    # one point of five with both first partials zero: no first form there,
+    # so the in-place form raises as the reference does instead of dividing
+    # by a zero trace
+    rng = np.random.default_rng(14)
+    x1, x2 = rng.standard_normal((2, 3, 5))
+    x1[:, 3] = x2[:, 3] = 0.0
+    for form in (lambda: bent._first_form(x1, x2, np.empty((9, 5))),
+                 lambda: _ref_first_form(x1, x2)):
+        with pytest.raises(InvalidImmersionError, match="zero first-order jet"):
+            form()
 
 
 # bent's bracket, slot and Q code in its whole-array expression form, kept
@@ -480,12 +494,14 @@ class TestInPlaceKernel:
         want_var = bent._pack(*_ref_variation(spec.lam, normals, *derivs))
         assert np.array_equal(var.d1, want_var.d1) and np.array_equal(var.d2, want_var.d2)
 
-    @pytest.mark.parametrize("n_s,n_theta,rows", [(1024, 64, None), (128, 16, 7), (128, 16, 0)],
-                             ids=["default", "7-rows", "sub-row"])
+    @pytest.mark.parametrize("n_s,n_theta,rows", [(1024, 64, None), (128, 16, 7), (128, 16, 0),
+                                                  (4096, 8, None)],
+                             ids=["default", "7-rows", "sub-row", "fine-s"])
     def test_blocks(self, spec, monkeypatch, n_s, n_theta, rows):
-        # the default BLOCK is 128 rows at 1024x64, with a last block of one
-        # row; 7 n_theta + 3 points is 7 rows a block with a partial last
-        # block; 3 points is less than one row, so one row a block
+        # the default BLOCK gives nine blocks of 114 or 113 rows at 1024x64
+        # and five of 820 or 819 at 4096x8; 7 n_theta + 3 points is at most
+        # 7 rows a block, 19 blocks of 7 or 6; 3 points is less than one
+        # row, so one row a block
         g = Grid(32.0, n_s, n_theta)
         if rows is not None:
             monkeypatch.setattr(numerics, "BLOCK", rows * g.n_theta + 3)

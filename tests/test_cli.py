@@ -366,6 +366,32 @@ def test_negative_exponent_delta_is_rejected(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan"])
+def test_negative_non_finite_value_reaches_validation(tmp_path, capsys, value):
+    # read as tau0's value, not as an unknown option: the finite-value check
+    # names the flag, and nothing is solved or written
+    argv = ["solve", "--tau0", value, "--ns", "64", "--ntheta", "8", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_REJECTED
+    out, err = capsys.readouterr()
+    assert out == "" and re.search(r"\btau0 must be finite\b", err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["bogus"], cli.EXIT_REJECTED, "err", "invalid choice: 'bogus'"),
+    (["spiral", "--xi"], cli.EXIT_REJECTED, "err", "expected one argument"),
+    (["solve", "--tau0", "-infx"], cli.EXIT_REJECTED, "err", "expected one argument"),
+    ([], cli.EXIT_REJECTED, "err", "required: command"),
+    (["--help"], cli.EXIT_OK, "out", "usage: spiralforge"),
+    (["export", "--help"], cli.EXIT_OK, "out", "usage: spiralforge export"),
+])
+def test_argparse_exits_become_exit_codes(capsys, argv, code, stream, text):
+    # an in-process caller gets argparse's verdict as a return value, not
+    # as SystemExit: 2 for a usage error, 0 for the help
+    assert cli.main(argv) == code
+    assert text in getattr(capsys.readouterr(), stream)
+
+
 def test_spiral_at_xi_zero_has_no_tube_bound(capsys):
     assert cli.main(["spiral", "--xi", "0"]) == cli.EXIT_OK
     assert ("tube radius / embeddedness bound: not defined at xi = 0"

@@ -184,6 +184,16 @@ class TestTaylorRemainder:
         with pytest.raises(InvalidVariationError):
             jets.taylor_remainder("aspect_ratio", base, var, 0)
 
+    def test_path_through_a_rank_deficient_jet(self):
+        # at sigma = 1, the path's last probe, both partials are e_1: a
+        # nonzero jet of aspect ratio 0, below the floor, so it is refused
+        base = simple_jet([1, 0, 0], [0, 1, 0])
+        var = jets.Jet(np.array([[0.0, 0, 0], [1.0, -1.0, 0]]), np.zeros((4, 3)))
+        end = base + var
+        assert np.any(end.d1) and jets.aspect_ratio(end) < jets.ASPECT_FLOOR
+        with pytest.raises(InvalidVariationError, match="sigma=1.000"):
+            jets.taylor_remainder("mean_curvature", base, var, 1)
+
     def test_unknown_quantity(self):
         base = simple_jet([1, 0, 0], [0, 1, 0])
         var = jets.Jet(np.zeros((2, 3)), np.ones((4, 3)))

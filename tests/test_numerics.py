@@ -92,6 +92,55 @@ def test_stencil_rows_are_bitwise_rows_of_the_product(n_pts, order):
         stencil.rows(np.zeros((n_pts + 1, 3)), slice(0, n_pts))
 
 
+def test_stencil_rows_cut_once_per_range():
+    # the same row range asked twice, for different fields, is cut once and
+    # gives those rows of each field's whole product bit for bit
+    stencil = derivative_matrix(33, 0.037, 2, 4)
+    rng = np.random.default_rng(12)
+    first, rows = 3, slice(8, 20)
+    for _ in range(2):
+        u = rng.standard_normal((33, 4))
+        got = stencil.rows(u[first:25], rows, first)
+        assert np.array_equal(got, (stencil @ u)[rows])
+    assert sorted(stencil._plans) == [(0, 33), (8, 20)]
+
+
+@pytest.mark.parametrize("n_rows, row_size", [
+    (4097, 8), (1025, 64), (513, 8), (1024, 8), (1025, 8), (64, 64), (256, 1024),
+    (10001, 1), (1, 8), (7, 10000), (129, 16), (0, 8)])
+def test_row_blocks_are_even_and_cover_the_rows_in_order(n_rows, row_size):
+    step = max(1, numerics.BLOCK // row_size)
+    blocks = numerics.row_blocks(n_rows, row_size)
+    sizes = [blk.stop - blk.start for blk in blocks]
+    assert [i for blk in blocks for i in range(blk.start, blk.stop)] == list(range(n_rows))
+    assert len(blocks) == -(-n_rows // step)
+    if blocks:
+        assert max(sizes) <= step and max(sizes) - min(sizes) <= 1
+        assert sizes[0] == max(sizes) and sizes == sorted(sizes, reverse=True)
+
+
+def test_one_column_derivatives_are_exact_zeros_without_a_transform(monkeypatch):
+    # u0's profile and its chord steps: the theta slots of a field constant
+    # in theta are fresh zeros, equal to what the transform gives, and the
+    # s slots are those of the stencils
+    g = Grid(32.0, 64, 8)
+    u = np.random.default_rng(13).standard_normal((65, 1))
+    spectrum = np.fft.rfft(u, axis=-1)
+    via_fft = [np.fft.irfft(spectrum * (1j * np.arange(1)) ** order, n=1, axis=-1)
+               for order in (1, 2)]
+    monkeypatch.setattr(np.fft, "rfft", None)
+    for rows in (slice(None), slice(10, 17)):
+        f, f_t, f_s, f_tt, f_ss, f_ts = g.derivatives(u, rows)
+        for got, want in ((f_t, via_fft[0]), (f_tt, via_fft[1]), (f_ts, g.d1 @ via_fft[0])):
+            assert got.shape == f.shape and not np.any(got)
+            assert np.array_equal(got, want[rows])
+        assert np.array_equal(f_s, (g.d1 @ u)[rows]) and np.array_equal(f_ss, (g.d2 @ u)[rows])
+        for field in (f_t, f_tt, f_ts):
+            field += 1.0
+    zeros = numerics.theta_derivatives(u, (1, 2, 3))
+    assert len(zeros) == 3 and all(z.shape == u.shape and not np.any(z) for z in zeros)
+
+
 def test_grid_derivatives_of_rows_are_the_whole_bundle_rows():
     g = Grid(32.0, 40, 8)
     # the one-sided d2 at a rim row reads 5 rows beyond it, d1 4
@@ -157,10 +206,10 @@ def _ref_weighted_norm(u, grid):
     (256, 32, 7), (256, 8, 60), (256, 8, 7), (1024, 1, None), (4096, 1, 60), (1024, 1, 7)])
 def test_weighted_norm_is_the_whole_grid_norm_bit_for_bit(monkeypatch, n_s, n_theta, block):
     # blocks of BLOCK points (None: the default) with the halo differenced:
-    # at n_theta = 8, 60 points are 7 rows with a partial last block, and 7
-    # points are one row at n_theta >= 8; the (n_s + 1, 1) columns are u0's
-    # chord updates.  Besides noise, smooth bumps put the sup in the first
-    # block, an inner one and the last.
+    # at n_theta = 8, 60 points are at most 7 rows a block, blocks of 7 and
+    # 6 rows, and 7 points are one row at n_theta >= 8; the (n_s + 1, 1)
+    # columns are u0's chord updates.  Besides noise, smooth bumps put the
+    # sup in the first block, an inner one and the last.
     if block is not None:
         monkeypatch.setattr(numerics, "BLOCK", block)
     g = Grid(32.0, n_s, max(n_theta, 2))
@@ -179,7 +228,7 @@ def test_weighted_norm_is_the_whole_grid_norm_bit_for_bit(monkeypatch, n_s, n_th
 def test_weighted_norm_sums_in_the_whole_grid_order(monkeypatch):
     # the six magnitudes are added in the reference's order: another order
     # moves the sum's last bit at a few points in a thousand, so many small
-    # fields are compared, in blocks of 7 rows with a partial last block
+    # fields are compared, in five blocks of 7 rows and one of 6
     monkeypatch.setattr(numerics, "BLOCK", 56)
     g = Grid(32.0, 40, 8)
     rng = np.random.default_rng(9)

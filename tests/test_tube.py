@@ -155,6 +155,28 @@ class TestInjectivity:
         with pytest.raises(ValueError):
             tube.check_injectivity(spec, -1.0)
 
+    def test_thin_tube_widens_the_spacing_search(self, monkeypatch):
+        # 200 samples along two turns of a tube of radius 0.01 lie about 6
+        # apart in z, far beyond the mean spacing of the volume estimate:
+        # the nearest-neighbour search doubles its reach until more than
+        # half the samples have a neighbour within it, and the last search
+        # is the far-pair one at a quarter of their median spacing
+        spec = SpiralSpec.from_invariants(1.0, 0.0, 0.05, 0.01)
+        reaches = []
+        search = tube.near_pairs
+
+        def counted(points, radius):
+            reaches.append(radius)
+            return search(points, radius)
+
+        monkeypatch.setattr(tube, "near_pairs", counted)
+        verdict, sep = tube.check_injectivity(spec, 0.01, n_samples=200, seed=0)
+        assert verdict == "injective-sample" and sep == np.inf
+        *spacing, margin = reaches
+        assert len(spacing) >= 3
+        assert spacing == [spacing[0] * 2.0 ** k for k in range(len(spacing))]
+        assert 4.0 * margin <= spacing[-1]
+
 
 def brute_pairs(points, radius, block=256):
     """Blocked brute force: {(i, j): distance} over every pair i < j within
@@ -234,6 +256,14 @@ class TestPairSearch:
     def test_invalid_radius(self, radius):
         with pytest.raises(ValueError, match="radius"):
             next(tube.near_pairs(np.zeros((4, 3)), radius))
+
+    def test_cell_key_overflow_is_refused(self):
+        # 2^20 points two cells apart on every axis need 2^21 cells per
+        # axis: 2^63 keys, one more than an int64 holds
+        n = 2 ** 20
+        pts = np.broadcast_to(2.0 * np.arange(n)[:, None], (n, 3))
+        with pytest.raises(ValueError, match=f"{n} points are too many for one cell key"):
+            next(tube.near_pairs(pts, 1.0))
 
     def test_one_point_has_no_pairs(self):
         assert list(tube.near_pairs(np.zeros((1, 3)), 1.0)) == []

@@ -519,8 +519,8 @@ class TestExport:
     @pytest.mark.parametrize("block", [None, 7, 60], ids=["default", "block7", "block60"])
     def test_lazy_rows_match_materialized_mesh(self, demo_solve, tmp_path, monkeypatch,
                                                block):
-        # three periods of an odd 13x11 mesh: blocks of 7 and 60 points split
-        # the 33-vertex mesh rows and leave a partial last block; the files
+        # three periods of an odd 13x11 mesh: blocks of 7 and 60 points are
+        # one 33-vertex mesh row each; the files
         # are the per-value text of the whole arrays of mesh_vertices, mesh_faces
         # and mesh_scalars
         _, ws, state = demo_solve
